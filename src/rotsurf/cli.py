@@ -78,7 +78,8 @@ def _trajectory_rows(fam: SurfaceFamily, trajectory: Trajectory):
 
 
 def _write_trajectory(path: str, fam: SurfaceFamily, trajectory: Trajectory,
-                      fmt: str):
+                      fmt: str) -> list[tuple]:
+    """Write the trajectory artifact and return its rows."""
     rows = list(_trajectory_rows(fam, trajectory))
     if fmt == "csv":
         lines = [",".join(_TRAJECTORY_COLUMNS)]
@@ -90,6 +91,7 @@ def _write_trajectory(path: str, fam: SurfaceFamily, trajectory: Trajectory,
                                for row in rows],
                    "termination": trajectory.termination}
         _write_atomic(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    return rows
 
 
 def _run_geodesic(config: RunConfig, fam: SurfaceFamily):
@@ -158,9 +160,7 @@ def _cmd_invariants(config: RunConfig) -> int:
     if failure is not None:
         return failure
     path = _resolve_output(config.output.path)
-    _write_trajectory(path, fam, trajectory, config.output.format)
-
-    rows = list(_trajectory_rows(fam, trajectory))
+    rows = _write_trajectory(path, fam, trajectory, config.output.format)
     inv1_first, inv2_first = rows[0][10], rows[0][11]
     summary = trajectory.drifts()
     summary["inv1_drift"] = max(abs(row[10] - inv1_first) for row in rows)

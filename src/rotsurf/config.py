@@ -50,6 +50,12 @@ def _number(mapping: dict, key: str, path: str) -> float:
         raise ConfigError(f"{path}.{key}", "must be finite")
     return float(value)
 
+def _integer(mapping: dict, key: str, path: str) -> int:
+    value = _number(mapping, key, path)
+    if value != math.floor(value):
+        raise ConfigError(f"{path}.{key}", "must be an integer")
+    return int(value)
+
 def _string(mapping: dict, key: str, path: str) -> str:
     if key not in mapping:
         raise ConfigError(f"{path}.{key}", "missing")
@@ -159,8 +165,8 @@ def _parse_curvature(section: dict) -> CurvatureSection:
     if "grid" in section:
         grid = _require_mapping(section["grid"], "curvature.grid")
         _reject_unknown(grid, {"nt", "ns"}, "curvature.grid")
-        nt = int(_number(grid, "nt", "curvature.grid"))
-        ns = int(_number(grid, "ns", "curvature.grid"))
+        nt = _integer(grid, "nt", "curvature.grid")
+        ns = _integer(grid, "ns", "curvature.grid")
         if nt < 1 or ns < 1:
             raise ConfigError("curvature.grid", "nt and ns must be >= 1")
     fd_step = None

@@ -10,13 +10,20 @@ returns NaN or infinity (domain faults raise ``DomainError`` instead).
 ``differentiate`` produces exact symbolic derivatives with constant
 subtrees folded, so first and second derivatives of a profile are
 noise-free wherever curvature formulas consume them.
+
+``lower`` compiles a tree into one straight-line Python function that
+performs the same floating-point operations, in the same order and with
+the same domain checks, as ``evaluate``; ``ProfileFunction`` evaluates
+through it.  ``evaluate`` stays as the reference tree walker.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import cached_property
+from typing import Callable
 
 __all__ = [
     "Expr",
@@ -293,6 +300,109 @@ def evaluate(expr: Expr, t: float) -> float:
 
 
 # ---------------------------------------------------------------------------
+# lowering to straight-line Python
+
+_CONTEXTS = {"+": "addition", "-": "subtraction", "*": "multiplication",
+             "/": "division"}
+
+
+class _Lowering:
+    """Emits one statement group per node in ``evaluate``'s order.
+
+    The source holds only generated names (``t``, ``c<k>`` for literals,
+    ``v<k>`` for node results), the names of ``_FUNCTIONS`` and fixed
+    message strings; literal values and functions live in the namespace.
+    """
+
+    def __init__(self):
+        self.lines: list[str] = []
+        self.namespace: dict = {"isfinite": math.isfinite,
+                                "floor": math.floor, "log": math.log,
+                                "sqrt": math.sqrt, "DomainError": DomainError}
+        self.count = 0
+
+    def fresh(self, prefix: str) -> str:
+        self.count += 1
+        return f"{prefix}{self.count}"
+
+    def checked(self, name: str, context: str):
+        self.lines.append(f"if not isfinite({name}): raise DomainError("
+                          f"'{context} produced a non-finite value')")
+
+    def emit(self, expr: Expr) -> str:
+        """Emit the statements for ``expr``; return the name of its value."""
+        if isinstance(expr, Literal):
+            name = self.fresh("c")
+            self.namespace[name] = expr.value
+            return name
+        if isinstance(expr, Variable):
+            return "t"
+        if isinstance(expr, Negate):
+            arg = self.emit(expr.arg)
+            out = self.fresh("v")
+            self.lines.append(f"{out} = -{arg}")
+            return out
+        if isinstance(expr, Binary):
+            left = self.emit(expr.left)
+            right = self.emit(expr.right)
+            out = self.fresh("v")
+            lines = self.lines
+            if expr.op in _CONTEXTS:
+                symbol = expr.op
+                if symbol == "/":
+                    lines.append(f"if {right} == 0.0: "
+                                 f"raise DomainError('division by zero')")
+                lines.append(f"{out} = {left} {symbol} {right}")
+                self.checked(out, _CONTEXTS[symbol])
+                return out
+            lines.append(f"if {left} == 0.0 and {right} < 0.0: raise "
+                         f"DomainError('zero raised to a negative power')")
+            lines.append(f"if {left} < 0.0 and {right} != floor({right}): "
+                         f"raise DomainError('negative base with "
+                         f"non-integer exponent')")
+            lines.append("try:")
+            lines.append(f"    {out} = {left} ** {right}")
+            lines.append("except OverflowError as exc:")
+            lines.append("    raise DomainError('power overflow') from exc")
+            self.checked(out, "power")
+            return out
+        if isinstance(expr, Call):
+            arg = self.emit(expr.arg)
+            out = self.fresh("v")
+            name = expr.name
+            lines = self.lines
+            if name == "log":
+                lines.append(f"if {arg} <= 0.0: "
+                             f"raise DomainError('log of a non-positive number')")
+                lines.append(f"{out} = log({arg})")
+                return out
+            if name == "sqrt":
+                lines.append(f"if {arg} < 0.0: "
+                             f"raise DomainError('sqrt of a negative number')")
+                lines.append(f"{out} = sqrt({arg})")
+                return out
+            self.namespace[name] = _FUNCTIONS[name]
+            lines.append("try:")
+            lines.append(f"    {out} = {name}({arg})")
+            lines.append("except OverflowError as exc:")
+            lines.append(f"    raise DomainError('{name} overflow') from exc")
+            self.checked(out, name)
+            return out
+        raise TypeError(f"not an expression node: {expr!r}")
+
+
+def lower(expr: Expr) -> Callable[[float], float]:
+    """Compile ``expr`` into a function of ``t`` that returns exactly what
+    ``evaluate(expr, t)`` returns and raises the same ``DomainError``."""
+    lowering = _Lowering()
+    result = lowering.emit(expr)
+    body = "".join(f"    {line}\n" for line in lowering.lines)
+    source = f"def lowered(t):\n{body}    return {result}\n"
+    exec(compile(source, "<lowered expression>", "exec"), lowering.namespace)
+    return lowering.namespace["lowered"]
+
+
+# ---------------------------------------------------------------------------
 # symbolic differentiation with constant folding
 
 def _lit(value: float) -> Literal:
@@ -476,7 +586,11 @@ class ProfileFunction:
     """A scalar profile with exact first and second derivatives on a
     closed interval.  Evaluation outside [t_min, t_max] is a hard fault
     unless ``check=False`` (used by finite-difference probes that must
-    straddle an evaluation point)."""
+    straddle an evaluation point).
+
+    Each tree is lowered on its first evaluation and the function kept on
+    the instance, outside the dataclass fields, so building a profile
+    costs no compilation and equality and repr see only the trees."""
 
     value: Expr
     d1: Expr
@@ -498,19 +612,37 @@ class ProfileFunction:
         d2 = differentiate(d1)
         return cls(value, d1, d2, float(t_min), float(t_max), text)
 
-    def _guard(self, t: float, check: bool):
-        if check and not (self.t_min <= t <= self.t_max):
-            raise DomainError(
-                f"t={t!r} outside profile domain [{self.t_min}, {self.t_max}]")
+    def __getstate__(self):
+        # the lowered functions are rebuilt on demand and cannot be pickled
+        return {field.name: getattr(self, field.name) for field in fields(self)}
+
+    def _outside(self, t: float) -> DomainError:
+        return DomainError(
+            f"t={t!r} outside profile domain [{self.t_min}, {self.t_max}]")
+
+    @cached_property
+    def _value_fn(self) -> Callable[[float], float]:
+        return lower(self.value)
+
+    @cached_property
+    def _d1_fn(self) -> Callable[[float], float]:
+        return lower(self.d1)
+
+    @cached_property
+    def _d2_fn(self) -> Callable[[float], float]:
+        return lower(self.d2)
 
     def evaluate(self, t: float, check: bool = True) -> float:
-        self._guard(t, check)
-        return evaluate(self.value, t)
+        if check and not (self.t_min <= t <= self.t_max):
+            raise self._outside(t)
+        return self._value_fn(t)
 
     def derivative(self, t: float, check: bool = True) -> float:
-        self._guard(t, check)
-        return evaluate(self.d1, t)
+        if check and not (self.t_min <= t <= self.t_max):
+            raise self._outside(t)
+        return self._d1_fn(t)
 
     def second_derivative(self, t: float, check: bool = True) -> float:
-        self._guard(t, check)
-        return evaluate(self.d2, t)
+        if check and not (self.t_min <= t <= self.t_max):
+            raise self._outside(t)
+        return self._d2_fn(t)

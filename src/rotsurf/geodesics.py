@@ -85,15 +85,19 @@ class Trajectory:
         return out
 
 
-def _rhs(fam: SurfaceFamily, y):
+def _rhs_from_bundle(y, bundle):
     u, v, t, du, dv, dt = y
-    e, g, n, de, dg, dn = fam.metric_bundle(t)
+    e, g, n, de, dg, dn = bundle
     if e == 0.0 or g == 0.0 or n == 0.0:
         raise DegenerateMetricError(t)
     ddu = -(de / e) * du * dt
     ddv = -(dg / g) * dv * dt
     ddt = (de * du * du + dg * dv * dv - dn * dt * dt) / (2.0 * n)
     return (du, dv, dt, ddu, ddv, ddt)
+
+
+def _rhs(fam: SurfaceFamily, y):
+    return _rhs_from_bundle(y, fam.metric_bundle(y[2]))
 
 
 def geodesic_rhs(fam: SurfaceFamily, state: GeodesicState):
@@ -103,41 +107,42 @@ def geodesic_rhs(fam: SurfaceFamily, state: GeodesicState):
 
 def momenta(fam: SurfaceFamily, state: GeodesicState) -> tuple[float, float]:
     """Conjugate momenta (2 E du, 2 G dv) of the cyclic angles."""
-    coeffs = fam.metric_coefficients(state.t)
-    return (2.0 * coeffs.E * state.du, 2.0 * coeffs.G * state.dv)
+    return fam.metric_coefficients(state.t).momenta(state)
 
 
-def _rk4_step(fam: SurfaceFamily, y, h: float):
-    k1 = _rhs(fam, y)
-    y2 = tuple(y[i] + 0.5 * h * k1[i] for i in range(6))
-    k2 = _rhs(fam, y2)
-    y3 = tuple(y[i] + 0.5 * h * k2[i] for i in range(6))
-    k3 = _rhs(fam, y3)
-    y4 = tuple(y[i] + h * k3[i] for i in range(6))
-    k4 = _rhs(fam, y4)
-    return tuple(y[i] + (h / 6.0) * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i])
-                 for i in range(6))
+def _rk4_step(fam: SurfaceFamily, y, h: float, bundle):
+    """One RK4 step; ``bundle`` is the metric bundle at ``y``."""
+    half = 0.5 * h
+    sixth = h / 6.0
+    k1 = _rhs_from_bundle(y, bundle)
+    k2 = _rhs(fam, [a + half * b for a, b in zip(y, k1)])
+    k3 = _rhs(fam, [a + half * b for a, b in zip(y, k2)])
+    k4 = _rhs(fam, [a + h * b for a, b in zip(y, k3)])
+    return tuple([a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+                  for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)])
 
 
-def _make_sample(fam: SurfaceFamily, s: float, y) -> Sample:
+def _make_sample(fam: SurfaceFamily, s: float, y):
+    """The sample at ``y`` and the metric bundle it was computed from,
+    which the next step reuses as its first stage."""
     state = GeodesicState(*y)
-    e, g, n, _, _, _ = fam.metric_bundle(state.t)
+    bundle = fam.metric_bundle(state.t)
+    e, g, n, _, _, _ = bundle
     lagr = math.fsum((e * state.du * state.du, g * state.dv * state.dv,
                       n * state.dt * state.dt))
-    return Sample(s, state, lagr, 2.0 * e * state.du, 2.0 * g * state.dv)
+    return Sample(s, state, lagr, 2.0 * e * state.du, 2.0 * g * state.dv), bundle
 
 
 def integrate(fam: SurfaceFamily, state0: GeodesicState, length: float,
-              step: float, method: str = "rk4") -> Trajectory:
-    """Fixed-step integration of the geodesic system from ``state0``.
+              step: float) -> Trajectory:
+    """Fixed-step classical RK4 integration of the geodesic system from
+    ``state0``.
 
     Samples at every step plus the endpoint ``s = length``.  The run aborts
     cleanly (partial trajectory, ``termination`` set) when t leaves the
     profile domain, a metric coefficient vanishes, or the state stops
     being finite.
     """
-    if method != "rk4":
-        raise ValueError(f"unsupported method {method!r}")
     if not (length > 0.0 and math.isfinite(length)):
         raise ValueError("length must be > 0")
     if not (step > 0.0 and math.isfinite(step)):
@@ -147,7 +152,8 @@ def integrate(fam: SurfaceFamily, state0: GeodesicState, length: float,
 
     t_min, t_max = fam.domain
     y = state0.as_tuple()
-    samples = [_make_sample(fam, 0.0, y)]
+    sample, bundle = _make_sample(fam, 0.0, y)
+    samples = [sample]
     n_steps = math.ceil(length / step - 1e-9)
     previous_s = 0.0
     termination = "completed"
@@ -155,7 +161,7 @@ def integrate(fam: SurfaceFamily, state0: GeodesicState, length: float,
         s_next = length if i == n_steps else i * step
         h = s_next - previous_s
         try:
-            y_next = _rk4_step(fam, y, h)
+            y_next = _rk4_step(fam, y, h, bundle)
         except DomainError:
             termination = "domain_exit"
             break
@@ -169,13 +175,14 @@ def integrate(fam: SurfaceFamily, state0: GeodesicState, length: float,
             termination = "domain_exit"
             break
         try:
-            samples.append(_make_sample(fam, s_next, y_next))
+            sample, bundle = _make_sample(fam, s_next, y_next)
         except DomainError:
             termination = "domain_exit"
             break
         except DegenerateMetricError:
             termination = "degenerate_metric"
             break
+        samples.append(sample)
         y = y_next
         previous_s = s_next
     return Trajectory(tuple(samples), termination, length)
@@ -220,10 +227,14 @@ def extract_angles(fam: SurfaceFamily, state: GeodesicState,
     ties at zero resolve to phi = theta = 0.
     """
     fa, fb = _profiles_at(fam, state.t)
+    return _extract_angles(fam.kind, fa, fb, state, tol)
+
+
+def _extract_angles(kind: FamilyKind, fa: float, fb: float,
+                    state: GeodesicState, tol: float) -> AngleDecomposition:
     a = fa * state.du
     b = fb * state.dv
     dt = state.dt
-    kind = fam.kind
 
     if kind is FamilyKind.HYPERBOLIC14:
         residual = abs(a * a + b * b - dt * dt - 1.0)
@@ -311,12 +322,13 @@ class ClairautReport:
 
 def clairaut_report(fam: SurfaceFamily, state: GeodesicState,
                     tol: float = 1e-9) -> ClairautReport:
-    lagr = fam.lagrangian(state)
-    p_u, p_v = momenta(fam, state)
-    angles = extract_angles(fam, state, tol)
+    coeffs = fam.metric_coefficients(state.t)
+    fa, fb = _profiles_at(fam, state.t)
+    lagr = coeffs.lagrangian(state)
+    p_u, p_v = coeffs.momenta(state)
+    angles = _extract_angles(fam.kind, fa, fb, state, tol)
     lay = fam.layout
     if angles.defined:
-        fa, fb = _profiles_at(fam, state.t)
         phi, theta = angles.phi, angles.theta
         if fam.kind is FamilyKind.HYPERBOLIC14:
             inv1 = 2.0 * fa * math.cos(phi)

@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import cached_property
 
 from .ambient import Vector4
 from .expressions import ProfileFunction
@@ -126,6 +127,16 @@ class MetricCoefficients:
     def det(self) -> float:
         return self.E * self.G * self.N
 
+    def lagrangian(self, state: GeodesicState) -> float:
+        """E du^2 + G dv^2 + N dt^2 at ``state``'s velocity."""
+        return math.fsum((self.E * state.du * state.du,
+                          self.G * state.dv * state.dv,
+                          self.N * state.dt * state.dt))
+
+    def momenta(self, state: GeodesicState) -> tuple[float, float]:
+        """Conjugate momenta (2 E du, 2 G dv) at ``state``'s velocity."""
+        return (2.0 * self.E * state.du, 2.0 * self.G * state.dv)
+
 
 @dataclass(frozen=True)
 class GeodesicState:
@@ -178,8 +189,9 @@ class SurfaceFamily:
         if (self.fa.t_min, self.fa.t_max) != (self.fb.t_min, self.fb.t_max):
             raise ValueError("fa and fb must share one domain interval")
 
-    @property
+    @cached_property
     def layout(self) -> _Layout:
+        # kept on the instance: the metric bundle reads it at every RK4 stage
         return _LAYOUTS[(self.kind, self.variant)]
 
     @property
@@ -285,10 +297,7 @@ class SurfaceFamily:
     def lagrangian(self, state: GeodesicState) -> float:
         """E du^2 + G dv^2 + N dt^2: the squared causal length of the
         pushed-forward velocity."""
-        coeffs = self.metric_coefficients(state.t)
-        return math.fsum((coeffs.E * state.du * state.du,
-                          coeffs.G * state.dv * state.dv,
-                          coeffs.N * state.dt * state.dt))
+        return self.metric_coefficients(state.t).lagrangian(state)
 
     def normalize_timelike(self, state: GeodesicState) -> GeodesicState:
         """Rescale velocities so the Lagrangian equals -1 (unit timelike)."""

@@ -250,6 +250,22 @@ def test_curvature_grid(tmp_path, capsys):
     assert len(lines) == 13
 
 
+@pytest.mark.parametrize("field,value", [("nt", 2.7), ("ns", 0.5)])
+def test_curvature_grid_rejects_non_integer_size(tmp_path, capsys, field, value):
+    document = {
+        "family": "hyperbolic14",
+        "profiles": {"fa": "2 + t^2/8", "fb": "3 + t"},
+        "domain": [0.1, 2.0],
+        "curvature": {"xAngle": "t/2", "vAngle": "t",
+                      "grid": dict({"nt": 3, "ns": 4}, **{field: value})},
+        "output": {"path": str(tmp_path / "grid.csv"), "format": "csv"},
+    }
+    config = write_config(tmp_path, document)
+    assert main(["curvature", "--config", config]) == 1
+    assert f"curvature.grid.{field}: must be an integer" in capsys.readouterr().err
+    assert not (tmp_path / "grid.csv").exists()
+
+
 def test_curvature_degenerate_grid_is_numerical_failure(tmp_path, capsys):
     document = {
         "family": "hyperbolic14",

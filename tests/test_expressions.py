@@ -1,9 +1,10 @@
 """Parser, evaluator, symbolic derivatives, profile functions."""
 
 import math
+import pickle
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rotsurf import (DomainError, ParseError, ProfileFunction, differentiate,
@@ -162,15 +163,15 @@ _leaf = st.sampled_from(["t", "2", "0.5", "pi", "3"])
 _func = st.sampled_from(["sin", "cos", "sinh", "cosh", "tanh", "exp"])
 
 
-def _tree(depth):
+def _tree(depth, leaf=_leaf, func=_func, ops=("+", "-", "*")):
     if depth == 0:
-        return _leaf
-    sub = _tree(depth - 1)
+        return leaf
+    sub = _tree(depth - 1, leaf, func, ops)
     return st.one_of(
-        _leaf,
+        leaf,
         st.builds(lambda a, b, op: f"({a} {op} {b})", sub, sub,
-                  st.sampled_from(["+", "-", "*"])),
-        st.builds(lambda f, a: f"{f}({a})", _func, sub),
+                  st.sampled_from(ops)),
+        st.builds(lambda f, a: f"{f}({a})", func, sub),
         st.builds(lambda a: f"-({a})", sub),
     )
 
@@ -180,13 +181,70 @@ def _tree(depth):
 def test_random_trees_round_trip_and_derivative(text, t):
     expr = parse(text)
     reparsed = parse(to_text(expr))
-    value = evaluate(expr, t)
+    # nested sinh/cosh/exp may overflow: by contract both trees then raise
+    try:
+        value = evaluate(expr, t)
+    except DomainError:
+        with pytest.raises(DomainError):
+            evaluate(reparsed, t)
+        return
     assert evaluate(reparsed, t) == pytest.approx(value, abs=1e-12, rel=1e-12)
     d = differentiate(expr)
     h = 1e-5 * (1.0 + abs(t))
-    numeric = central_difference(expr, t, h)
-    assert evaluate(d, t) == pytest.approx(
-        numeric, abs=1e-6 * (1.0 + abs(numeric)))
+    try:
+        numeric = central_difference(expr, t, h)
+        exact = evaluate(d, t)
+    except DomainError:
+        return      # a neighbour or the derivative overflows
+    assert exact == pytest.approx(numeric, abs=1e-6 * (1.0 + abs(numeric)))
+
+
+_lowering_leaf = st.sampled_from(["t", "0", "2", "0.5", "pi", "3", "800"])
+_lowering_func = st.sampled_from(["sin", "cos", "tan", "sinh", "cosh", "tanh",
+                                  "exp", "log", "sqrt"])
+
+
+def _outcome(fn, t):
+    """repr of the value (exact, signed zeros apart) or the error message."""
+    try:
+        return ("value", repr(fn(t)))
+    except DomainError as exc:
+        return ("error", str(exc))
+
+
+@settings(max_examples=300, deadline=None)
+@example("sqrt(t)", -0.5)
+@example("log(t)", 0.0)
+@example("log(t)", -0.0)
+@example("1/t", 0.0)
+@example("t^(0-1)", 0.0)
+@example("t^0.5", -1.0)
+@example("t^2", -1.0)
+@example("sinh(800)", 0.0)
+@example("exp(t*800)", 1.0)
+@example("800^800", 0.0)
+@example("tan(pi/2)", 0.0)
+@example("-(t) + 0", -0.0)
+@given(_tree(4, _lowering_leaf, _lowering_func, ("+", "-", "*", "/", "^")),
+       st.one_of(st.floats(-3, 3), st.sampled_from([0.0, -0.0, 1.0, -1.0])))
+def test_lowered_profile_matches_tree_walker(text, t):
+    profile = ProfileFunction.from_text(text, -5.0, 5.0)
+    for tree, method in ((profile.value, profile.evaluate),
+                         (profile.d1, profile.derivative),
+                         (profile.d2, profile.second_derivative)):
+        assert _outcome(method, t) == _outcome(lambda x: evaluate(tree, x), t)
+
+
+def test_lowering_keeps_equality_and_repr():
+    lowered = ProfileFunction.from_text("2 + t/sqrt(2)", 0.0, 1.0)
+    fresh = ProfileFunction.from_text("2 + t/sqrt(2)", 0.0, 1.0)
+    lowered.evaluate(0.5)
+    lowered.second_derivative(0.5)
+    assert lowered == fresh
+    assert repr(lowered) == repr(fresh)
+    restored = pickle.loads(pickle.dumps(lowered))
+    assert restored == fresh
+    assert restored.evaluate(0.5) == lowered.evaluate(0.5)
 
 
 PROFILE_CASES = [

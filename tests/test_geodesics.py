@@ -75,8 +75,6 @@ def test_integrate_validates_stepping():
         integrate(H14, state, 1.0, 0.0)
     with pytest.raises(ValueError):
         integrate(H14, state, -1.0, 0.1)
-    with pytest.raises(ValueError):
-        integrate(H14, state, 1.0, 0.1, method="euler")
 
 
 def test_integrate_domain_exit_reports_last_valid_s():
