@@ -1,10 +1,16 @@
-"""Golden artifacts: every CLI artifact byte for byte, one config per family.
+"""Golden artifacts: every CLI artifact byte for byte, for every family
+and variant.
 
-The hashes were recorded with the tree-walking evaluator, before profiles
-were lowered to compiled functions and before the geodesic and invariants
-paths stopped recomputing metric data.  Any change to the arithmetic or
-to its order shows up here as a changed byte.  The digests depend on the
-platform's libm; they were recorded on x86-64 Linux with CPython 3.11.
+The hashes of h14, h23, e56 and e56-unit were recorded with the
+tree-walking evaluator, before profiles were lowered to compiled
+functions and before the geodesic and invariants paths stopped
+recomputing metric data.  Those of h14-B, h23-B and e56-A were recorded
+before the per-family specs replaced the hand-entered layout table and
+the per-family branches of the geodesic and curvature code, so that the
+move of every formula is checked on all six (family, variant) pairs.
+Any change to the arithmetic or to its order shows up here as a changed
+byte.  The digests depend on the platform's libm; they were recorded on
+x86-64 Linux with CPython 3.11.
 """
 
 import hashlib
@@ -68,6 +74,49 @@ CONFIGS = {
             "length": 0.5, "step": 0.01,
         },
     },
+    # the B variants and the elliptic A variant, whose digests were recorded
+    # with the code from before the family specs replaced the hand-entered
+    # layout table: h14-B starts from angles (the boost-13/24 inversion at
+    # row 0), h23-B has N = 1, so every row takes the angle path
+    "h14-B": {
+        "family": "hyperbolic14",
+        "variant": "B",
+        "profiles": {"fa": "1 + t/4", "fb": "2 + t^2/4"},
+        "domain": [0.5, 2.0],
+        "geodesic": {
+            "initial": {"u": 0.2, "v": 0.1, "t": 1.0,
+                        "phi": 0.8, "theta": 0.3},
+            "length": 0.5, "step": 0.01,
+        },
+        "curvature": {"xAngle": "t/3", "vAngle": "t",
+                      "grid": {"nt": 3, "ns": 3}},
+    },
+    "h23-B": {
+        "family": "hyperbolic23",
+        "variant": "B",
+        "profiles": {"fa": "2 + t/sqrt(2)", "fb": "1 + t/sqrt(2)"},
+        "domain": [0.1, 3.0],
+        "geodesic": {
+            "initial": {"u": 0.0, "v": -0.1, "t": 1.2,
+                        "phi": 0.5, "theta": 0.3},
+            "length": 0.5, "step": 0.01,
+        },
+        "curvature": {"xAngle": "t/2", "vAngle": "sin(t)",
+                      "grid": {"nt": 3, "ns": 3}},
+    },
+    "e56-A": {
+        "family": "elliptic56",
+        "variant": "A",
+        "profiles": {"fa": "1 + t/8", "fb": "2 + t^2/2"},
+        "domain": [0.3, 2.0],
+        "geodesic": {
+            "initial": {"u": 0.0, "v": 0.0, "t": 1.0,
+                        "du": 0.2, "dv": -0.1, "dt": 0.6},
+            "length": 0.5, "step": 0.01,
+        },
+        "curvature": {"xAngle": "t/4", "vAngle": "t/2",
+                      "grid": {"nt": 3, "ns": 3}},
+    },
 }
 
 # (command, output file name); invariants also writes <stem>.summary.json
@@ -123,6 +172,42 @@ GOLDEN = {
         '7e8cbbcc2185979fefa29653f25c58a22bd324eaa400f559d0a27be11ce55849',
     'e56-unit/invariants_json/invariants.summary.json':
         'f3555c893062d94522865ec464830bde59fd4de363624636213c27fd51430cd7',
+    'h14-B/geodesic_csv/geodesic.csv':
+        'e42cbd84521a8564a9ffcb25cb96967ffc73d71e12c04b954ccf38dd17d3fca2',
+    'h14-B/invariants_csv/invariants.csv':
+        'e42cbd84521a8564a9ffcb25cb96967ffc73d71e12c04b954ccf38dd17d3fca2',
+    'h14-B/invariants_csv/invariants.summary.json':
+        '6ef356dc5f9c1cf1c6047f5d88814f6cb64dc171b2068bfc261d712f2148a331',
+    'h14-B/invariants_json/invariants.json':
+        '722cfdcb846010ad9fad7932265afb8db3da5186b525c6b50924e6385101da90',
+    'h14-B/invariants_json/invariants.summary.json':
+        '6ef356dc5f9c1cf1c6047f5d88814f6cb64dc171b2068bfc261d712f2148a331',
+    'h14-B/curvature_csv/curvature.csv':
+        '65f6fa1ffdb1d981c9d16731d75d5345277919e12e6bf2448931a8cc5544a037',
+    'h23-B/geodesic_csv/geodesic.csv':
+        'dfc89e46fb22bc592b7fcf39779c37e083fcbfe31300107b8f228ff46fe6dd84',
+    'h23-B/invariants_csv/invariants.csv':
+        'dfc89e46fb22bc592b7fcf39779c37e083fcbfe31300107b8f228ff46fe6dd84',
+    'h23-B/invariants_csv/invariants.summary.json':
+        '2aaf9ab36ecd261ba54ea70a7c2171ad4f18db798cb1b43c1299f1ba3799bbd8',
+    'h23-B/invariants_json/invariants.json':
+        'daed331743d469d29fb2f27ada54944f4ce0465a85aa96cf0e99c3996f6dac5a',
+    'h23-B/invariants_json/invariants.summary.json':
+        '2aaf9ab36ecd261ba54ea70a7c2171ad4f18db798cb1b43c1299f1ba3799bbd8',
+    'h23-B/curvature_csv/curvature.csv':
+        '5cf71cb61a8b6f15ab6c43d5489a08b03cc4e84b16f3e85de26c24db06a4c563',
+    'e56-A/geodesic_csv/geodesic.csv':
+        'd3d2d7379e3dfa4eacd075e679f82d524a13b63b3f24180142eaacea858d3746',
+    'e56-A/invariants_csv/invariants.csv':
+        'd3d2d7379e3dfa4eacd075e679f82d524a13b63b3f24180142eaacea858d3746',
+    'e56-A/invariants_csv/invariants.summary.json':
+        'b94ccb5b2f5638dbae35a3bf3a21fc60d58166dae2b9fa487299aaabeaf52267',
+    'e56-A/invariants_json/invariants.json':
+        'db716b65a7131255bf77471757727463cbda9cd95f55a29a782731552a9a1673',
+    'e56-A/invariants_json/invariants.summary.json':
+        'b94ccb5b2f5638dbae35a3bf3a21fc60d58166dae2b9fa487299aaabeaf52267',
+    'e56-A/curvature_csv/curvature.csv':
+        '381454bd6e5d74eda3a535c5ed019682b9faa6610f30f8a84fc3e717b9f99c0a',
 }
 
 
