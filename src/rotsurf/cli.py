@@ -136,22 +136,9 @@ def _cmd_info(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_geodesic(config: RunConfig) -> int:
-    if config.output is None:
-        raise ConfigError("output", "missing")
-    fam = config.build_family()
-    trajectory, _ = _run_geodesic(config, fam)
-    failure = _numerical_exit(trajectory)
-    if failure is not None:
-        return failure
-    path = _resolve_output(config.output.path)
-    _write_trajectory(path, fam, trajectory, config.output.format)
-    print(f"wrote {path} ({len(trajectory.samples)} samples, "
-          f"{trajectory.termination})")
-    return EXIT_OK
-
-
-def _cmd_invariants(config: RunConfig) -> int:
+def _cmd_geodesic(config: RunConfig, summarize: bool = False) -> int:
+    """Write the trajectory artifact; with ``summarize`` (the ``invariants``
+    command) also its drift summary."""
     if config.output is None:
         raise ConfigError("output", "missing")
     fam = config.build_family()
@@ -161,6 +148,10 @@ def _cmd_invariants(config: RunConfig) -> int:
         return failure
     path = _resolve_output(config.output.path)
     rows = _write_trajectory(path, fam, trajectory, config.output.format)
+    if not summarize:
+        print(f"wrote {path} ({len(trajectory.samples)} samples, "
+              f"{trajectory.termination})")
+        return EXIT_OK
     inv1_first, inv2_first = rows[0][10], rows[0][11]
     summary = trajectory.drifts()
     summary["inv1_drift"] = max(abs(row[10] - inv1_first) for row in rows)
@@ -305,10 +296,8 @@ def main(argv: list[str] | None = None) -> int:
         config = load_config(args.config)
         if args.command == "info":
             return _cmd_info(config)
-        if args.command == "geodesic":
-            return _cmd_geodesic(config)
-        if args.command == "invariants":
-            return _cmd_invariants(config)
+        if args.command in ("geodesic", "invariants"):
+            return _cmd_geodesic(config, args.command == "invariants")
         if args.command == "curvature":
             return _cmd_curvature(config)
         if args.command == "isometry":

@@ -104,31 +104,36 @@ class RunConfig:
     curvature: CurvatureSection | None = None
     output: OutputSection | None = None
 
+    def __post_init__(self):
+        # profiles must parse even if no command consumes them yet; the
+        # family is built once here and shared by every command
+        fa = self._profile(self.fa_text, "profiles.fa")
+        fb = self._profile(self.fb_text, "profiles.fb")
+        object.__setattr__(self, "_family",
+                           SurfaceFamily(self.family, self.variant, fa, fb))
+
+    def _profile(self, text: str, field_path: str) -> ProfileFunction:
+        try:
+            return ProfileFunction.from_text(text, self.t_min, self.t_max)
+        except ExprError as exc:
+            raise ConfigError(field_path, str(exc)) from exc
+
     def build_family(self) -> SurfaceFamily:
-        try:
-            fa = ProfileFunction.from_text(self.fa_text, self.t_min, self.t_max)
-        except ExprError as exc:
-            raise ConfigError("profiles.fa", str(exc)) from exc
-        try:
-            fb = ProfileFunction.from_text(self.fb_text, self.t_min, self.t_max)
-        except ExprError as exc:
-            raise ConfigError("profiles.fb", str(exc)) from exc
-        return SurfaceFamily(self.family, self.variant, fa, fb)
+        """The surface family of the profiles, built when the config was."""
+        return self._family
 
     def angle_profile(self, which: str) -> ProfileFunction:
         if self.curvature is None:
             raise ConfigError("curvature", "missing")
-        text = (self.curvature.angle_u_text if which == "u"
-                else self.curvature.angle_v_text)
-        key = "xAngle" if which == "u" else "vAngle"
-        try:
-            return ProfileFunction.from_text(text, self.t_min, self.t_max)
-        except ExprError as exc:
-            raise ConfigError(f"curvature.{key}", str(exc)) from exc
+        if which == "u":
+            return self._profile(self.curvature.angle_u_text, "curvature.xAngle")
+        return self._profile(self.curvature.angle_v_text, "curvature.vAngle")
 
 
 _VELOCITY_KEYS = {"u", "v", "t", "du", "dv", "dt"}
 _ANGLE_KEYS = {"u", "v", "t", "phi", "theta"}
+# integrate keeps every sample, about 490 bytes each: 1e6 steps is ~0.5 GB
+_MAX_STEPS = 1_000_000
 
 
 def _parse_geodesic(section: dict) -> GeodesicSection:
@@ -150,6 +155,10 @@ def _parse_geodesic(section: dict) -> GeodesicSection:
         raise ConfigError("geodesic.step", "must be > 0")
     if step > length:
         raise ConfigError("geodesic.step", "must be <= geodesic.length")
+    if math.ceil(length / step) > _MAX_STEPS:
+        raise ConfigError("geodesic.step",
+                          f"geodesic.length/geodesic.step must be at most "
+                          f"{_MAX_STEPS} steps (every step keeps a sample)")
     normalize = section.get("normalize", False)
     if not isinstance(normalize, bool):
         raise ConfigError("geodesic.normalize", "must be a boolean")
@@ -225,12 +234,8 @@ def parse_config(document: dict) -> RunConfig:
     if "output" in document:
         output = _parse_output(_require_mapping(document["output"], "output"))
 
-    config = RunConfig(FamilyKind(family_name), Variant(variant_name),
-                       fa_text, fb_text, t_min, t_max,
-                       geodesic, curvature, output)
-    # profiles must parse even if no command consumes them yet
-    config.build_family()
-    return config
+    return RunConfig(FamilyKind(family_name), Variant(variant_name),
+                     fa_text, fb_text, t_min, t_max, geodesic, curvature, output)
 
 
 def load_config(path: str) -> RunConfig:

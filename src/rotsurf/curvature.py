@@ -27,7 +27,7 @@ import numpy as np
 
 from .ambient import Vector4, inner
 from .expressions import ProfileFunction
-from .surfaces import DegenerateMetricError, FamilyKind, SurfaceFamily
+from .surfaces import DegenerateMetricError, SurfaceFamily
 
 __all__ = [
     "DoubleRotationSurface",
@@ -79,9 +79,15 @@ class DoubleRotationSurface:
         return np.array([[inner(st, st), inner(st, ss)],
                          [inner(ss, st), inner(ss, ss)]])
 
-    def _scalars(self, t: float, s: float) -> dict[str, float]:
+    def _frame_scalars(self, t: float, s: float) -> dict[str, float]:
+        """Profile and angle values at (t, s), with both normal-frame
+        radicands (``rad3``, ``rad4``) and their roots (``q3``, ``q4``).
+
+        Both radicands must be strictly positive, else the closed-form
+        normal frame does not exist and ``FrameDegenerateError`` is raised.
+        """
         fam = self.family
-        return {
+        c = {
             "fa": fam.fa.evaluate(s, check=False),
             "fb": fam.fb.evaluate(s, check=False),
             "dfa": fam.fa.derivative(s, check=False),
@@ -95,16 +101,13 @@ class DoubleRotationSurface:
             "d2x": self.angle_u.second_derivative(t, check=False),
             "d2w": self.angle_v.second_derivative(t, check=False),
         }
-
-
-def _radicands(kind: FamilyKind, c: dict[str, float]) -> tuple[float, float]:
-    fa, fb, dfa, dfb = c["fa"], c["fb"], c["dfa"], c["dfb"]
-    dx, dw = c["dx"], c["dw"]
-    if kind is FamilyKind.HYPERBOLIC14:
-        return fb * fb * dw * dw - fa * fa * dx * dx, dfb * dfb - dfa * dfa
-    if kind is FamilyKind.HYPERBOLIC23:
-        return fb * fb * dw * dw + fa * fa * dx * dx, dfa * dfa + dfb * dfb
-    return fb * fb * dw * dw - fa * fa * dx * dx, dfb * dfb - dfa * dfa
+        rad3, rad4 = fam.spec.radicands(**c)
+        if rad3 <= 0.0 or rad4 <= 0.0:
+            raise FrameDegenerateError(
+                f"normal frame degenerate at t={t!r}, s={s!r} "
+                f"(radicands {rad3!r}, {rad4!r})")
+        c.update(rad3=rad3, rad4=rad4, q3=math.sqrt(rad3), q4=math.sqrt(rad4))
+        return c
 
 
 def normal_frame(surface: DoubleRotationSurface, t: float,
@@ -115,74 +118,7 @@ def normal_frame(surface: DoubleRotationSurface, t: float,
     (spacelike or timelike depending on the family) orthogonal to the
     surface tangents and to each other.
     """
-    c = surface._scalars(t, s)
-    kind = surface.family.kind
-    rad3, rad4 = _radicands(kind, c)
-    if rad3 <= 0.0 or rad4 <= 0.0:
-        raise FrameDegenerateError(
-            f"normal frame degenerate at t={t!r}, s={s!r} "
-            f"(radicands {rad3!r}, {rad4!r})")
-    q3, q4 = math.sqrt(rad3), math.sqrt(rad4)
-    fa, fb, dfa, dfb = c["fa"], c["fb"], c["dfa"], c["dfb"]
-    x, w, dx, dw = c["x"], c["w"], c["dx"], c["dw"]
-    if kind is FamilyKind.HYPERBOLIC14:
-        e3 = Vector4(fb * dw * math.sinh(x), fa * dx * math.cosh(w),
-                     fb * dw * math.cosh(x), fa * dx * math.sinh(w)) / q3
-        e4 = Vector4(dfb * math.cosh(x), dfa * math.sinh(w),
-                     dfb * math.sinh(x), dfa * math.cosh(w)) / q4
-    elif kind is FamilyKind.HYPERBOLIC23:
-        # middle-slot signs fixed so both vectors are orthogonal to the
-        # surface tangents (inner product with S_t is 2*fa*fb*dx*dw and
-        # with S_s is -2*dfa*dfb otherwise)
-        e3 = Vector4(fb * dw * math.sinh(x), -fa * dx * math.sinh(w),
-                     -fa * dx * math.cosh(w), fb * dw * math.cosh(x)) / q3
-        e4 = Vector4(dfb * math.cosh(x), -dfa * math.cosh(w),
-                     -dfa * math.sinh(w), dfb * math.sinh(x)) / q4
-    else:
-        e3 = Vector4(-fb * dw * math.cos(x), fb * dw * math.sin(x),
-                     -fa * dx * math.cos(w), fa * dx * math.sin(w)) / q3
-        e4 = Vector4(dfb * math.sin(x), dfb * math.cos(x),
-                     dfa * math.sin(w), dfa * math.cos(w)) / q4
-    return e3, e4
-
-
-def _closed_forms(surface: DoubleRotationSurface, t: float,
-                  s: float) -> tuple[float, float, float]:
-    """(K, h3, h4) from the per-family closed-form expressions."""
-    c = surface._scalars(t, s)
-    kind = surface.family.kind
-    rad3, rad4 = _radicands(kind, c)
-    if rad3 <= 0.0 or rad4 <= 0.0:
-        raise FrameDegenerateError(
-            f"normal frame degenerate at t={t!r}, s={s!r} "
-            f"(radicands {rad3!r}, {rad4!r})")
-    fa, fb, dfa, dfb = c["fa"], c["fb"], c["dfa"], c["dfb"]
-    d2fa, d2fb = c["d2fa"], c["d2fb"]
-    dx, dw, d2x, d2w = c["dx"], c["dw"], c["d2x"], c["d2w"]
-    q3, q4 = math.sqrt(rad3), math.sqrt(rad4)
-
-    if kind is FamilyKind.HYPERBOLIC14:
-        wronskian = dfa * d2fb - d2fa * dfb
-        curv = ((dfa * fb - fa * dfb) ** 2 * (dx * dw) ** 2 / rad3
-                + (dfa * fb * dw * dw - dfb * fa * dx * dx) * wronskian / rad4)
-        h3 = (fa * fb * (d2x * dw + dx * d2w) / (2.0 * q3)
-              + (dfb * fa * dx * dx - dfa * fb * dw * dw) / (2.0 * q4))
-        h4 = wronskian / (2.0 * q4)
-    elif kind is FamilyKind.HYPERBOLIC23:
-        cross_term = d2fa * dfb + dfa * d2fb
-        curv = -((fa * dfb + dfa * fb) ** 2 * (dx * dw) ** 2 / rad3
-                 + (fa * dfb * dx * dx + dfa * fb * dw * dw) * cross_term / rad4)
-        h3 = fa * fb * (dx * d2w + d2x * dw) / (2.0 * q3)
-        h4 = ((fa * dfb * dx * dx + dfa * fb * dw * dw - d2fa * dfb - dfa * d2fb)
-              / (2.0 * q4))
-    else:
-        wronskian = -d2fa * dfb + dfa * d2fb
-        curv = -((dfa * fb - fa * dfb) ** 2 * (dx * dw) ** 2 / rad3
-                 + wronskian * (dfb * fa * dx * dx - dfa * fb * dw * dw) ** 2 / rad4)
-        h3 = fb * fa * (dx * d2w - dw * d2x) / (2.0 * q3)
-        h4 = ((dfb * fa * dx * dx - dfa * fb * dw * dw + d2fa * dfb - dfa * d2fb)
-              / (2.0 * q4))
-    return curv, h3, h4
+    return surface.family.spec.normal_frame(**surface._frame_scalars(t, s))
 
 
 # ---------------------------------------------------------------------------
@@ -298,8 +234,10 @@ def curvature_report(surface: DoubleRotationSurface, t: float, s: float,
     h = default_fd_step(t, s) if fd_step is None else fd_step
     if h <= 0.0:
         raise ValueError("fd_step must be > 0")
-    k_formula, h3, h4 = _closed_forms(surface, t, s)
-    e3, e4 = normal_frame(surface, t, s)
+    c = surface._frame_scalars(t, s)
+    spec = surface.family.spec
+    k_formula, h3, h4 = spec.closed_forms(**c)
+    e3, e4 = spec.normal_frame(**c)
     h_formula = e3 * h3 + e4 * h4
     k_oracle = gaussian_curvature_fd(surface.induced_metric, t, s, h)
     h_oracle = mean_curvature_fd(surface.point, surface.tangents, t, s, h)

@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 
 from .expressions import DomainError
-from .surfaces import (DegenerateMetricError, FamilyKind, GeodesicState,
+from .surfaces import (DegenerateMetricError, FamilySpec, GeodesicState,
                        SurfaceFamily)
 
 __all__ = [
@@ -162,19 +162,12 @@ def integrate(fam: SurfaceFamily, state0: GeodesicState, length: float,
         h = s_next - previous_s
         try:
             y_next = _rk4_step(fam, y, h, bundle)
-        except DomainError:
-            termination = "domain_exit"
-            break
-        except DegenerateMetricError:
-            termination = "degenerate_metric"
-            break
-        if not all(math.isfinite(value) for value in y_next):
-            termination = "nonfinite_state"
-            break
-        if not (t_min <= y_next[2] <= t_max):
-            termination = "domain_exit"
-            break
-        try:
+            if not all(math.isfinite(value) for value in y_next):
+                termination = "nonfinite_state"
+                break
+            if not (t_min <= y_next[2] <= t_max):
+                termination = "domain_exit"
+                break
             sample, bundle = _make_sample(fam, s_next, y_next)
         except DomainError:
             termination = "domain_exit"
@@ -195,11 +188,10 @@ def integrate(fam: SurfaceFamily, state0: GeodesicState, length: float,
 class AngleDecomposition:
     """Velocity split against the meridian direction.
 
-    ``phi`` is the mixing angle (circular for the boost-13/24 family,
-    hyperbolic for boost-14/23, circular for the spin family), ``theta``
-    distributes the remaining speed.  ``residual`` is the consistency
-    defect of the defining identities; ``defined`` means a decomposition
-    exists within the caller's tolerance.
+    ``phi`` is the mixing angle and ``theta`` distributes the remaining
+    speed, as the family's ``FamilySpec.velocity`` says.  ``residual`` is
+    the consistency defect of the defining identities; ``defined`` means a
+    decomposition exists within the caller's tolerance.
     """
 
     phi: float
@@ -208,70 +200,25 @@ class AngleDecomposition:
     residual: float
 
 
-def _profiles_at(fam: SurfaceFamily, t: float) -> tuple[float, float]:
-    return fam.fa.evaluate(t), fam.fb.evaluate(t)
-
-
 def extract_angles(fam: SurfaceFamily, state: GeodesicState,
                    tol: float = 1e-9) -> AngleDecomposition:
-    """Invert the family's velocity decomposition, if one exists.
-
-    boost-13/24:  fa*du = cos(phi),  fb*dv = cosh(theta) sin(phi),
-                  dt = sinh(theta) sin(phi)
-    boost-14/23:  dt = cosh(phi),    fa*du = sinh(phi) cos(theta),
-                  fb*dv = sinh(phi) sin(theta)
-    spin family:  dt = cos(phi),     fa*du = sin(phi) cosh(theta),
-                  fb*dv = sin(phi) sinh(theta)
+    """Invert the family's velocity law (``FamilySpec.velocity``), if the
+    state's velocity has angles.
 
     Undefined decompositions return ``defined=False`` with the residual;
     ties at zero resolve to phi = theta = 0.
     """
-    fa, fb = _profiles_at(fam, state.t)
-    return _extract_angles(fam.kind, fa, fb, state, tol)
+    fa, fb = fam.fa.evaluate(state.t), fam.fb.evaluate(state.t)
+    return _extract_angles(fam.spec, fa, fb, state, tol)
 
 
-def _extract_angles(kind: FamilyKind, fa: float, fb: float,
+def _extract_angles(spec: FamilySpec, fa: float, fb: float,
                     state: GeodesicState, tol: float) -> AngleDecomposition:
-    a = fa * state.du
-    b = fb * state.dv
-    dt = state.dt
-
-    if kind is FamilyKind.HYPERBOLIC14:
-        residual = abs(a * a + b * b - dt * dt - 1.0)
-        ok = abs(a) <= 1.0 + tol and b >= -tol and residual <= tol
-        phi = math.acos(min(1.0, max(-1.0, a))) if ok else 0.0
-        sin_phi = math.sin(phi)
-        if ok and sin_phi > 1e-15:
-            theta = math.asinh(dt / sin_phi)
-        else:
-            theta = 0.0
-        recon = (math.cos(phi), math.cosh(theta) * sin_phi,
-                 math.sinh(theta) * sin_phi)
-    elif kind is FamilyKind.HYPERBOLIC23:
-        sq = (dt - 1.0) * (dt + 1.0)
-        residual = abs(a * a + b * b - sq)
-        ok = dt >= 1.0 - tol and residual <= tol
-        phi = math.acosh(max(1.0, dt)) if ok else 0.0
-        theta = math.atan2(b, a) if ok and (a != 0.0 or b != 0.0) else 0.0
-        sinh_phi = math.sinh(phi)
-        recon = (sinh_phi * math.cos(theta), sinh_phi * math.sin(theta),
-                 math.cosh(phi))
-    else:  # spin family
-        sq = (1.0 - dt) * (1.0 + dt)
-        residual = abs(a * a - b * b - sq)
-        ok = abs(dt) <= 1.0 + tol and a >= -tol and residual <= tol
-        phi = math.acos(min(1.0, max(-1.0, dt))) if ok else 0.0
-        sin_phi = math.sin(phi)
-        if ok and sin_phi > 1e-15:
-            theta = math.asinh(b / sin_phi)
-        else:
-            theta = 0.0
-        recon = (sin_phi * math.cosh(theta), sin_phi * math.sinh(theta),
-                 math.cos(phi))
-
+    targets = (fa * state.du, fb * state.dv, state.dt)
+    phi, theta, ok, residual = spec.invert(*targets, tol)
     if ok:
         # the angles must actually reproduce the velocity triple
-        targets = (a, b, dt)
+        recon = spec.velocity(phi, theta)
         recon_err = max(abs(r - w) for r, w in zip(recon, targets))
         scale = 1.0 + max(abs(w) for w in targets)
         if recon_err > 10.0 * tol * scale:
@@ -284,23 +231,11 @@ def _extract_angles(kind: FamilyKind, fa: float, fb: float,
 def state_from_angles(fam: SurfaceFamily, u: float, v: float, t: float,
                       phi: float, theta: float) -> GeodesicState:
     """Inverse constructor: velocities from the family's decomposition."""
-    fa, fb = _profiles_at(fam, t)
+    fa, fb = fam.fa.evaluate(t), fam.fb.evaluate(t)
     if fa == 0.0 or fb == 0.0:
         raise DegenerateMetricError(t, which="profile")
-    kind = fam.kind
-    if kind is FamilyKind.HYPERBOLIC14:
-        du = math.cos(phi) / fa
-        dv = math.cosh(theta) * math.sin(phi) / fb
-        dt = math.sinh(theta) * math.sin(phi)
-    elif kind is FamilyKind.HYPERBOLIC23:
-        du = math.sinh(phi) * math.cos(theta) / fa
-        dv = math.sinh(phi) * math.sin(theta) / fb
-        dt = math.cosh(phi)
-    else:
-        du = math.sin(phi) * math.cosh(theta) / fa
-        dv = math.sin(phi) * math.sinh(theta) / fb
-        dt = math.cos(phi)
-    return GeodesicState(u, v, t, du, dv, dt)
+    a, b, dt = fam.spec.velocity(phi, theta)
+    return GeodesicState(u, v, t, a / fa, b / fb, dt)
 
 
 # ---------------------------------------------------------------------------
@@ -323,23 +258,14 @@ class ClairautReport:
 def clairaut_report(fam: SurfaceFamily, state: GeodesicState,
                     tol: float = 1e-9) -> ClairautReport:
     coeffs = fam.metric_coefficients(state.t)
-    fa, fb = _profiles_at(fam, state.t)
+    fa, fb = fam.fa.evaluate(state.t), fam.fb.evaluate(state.t)
     lagr = coeffs.lagrangian(state)
     p_u, p_v = coeffs.momenta(state)
-    angles = _extract_angles(fam.kind, fa, fb, state, tol)
-    lay = fam.layout
+    angles = _extract_angles(fam.spec, fa, fb, state, tol)
     if angles.defined:
-        phi, theta = angles.phi, angles.theta
-        if fam.kind is FamilyKind.HYPERBOLIC14:
-            inv1 = 2.0 * fa * math.cos(phi)
-            inv2 = -2.0 * fb * math.cosh(theta) * math.sin(phi)
-        elif fam.kind is FamilyKind.HYPERBOLIC23:
-            inv1 = 2.0 * fa * math.cos(theta) * math.sinh(phi)
-            inv2 = 2.0 * fb * math.sin(theta) * math.sinh(phi)
-        else:
-            inv1 = 2.0 * fa * math.sin(phi) * math.cosh(theta)
-            inv2 = 2.0 * fb * math.sinh(theta) * math.sin(phi)
+        inv1, inv2 = fam.spec.invariants(fa, fb, angles.phi, angles.theta)
     else:
+        lay = fam.layout
         inv1 = lay.mom_sign_u * p_u
         inv2 = lay.mom_sign_v * p_v
     return ClairautReport(lagr, p_u, p_v, inv1, inv2, angles)
@@ -370,22 +296,8 @@ def slope(fam: SurfaceFamily, state: GeodesicState,
     if not angles.defined:
         return SlopeReport(state_slope, None, None)
     lagr = fam.lagrangian(state)
-    fa, _ = _profiles_at(fam, state.t)
-    phi, theta = angles.phi, angles.theta
-    if fam.kind is FamilyKind.HYPERBOLIC14:
-        cos_phi = math.cos(phi)
-        tan_phi = math.tan(phi)
-        radicand = (1.0 - math.cosh(theta) ** 2 * tan_phi ** 2
-                    - lagr / (cos_phi * cos_phi))
-        angle_slope = fa * math.sqrt(abs(radicand))
-    elif fam.kind is FamilyKind.HYPERBOLIC23:
-        radicand = math.sinh(phi) ** 2 - lagr
-        angle_slope = (fa * math.sqrt(abs(radicand))
-                       / (math.cos(theta) * math.sinh(phi)))
-    else:
-        radicand = lagr + math.sin(phi) ** 2
-        angle_slope = (fa * math.sqrt(abs(radicand))
-                       / (math.sin(phi) * math.cosh(theta)))
+    fa = fam.fa.evaluate(state.t)
+    angle_slope, radicand = fam.spec.slope(fa, angles.phi, angles.theta, lagr)
     match = abs(state_slope) - abs(angle_slope)
     return SlopeReport(state_slope, angle_slope, match, radicand < 0.0)
 

@@ -68,24 +68,17 @@ class KillingParams:
 
 
 def killing_field(params: KillingParams, p: Vector4) -> Vector4:
-    """Value of the six-parameter Killing field at the point ``p``.
-
-    With p = (x1, x2, x3, x4) the components are
-    ``(a*x4 + c*x3 - f*x2,  b*x3 + d*x4 + f*x1,
-       b*x2 + c*x1 - e*x4,  a*x1 + d*x2 + e*x3)``.
-    """
-    x1, x2, x3, x4 = p.components()
-    a, b, c, d, e, f = params.a, params.b, params.c, params.d, params.e, params.f
-    return Vector4(
-        a * x4 + c * x3 - f * x2,
-        b * x3 + d * x4 + f * x1,
-        b * x2 + c * x1 - e * x4,
-        a * x1 + d * x2 + e * x3,
-    )
+    """Value of the six-parameter Killing field at the point ``p``."""
+    return apply_matrix(killing_matrix(params), p)
 
 
 def killing_matrix(params: KillingParams) -> np.ndarray:
-    """Matrix A with killing_field(params, p) == A @ p."""
+    """Matrix A of the Killing field, W(p) = A @ p.
+
+    With p = (x1, x2, x3, x4) the components of W(p) are
+    ``(a*x4 + c*x3 - f*x2,  b*x3 + d*x4 + f*x1,
+       b*x2 + c*x1 - e*x4,  a*x1 + d*x2 + e*x3)``.
+    """
     a, b, c, d, e, f = params.a, params.b, params.c, params.d, params.e, params.f
     return np.array([
         [0.0, -f, c, a],

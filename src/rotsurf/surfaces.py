@@ -7,9 +7,13 @@ v-rotation plane, so the induced metric is diagonal:
 
     E(t) du^2 + G(t) dv^2 + N(t) dt^2
 
-with E = +-fa^2, G = +-fb^2 and N a signed sum of fa'^2 and fb'^2.  The
-signs are fixed per family and variant by where the profile components
-sit, and are cross-checked against the immersion by the test suite.
+with E = +-fa^2, G = +-fb^2 and N a signed sum of fa'^2 and fb'^2.  A
+rotation preserves the inner product on its plane, so E and G take the
+``METRIC_DIAGONAL`` sign of the slot the profile component does not
+occupy and N those of the slots they do: ``_Layout`` derives every sign
+from the rotation planes and the variant's profile slots, and the test
+suite cross-checks them against the immersion.  Each family's rotations,
+slots and laws live in one ``FamilySpec``.
 
 Angles u, v are cyclic, which is what makes the conjugate momenta
 2*E*du and 2*G*dv conserved along geodesics (see ``geodesics``).
@@ -22,12 +26,13 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
 
-from .ambient import Vector4
+from .ambient import METRIC_DIAGONAL, Vector4
 from .expressions import ProfileFunction
 from .isometries import Rotation
 
 __all__ = [
     "FamilyKind",
+    "FamilySpec",
     "Variant",
     "MetricCoefficients",
     "GeodesicState",
@@ -61,53 +66,228 @@ class NotTimelikeError(ValueError):
     """Normalisation requested for a state that is not timelike."""
 
 
-@dataclass(frozen=True)
 class _Layout:
-    """Slot bookkeeping for one (kind, variant) pair.
-
-    ``plane_u``/``plane_v`` are the coordinate planes the two rotations
-    act on; ``fa_pos``/``fb_pos`` say which slot of its plane the profile
-    component occupies.  ``e_sign, g_sign`` give E = e_sign*fa^2 and
-    G = g_sign*fb^2; ``na_sign, nb_sign`` give
-    N = na_sign*fa'^2 + nb_sign*fb'^2.  ``mom_sign_u/v`` relate the
-    angle-form invariants 2*fa^2*du and 2*fb^2*dv to the momenta:
-    invariant1 = mom_sign_u * p_u, invariant2 = mom_sign_v * p_v.
+    """Slot bookkeeping for one (kind, variant) pair, derived once:
+    E = e_sign*fa^2, G = g_sign*fb^2, N = na_sign*fa'^2 + nb_sign*fb'^2,
+    and invariant1 = mom_sign_u * p_u, invariant2 = mom_sign_v * p_v.
+    ``fa_pos``/``fb_pos`` are the slots the profile components occupy.
     """
 
-    plane_u: tuple[int, int]
-    plane_v: tuple[int, int]
-    hyperbolic: bool
-    fa_pos: int
-    fb_pos: int
+    def __init__(self, spec: FamilySpec, fa_pos: int, fb_pos: int):
+        self.plane_u, self.plane_v = spec.rot_u.plane, spec.rot_v.plane
+        self.hyperbolic = spec.rot_u.hyperbolic
+        self.fa_pos, self.fb_pos = fa_pos, fb_pos
+        self.e_sign = METRIC_DIAGONAL[self.plane_u[1 - fa_pos]]
+        self.g_sign = METRIC_DIAGONAL[self.plane_v[1 - fb_pos]]
+        self.na_sign = METRIC_DIAGONAL[self.plane_u[fa_pos]]
+        self.nb_sign = METRIC_DIAGONAL[self.plane_v[fb_pos]]
+        self.mom_sign_u = self.e_sign
+        self.mom_sign_v = spec.inv2_sign * self.g_sign
+
+    def vector(self, pu=(0.0, 0.0), pv=(0.0, 0.0)) -> Vector4:
+        """The vector with components ``pu`` in plane_u, ``pv`` in plane_v."""
+        comps = [0.0, 0.0, 0.0, 0.0]
+        comps[self.plane_u[0]], comps[self.plane_u[1]] = pu
+        comps[self.plane_v[0]], comps[self.plane_v[1]] = pv
+        return Vector4(*comps)
+
+
+class FamilySpec:
+    """One family's rotations, profile slots and laws, in one place.
+
+    ``slots`` gives each variant's (fa_pos, fb_pos), ``layouts`` the
+    ``_Layout`` derived from it.  The laws of the family's Clairaut
+    statement, with (a, b, dt) = (fa*du, fb*dv, dt):
+
+    * ``velocity(phi, theta)`` -> (a, b, dt), the angle decomposition;
+    * ``invert(a, b, dt, tol)`` -> (phi, theta, ok, residual), where
+      ``residual`` is the defect of the identity (a, b, dt) must satisfy;
+    * ``invariants(fa, fb, phi, theta)``: 2*fa^2*du, inv2_sign*2*fb^2*dv;
+    * ``slope(fa, phi, theta, lagr)`` -> (dt/du, radicand of its root);
+    * ``radicands``, ``normal_frame`` -> (e3, e4) and ``closed_forms`` ->
+      (K, h3, h4) of a double-rotation surface, from the profile and angle
+      values at one point as keywords (and ``rad3, rad4, q3, q4``).
+    """
+
     rot_u: Rotation
     rot_v: Rotation
-    e_sign: float
-    g_sign: float
-    na_sign: float
-    nb_sign: float
-    mom_sign_u: float
-    mom_sign_v: float
+    slots: dict[Variant, tuple[int, int]]
+    inv2_sign = 1.0
+
+    def __init__(self):
+        self.layouts = {variant: _Layout(self, fa_pos, fb_pos)
+                        for variant, (fa_pos, fb_pos) in self.slots.items()}
 
 
-_LAYOUTS: dict[tuple[FamilyKind, Variant], _Layout] = {
-    (FamilyKind.HYPERBOLIC14, Variant.A): _Layout(
-        (0, 2), (1, 3), True, 0, 1, Rotation.BOOST_13, Rotation.BOOST_24,
-        +1.0, -1.0, -1.0, +1.0, +1.0, +1.0),
-    (FamilyKind.HYPERBOLIC14, Variant.B): _Layout(
-        (0, 2), (1, 3), True, 1, 0, Rotation.BOOST_13, Rotation.BOOST_24,
-        -1.0, +1.0, +1.0, -1.0, -1.0, -1.0),
-    (FamilyKind.HYPERBOLIC23, Variant.A): _Layout(
-        (0, 3), (1, 2), True, 0, 0, Rotation.BOOST_14, Rotation.BOOST_23,
-        +1.0, +1.0, -1.0, -1.0, +1.0, +1.0),
-    (FamilyKind.HYPERBOLIC23, Variant.B): _Layout(
-        (0, 3), (1, 2), True, 1, 1, Rotation.BOOST_14, Rotation.BOOST_23,
-        -1.0, -1.0, +1.0, +1.0, -1.0, -1.0),
-    (FamilyKind.ELLIPTIC56, Variant.A): _Layout(
-        (0, 1), (2, 3), False, 1, 1, Rotation.SPIN_12, Rotation.SPIN_34,
-        -1.0, +1.0, -1.0, +1.0, -1.0, +1.0),
-    (FamilyKind.ELLIPTIC56, Variant.B): _Layout(
-        (0, 1), (2, 3), False, 0, 0, Rotation.SPIN_12, Rotation.SPIN_34,
-        -1.0, +1.0, -1.0, +1.0, -1.0, +1.0),
+class _Hyperbolic14(FamilySpec):
+    """Boosts in the x1x3 and x2x4 planes (boost-13/24):
+    fa*du = cos(phi), fb*dv = cosh(theta) sin(phi), dt = sinh(theta) sin(phi).
+    """
+
+    rot_u, rot_v = Rotation.BOOST_13, Rotation.BOOST_24
+    slots = {Variant.A: (0, 1), Variant.B: (1, 0)}
+    inv2_sign = -1.0
+
+    def velocity(self, phi, theta):
+        sin_phi = math.sin(phi)
+        return (math.cos(phi), math.cosh(theta) * sin_phi,
+                math.sinh(theta) * sin_phi)
+
+    def invert(self, a, b, dt, tol):
+        residual = abs(a * a + b * b - dt * dt - 1.0)
+        ok = abs(a) <= 1.0 + tol and b >= -tol and residual <= tol
+        phi = math.acos(min(1.0, max(-1.0, a))) if ok else 0.0
+        sin_phi = math.sin(phi)
+        if ok and sin_phi > 1e-15:
+            theta = math.asinh(dt / sin_phi)
+        else:
+            theta = 0.0
+        return phi, theta, ok, residual
+
+    def invariants(self, fa, fb, phi, theta):
+        return (2.0 * fa * math.cos(phi),
+                -2.0 * fb * math.cosh(theta) * math.sin(phi))
+
+    def slope(self, fa, phi, theta, lagr):
+        cos_phi = math.cos(phi)
+        tan_phi = math.tan(phi)
+        radicand = (1.0 - math.cosh(theta) ** 2 * tan_phi ** 2
+                    - lagr / (cos_phi * cos_phi))
+        return fa * math.sqrt(abs(radicand)), radicand
+
+    def radicands(self, fa, fb, dfa, dfb, dx, dw, **_):
+        return fb * fb * dw * dw - fa * fa * dx * dx, dfb * dfb - dfa * dfa
+
+    def normal_frame(self, fa, fb, dfa, dfb, x, w, dx, dw, q3, q4, **_):
+        e3 = Vector4(fb * dw * math.sinh(x), fa * dx * math.cosh(w),
+                     fb * dw * math.cosh(x), fa * dx * math.sinh(w)) / q3
+        e4 = Vector4(dfb * math.cosh(x), dfa * math.sinh(w),
+                     dfb * math.sinh(x), dfa * math.cosh(w)) / q4
+        return e3, e4
+
+    def closed_forms(self, fa, fb, dfa, dfb, d2fa, d2fb, dx, dw, d2x, d2w,
+                     rad3, rad4, q3, q4, **_):
+        wronskian = dfa * d2fb - d2fa * dfb
+        curv = ((dfa * fb - fa * dfb) ** 2 * (dx * dw) ** 2 / rad3
+                + (dfa * fb * dw * dw - dfb * fa * dx * dx) * wronskian / rad4)
+        h3 = (fa * fb * (d2x * dw + dx * d2w) / (2.0 * q3)
+              + (dfb * fa * dx * dx - dfa * fb * dw * dw) / (2.0 * q4))
+        h4 = wronskian / (2.0 * q4)
+        return curv, h3, h4
+
+
+class _Hyperbolic23(FamilySpec):
+    """Boosts in the x1x4 and x2x3 planes (boost-14/23):
+    dt = cosh(phi), fa*du = sinh(phi) cos(theta), fb*dv = sinh(phi) sin(theta).
+    """
+
+    rot_u, rot_v = Rotation.BOOST_14, Rotation.BOOST_23
+    slots = {Variant.A: (0, 0), Variant.B: (1, 1)}
+
+    def velocity(self, phi, theta):
+        sinh_phi = math.sinh(phi)
+        return (sinh_phi * math.cos(theta), sinh_phi * math.sin(theta),
+                math.cosh(phi))
+
+    def invert(self, a, b, dt, tol):
+        sq = (dt - 1.0) * (dt + 1.0)
+        residual = abs(a * a + b * b - sq)
+        ok = dt >= 1.0 - tol and residual <= tol
+        phi = math.acosh(max(1.0, dt)) if ok else 0.0
+        theta = math.atan2(b, a) if ok and (a != 0.0 or b != 0.0) else 0.0
+        return phi, theta, ok, residual
+
+    def invariants(self, fa, fb, phi, theta):
+        return (2.0 * fa * math.cos(theta) * math.sinh(phi),
+                2.0 * fb * math.sin(theta) * math.sinh(phi))
+
+    def slope(self, fa, phi, theta, lagr):
+        radicand = math.sinh(phi) ** 2 - lagr
+        return (fa * math.sqrt(abs(radicand))
+                / (math.cos(theta) * math.sinh(phi))), radicand
+
+    def radicands(self, fa, fb, dfa, dfb, dx, dw, **_):
+        return fb * fb * dw * dw + fa * fa * dx * dx, dfa * dfa + dfb * dfb
+
+    def normal_frame(self, fa, fb, dfa, dfb, x, w, dx, dw, q3, q4, **_):
+        # middle-slot signs fixed so both vectors are orthogonal to the
+        # surface tangents (inner product with S_t is 2*fa*fb*dx*dw and
+        # with S_s is -2*dfa*dfb otherwise)
+        e3 = Vector4(fb * dw * math.sinh(x), -fa * dx * math.sinh(w),
+                     -fa * dx * math.cosh(w), fb * dw * math.cosh(x)) / q3
+        e4 = Vector4(dfb * math.cosh(x), -dfa * math.cosh(w),
+                     -dfa * math.sinh(w), dfb * math.sinh(x)) / q4
+        return e3, e4
+
+    def closed_forms(self, fa, fb, dfa, dfb, d2fa, d2fb, dx, dw, d2x, d2w,
+                     rad3, rad4, q3, q4, **_):
+        cross_term = d2fa * dfb + dfa * d2fb
+        curv = -((fa * dfb + dfa * fb) ** 2 * (dx * dw) ** 2 / rad3
+                 + (fa * dfb * dx * dx + dfa * fb * dw * dw) * cross_term / rad4)
+        h3 = fa * fb * (dx * d2w + d2x * dw) / (2.0 * q3)
+        h4 = ((fa * dfb * dx * dx + dfa * fb * dw * dw - d2fa * dfb - dfa * d2fb)
+              / (2.0 * q4))
+        return curv, h3, h4
+
+
+class _Elliptic56(FamilySpec):
+    """Spins in the x1x2 and x3x4 planes (spin family):
+    dt = cos(phi), fa*du = sin(phi) cosh(theta), fb*dv = sin(phi) sinh(theta).
+    """
+
+    rot_u, rot_v = Rotation.SPIN_12, Rotation.SPIN_34
+    slots = {Variant.A: (1, 1), Variant.B: (0, 0)}
+
+    def velocity(self, phi, theta):
+        sin_phi = math.sin(phi)
+        return (sin_phi * math.cosh(theta), sin_phi * math.sinh(theta),
+                math.cos(phi))
+
+    def invert(self, a, b, dt, tol):
+        sq = (1.0 - dt) * (1.0 + dt)
+        residual = abs(a * a - b * b - sq)
+        ok = abs(dt) <= 1.0 + tol and a >= -tol and residual <= tol
+        phi = math.acos(min(1.0, max(-1.0, dt))) if ok else 0.0
+        sin_phi = math.sin(phi)
+        if ok and sin_phi > 1e-15:
+            theta = math.asinh(b / sin_phi)
+        else:
+            theta = 0.0
+        return phi, theta, ok, residual
+
+    def invariants(self, fa, fb, phi, theta):
+        return (2.0 * fa * math.sin(phi) * math.cosh(theta),
+                2.0 * fb * math.sinh(theta) * math.sin(phi))
+
+    def slope(self, fa, phi, theta, lagr):
+        radicand = lagr + math.sin(phi) ** 2
+        return (fa * math.sqrt(abs(radicand))
+                / (math.sin(phi) * math.cosh(theta))), radicand
+
+    radicands = _Hyperbolic14.radicands  # the same as the boost-13/24 family's
+
+    def normal_frame(self, fa, fb, dfa, dfb, x, w, dx, dw, q3, q4, **_):
+        e3 = Vector4(-fb * dw * math.cos(x), fb * dw * math.sin(x),
+                     -fa * dx * math.cos(w), fa * dx * math.sin(w)) / q3
+        e4 = Vector4(dfb * math.sin(x), dfb * math.cos(x),
+                     dfa * math.sin(w), dfa * math.cos(w)) / q4
+        return e3, e4
+
+    def closed_forms(self, fa, fb, dfa, dfb, d2fa, d2fb, dx, dw, d2x, d2w,
+                     rad3, rad4, q3, q4, **_):
+        wronskian = -d2fa * dfb + dfa * d2fb
+        curv = -((dfa * fb - fa * dfb) ** 2 * (dx * dw) ** 2 / rad3
+                 + wronskian * (dfb * fa * dx * dx - dfa * fb * dw * dw) ** 2 / rad4)
+        h3 = fb * fa * (dx * d2w - dw * d2x) / (2.0 * q3)
+        h4 = ((dfb * fa * dx * dx - dfa * fb * dw * dw + d2fa * dfb - dfa * d2fb)
+              / (2.0 * q4))
+        return curv, h3, h4
+
+
+_SPECS: dict[FamilyKind, FamilySpec] = {
+    FamilyKind.HYPERBOLIC14: _Hyperbolic14(),
+    FamilyKind.HYPERBOLIC23: _Hyperbolic23(),
+    FamilyKind.ELLIPTIC56: _Elliptic56(),
 }
 
 
@@ -158,6 +338,10 @@ class GeodesicState:
         return (self.u, self.v, self.t, self.du, self.dv, self.dt)
 
 
+def _slot(pos: int, value: float) -> tuple[float, float]:
+    return (value, 0.0) if pos == 0 else (0.0, value)
+
+
 def _block(hyperbolic: bool, angle: float, pair: tuple[float, float]):
     a, b = pair
     if hyperbolic:
@@ -189,10 +373,14 @@ class SurfaceFamily:
         if (self.fa.t_min, self.fa.t_max) != (self.fb.t_min, self.fb.t_max):
             raise ValueError("fa and fb must share one domain interval")
 
+    @property
+    def spec(self) -> FamilySpec:
+        return _SPECS[self.kind]
+
     @cached_property
     def layout(self) -> _Layout:
         # kept on the instance: the metric bundle reads it at every RK4 stage
-        return _LAYOUTS[(self.kind, self.variant)]
+        return _SPECS[self.kind].layouts[self.variant]
 
     @property
     def domain(self) -> tuple[float, float]:
@@ -200,18 +388,12 @@ class SurfaceFamily:
 
     def generator(self, which: str) -> Rotation:
         if which == "u":
-            return self.layout.rot_u
+            return self.spec.rot_u
         if which == "v":
-            return self.layout.rot_v
+            return self.spec.rot_v
         raise ValueError("which must be 'u' or 'v'")
 
     # -- profile plumbing ---------------------------------------------------
-
-    def _pair_u(self, value: float) -> tuple[float, float]:
-        return (value, 0.0) if self.layout.fa_pos == 0 else (0.0, value)
-
-    def _pair_v(self, value: float) -> tuple[float, float]:
-        return (value, 0.0) if self.layout.fb_pos == 0 else (0.0, value)
 
     def profile_curve(self, t: float, check: bool = True) -> Vector4:
         """gamma(t): the unrotated profile point."""
@@ -224,12 +406,8 @@ class SurfaceFamily:
                        u: float, v: float) -> Vector4:
         """Immersed point from raw profile values (no domain logic)."""
         lay = self.layout
-        comps = [0.0, 0.0, 0.0, 0.0]
-        pu = _block(lay.hyperbolic, u, self._pair_u(fa_value))
-        pv = _block(lay.hyperbolic, v, self._pair_v(fb_value))
-        comps[lay.plane_u[0]], comps[lay.plane_u[1]] = pu
-        comps[lay.plane_v[0]], comps[lay.plane_v[1]] = pv
-        return Vector4(*comps)
+        return lay.vector(_block(lay.hyperbolic, u, _slot(lay.fa_pos, fa_value)),
+                          _block(lay.hyperbolic, v, _slot(lay.fb_pos, fb_value)))
 
     def immerse(self, u: float, v: float, t: float) -> Vector4:
         return self.immerse_values(self.fa.evaluate(t), self.fb.evaluate(t), u, v)
@@ -239,23 +417,11 @@ class SurfaceFamily:
                      u: float, v: float) -> tuple[Vector4, Vector4, Vector4]:
         """Coordinate tangent vectors (d/du, d/dv, d/dt) from raw values."""
         lay = self.layout
-        iu, ju = lay.plane_u
-        iv, jv = lay.plane_v
-
-        comps = [0.0, 0.0, 0.0, 0.0]
-        comps[iu], comps[ju] = _block_deriv(lay.hyperbolic, u, self._pair_u(fa_value))
-        du_vec = Vector4(*comps)
-
-        comps = [0.0, 0.0, 0.0, 0.0]
-        comps[iv], comps[jv] = _block_deriv(lay.hyperbolic, v, self._pair_v(fb_value))
-        dv_vec = Vector4(*comps)
-
-        comps = [0.0, 0.0, 0.0, 0.0]
-        comps[iu], comps[ju] = _block(lay.hyperbolic, u, self._pair_u(dfa_value))
-        comps[iv], comps[jv] = _block(lay.hyperbolic, v, self._pair_v(dfb_value))
-        dt_vec = Vector4(*comps)
-
-        return du_vec, dv_vec, dt_vec
+        hyp, fa_pos, fb_pos = lay.hyperbolic, lay.fa_pos, lay.fb_pos
+        return (lay.vector(pu=_block_deriv(hyp, u, _slot(fa_pos, fa_value))),
+                lay.vector(pv=_block_deriv(hyp, v, _slot(fb_pos, fb_value))),
+                lay.vector(_block(hyp, u, _slot(fa_pos, dfa_value)),
+                           _block(hyp, v, _slot(fb_pos, dfb_value))))
 
     def tangent_frame(self, u: float, v: float, t: float):
         return self.frame_values(self.fa.evaluate(t), self.fb.evaluate(t),
@@ -313,11 +479,7 @@ def make_family(kind: FamilyKind | str, variant: Variant | str,
                 fa_text: str, fb_text: str,
                 t_min: float, t_max: float) -> SurfaceFamily:
     """Build a family from expression text and a shared domain."""
-    if isinstance(kind, str):
-        kind = FamilyKind(kind)
-    if isinstance(variant, str):
-        variant = Variant(variant)
     fa = ProfileFunction.from_text(fa_text, t_min, t_max)
     fb = ProfileFunction.from_text(fb_text, t_min, t_max)
-    return SurfaceFamily(kind, variant, fa, fb)
+    return SurfaceFamily(FamilyKind(kind), Variant(variant), fa, fb)
 

@@ -5,8 +5,9 @@ import math
 
 import pytest
 
-from rotsurf import make_family
+from rotsurf import ProfileFunction, make_family
 from rotsurf.cli import main
+from rotsurf.config import parse_config
 
 MERIDIAN_CONFIG = {
     "family": "hyperbolic14",
@@ -136,6 +137,30 @@ def test_validation_zero_step(tmp_path, capsys):
     config = meridian_config(tmp_path, **{"geodesic.step": 0})
     assert main(["geodesic", "--config", config]) == 1
     assert "geodesic.step" in capsys.readouterr().err
+
+
+def test_validation_step_count_limit(tmp_path, capsys):
+    # integrate keeps every step's sample, so the step count is bounded
+    config = meridian_config(tmp_path, **{"geodesic.length": 2.0,
+                                          "geodesic.step": 1e-6})
+    assert main(["geodesic", "--config", config]) == 1
+    err = capsys.readouterr().err
+    assert "geodesic.step" in err and "1000000" in err
+    limit = patched(MERIDIAN_CONFIG, **{"geodesic.step": 1e-6})
+    assert parse_config(limit).geodesic.step == 1e-6
+
+
+def test_info_parses_each_profile_once(tmp_path, capsys, monkeypatch):
+    texts = []
+    from_text = ProfileFunction.from_text.__func__
+
+    def counting(cls, text, *args):
+        texts.append(text)
+        return from_text(cls, text, *args)
+
+    monkeypatch.setattr(ProfileFunction, "from_text", classmethod(counting))
+    assert main(["info", "--config", meridian_config(tmp_path)]) == 0
+    assert texts == ["t", "1"]
 
 
 def test_validation_unknown_key(tmp_path, capsys):

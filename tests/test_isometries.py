@@ -37,10 +37,16 @@ def test_killing_field_spin_term():
 
 @given(params_strategy, vec)
 def test_killing_matrix_matches_field(params, p):
-    matrix_value = apply_matrix(killing_matrix(params), p)
-    field_value = killing_field(params, p)
-    assert matrix_value.components() == pytest.approx(
-        field_value.components(), abs=1e-12)
+    # killing_field is killing_matrix applied to p; check both against the
+    # component formula written out
+    x1, x2, x3, x4 = p.components()
+    a, b, c, d, e, f = (params.a, params.b, params.c, params.d, params.e,
+                        params.f)
+    expected = (a * x4 + c * x3 - f * x2, b * x3 + d * x4 + f * x1,
+                b * x2 + c * x1 - e * x4, a * x1 + d * x2 + e * x3)
+    for value in (apply_matrix(killing_matrix(params), p),
+                  killing_field(params, p)):
+        assert value.components() == pytest.approx(expected, abs=1e-12)
 
 
 @given(params_strategy)
