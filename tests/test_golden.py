@@ -8,6 +8,10 @@ recomputing metric data.  Those of h14-B, h23-B and e56-A were recorded
 before the per-family specs replaced the hand-entered layout table and
 the per-family branches of the geodesic and curvature code, so that the
 move of every formula is checked on all six (family, variant) pairs.
+The curvature JSON hashes were recorded before the 2-metric of the
+curvature oracles became a plain tuple and before ``rotsurf curvature``
+built its rows in one table, so that the JSON bytes, whose ``K_oracle``
+type changes from a numpy float to a float, are checked too.
 Any change to the arithmetic or to its order shows up here as a changed
 byte.  The digests depend on the platform's libm; they were recorded on
 x86-64 Linux with CPython 3.11.
@@ -123,7 +127,8 @@ CONFIGS = {
 RUNS = (("geodesic", "geodesic.csv"),
         ("invariants", "invariants.csv"),
         ("invariants", "invariants.json"),
-        ("curvature", "curvature.csv"))
+        ("curvature", "curvature.csv"),
+        ("curvature", "curvature.json"))
 
 GOLDEN = {
     'h14/geodesic_csv/geodesic.csv':
@@ -138,6 +143,8 @@ GOLDEN = {
         'b95e3a03abdd536f47df606c7985af47b031748ae2764c1ee4dfab1d84979ed3',
     'h14/curvature_csv/curvature.csv':
         '0cf01c5202dc8be354b1740ed77b26486cb0ca2dd90d847db878d11b558a1c43',
+    'h14/curvature_json/curvature.json':
+        'fd862dde388187c0d41ecd8b951d9ecbd5695677bd604760c01b257873eacc01',
     'h23/geodesic_csv/geodesic.csv':
         '44eb7693dcf868c55e1896e5832184c946c1dc92ecb80283f2286b3548831b57',
     'h23/invariants_csv/invariants.csv':
@@ -150,6 +157,8 @@ GOLDEN = {
         'db50ce9b957d97d27796adf38a97bdfc575cd1abc561134361131537daebcbcb',
     'h23/curvature_csv/curvature.csv':
         '529ae2ade02176b27250d375e72892af306c46f916623a818cfe3d719effe356',
+    'h23/curvature_json/curvature.json':
+        'c51448ea7ca1b09f1c337405039d7cd67d1dc1617dccbb07076fa8890a9d4e1d',
     'e56/geodesic_csv/geodesic.csv':
         'f60abd8c31f17d95921befe331eee52dbc0072723a04d63d2bb8a9d09a686daa',
     'e56/invariants_csv/invariants.csv':
@@ -162,6 +171,8 @@ GOLDEN = {
         '3531ccccb3a5b383fb2c867118f5609c9231a431b89dbee8f59cd58fb081c1a1',
     'e56/curvature_csv/curvature.csv':
         '74d5cd16c0e52497efc386c9254eff2caf2cfd827a98b5b1f5181e9ee0af6acb',
+    'e56/curvature_json/curvature.json':
+        '6651cf64c1e3e34cd26ce752ea141342cef75b6029cf15fd5618e81ee718142e',
     'e56-unit/geodesic_csv/geodesic.csv':
         '0cbe890e1355d92dc438b55d9c0a240b053d13cb232ada534f419dfed1a62aa9',
     'e56-unit/invariants_csv/invariants.csv':
@@ -184,6 +195,8 @@ GOLDEN = {
         '6ef356dc5f9c1cf1c6047f5d88814f6cb64dc171b2068bfc261d712f2148a331',
     'h14-B/curvature_csv/curvature.csv':
         '65f6fa1ffdb1d981c9d16731d75d5345277919e12e6bf2448931a8cc5544a037',
+    'h14-B/curvature_json/curvature.json':
+        'ed08ba5565dfcb2090a821393b14ae07dacd44a67335d4352422f953c612994a',
     'h23-B/geodesic_csv/geodesic.csv':
         'dfc89e46fb22bc592b7fcf39779c37e083fcbfe31300107b8f228ff46fe6dd84',
     'h23-B/invariants_csv/invariants.csv':
@@ -196,6 +209,8 @@ GOLDEN = {
         '2aaf9ab36ecd261ba54ea70a7c2171ad4f18db798cb1b43c1299f1ba3799bbd8',
     'h23-B/curvature_csv/curvature.csv':
         '5cf71cb61a8b6f15ab6c43d5489a08b03cc4e84b16f3e85de26c24db06a4c563',
+    'h23-B/curvature_json/curvature.json':
+        '892f2c2106de2868c6b268cf47333ca11141fe74bb86bfb300f2fc28b781c467',
     'e56-A/geodesic_csv/geodesic.csv':
         'd3d2d7379e3dfa4eacd075e679f82d524a13b63b3f24180142eaacea858d3746',
     'e56-A/invariants_csv/invariants.csv':
@@ -208,6 +223,8 @@ GOLDEN = {
         'b94ccb5b2f5638dbae35a3bf3a21fc60d58166dae2b9fa487299aaabeaf52267',
     'e56-A/curvature_csv/curvature.csv':
         '381454bd6e5d74eda3a535c5ed019682b9faa6610f30f8a84fc3e717b9f99c0a',
+    'e56-A/curvature_json/curvature.json':
+        '7209d9a547d22df2fac58b9de52abc36a58e0680f6b766090b9500786e360ff0',
 }
 
 
