@@ -18,8 +18,6 @@ import os
 import sys
 import tempfile
 
-import numpy as np
-
 from .config import ConfigError, RunConfig, initial_state, load_config
 from .curvature import (DoubleRotationSurface, FrameDegenerateError,
                         curvature_report)
@@ -63,8 +61,27 @@ def _write_atomic(path: str, text: str):
         raise
 
 
+def _json(payload: dict) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def _write_table(path: str, fmt: str, names: tuple[str, ...], rows,
+                 key: str, **extra):
+    """Write ``rows`` with column ``names`` as CSV, or as JSON with one
+    object per row listed under ``key`` beside the ``extra`` members."""
+    if fmt == "csv":
+        lines = [",".join(names)]
+        lines.extend(",".join(_fmt(value) for value in row) for row in rows)
+        _write_atomic(path, "\n".join(lines) + "\n")
+    else:
+        extra[key] = [dict(zip(names, row)) for row in rows]
+        _write_atomic(path, _json(extra))
+
+
 _TRAJECTORY_COLUMNS = ("s", "u", "v", "t", "du", "dv", "dt",
                        "L", "p_u", "p_v", "inv1", "inv2")
+_CURVATURE_COLUMNS = ("t", "s", "K_formula", "K_oracle", "K_gap",
+                      "h3", "h4", "H_gap")
 
 
 def _trajectory_rows(fam: SurfaceFamily, trajectory: Trajectory):
@@ -81,16 +98,9 @@ def _write_trajectory(path: str, fam: SurfaceFamily, trajectory: Trajectory,
                       fmt: str) -> list[tuple]:
     """Write the trajectory artifact and return its rows."""
     rows = list(_trajectory_rows(fam, trajectory))
-    if fmt == "csv":
-        lines = [",".join(_TRAJECTORY_COLUMNS)]
-        lines.extend(",".join(_fmt(value) for value in row) for row in rows)
-        _write_atomic(path, "\n".join(lines) + "\n")
-    else:
-        payload = {"columns": list(_TRAJECTORY_COLUMNS),
-                   "samples": [dict(zip(_TRAJECTORY_COLUMNS, row))
-                               for row in rows],
-                   "termination": trajectory.termination}
-        _write_atomic(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _write_table(path, fmt, _TRAJECTORY_COLUMNS, rows, "samples",
+                 columns=list(_TRAJECTORY_COLUMNS),
+                 termination=trajectory.termination)
     return rows
 
 
@@ -159,8 +169,7 @@ def _cmd_geodesic(config: RunConfig, summarize: bool = False) -> int:
     if residual is not None:
         summary["initial_angle_residual"] = residual
     summary_path = os.path.splitext(path)[0] + ".summary.json"
-    _write_atomic(summary_path,
-                  json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    _write_atomic(summary_path, _json(summary))
     print(f"wrote {path} and {summary_path}")
     return EXIT_OK
 
@@ -168,14 +177,11 @@ def _cmd_geodesic(config: RunConfig, summarize: bool = False) -> int:
 def _cmd_curvature(config: RunConfig) -> int:
     if config.output is None:
         raise ConfigError("output", "missing")
-    if config.curvature is None:
-        raise ConfigError("curvature", "missing")
     fam = config.build_family()
     surface = DoubleRotationSurface(fam, config.angle_profile("u"),
                                     config.angle_profile("v"))
     section = config.curvature
-    lines = ["t,s,K_formula,K_oracle,K_gap,h3,h4,H_gap"]
-    json_rows = []
+    rows = []
     for i in range(section.nt):
         t = (config.t_min + (config.t_max - config.t_min)
              * (i + 0.5) / section.nt)
@@ -189,18 +195,10 @@ def _cmd_curvature(config: RunConfig) -> int:
                 print(f"numerical failure at t={_fmt(t)}, s={_fmt(s)}: {exc}",
                       file=sys.stderr)
                 return EXIT_NUMERICAL
-            values = (t, s, report.K_formula, report.K_oracle, report.K_gap,
-                      report.h3, report.h4, report.H_gap)
-            lines.append(",".join(_fmt(v) for v in values))
-            json_rows.append(dict(zip(
-                ("t", "s", "K_formula", "K_oracle", "K_gap", "h3", "h4",
-                 "H_gap"), values)))
+            rows.append((t, s, report.K_formula, report.K_oracle,
+                         report.K_gap, report.h3, report.h4, report.H_gap))
     path = _resolve_output(config.output.path)
-    if config.output.format == "csv":
-        _write_atomic(path, "\n".join(lines) + "\n")
-    else:
-        _write_atomic(path, json.dumps({"grid": json_rows}, indent=2,
-                                       sort_keys=True) + "\n")
+    _write_table(path, config.output.format, _CURVATURE_COLUMNS, rows, "grid")
     print(f"wrote {path} ({section.nt * section.ns} grid points)")
     return EXIT_OK
 
@@ -235,7 +233,7 @@ def _cmd_killing(params: list[float]) -> int:
     print("lie residual matrix:")
     for row in residual:
         print(" ".join(_fmt(value) for value in row))
-    print(f"max-abs entry: {_fmt(float(np.max(np.abs(residual))))}")
+    print(f"max-abs entry: {_fmt(max(abs(v) for row in residual for v in row))}")
     return EXIT_OK
 
 

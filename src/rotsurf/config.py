@@ -105,12 +105,16 @@ class RunConfig:
     output: OutputSection | None = None
 
     def __post_init__(self):
-        # profiles must parse even if no command consumes them yet; the
-        # family is built once here and shared by every command
+        # profiles and angles must parse even if no command consumes them
+        # yet; they are built once here and shared by every command
         fa = self._profile(self.fa_text, "profiles.fa")
         fb = self._profile(self.fb_text, "profiles.fb")
         object.__setattr__(self, "_family",
                            SurfaceFamily(self.family, self.variant, fa, fb))
+        if self.curvature is not None:
+            object.__setattr__(self, "_angles", (
+                self._profile(self.curvature.angle_u_text, "curvature.xAngle"),
+                self._profile(self.curvature.angle_v_text, "curvature.vAngle")))
 
     def _profile(self, text: str, field_path: str) -> ProfileFunction:
         try:
@@ -123,11 +127,10 @@ class RunConfig:
         return self._family
 
     def angle_profile(self, which: str) -> ProfileFunction:
+        """The ``u`` or ``v`` curvature angle, built when the config was."""
         if self.curvature is None:
             raise ConfigError("curvature", "missing")
-        if which == "u":
-            return self._profile(self.curvature.angle_u_text, "curvature.xAngle")
-        return self._profile(self.curvature.angle_v_text, "curvature.vAngle")
+        return self._angles[0 if which == "u" else 1]
 
 
 _VELOCITY_KEYS = {"u", "v", "t", "du", "dv", "dt"}

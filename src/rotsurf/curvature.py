@@ -13,6 +13,9 @@ reported side by side:
   component, and ``H_oracle`` from second partials of the immersion with
   the tangential part projected away.
 
+The induced 2-metric is a plain 2x2 tuple of floats, indexed g[i][j];
+``_inverse`` is the one place its determinant and inverse are computed.
+
 Profile and angle expressions are evaluated without the domain-interval
 guard here, because central differences must straddle the evaluation
 point; grid drivers keep the sample points themselves inside the domain.
@@ -22,8 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .ambient import Vector4, inner
 from .expressions import ProfileFunction
@@ -42,6 +43,11 @@ __all__ = [
 
 class FrameDegenerateError(ValueError):
     """A normal-frame radicand was not strictly positive."""
+
+
+def _gram(st: Vector4, ss: Vector4) -> tuple:
+    """The 2-metric ((g00, g01), (g10, g11)) of the tangents (S_t, S_s)."""
+    return ((inner(st, st), inner(st, ss)), (inner(ss, st), inner(ss, ss)))
 
 
 @dataclass(frozen=True)
@@ -74,10 +80,8 @@ class DoubleRotationSurface:
         tangent_s = frame[2]
         return tangent_t, tangent_s
 
-    def induced_metric(self, t: float, s: float) -> np.ndarray:
-        st, ss = self.tangents(t, s)
-        return np.array([[inner(st, st), inner(st, ss)],
-                         [inner(ss, st), inner(ss, ss)]])
+    def induced_metric(self, t: float, s: float) -> tuple:
+        return _gram(*self.tangents(t, s))
 
     def _frame_scalars(self, t: float, s: float) -> dict[str, float]:
         """Profile and angle values at (t, s), with both normal-frame
@@ -124,50 +128,63 @@ def normal_frame(surface: DoubleRotationSurface, t: float,
 # ---------------------------------------------------------------------------
 # finite-difference oracles
 
-def _christoffel(metric_fn, t: float, s: float, h: float) -> np.ndarray:
-    """Gamma[a, b, c] of a 2-metric, metric derivatives by central
-    differences of step h (coordinate 0 is t, coordinate 1 is s)."""
-    g = metric_fn(t, s)
-    dg = np.empty((2, 2, 2))
-    dg[0] = (metric_fn(t + h, s) - metric_fn(t - h, s)) / (2.0 * h)
-    dg[1] = (metric_fn(t, s + h) - metric_fn(t, s - h)) / (2.0 * h)
-    det = g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]
+def _inverse(g, t: float) -> tuple[tuple, float]:
+    """Inverse and determinant of a 2-metric ``g`` (indexed g[i][j]);
+    a zero determinant raises ``DegenerateMetricError``."""
+    det = g[0][0] * g[1][1] - g[0][1] * g[1][0]
     if det == 0.0:
         raise DegenerateMetricError(t, which="induced 2-metric")
-    ginv = np.array([[g[1, 1], -g[0, 1]], [-g[1, 0], g[0, 0]]]) / det
-    gamma = np.empty((2, 2, 2))
+    return ((g[1][1] / det, -g[0][1] / det),
+            (-g[1][0] / det, g[0][0] / det)), det
+
+
+def _central(plus, minus, h: float):
+    """Central difference of two 2-metrics, entry by entry."""
+    return [[(plus[i][j] - minus[i][j]) / (2.0 * h) for j in range(2)]
+            for i in range(2)]
+
+
+def _christoffel(metric_fn, g, t: float, s: float, h: float):
+    """Gamma[a][b][c] of a 2-metric whose value at (t, s) is ``g``, metric
+    derivatives by central differences of step h (coordinate 0 is t,
+    coordinate 1 is s)."""
+    dg = (_central(metric_fn(t + h, s), metric_fn(t - h, s), h),
+          _central(metric_fn(t, s + h), metric_fn(t, s - h), h))
+    ginv, _ = _inverse(g, t)
+    gamma = [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
     for a in range(2):
         for b in range(2):
             for c in range(2):
                 total = 0.0
                 for d in range(2):
-                    total += ginv[a, d] * (dg[b][d, c] + dg[c][b, d] - dg[d][b, c])
-                gamma[a, b, c] = 0.5 * total
+                    total += ginv[a][d] * (dg[b][d][c] + dg[c][b][d] - dg[d][b][c])
+                gamma[a][b][c] = 0.5 * total
     return gamma
 
 
 def gaussian_curvature_fd(metric_fn, t: float, s: float, h: float) -> float:
     """Intrinsic curvature of a 2-metric from the single independent
     curvature component: K = R_0101 / det(g), all derivatives by central
-    differences of step ``h``.  Works for either metric signature."""
+    differences of step ``h``.  Works for either metric signature;
+    ``metric_fn(t, s)`` returns the metric indexed as g[i][j]."""
     g = metric_fn(t, s)
-    det = g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]
-    if det == 0.0:
-        raise DegenerateMetricError(t, which="induced 2-metric")
-    gamma = _christoffel(metric_fn, t, s, h)
-    dgamma_dt = (_christoffel(metric_fn, t + h, s, h)
-                 - _christoffel(metric_fn, t - h, s, h)) / (2.0 * h)
-    dgamma_ds = (_christoffel(metric_fn, t, s + h, h)
-                 - _christoffel(metric_fn, t, s - h, h)) / (2.0 * h)
+    _, det = _inverse(g, t)
+    gamma = _christoffel(metric_fn, g, t, s, h)
+    t_plus = _christoffel(metric_fn, metric_fn(t + h, s), t + h, s, h)
+    t_minus = _christoffel(metric_fn, metric_fn(t - h, s), t - h, s, h)
+    s_plus = _christoffel(metric_fn, metric_fn(t, s + h), t, s + h, h)
+    s_minus = _christoffel(metric_fn, metric_fn(t, s - h), t, s - h, h)
     # R^l_{101} = d_0 Gamma^l_{11} - d_1 Gamma^l_{01} + quadratic terms
-    riemann = np.empty(2)
+    riemann = []
     for l in range(2):
         quad = 0.0
         for m in range(2):
-            quad += (gamma[l, 0, m] * gamma[m, 1, 1]
-                     - gamma[l, 1, m] * gamma[m, 0, 1])
-        riemann[l] = dgamma_dt[l, 1, 1] - dgamma_ds[l, 0, 1] + quad
-    r_0101 = g[0, 0] * riemann[0] + g[0, 1] * riemann[1]
+            quad += (gamma[l][0][m] * gamma[m][1][1]
+                     - gamma[l][1][m] * gamma[m][0][1])
+        riemann.append((t_plus[l][1][1] - t_minus[l][1][1]) / (2.0 * h)
+                       - (s_plus[l][0][1] - s_minus[l][0][1]) / (2.0 * h)
+                       + quad)
+    r_0101 = g[0][0] * riemann[0] + g[0][1] * riemann[1]
     return r_0101 / det
 
 
@@ -181,12 +198,7 @@ def mean_curvature_fd(point_fn, tangents_fn, t: float, s: float,
     independent of any closed-form normal frame.
     """
     st, ss = tangents_fn(t, s)
-    g = np.array([[inner(st, st), inner(st, ss)],
-                  [inner(ss, st), inner(ss, ss)]])
-    det = g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]
-    if det == 0.0:
-        raise DegenerateMetricError(t, which="induced 2-metric")
-    ginv = np.array([[g[1, 1], -g[0, 1]], [-g[1, 0], g[0, 0]]]) / det
+    ginv, _ = _inverse(_gram(st, ss), t)
 
     center = point_fn(t, s)
     stt = (point_fn(t + h, s) - 2.0 * center + point_fn(t - h, s)) / (h * h)
@@ -194,11 +206,11 @@ def mean_curvature_fd(point_fn, tangents_fn, t: float, s: float,
     sts = (point_fn(t + h, s + h) - point_fn(t + h, s - h)
            - point_fn(t - h, s + h) + point_fn(t - h, s - h)) / (4.0 * h * h)
 
-    trace = (stt * float(ginv[0, 0]) + sss * float(ginv[1, 1])
-             + sts * float(ginv[0, 1] + ginv[1, 0])) * 0.5
+    trace = (stt * ginv[0][0] + sss * ginv[1][1]
+             + sts * (ginv[0][1] + ginv[1][0])) * 0.5
     # remove the tangential projection g^{ab} <trace, S_a> S_b
-    coeff0 = float(ginv[0, 0]) * inner(trace, st) + float(ginv[0, 1]) * inner(trace, ss)
-    coeff1 = float(ginv[1, 0]) * inner(trace, st) + float(ginv[1, 1]) * inner(trace, ss)
+    coeff0 = ginv[0][0] * inner(trace, st) + ginv[0][1] * inner(trace, ss)
+    coeff1 = ginv[1][0] * inner(trace, st) + ginv[1][1] * inner(trace, ss)
     return trace - (st * coeff0 + ss * coeff1)
 
 

@@ -257,8 +257,9 @@ class ClairautReport:
 
 def clairaut_report(fam: SurfaceFamily, state: GeodesicState,
                     tol: float = 1e-9) -> ClairautReport:
-    coeffs = fam.metric_coefficients(state.t)
-    fa, fb = fam.fa.evaluate(state.t), fam.fb.evaluate(state.t)
+    t = state.t
+    fa, fb = fam.fa.evaluate(t), fam.fb.evaluate(t)
+    coeffs = fam.metric_values(fa, fb, fam.fa.derivative(t), fam.fb.derivative(t))
     lagr = coeffs.lagrangian(state)
     p_u, p_v = coeffs.momenta(state)
     angles = _extract_angles(fam.spec, fa, fb, state, tol)

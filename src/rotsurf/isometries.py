@@ -47,6 +47,23 @@ class Rotation(Enum):
         self.plane = plane
         self.hyperbolic = hyperbolic
 
+    def block(self, angle: float) -> tuple[float, float, float, float]:
+        """Entries (m_ii, m_ij, m_ji, m_jj) of the group element on
+        ``plane`` (i, j); (a, b) maps to (m_ii*a + m_ij*b, m_ji*a + m_jj*b)."""
+        if self.hyperbolic:
+            ch, sh = math.cosh(angle), math.sinh(angle)
+            return ch, sh, sh, ch
+        co, si = math.cos(angle), math.sin(angle)
+        return co, si, -si, co
+
+    def block_deriv(self, angle: float) -> tuple[float, float, float, float]:
+        """Derivative of ``block`` with respect to the angle."""
+        if self.hyperbolic:
+            ch, sh = math.cosh(angle), math.sinh(angle)
+            return sh, ch, ch, sh
+        co, si = math.cos(angle), math.sin(angle)
+        return -si, co, -co, -si
+
     @classmethod
     def from_label(cls, label: str) -> "Rotation":
         for member in cls:
@@ -105,23 +122,12 @@ def lie_residual(field_matrix: np.ndarray) -> np.ndarray:
 
 def rotation_matrix(rotation: Rotation, angle: float) -> np.ndarray:
     """One-parameter group element: identity outside the rotation plane,
-    a cosh/sinh block for boosts and a cos/sin block for spins inside it."""
+    ``rotation.block(angle)`` inside it."""
     if not math.isfinite(angle):
         raise ValueError("angle must be finite")
     m = np.eye(4)
     i, j = rotation.plane
-    if rotation.hyperbolic:
-        ch, sh = math.cosh(angle), math.sinh(angle)
-        m[i, i] = ch
-        m[i, j] = sh
-        m[j, i] = sh
-        m[j, j] = ch
-    else:
-        co, si = math.cos(angle), math.sin(angle)
-        m[i, i] = co
-        m[i, j] = si
-        m[j, i] = -si
-        m[j, j] = co
+    m[i, i], m[i, j], m[j, i], m[j, j] = rotation.block(angle)
     return m
 
 
@@ -129,12 +135,7 @@ def generator_matrix(rotation: Rotation) -> np.ndarray:
     """Derivative of ``rotation_matrix(rotation, s)`` at s = 0."""
     m = np.zeros((4, 4))
     i, j = rotation.plane
-    if rotation.hyperbolic:
-        m[i, j] = 1.0
-        m[j, i] = 1.0
-    else:
-        m[i, j] = 1.0
-        m[j, i] = -1.0
+    m[i, i], m[i, j], m[j, i], m[j, j] = rotation.block_deriv(0.0)
     return m
 
 

@@ -74,8 +74,8 @@ class _Layout:
     """
 
     def __init__(self, spec: FamilySpec, fa_pos: int, fb_pos: int):
+        self.rot_u, self.rot_v = spec.rot_u, spec.rot_v
         self.plane_u, self.plane_v = spec.rot_u.plane, spec.rot_v.plane
-        self.hyperbolic = spec.rot_u.hyperbolic
         self.fa_pos, self.fb_pos = fa_pos, fb_pos
         self.e_sign = METRIC_DIAGONAL[self.plane_u[1 - fa_pos]]
         self.g_sign = METRIC_DIAGONAL[self.plane_v[1 - fb_pos]]
@@ -303,10 +303,6 @@ class MetricCoefficients:
     def degenerate(self) -> bool:
         return self.E == 0.0 or self.G == 0.0 or self.N == 0.0
 
-    @property
-    def det(self) -> float:
-        return self.E * self.G * self.N
-
     def lagrangian(self, state: GeodesicState) -> float:
         """E du^2 + G dv^2 + N dt^2 at ``state``'s velocity."""
         return math.fsum((self.E * state.du * state.du,
@@ -338,26 +334,11 @@ class GeodesicState:
         return (self.u, self.v, self.t, self.du, self.dv, self.dt)
 
 
-def _slot(pos: int, value: float) -> tuple[float, float]:
-    return (value, 0.0) if pos == 0 else (0.0, value)
-
-
-def _block(hyperbolic: bool, angle: float, pair: tuple[float, float]):
-    a, b = pair
-    if hyperbolic:
-        ch, sh = math.cosh(angle), math.sinh(angle)
-        return (ch * a + sh * b, sh * a + ch * b)
-    co, si = math.cos(angle), math.sin(angle)
-    return (co * a + si * b, -si * a + co * b)
-
-
-def _block_deriv(hyperbolic: bool, angle: float, pair: tuple[float, float]):
-    a, b = pair
-    if hyperbolic:
-        ch, sh = math.cosh(angle), math.sinh(angle)
-        return (sh * a + ch * b, ch * a + sh * b)
-    co, si = math.cos(angle), math.sin(angle)
-    return (-si * a + co * b, -co * a - si * b)
+def _turn(block, pos: int, value: float) -> tuple[float, float]:
+    """A rotation ``block`` applied to ``value`` in slot ``pos`` of its plane."""
+    m_ii, m_ij, m_ji, m_jj = block
+    a, b = (value, 0.0) if pos == 0 else (0.0, value)
+    return (m_ii * a + m_ij * b, m_ji * a + m_jj * b)
 
 
 @dataclass(frozen=True)
@@ -406,8 +387,8 @@ class SurfaceFamily:
                        u: float, v: float) -> Vector4:
         """Immersed point from raw profile values (no domain logic)."""
         lay = self.layout
-        return lay.vector(_block(lay.hyperbolic, u, _slot(lay.fa_pos, fa_value)),
-                          _block(lay.hyperbolic, v, _slot(lay.fb_pos, fb_value)))
+        return lay.vector(_turn(lay.rot_u.block(u), lay.fa_pos, fa_value),
+                          _turn(lay.rot_v.block(v), lay.fb_pos, fb_value))
 
     def immerse(self, u: float, v: float, t: float) -> Vector4:
         return self.immerse_values(self.fa.evaluate(t), self.fb.evaluate(t), u, v)
@@ -417,11 +398,11 @@ class SurfaceFamily:
                      u: float, v: float) -> tuple[Vector4, Vector4, Vector4]:
         """Coordinate tangent vectors (d/du, d/dv, d/dt) from raw values."""
         lay = self.layout
-        hyp, fa_pos, fb_pos = lay.hyperbolic, lay.fa_pos, lay.fb_pos
-        return (lay.vector(pu=_block_deriv(hyp, u, _slot(fa_pos, fa_value))),
-                lay.vector(pv=_block_deriv(hyp, v, _slot(fb_pos, fb_value))),
-                lay.vector(_block(hyp, u, _slot(fa_pos, dfa_value)),
-                           _block(hyp, v, _slot(fb_pos, dfb_value))))
+        rot_u, rot_v, fa_pos, fb_pos = lay.rot_u, lay.rot_v, lay.fa_pos, lay.fb_pos
+        return (lay.vector(pu=_turn(rot_u.block_deriv(u), fa_pos, fa_value)),
+                lay.vector(pv=_turn(rot_v.block_deriv(v), fb_pos, fb_value)),
+                lay.vector(_turn(rot_u.block(u), fa_pos, dfa_value),
+                           _turn(rot_v.block(v), fb_pos, dfb_value)))
 
     def tangent_frame(self, u: float, v: float, t: float):
         return self.frame_values(self.fa.evaluate(t), self.fb.evaluate(t),
@@ -430,11 +411,13 @@ class SurfaceFamily:
     # -- metric -------------------------------------------------------------
 
     def metric_coefficients(self, t: float) -> MetricCoefficients:
+        return self.metric_values(self.fa.evaluate(t), self.fb.evaluate(t),
+                                  self.fa.derivative(t), self.fb.derivative(t))
+
+    def metric_values(self, fa: float, fb: float, dfa: float,
+                      dfb: float) -> MetricCoefficients:
+        """Metric coefficients from raw profile values (no domain logic)."""
         lay = self.layout
-        fa = self.fa.evaluate(t)
-        fb = self.fb.evaluate(t)
-        dfa = self.fa.derivative(t)
-        dfb = self.fb.derivative(t)
         return MetricCoefficients(
             E=lay.e_sign * fa * fa,
             G=lay.g_sign * fb * fb,

@@ -7,7 +7,7 @@ import pytest
 
 from rotsurf import ProfileFunction, make_family
 from rotsurf.cli import main
-from rotsurf.config import parse_config
+from rotsurf.config import ConfigError, parse_config
 
 MERIDIAN_CONFIG = {
     "family": "hyperbolic14",
@@ -206,6 +206,19 @@ def test_validation_bad_profile_expression(tmp_path, capsys):
     config = meridian_config(tmp_path, **{"profiles.fa": "t +"})
     assert main(["info", "--config", config]) == 1
     assert "profiles.fa" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field", ["xAngle", "vAngle"])
+def test_validation_bad_angle_expression(tmp_path, capsys, field):
+    # angles are parsed with the config, so every command rejects them
+    document = patched(MERIDIAN_CONFIG, curvature={"xAngle": "t/2",
+                                                   "vAngle": "t"})
+    document["curvature"][field] = "sin("
+    with pytest.raises(ConfigError) as excinfo:
+        parse_config(document)
+    assert excinfo.value.field == f"curvature.{field}"
+    assert main(["info", "--config", write_config(tmp_path, document)]) == 1
+    assert f"curvature.{field}" in capsys.readouterr().err
 
 
 def test_info_prints_grid_and_degeneracies(tmp_path, capsys):

@@ -43,6 +43,22 @@ def test_oracle_flat_polar_metric():
     assert abs(gaussian_curvature_fd(metric, 1.3, 0.0, 1e-4)) <= 1e-8
 
 
+def test_oracle_reads_each_metric_once_and_accepts_tuples():
+    # 5 Christoffel evaluations of 5 metric values each; the centre one
+    # reuses the metric the determinant was taken from
+    calls = []
+
+    def metric(t, s):
+        calls.append((t, s))
+        return ((1.0, 0.0), (0.0, math.sin(t) ** 2))
+
+    k = gaussian_curvature_fd(metric, 0.8, 0.3, 1e-4)
+    assert len(calls) == 25
+    assert k == pytest.approx(1.0, abs=1e-6)
+    assert k == gaussian_curvature_fd(
+        lambda t, s: np.array(metric(t, s)), 0.8, 0.3, 1e-4)
+
+
 def test_oracle_rejects_degenerate_metric():
     def metric(t, s):
         return np.zeros((2, 2))

@@ -7,10 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rotsurf import (DegenerateMetricError, GeodesicState,
-                     MeridianUndefinedError, Sample, clairaut_report,
-                     extract_angles, flow_residual, geodesic_rhs, integrate,
-                     make_family, momenta, shift_samples, slope,
-                     state_from_angles)
+                     MeridianUndefinedError, ProfileFunction, Sample,
+                     clairaut_report, extract_angles, flow_residual,
+                     geodesic_rhs, integrate, make_family, momenta,
+                     shift_samples, slope, state_from_angles)
 
 H14 = make_family("hyperbolic14", "A", "t", "1", 0.02, 40.0)
 H23 = make_family("hyperbolic23", "A", "2 + t/sqrt(2)", "1 + t/sqrt(2)", -1.4, 60.0)
@@ -176,6 +176,26 @@ def test_clairaut_fallback_uses_momenta():
     assert not report.angles.defined
     assert report.invariant1 == report.p_u
     assert report.invariant2 == report.p_v
+
+
+def test_clairaut_report_evaluates_each_profile_value_once(monkeypatch):
+    # fa, fb, fa' and fb' once each, on the angle path and on the fallback
+    states = [(H23, state_from_angles(H23, 0.0, 0.3, 1.0, 0.6, 0.4)),
+              (H14, GeodesicState(0, 0, 1.0, 0.3, 0.1, math.sqrt(1.08)))]
+    calls = []
+    for name in ("evaluate", "derivative", "second_derivative"):
+        def counting(self, *args, _method=getattr(ProfileFunction, name),
+                     _name=name, **kwargs):
+            calls.append(_name)
+            return _method(self, *args, **kwargs)
+        monkeypatch.setattr(ProfileFunction, name, counting)
+    defined = []
+    for fam, state in states:
+        calls.clear()
+        defined.append(clairaut_report(fam, state).angles.defined)
+        assert sorted(calls) == ["derivative", "derivative",
+                                 "evaluate", "evaluate"]
+    assert defined == [True, False]
 
 
 def test_slope_boost_example():

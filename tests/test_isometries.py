@@ -125,6 +125,17 @@ def test_generator_matrix_is_derivative_at_zero():
         assert np.max(np.abs(numeric - generator_matrix(rotation))) <= 1e-9
 
 
+def test_rotation_blocks():
+    h = 1e-6
+    for rotation in Rotation:
+        assert rotation.block(0.0) == (1.0, 0.0, 0.0, 1.0)
+        for angle in (-1.3, 0.0, 0.4, 2.1):
+            plus, minus = rotation.block(angle + h), rotation.block(angle - h)
+            numeric = [(p - m) / (2.0 * h) for p, m in zip(plus, minus)]
+            exact = rotation.block_deriv(angle)
+            assert max(abs(n - e) for n, e in zip(numeric, exact)) <= 1e-8
+
+
 def test_rotation_labels_round_trip():
     for rotation in Rotation:
         assert Rotation.from_label(rotation.label) is rotation
