@@ -144,12 +144,21 @@ def _central(plus, minus, h: float):
             for i in range(2)]
 
 
-def _christoffel(metric_fn, g, t: float, s: float, h: float):
-    """Gamma[a][b][c] of a 2-metric whose value at (t, s) is ``g``, metric
-    derivatives by central differences of step h (coordinate 0 is t,
-    coordinate 1 is s)."""
-    dg = (_central(metric_fn(t + h, s), metric_fn(t - h, s), h),
-          _central(metric_fn(t, s + h), metric_fn(t, s - h), h))
+def _shifts(t: float, s: float, h: float) -> tuple:
+    """The four neighbours (t+h, s), (t-h, s), (t, s+h), (t, s-h)."""
+    return ((t + h, s), (t - h, s), (t, s + h), (t, s - h))
+
+
+def _around(metric_fn, t: float, s: float, h: float) -> list:
+    """The metric at the four ``_shifts`` of (t, s)."""
+    return [metric_fn(*point) for point in _shifts(t, s, h)]
+
+
+def _christoffel(g, near, t: float, h: float):
+    """Gamma[a][b][c] of a 2-metric whose value at (t, s) is ``g`` and at
+    the ``_shifts`` of (t, s) is ``near``, metric derivatives by central
+    differences of step h (coordinate 0 is t, coordinate 1 is s)."""
+    dg = (_central(near[0], near[1], h), _central(near[2], near[3], h))
     ginv, _ = _inverse(g, t)
     gamma = [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
     for a in range(2):
@@ -169,11 +178,12 @@ def gaussian_curvature_fd(metric_fn, t: float, s: float, h: float) -> float:
     ``metric_fn(t, s)`` returns the metric indexed as g[i][j]."""
     g = metric_fn(t, s)
     _, det = _inverse(g, t)
-    gamma = _christoffel(metric_fn, g, t, s, h)
-    t_plus = _christoffel(metric_fn, metric_fn(t + h, s), t + h, s, h)
-    t_minus = _christoffel(metric_fn, metric_fn(t - h, s), t - h, s, h)
-    s_plus = _christoffel(metric_fn, metric_fn(t, s + h), t, s + h, h)
-    s_minus = _christoffel(metric_fn, metric_fn(t, s - h), t, s - h, h)
+    near = _around(metric_fn, t, s, h)
+    gamma = _christoffel(g, near, t, h)
+    # the centre's neighbours are the centres of the four shifted symbols
+    t_plus, t_minus, s_plus, s_minus = [
+        _christoffel(g_near, _around(metric_fn, tn, sn, h), tn, h)
+        for g_near, (tn, sn) in zip(near, _shifts(t, s, h))]
     # R^l_{101} = d_0 Gamma^l_{11} - d_1 Gamma^l_{01} + quadratic terms
     riemann = []
     for l in range(2):
@@ -209,8 +219,9 @@ def mean_curvature_fd(point_fn, tangents_fn, t: float, s: float,
     trace = (stt * ginv[0][0] + sss * ginv[1][1]
              + sts * (ginv[0][1] + ginv[1][0])) * 0.5
     # remove the tangential projection g^{ab} <trace, S_a> S_b
-    coeff0 = ginv[0][0] * inner(trace, st) + ginv[0][1] * inner(trace, ss)
-    coeff1 = ginv[1][0] * inner(trace, st) + ginv[1][1] * inner(trace, ss)
+    trace_st, trace_ss = inner(trace, st), inner(trace, ss)
+    coeff0 = ginv[0][0] * trace_st + ginv[0][1] * trace_ss
+    coeff1 = ginv[1][0] * trace_st + ginv[1][1] * trace_ss
     return trace - (st * coeff0 + ss * coeff1)
 
 

@@ -13,7 +13,8 @@ noise-free wherever curvature formulas consume them.
 
 ``lower`` compiles a tree into one straight-line Python function that
 performs the same floating-point operations, in the same order and with
-the same domain checks, as ``evaluate``; ``ProfileFunction`` evaluates
+the same domain checks, as ``evaluate``; subtrees free of ``t`` are
+evaluated once, when the tree is lowered.  ``ProfileFunction`` evaluates
 through it.  ``evaluate`` stays as the reference tree walker.
 """
 
@@ -307,7 +308,9 @@ _CONTEXTS = {"+": "addition", "-": "subtraction", "*": "multiplication",
 
 
 class _Lowering:
-    """Emits one statement group per node in ``evaluate``'s order.
+    """Emits one statement group per node in ``evaluate``'s order; a
+    subtree free of ``t`` becomes the constant ``evaluate`` gives it,
+    unless that raises.  Several trees may be emitted into one body.
 
     The source holds only generated names (``t``, ``c<k>`` for literals,
     ``v<k>`` for node results), the names of ``_FUNCTIONS`` and fixed
@@ -329,14 +332,24 @@ class _Lowering:
         self.lines.append(f"if not isfinite({name}): raise DomainError("
                           f"'{context} produced a non-finite value')")
 
+    def constant(self, value: float) -> str:
+        name = self.fresh("c")
+        self.namespace[name] = value
+        return name
+
     def emit(self, expr: Expr) -> str:
         """Emit the statements for ``expr``; return the name of its value."""
         if isinstance(expr, Literal):
-            name = self.fresh("c")
-            self.namespace[name] = expr.value
-            return name
+            return self.constant(expr.value)
         if isinstance(expr, Variable):
             return "t"
+        if _free_of_t(expr):
+            # folded once here; a subtree that raises is emitted as it
+            # stands, so it raises with the same message when called
+            try:
+                return self.constant(evaluate(expr, 0.0))
+            except DomainError:
+                pass
         if isinstance(expr, Negate):
             arg = self.emit(expr.arg)
             out = self.fresh("v")
@@ -390,16 +403,30 @@ class _Lowering:
             return out
         raise TypeError(f"not an expression node: {expr!r}")
 
+    def function(self, result: str) -> Callable:
+        """The emitted statements as the body of a function of ``t`` that
+        returns ``result``."""
+        body = "".join(f"    {line}\n" for line in self.lines)
+        source = f"def lowered(t):\n{body}    return {result}\n"
+        exec(compile(source, "<lowered expression>", "exec"), self.namespace)
+        return self.namespace["lowered"]
+
+
+def _free_of_t(expr: Expr) -> bool:
+    if isinstance(expr, Variable):
+        return False
+    if isinstance(expr, Binary):
+        return _free_of_t(expr.left) and _free_of_t(expr.right)
+    if isinstance(expr, (Negate, Call)):
+        return _free_of_t(expr.arg)
+    return True
+
 
 def lower(expr: Expr) -> Callable[[float], float]:
     """Compile ``expr`` into a function of ``t`` that returns exactly what
     ``evaluate(expr, t)`` returns and raises the same ``DomainError``."""
     lowering = _Lowering()
-    result = lowering.emit(expr)
-    body = "".join(f"    {line}\n" for line in lowering.lines)
-    source = f"def lowered(t):\n{body}    return {result}\n"
-    exec(compile(source, "<lowered expression>", "exec"), lowering.namespace)
-    return lowering.namespace["lowered"]
+    return lowering.function(lowering.emit(expr))
 
 
 # ---------------------------------------------------------------------------

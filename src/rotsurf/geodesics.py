@@ -85,9 +85,10 @@ class Trajectory:
         return out
 
 
-def _rhs_from_bundle(y, bundle):
-    u, v, t, du, dv, dt = y
-    e, g, n, de, dg, dn = bundle
+def geodesic_rhs(fam: SurfaceFamily, state: GeodesicState):
+    """State derivative (du, dv, dt, u'', v'', t'') of the geodesic system."""
+    t, du, dv, dt = state.t, state.du, state.dv, state.dt
+    e, g, n, de, dg, dn = fam.metric_bundle(t)
     if e == 0.0 or g == 0.0 or n == 0.0:
         raise DegenerateMetricError(t)
     ddu = -(de / e) * du * dt
@@ -96,36 +97,68 @@ def _rhs_from_bundle(y, bundle):
     return (du, dv, dt, ddu, ddv, ddt)
 
 
-def _rhs(fam: SurfaceFamily, y):
-    return _rhs_from_bundle(y, fam.metric_bundle(y[2]))
-
-
-def geodesic_rhs(fam: SurfaceFamily, state: GeodesicState):
-    """State derivative (du, dv, dt, u'', v'', t'') of the geodesic system."""
-    return _rhs(fam, state.as_tuple())
-
-
 def momenta(fam: SurfaceFamily, state: GeodesicState) -> tuple[float, float]:
     """Conjugate momenta (2 E du, 2 G dv) of the cyclic angles."""
     return fam.metric_coefficients(state.t).momenta(state)
 
 
 def _rk4_step(fam: SurfaceFamily, y, h: float, bundle):
-    """One RK4 step; ``bundle`` is the metric bundle at ``y``."""
+    """One RK4 step; ``bundle`` is the metric bundle at ``y``.
+
+    Written out in scalars: stage k is (du_k, dv_k, dt_k, a_k, b_k, c_k),
+    with ``geodesic_rhs``'s arithmetic at y + (h/2) k_1, y + (h/2) k_2 and
+    y + h k_3.  The u and v of a stage state are never read, so they are
+    not formed."""
+    u, v, t, du, dv, dt = y
     half = 0.5 * h
     sixth = h / 6.0
-    k1 = _rhs_from_bundle(y, bundle)
-    k2 = _rhs(fam, [a + half * b for a, b in zip(y, k1)])
-    k3 = _rhs(fam, [a + half * b for a, b in zip(y, k2)])
-    k4 = _rhs(fam, [a + h * b for a, b in zip(y, k3)])
-    return tuple([a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-                  for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)])
+    metric_bundle = fam.metric_bundle
+
+    e, g, n, de, dg, dn = bundle
+    if e == 0.0 or g == 0.0 or n == 0.0:
+        raise DegenerateMetricError(t)
+    a1 = -(de / e) * du * dt
+    b1 = -(dg / g) * dv * dt
+    c1 = (de * du * du + dg * dv * dv - dn * dt * dt) / (2.0 * n)
+
+    t2 = t + half * dt
+    du2, dv2, dt2 = du + half * a1, dv + half * b1, dt + half * c1
+    e, g, n, de, dg, dn = metric_bundle(t2)
+    if e == 0.0 or g == 0.0 or n == 0.0:
+        raise DegenerateMetricError(t2)
+    a2 = -(de / e) * du2 * dt2
+    b2 = -(dg / g) * dv2 * dt2
+    c2 = (de * du2 * du2 + dg * dv2 * dv2 - dn * dt2 * dt2) / (2.0 * n)
+
+    t3 = t + half * dt2
+    du3, dv3, dt3 = du + half * a2, dv + half * b2, dt + half * c2
+    e, g, n, de, dg, dn = metric_bundle(t3)
+    if e == 0.0 or g == 0.0 or n == 0.0:
+        raise DegenerateMetricError(t3)
+    a3 = -(de / e) * du3 * dt3
+    b3 = -(dg / g) * dv3 * dt3
+    c3 = (de * du3 * du3 + dg * dv3 * dv3 - dn * dt3 * dt3) / (2.0 * n)
+
+    t4 = t + h * dt3
+    du4, dv4, dt4 = du + h * a3, dv + h * b3, dt + h * c3
+    e, g, n, de, dg, dn = metric_bundle(t4)
+    if e == 0.0 or g == 0.0 or n == 0.0:
+        raise DegenerateMetricError(t4)
+    a4 = -(de / e) * du4 * dt4
+    b4 = -(dg / g) * dv4 * dt4
+    c4 = (de * du4 * du4 + dg * dv4 * dv4 - dn * dt4 * dt4) / (2.0 * n)
+
+    return (u + sixth * (du + 2.0 * du2 + 2.0 * du3 + du4),
+            v + sixth * (dv + 2.0 * dv2 + 2.0 * dv3 + dv4),
+            t + sixth * (dt + 2.0 * dt2 + 2.0 * dt3 + dt4),
+            du + sixth * (a1 + 2.0 * a2 + 2.0 * a3 + a4),
+            dv + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4),
+            dt + sixth * (c1 + 2.0 * c2 + 2.0 * c3 + c4))
 
 
-def _make_sample(fam: SurfaceFamily, s: float, y):
-    """The sample at ``y`` and the metric bundle it was computed from,
+def _make_sample(fam: SurfaceFamily, s: float, state: GeodesicState):
+    """The sample at ``state`` and the metric bundle it was computed from,
     which the next step reuses as its first stage."""
-    state = GeodesicState(*y)
     bundle = fam.metric_bundle(state.t)
     e, g, n, _, _, _ = bundle
     lagr = math.fsum((e * state.du * state.du, g * state.dv * state.dv,
@@ -152,7 +185,7 @@ def integrate(fam: SurfaceFamily, state0: GeodesicState, length: float,
 
     t_min, t_max = fam.domain
     y = state0.as_tuple()
-    sample, bundle = _make_sample(fam, 0.0, y)
+    sample, bundle = _make_sample(fam, 0.0, state0)
     samples = [sample]
     n_steps = math.ceil(length / step - 1e-9)
     previous_s = 0.0
@@ -161,14 +194,16 @@ def integrate(fam: SurfaceFamily, state0: GeodesicState, length: float,
         s_next = length if i == n_steps else i * step
         h = s_next - previous_s
         try:
-            y_next = _rk4_step(fam, y, h, bundle)
-            if not all(math.isfinite(value) for value in y_next):
+            y = _rk4_step(fam, y, h, bundle)
+            try:        # the state's own check is the step's finiteness check
+                state = GeodesicState(*y)
+            except ValueError:
                 termination = "nonfinite_state"
                 break
-            if not (t_min <= y_next[2] <= t_max):
+            if not (t_min <= state.t <= t_max):
                 termination = "domain_exit"
                 break
-            sample, bundle = _make_sample(fam, s_next, y_next)
+            sample, bundle = _make_sample(fam, s_next, state)
         except DomainError:
             termination = "domain_exit"
             break
@@ -176,7 +211,6 @@ def integrate(fam: SurfaceFamily, state0: GeodesicState, length: float,
             termination = "degenerate_metric"
             break
         samples.append(sample)
-        y = y_next
         previous_s = s_next
     return Trajectory(tuple(samples), termination, length)
 

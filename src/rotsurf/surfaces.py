@@ -22,12 +22,13 @@ Angles u, v are cyclic, which is what makes the conjugate momenta
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 from functools import cached_property
+from typing import Callable
 
 from .ambient import METRIC_DIAGONAL, Vector4
-from .expressions import ProfileFunction
+from .expressions import ProfileFunction, _Lowering
 from .isometries import Rotation
 
 __all__ = [
@@ -341,9 +342,40 @@ def _turn(block, pos: int, value: float) -> tuple[float, float]:
     return (m_ii * a + m_ij * b, m_ji * a + m_jj * b)
 
 
+def _lower_bundle(fam: SurfaceFamily) -> Callable[[float], tuple]:
+    """``fam.metric_bundle`` as one generated function of t: one domain
+    check, then fa, fb, fa', fb', fa'', fb'' lowered in that order into one
+    body, with the checks and messages of the six ``ProfileFunction``
+    calls it replaces, then the bundle's arithmetic."""
+    lay = fam.layout
+    lowering = _Lowering()
+    lowering.namespace.update(
+        t_min=fam.fa.t_min, t_max=fam.fa.t_max, outside=fam.fa._outside,
+        e_sign=lay.e_sign, g_sign=lay.g_sign, na_sign=lay.na_sign,
+        nb_sign=lay.nb_sign)
+    lowering.lines.append("if not (t_min <= t <= t_max): raise outside(t)")
+    fa, fb, dfa, dfb, d2fa, d2fb = [
+        lowering.emit(tree) for tree in (fam.fa.value, fam.fb.value,
+                                         fam.fa.d1, fam.fb.d1,
+                                         fam.fa.d2, fam.fb.d2)]
+    lowering.lines += [
+        f"e = e_sign * {fa} * {fa}",
+        f"g = g_sign * {fb} * {fb}",
+        f"n = na_sign * {dfa} * {dfa} + nb_sign * {dfb} * {dfb}",
+        f"de = 2.0 * e_sign * {fa} * {dfa}",
+        f"dg = 2.0 * g_sign * {fb} * {dfb}",
+        f"dn = 2.0 * (na_sign * {dfa} * {d2fa} + nb_sign * {dfb} * {d2fb})",
+    ]
+    return lowering.function("(e, g, n, de, dg, dn)")
+
+
 @dataclass(frozen=True)
 class SurfaceFamily:
-    """A rotational family with its two profile functions."""
+    """A rotational family with its two profile functions.
+
+    The generated metric bundle is built on first use and kept on the
+    instance, outside the dataclass fields, like ``ProfileFunction``'s
+    lowered trees: equality, repr and pickling see only the fields."""
 
     kind: FamilyKind
     variant: Variant
@@ -354,13 +386,17 @@ class SurfaceFamily:
         if (self.fa.t_min, self.fa.t_max) != (self.fb.t_min, self.fb.t_max):
             raise ValueError("fa and fb must share one domain interval")
 
+    def __getstate__(self):
+        # the layout and the generated bundle are rebuilt on demand
+        return {field.name: getattr(self, field.name) for field in fields(self)}
+
     @property
     def spec(self) -> FamilySpec:
         return _SPECS[self.kind]
 
     @cached_property
     def layout(self) -> _Layout:
-        # kept on the instance: the metric bundle reads it at every RK4 stage
+        # kept on the instance: the immersion and its frame read it per call
         return _SPECS[self.kind].layouts[self.variant]
 
     @property
@@ -424,22 +460,13 @@ class SurfaceFamily:
             N=lay.na_sign * dfa * dfa + lay.nb_sign * dfb * dfb,
         )
 
+    @cached_property
+    def _bundle_fn(self) -> Callable[[float], tuple]:
+        return _lower_bundle(self)
+
     def metric_bundle(self, t: float):
         """(E, G, N, dE/dt, dG/dt, dN/dt) in one pass over the profiles."""
-        lay = self.layout
-        fa = self.fa.evaluate(t)
-        fb = self.fb.evaluate(t)
-        dfa = self.fa.derivative(t)
-        dfb = self.fb.derivative(t)
-        d2fa = self.fa.second_derivative(t)
-        d2fb = self.fb.second_derivative(t)
-        e = lay.e_sign * fa * fa
-        g = lay.g_sign * fb * fb
-        n = lay.na_sign * dfa * dfa + lay.nb_sign * dfb * dfb
-        de = 2.0 * lay.e_sign * fa * dfa
-        dg = 2.0 * lay.g_sign * fb * dfb
-        dn = 2.0 * (lay.na_sign * dfa * d2fa + lay.nb_sign * dfb * d2fb)
-        return e, g, n, de, dg, dn
+        return self._bundle_fn(t)
 
     # -- dynamics helpers ----------------------------------------------------
 

@@ -44,8 +44,9 @@ def test_oracle_flat_polar_metric():
 
 
 def test_oracle_reads_each_metric_once_and_accepts_tuples():
-    # 5 Christoffel evaluations of 5 metric values each; the centre one
-    # reuses the metric the determinant was taken from
+    # the centre metric and its 4 neighbours feed the centre Christoffel
+    # symbols; each neighbour is the centre of one shifted evaluation,
+    # which reads 4 more: 1 + 4 + 4 * 4 = 21
     calls = []
 
     def metric(t, s):
@@ -53,7 +54,7 @@ def test_oracle_reads_each_metric_once_and_accepts_tuples():
         return ((1.0, 0.0), (0.0, math.sin(t) ** 2))
 
     k = gaussian_curvature_fd(metric, 0.8, 0.3, 1e-4)
-    assert len(calls) == 25
+    assert len(calls) == 21
     assert k == pytest.approx(1.0, abs=1e-6)
     assert k == gaussian_curvature_fd(
         lambda t, s: np.array(metric(t, s)), 0.8, 0.3, 1e-4)

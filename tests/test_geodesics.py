@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rotsurf import (DegenerateMetricError, GeodesicState,
+from rotsurf import (DegenerateMetricError, DomainError, GeodesicState,
                      MeridianUndefinedError, ProfileFunction, Sample,
                      clairaut_report, extract_angles, flow_residual,
                      geodesic_rhs, integrate, make_family, momenta,
@@ -316,3 +316,107 @@ def test_state_from_angles_requires_nonzero_profiles():
     fam = make_family("hyperbolic14", "A", "t", "1", -1.0, 1.0)
     with pytest.raises(DegenerateMetricError):
         state_from_angles(fam, 0, 0, 0.0, 0.5, 0.5)
+
+
+# --- integrate against a reference RK4 -----------------------------------
+
+def _reference_rhs(fam, y):
+    """geodesic_rhs on a plain tuple, which may hold non-finite stage values."""
+    u, v, t, du, dv, dt = y
+    e, g, n, de, dg, dn = fam.metric_bundle(t)
+    if e == 0.0 or g == 0.0 or n == 0.0:
+        raise DegenerateMetricError(t)
+    return (du, dv, dt, -(de / e) * du * dt, -(dg / g) * dv * dt,
+            (de * du * du + dg * dv * dv - dn * dt * dt) / (2.0 * n))
+
+
+def _reference_step(fam, y, h):
+    """A classical RK4 step as four list comprehensions over the rhs."""
+    half = 0.5 * h
+    sixth = h / 6.0
+    k1 = _reference_rhs(fam, y)
+    k2 = _reference_rhs(fam, [a + half * b for a, b in zip(y, k1)])
+    k3 = _reference_rhs(fam, [a + half * b for a, b in zip(y, k2)])
+    k4 = _reference_rhs(fam, [a + h * b for a, b in zip(y, k3)])
+    return tuple([a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+                  for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)])
+
+
+def _reference_sample(fam, s, y):
+    state = GeodesicState(*y)
+    e, g, n = fam.metric_bundle(state.t)[:3]
+    lagr = math.fsum((e * state.du * state.du, g * state.dv * state.dv,
+                      n * state.dt * state.dt))
+    return Sample(s, state, lagr, 2.0 * e * state.du, 2.0 * g * state.dv)
+
+
+def _reference_integrate(fam, state0, length, step):
+    """(samples, termination) of fixed-step RK4, stopping as integrate does."""
+    t_min, t_max = fam.domain
+    y = state0.as_tuple()
+    samples = [_reference_sample(fam, 0.0, y)]
+    n_steps = math.ceil(length / step - 1e-9)
+    previous_s = 0.0
+    for i in range(1, n_steps + 1):
+        s_next = length if i == n_steps else i * step
+        try:
+            y_next = _reference_step(fam, y, s_next - previous_s)
+            if not all(math.isfinite(value) for value in y_next):
+                return samples, "nonfinite_state"
+            if not (t_min <= y_next[2] <= t_max):
+                return samples, "domain_exit"
+            samples.append(_reference_sample(fam, s_next, y_next))
+        except DomainError:
+            return samples, "domain_exit"
+        except DegenerateMetricError:
+            return samples, "degenerate_metric"
+        y, previous_s = y_next, s_next
+    return samples, "completed"
+
+
+def _bits(samples):
+    return [tuple(value.hex() for value in
+                  (sample.s, *sample.state.as_tuple(), sample.L, sample.p_u, sample.p_v))
+            for sample in samples]
+
+
+REFERENCE_RUNS = [
+    (("hyperbolic14", "A", "t", "1 + t/2", 0.1, 10.0),
+     (0.0, 0.0, 1.0, 0.3, 0.1, math.sqrt(1.08)), 2.005, 1e-2, "completed"),
+    (("hyperbolic14", "B", "t", "2 + sin(t)/4", 0.1, 5.0),
+     (0.2, -0.1, 1.0, 0.4, 0.3, 1.2), 2.0, 1e-2, "completed"),
+    (("hyperbolic23", "A", "2 + t/sqrt(2)", "1 + t/sqrt(2)", -1.0, 6.0),
+     (0.0, 0.0, 0.0, 0.5, 0.5, 1.5), 2.005, 1e-2, "completed"),
+    (("hyperbolic23", "B", "2 + t/2", "1 + t", -0.8, 4.0),
+     (0.0, 0.3, 0.5, 0.2, -0.4, 1.3), 2.0, 1e-2, "completed"),
+    (("elliptic56", "A", "t+2", "1 + t^2/8", -1.5, 8.0),
+     (0.1, 0.0, 0.0, 0.3, 0.6, 1.1), 2.0, 1e-2, "completed"),
+    (("elliptic56", "B", "cosh(t/2)", "t+3", -2.0, 5.0),
+     (0.0, 0.0, 0.5, 0.2, 0.1, 0.9), 2.0, 1e-2, "completed"),
+    # leaves the interval [0.9, 1.4]
+    (("hyperbolic14", "A", "t", "1", 0.9, 1.4),
+     (0.0, 0.0, 1.0, 0.2, 0.1, 1.0), 1.0, 1e-2, "domain_exit"),
+    # sqrt(1.5 - t) faults inside the interval
+    (("elliptic56", "B", "sqrt(1.5 - t)", "t + 3", -1.0, 2.0),
+     (0.0, 0.0, 1.0, 0.2, 0.1, 1.0), 1.0, 1e-2, "domain_exit"),
+    # u = s * 1e307 overflows at s = 18 while t stays put
+    (("hyperbolic14", "A", "2", "t", 0.1, 10.0),
+     (0.0, 0.0, 1.0, 1e307, 0.0, 0.0), 30.0, 1.0, "nonfinite_state"),
+    # the fourth stage of the sixth step lands on fa = t - 0.5 = 0
+    (("hyperbolic14", "A", "t - 0.5", "2*t + 3", -2.0, 2.0),
+     (0.1, 0.2, -1.0, 0.0, 0.0, 1.0), 3.0, 0.25, "degenerate_metric"),
+]
+
+
+@pytest.mark.parametrize("family,start,length,step,termination", REFERENCE_RUNS)
+def test_integrate_matches_reference_rk4(family, start, length, step,
+                                         termination):
+    fam = make_family(*family)
+    state0 = GeodesicState(*start)
+    assert _reference_rhs(fam, start) == geodesic_rhs(fam, state0)
+    samples, expected = _reference_integrate(fam, state0, length, step)
+    trajectory = integrate(fam, state0, length, step)
+    assert expected == termination
+    assert trajectory.termination == termination
+    assert _bits(trajectory.samples) == _bits(samples)
+    assert trajectory.reached_length == samples[-1].s

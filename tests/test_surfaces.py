@@ -1,10 +1,12 @@
 """Immersions, diagonal metrics, tangent frames, Lagrangian machinery."""
 
 import math
+import pickle
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from test_expressions import _lowering_func, _lowering_leaf, _outcome, _tree
 
 from rotsurf import (DomainError, GeodesicState, NotTimelikeError, Vector4,
                      apply_matrix, inner, make_family, quadric_membership,
@@ -206,3 +208,84 @@ def test_profile_curve_matches_immersion_at_zero_angles():
         t = lo + (hi - lo) * 0.4
         assert fam.profile_curve(t).components() == pytest.approx(
             fam.immerse(0.0, 0.0, t).components(), abs=1e-15)
+
+
+# --- the generated metric bundle against six ProfileFunction calls -------
+
+PAIRS = [(kind, variant) for kind in ("hyperbolic14", "hyperbolic23", "elliptic56")
+         for variant in ("A", "B")]
+
+
+def six_call_bundle(fam, t):
+    """The metric bundle from six separate, domain-checked profile calls."""
+    lay = fam.layout
+    fa = fam.fa.evaluate(t)
+    fb = fam.fb.evaluate(t)
+    dfa = fam.fa.derivative(t)
+    dfb = fam.fb.derivative(t)
+    d2fa = fam.fa.second_derivative(t)
+    d2fb = fam.fb.second_derivative(t)
+    return (lay.e_sign * fa * fa, lay.g_sign * fb * fb,
+            lay.na_sign * dfa * dfa + lay.nb_sign * dfb * dfb,
+            2.0 * lay.e_sign * fa * dfa, 2.0 * lay.g_sign * fb * dfb,
+            2.0 * (lay.na_sign * dfa * d2fa + lay.nb_sign * dfb * d2fb))
+
+
+_profile_tree = _tree(4, _lowering_leaf, _lowering_func, ("+", "-", "*", "/", "^"))
+
+
+@settings(max_examples=300, deadline=None)
+@example(PAIRS[0], "sqrt(t)", "log(t)", -0.5)
+@example(PAIRS[1], "t", "1/t", 0.0)
+@example(PAIRS[2], "sqrt(t)", "2", 0.0)
+@example(PAIRS[3], "t + log(0)", "t", 1.0)
+@example(PAIRS[4], "t/sqrt(2)", "exp(t*800)", 1.0)
+@example(PAIRS[5], "t", "t", 5.5)
+@given(st.sampled_from(PAIRS), _profile_tree, _profile_tree,
+       st.one_of(st.floats(-6, 6), st.sampled_from([0.0, -0.0, 1.0, -1.0])))
+def test_bundle_kernel_matches_six_profile_calls(pair, fa_text, fb_text, t):
+    fam = make_family(*pair, fa_text, fb_text, -5.0, 5.0)
+    assert _outcome(fam.metric_bundle, t) == _outcome(
+        lambda x: six_call_bundle(fam, x), t)
+
+
+@pytest.mark.parametrize("fa_text,fb_text,t,message", [
+    ("sqrt(t)", "log(t)", -0.5, "sqrt of a negative number"),   # fa first
+    ("t", "1/t", 0.0, "division by zero"),                     # then fb
+    ("sqrt(t)", "2", 0.0, "division by zero"),                 # then fa'
+    ("t", "t^0.5", -1.0, "negative base with non-integer exponent"),
+    ("t", "t", 5.5, "t=5.5 outside profile domain [-5.0, 5.0]"),
+    ("t", "t", math.nan, "t=nan outside profile domain [-5.0, 5.0]"),
+])
+def test_bundle_kernel_raises_the_first_fault(fa_text, fb_text, t, message):
+    for pair in PAIRS:
+        fam = make_family(*pair, fa_text, fb_text, -5.0, 5.0)
+        with pytest.raises(DomainError) as kernel:
+            fam.metric_bundle(t)
+        with pytest.raises(DomainError) as reference:
+            six_call_bundle(fam, t)
+        assert str(kernel.value) == str(reference.value) == message
+
+
+def test_faulting_constant_subtree_raises_only_when_evaluated():
+    fam = make_family("hyperbolic23", "A", "t + log(0)", "1 + t/sqrt(2)", -1.0, 6.0)
+    with pytest.raises(DomainError, match="log of a non-positive number"):
+        fam.metric_bundle(0.5)
+    with pytest.raises(DomainError, match="log of a non-positive number"):
+        fam.fa.evaluate(0.5)
+    # the folded constant sqrt(2) is computed once, when the tree is lowered
+    assert "sqrt" not in fam.fb._value_fn.__code__.co_names
+    assert fam.fb.evaluate(0.5) == 1.0 + 0.5 / math.sqrt(2.0)
+
+
+def test_family_pickles_after_metric_bundle():
+    for pair in PAIRS:
+        fam = make_family(*pair, "2 + t/sqrt(2)", "1 + t/sqrt(2)", -1.0, 6.0)
+        fresh = make_family(*pair, "2 + t/sqrt(2)", "1 + t/sqrt(2)", -1.0, 6.0)
+        bundle = fam.metric_bundle(0.5)
+        assert fam == fresh
+        assert repr(fam) == repr(fresh)
+        assert hash(fam) == hash(fresh)
+        restored = pickle.loads(pickle.dumps(fam))
+        assert restored == fresh
+        assert restored.metric_bundle(0.5) == bundle
