@@ -1,10 +1,14 @@
 #!/usr/bin/env python3
-"""Curvature-formula audit: closed forms versus finite-difference oracles.
+"""Curvature-formula audit: closed forms versus the exact oracles.
 
 Sweeps a grid of admissible points on one curved surface per family and
 summarises the gaps between the closed-form curvature/mean
-curvature and the oracle values.  Large gaps are data: the closed forms
-are under audit, the oracles carry the ground truth.
+curvature and the oracle values.  The oracles are exact (Brioschi's
+formula and the Gauss formula on the diagonal induced metric); the
+finite-difference oracles, ``gaussian_curvature_fd`` and
+``mean_curvature_fd``, are their cross-check in the test suite.  Large
+gaps are data: the closed forms are under audit, the oracles carry the
+ground truth.
 """
 
 import argparse

@@ -189,7 +189,7 @@ def _cmd_curvature(config: RunConfig) -> int:
             s = (config.t_min + (config.t_max - config.t_min)
                  * (j + 0.5) / section.ns)
             try:
-                report = curvature_report(surface, t, s, section.fd_step)
+                report = curvature_report(surface, t, s)
             except (FrameDegenerateError, DegenerateMetricError,
                     DomainError) as exc:
                 print(f"numerical failure at t={_fmt(t)}, s={_fmt(s)}: {exc}",

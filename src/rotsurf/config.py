@@ -83,7 +83,6 @@ class CurvatureSection:
     angle_v_text: str
     nt: int = 10
     ns: int = 10
-    fd_step: float | None = None
 
 
 @dataclass(frozen=True)
@@ -169,8 +168,7 @@ def _parse_geodesic(section: dict) -> GeodesicSection:
 
 
 def _parse_curvature(section: dict) -> CurvatureSection:
-    _reject_unknown(section, {"xAngle", "vAngle", "grid", "fd_step"},
-                    "curvature")
+    _reject_unknown(section, {"xAngle", "vAngle", "grid"}, "curvature")
     angle_u = _string(section, "xAngle", "curvature")
     angle_v = _string(section, "vAngle", "curvature")
     nt = ns = 10
@@ -181,12 +179,7 @@ def _parse_curvature(section: dict) -> CurvatureSection:
         ns = _integer(grid, "ns", "curvature.grid")
         if nt < 1 or ns < 1:
             raise ConfigError("curvature.grid", "nt and ns must be >= 1")
-    fd_step = None
-    if "fd_step" in section:
-        fd_step = _number(section, "fd_step", "curvature")
-        if fd_step <= 0:
-            raise ConfigError("curvature.fd_step", "must be > 0")
-    return CurvatureSection(angle_u, angle_v, nt, ns, fd_step)
+    return CurvatureSection(angle_u, angle_v, nt, ns)
 
 
 def _parse_output(section: dict) -> OutputSection:

@@ -2,16 +2,22 @@
 
 A ``DoubleRotationSurface`` immerses (t, s) -> family point at angles
 (x(t), w(t)) and profile parameter s, i.e. both rotation angles follow a
-path while s runs along the profile.  Two independent computations are
-reported side by side:
+path while s runs along the profile.  ``curvature_report`` puts two
+computations side by side:
 
 * closed-form values ``K_formula`` and ``H_formula = h3 e3 + h4 e4`` in
   each family's closed-form normal frame (these formulas are under
   audit: gaps are data, not failures);
-* finite-difference oracles: intrinsic ``K_oracle`` from the induced
-  2-metric via Christoffel symbols and the single independent curvature
-  component, and ``H_oracle`` from second partials of the immersion with
-  the tangential part projected away.
+* exact oracles: the family metric is diagonal, so the induced 2-metric
+  is diag(E x'^2 + G w'^2, N), and ``K_oracle`` (Brioschi's formula) and
+  ``H_oracle`` (the Gauss formula) are closed expressions in the profile
+  and angle values and their first two derivatives at the point.
+
+The finite-difference oracles ``gaussian_curvature_fd`` (Christoffel
+symbols and the single independent curvature component of any 2-metric)
+and ``mean_curvature_fd`` (second partials of the immersion with the
+tangential part projected away) are the independent cross-check of the
+exact oracles; they are not on the report path.
 
 The induced 2-metric is a plain 2x2 tuple of floats, indexed g[i][j];
 ``_inverse`` is the one place its determinant and inverse are computed.
@@ -28,7 +34,7 @@ from dataclasses import dataclass
 
 from .ambient import Vector4, inner
 from .expressions import ProfileFunction
-from .surfaces import DegenerateMetricError, SurfaceFamily
+from .surfaces import DegenerateMetricError, SurfaceFamily, _turn
 
 __all__ = [
     "DoubleRotationSurface",
@@ -125,9 +131,6 @@ def normal_frame(surface: DoubleRotationSurface, t: float,
     return surface.family.spec.normal_frame(**surface._frame_scalars(t, s))
 
 
-# ---------------------------------------------------------------------------
-# finite-difference oracles
-
 def _inverse(g, t: float) -> tuple[tuple, float]:
     """Inverse and determinant of a 2-metric ``g`` (indexed g[i][j]);
     a zero determinant raises ``DegenerateMetricError``."""
@@ -137,6 +140,9 @@ def _inverse(g, t: float) -> tuple[tuple, float]:
     return ((g[1][1] / det, -g[0][1] / det),
             (-g[1][0] / det, g[0][0] / det)), det
 
+
+# ---------------------------------------------------------------------------
+# finite-difference oracles
 
 def _central(plus, minus, h: float):
     """Central difference of two 2-metrics, entry by entry."""
@@ -226,6 +232,67 @@ def mean_curvature_fd(point_fn, tangents_fn, t: float, s: float,
 
 
 # ---------------------------------------------------------------------------
+# exact oracles
+
+def _plane_part(rotation, angle: float, pos: int, along_block: float,
+                along_deriv: float) -> tuple[float, float]:
+    """``along_block`` times column ``pos`` of ``rotation.block(angle)``
+    plus ``along_deriv`` times that column of its angle derivative."""
+    r = _turn(rotation.block(angle), pos, along_block)
+    dr = _turn(rotation.block_deriv(angle), pos, along_deriv)
+    return (r[0] + dr[0], r[1] + dr[1])
+
+
+def _exact_oracles(lay, t: float, fa, fb, dfa, dfb, d2fa, d2fb, x, w, dx, dw,
+                   d2x, d2w, **_) -> tuple[float, Vector4]:
+    """Exact (K, H) of the surface at one point, from the profile values at
+    s and the angle values at t (``_frame_scalars``' keywords).
+
+    The family metric is diag(E, G, N)(s) in (u, v, s), so the induced
+    2-metric is diag(P, Q) with P = E x'^2 + G w'^2 and Q = N.  With no
+    off-diagonal term and Q free of t, Brioschi's formula reduces to
+
+        K = (-P_ss P Q / 2 + P P_s Q_s / 4 + P_s^2 Q / 4) / (P Q)^2.
+
+    H is half the trace of the second fundamental form (Gauss formula),
+    H = g^tt (S_tt - Gamma^a_tt S_a) / 2 + g^ss (S_ss - Gamma^a_ss S_a) / 2,
+    with Gamma^t_tt = P_t / 2P, Gamma^s_tt = -P_s / 2Q, Gamma^t_ss = 0 and
+    Gamma^s_ss = Q_s / 2Q.  In each rotation plane, S_t, S_tt, S_s and
+    S_ss are combinations of the profile column of the rotation block R
+    and of R' (R'' = R for a boost, -R for a spin; the two planes do not
+    mix, so S_tt has no u-v cross term), so H is assembled plane by plane.
+    """
+    e, g = lay.e_sign * fa * fa, lay.g_sign * fb * fb
+    dx2, dw2 = dx * dx, dw * dw
+    p = e * dx2 + g * dw2
+    p_t = 2.0 * (e * dx * d2x + g * dw * d2w)
+    p_s = 2.0 * (lay.e_sign * fa * dfa * dx2 + lay.g_sign * fb * dfb * dw2)
+    p_ss = 2.0 * (lay.e_sign * (dfa * dfa + fa * d2fa) * dx2
+                  + lay.g_sign * (dfb * dfb + fb * d2fb) * dw2)
+    q = lay.na_sign * dfa * dfa + lay.nb_sign * dfb * dfb
+    q_s = 2.0 * (lay.na_sign * dfa * d2fa + lay.nb_sign * dfb * d2fb)
+    ginv, det = _inverse(((p, 0.0), (0.0, q)), t)
+    k = (-0.5 * p_ss * p * q + 0.25 * p * p_s * q_s
+         + 0.25 * p_s * p_s * q) / (det * det)
+
+    # H = a S_tt + b S_ss + c_t S_t + c_s S_s
+    g_tt, g_ss = ginv[0][0], ginv[1][1]
+    a, b = 0.5 * g_tt, 0.5 * g_ss
+    c_t = -0.25 * g_tt * g_tt * p_t
+    c_s = 0.25 * g_ss * (g_tt * p_s - g_ss * q_s)
+    rot_u, rot_v = lay.rot_u, lay.rot_v
+    sign_u = 1.0 if rot_u.hyperbolic else -1.0
+    sign_v = 1.0 if rot_v.hyperbolic else -1.0
+    h_u = _plane_part(rot_u, x, lay.fa_pos,
+                      a * sign_u * dx2 * fa + b * d2fa + c_s * dfa,
+                      (a * d2x + c_t * dx) * fa)
+    h_v = _plane_part(rot_v, w, lay.fb_pos,
+                      a * sign_v * dw2 * fb + b * d2fb + c_s * dfb,
+                      (a * d2w + c_t * dw) * fb)
+    return k, lay.vector(h_u, h_v)
+
+
+# ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class CurvatureReport:
@@ -247,23 +314,15 @@ class CurvatureReport:
     H_gap: float
 
 
-def default_fd_step(t: float, s: float) -> float:
-    return 1e-4 * (1.0 + abs(t) + abs(s))
-
-
-def curvature_report(surface: DoubleRotationSurface, t: float, s: float,
-                     fd_step: float | None = None) -> CurvatureReport:
-    """Evaluate closed forms and oracles at (t, s) and report the gaps."""
-    h = default_fd_step(t, s) if fd_step is None else fd_step
-    if h <= 0.0:
-        raise ValueError("fd_step must be > 0")
+def curvature_report(surface: DoubleRotationSurface, t: float,
+                     s: float) -> CurvatureReport:
+    """Evaluate closed forms and exact oracles at (t, s) and report the gaps."""
     c = surface._frame_scalars(t, s)
     spec = surface.family.spec
     k_formula, h3, h4 = spec.closed_forms(**c)
     e3, e4 = spec.normal_frame(**c)
     h_formula = e3 * h3 + e4 * h4
-    k_oracle = gaussian_curvature_fd(surface.induced_metric, t, s, h)
-    h_oracle = mean_curvature_fd(surface.point, surface.tangents, t, s, h)
+    k_oracle, h_oracle = _exact_oracles(surface.family.layout, t, **c)
     delta = h_formula - h_oracle
     h_gap = max(abs(x) for x in delta.components())
     return CurvatureReport(

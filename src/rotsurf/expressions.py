@@ -310,7 +310,10 @@ _CONTEXTS = {"+": "addition", "-": "subtraction", "*": "multiplication",
 class _Lowering:
     """Emits one statement group per node in ``evaluate``'s order; a
     subtree free of ``t`` becomes the constant ``evaluate`` gives it,
-    unless that raises.  Several trees may be emitted into one body.
+    unless that raises, and a runtime check that a folded right operand
+    cannot trip (division by a nonzero constant, a constant exponent that
+    is >= 0 or an integer) is left out.  Several trees may be emitted into
+    one body.
 
     The source holds only generated names (``t``, ``c<k>`` for literals,
     ``v<k>`` for node results), the names of ``_FUNCTIONS`` and fixed
@@ -323,6 +326,7 @@ class _Lowering:
                                 "floor": math.floor, "log": math.log,
                                 "sqrt": math.sqrt, "DomainError": DomainError}
         self.count = 0
+        self.folded: dict[str, float] = {}  # constant name -> value
 
     def fresh(self, prefix: str) -> str:
         self.count += 1
@@ -334,7 +338,7 @@ class _Lowering:
 
     def constant(self, value: float) -> str:
         name = self.fresh("c")
-        self.namespace[name] = value
+        self.namespace[name] = self.folded[name] = value
         return name
 
     def emit(self, expr: Expr) -> str:
@@ -360,19 +364,23 @@ class _Lowering:
             right = self.emit(expr.right)
             out = self.fresh("v")
             lines = self.lines
+            # a folded right operand drops the checks it cannot trip
+            known = self.folded.get(right)
             if expr.op in _CONTEXTS:
                 symbol = expr.op
-                if symbol == "/":
+                if symbol == "/" and (known is None or known == 0.0):
                     lines.append(f"if {right} == 0.0: "
                                  f"raise DomainError('division by zero')")
                 lines.append(f"{out} = {left} {symbol} {right}")
                 self.checked(out, _CONTEXTS[symbol])
                 return out
-            lines.append(f"if {left} == 0.0 and {right} < 0.0: raise "
-                         f"DomainError('zero raised to a negative power')")
-            lines.append(f"if {left} < 0.0 and {right} != floor({right}): "
-                         f"raise DomainError('negative base with "
-                         f"non-integer exponent')")
+            if known is None or known < 0.0:
+                lines.append(f"if {left} == 0.0 and {right} < 0.0: raise "
+                             f"DomainError('zero raised to a negative power')")
+            if known is None or not float(known).is_integer():
+                lines.append(f"if {left} < 0.0 and {right} != floor({right}): "
+                             f"raise DomainError('negative base with "
+                             f"non-integer exponent')")
             lines.append("try:")
             lines.append(f"    {out} = {left} ** {right}")
             lines.append("except OverflowError as exc:")

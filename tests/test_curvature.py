@@ -1,15 +1,20 @@
-"""Closed-form curvature versus finite-difference oracles."""
+"""Closed-form curvature versus the exact and finite-difference oracles."""
 
+import importlib.util
 import math
+import pathlib
 import random
 
+import mpmath
 import numpy as np
 import pytest
+import sympy as sp
 
 from rotsurf import (DegenerateMetricError, DoubleRotationSurface,
                      FrameDegenerateError, ProfileFunction, Vector4,
                      curvature_report, gaussian_curvature_fd, inner,
                      make_family, mean_curvature_fd, normal_frame)
+from rotsurf.config import ConfigError, parse_config
 
 
 def profile(text, lo=-10.0, hi=10.0):
@@ -91,18 +96,18 @@ def test_curvature_oracle_matches_independent_value():
     t, s = 0.3, 1.2
     k_true, h_true = torus_expected(t, s)
     report = curvature_report(TORUS, t, s)
-    assert report.K_oracle == pytest.approx(k_true, abs=1e-5)
+    assert report.K_oracle == pytest.approx(k_true, abs=1e-12)
     for got, want in zip(report.H_oracle.components(), h_true.components()):
-        assert got == pytest.approx(want, abs=1e-5)
+        assert got == pytest.approx(want, abs=1e-12)
 
 
 def test_curvature_oracle_second_point():
     t, s = 1.1, 2.0
     k_true, h_true = torus_expected(t, s)
     report = curvature_report(TORUS, t, s)
-    assert report.K_oracle == pytest.approx(k_true, abs=1e-5)
+    assert report.K_oracle == pytest.approx(k_true, abs=1e-12)
     for got, want in zip(report.H_oracle.components(), h_true.components()):
-        assert got == pytest.approx(want, abs=1e-5)
+        assert got == pytest.approx(want, abs=1e-12)
 
 
 # --- flat configurations ---------------------------------------------------
@@ -239,6 +244,96 @@ def test_gaps_are_reported_not_asserted():
     assert math.isfinite(report.H_gap)
 
 
-def test_fd_step_validation():
-    with pytest.raises(ValueError):
-        curvature_report(TORUS, 0.3, 1.2, fd_step=0.0)
+def test_fd_step_is_an_unknown_key():
+    # the exact oracles take no step, so a config that sets one is refused
+    document = {"family": "elliptic56", "profiles": {"fa": "1.5", "fb": "t"},
+                "domain": [0.5, 3.0],
+                "curvature": {"xAngle": "t", "vAngle": "2*t",
+                              "fd_step": 1e-4}}
+    with pytest.raises(ConfigError) as excinfo:
+        parse_config(document)
+    assert excinfo.value.field == "curvature.fd_step"
+    assert str(excinfo.value) == "curvature.fd_step: unknown key"
+
+
+# --- the exact oracles ------------------------------------------------------
+# bench/reference.py rebuilds each family's immersion without rotsurf; sympy
+# pulls the 4-space metric back to (t, s) and applies Brioschi's formula.
+
+_REFERENCE_PATH = (pathlib.Path(__file__).resolve().parent.parent
+                   / "bench" / "reference.py")
+_spec = importlib.util.spec_from_file_location("bench_reference",
+                                               _REFERENCE_PATH)
+reference = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(reference)
+
+# one surface per (family, variant), every point with both frame radicands
+# positive
+EXACT_CASES = [
+    ("hyperbolic14", "A", "2 + t^2/8", "3 + t", "t/2", "t"),
+    ("hyperbolic14", "B", "1 + t/4", "2 + t^2/4", "t/3", "t"),
+    ("hyperbolic23", "A", "2 + t^2/8", "1 + t/sqrt(2)", "t", "t/3"),
+    ("hyperbolic23", "B", "2 + t/sqrt(2)", "1 + t/sqrt(2)", "t/2", "sin(t)"),
+    ("elliptic56", "A", "1 + t/8", "2 + t^2/2", "t/4", "t/2"),
+    ("elliptic56", "B", "1 + t/8", "2 + t^2/4", "t/4", "t"),
+]
+EXACT_POINTS = [(t, s) for t in (0.7, 1.1, 1.6) for s in (0.7, 1.1, 1.6)]
+
+
+def brioschi_k(kind, variant, fa, fb, angle_u, angle_v):
+    """K(t, s) from sympy's Brioschi formula on the immersion, evaluated
+    with 30 significant digits."""
+    t, s = reference.T, reference.S
+    immersed = reference.immersion(kind, variant).subs(
+        {reference._FA: reference.profile_expr(fa, s),
+         reference._FB: reference.profile_expr(fb, s)}).doit()
+    immersed = immersed.subs({reference.U: reference.profile_expr(angle_u),
+                              reference.V: reference.profile_expr(angle_v)})
+    st, ss = immersed.diff(t), immersed.diff(s)
+    e, f, g = [(a.T * reference.ETA * b)[0]
+               for a, b in ((st, st), (st, ss), (ss, ss))]
+    fn = sp.lambdify((t, s), reference.brioschi(e, f, g, t, s), "mpmath")
+
+    def k(t_value, s_value):
+        with mpmath.workdps(30):
+            return float(fn(mpmath.mpf(t_value), mpmath.mpf(s_value)))
+    return k
+
+
+@pytest.mark.parametrize("case", EXACT_CASES, ids=lambda c: f"{c[0]}-{c[1]}")
+def test_exact_k_matches_sympy_brioschi(case):
+    srf = surface(case[0], case[1], case[2], case[3], 0.1, 2.0, case[4],
+                  case[5])
+    k_exact = brioschi_k(*case)
+    for t, s in EXACT_POINTS:
+        k = k_exact(t, s)
+        assert abs(curvature_report(srf, t, s).K_oracle - k) \
+            <= 1e-12 * max(1.0, abs(k))
+
+
+@pytest.mark.parametrize("case", EXACT_CASES, ids=lambda c: f"{c[0]}-{c[1]}")
+def test_exact_oracles_match_finite_differences(case):
+    srf = surface(case[0], case[1], case[2], case[3], 0.1, 2.0, case[4],
+                  case[5])
+    for t, s in EXACT_POINTS:
+        h = 1e-4 * (1.0 + abs(t) + abs(s))  # as in the self-consistency test
+        report = curvature_report(srf, t, s)
+        k_fd = gaussian_curvature_fd(srf.induced_metric, t, s, h)
+        assert abs(report.K_oracle - k_fd) \
+            <= 1e-6 * max(1.0, abs(report.K_oracle))
+        h_fd = mean_curvature_fd(srf.point, srf.tangents, t, s, h)
+        exact = report.H_oracle.components()
+        scale = max(1.0, max(abs(x) for x in exact))
+        for got, want in zip(exact, h_fd.components()):
+            assert abs(got - want) <= 1e-6 * scale
+
+
+def test_exact_k_vanishes_on_h23_audit_surface():
+    # erratum lead: sympy's K is 0 on this surface, the closed form is not
+    srf = surface("hyperbolic23", "A", "2 + t/2", "1 + t/4", 0.1, 2.0,
+                  "t", "t/3")
+    for i in range(6):
+        for j in range(6):
+            report = curvature_report(srf, 0.2 + 1.6 * i / 5,
+                                      0.2 + 1.6 * j / 5)
+            assert abs(report.K_oracle) <= 1e-12

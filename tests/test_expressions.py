@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from rotsurf import (DomainError, ParseError, ProfileFunction, differentiate,
                      evaluate, parse, to_text)
-from rotsurf.expressions import Literal
+from rotsurf.expressions import Literal, _Lowering
 
 
 def central_difference(expr, t, h):
@@ -245,6 +245,27 @@ def test_lowering_keeps_equality_and_repr():
     restored = pickle.loads(pickle.dumps(lowered))
     assert restored == fresh
     assert restored.evaluate(0.5) == lowered.evaluate(0.5)
+
+
+@pytest.mark.parametrize("text,kept", [
+    # a folded operand that cannot trip a check emits none
+    ("t/sqrt(2)", []),
+    ("t^2", []),
+    # a constant that can trip one keeps it
+    ("t^0.5", ["non-integer exponent"]),
+    ("t^(0-1)", ["zero raised to a negative power"]),
+    ("t/(1-1)", ["division by zero"]),
+    ("t/t", ["division by zero"]),
+    ("t^t", ["zero raised to a negative power", "non-integer exponent"]),
+])
+def test_lowering_emits_only_checks_a_folded_constant_can_trip(text, kept):
+    lowering = _Lowering()
+    lowering.emit(parse(text))
+    checks = [message for message in ("division by zero",
+                                      "zero raised to a negative power",
+                                      "non-integer exponent")
+              if any(message in line for line in lowering.lines)]
+    assert checks == kept
 
 
 PROFILE_CASES = [
