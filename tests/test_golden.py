@@ -12,6 +12,12 @@ The curvature JSON hashes were recorded before the 2-metric of the
 curvature oracles became a plain tuple and before ``rotsurf curvature``
 built its rows in one table, so that the JSON bytes, whose ``K_oracle``
 type changes from a numpy float to a float, are checked too.
+All twelve curvature hashes (CSV and JSON) were then re-recorded when
+``K_oracle`` and ``H_oracle`` became exact, Brioschi's and the Gauss
+formula on the diagonal induced metric in place of finite differences:
+only the ``K_oracle``, ``K_gap`` and ``H_gap`` columns changed
+(``K_oracle`` by at most 5.7e-7 x max(1, |K|)), and every geodesic and
+invariants hash stayed as it was.
 Any change to the arithmetic or to its order shows up here as a changed
 byte.  The digests depend on the platform's libm; they were recorded on
 x86-64 Linux with CPython 3.11.
@@ -142,9 +148,9 @@ GOLDEN = {
     'h14/invariants_json/invariants.summary.json':
         'b95e3a03abdd536f47df606c7985af47b031748ae2764c1ee4dfab1d84979ed3',
     'h14/curvature_csv/curvature.csv':
-        '0cf01c5202dc8be354b1740ed77b26486cb0ca2dd90d847db878d11b558a1c43',
+        'dbcc1a056dce6931a7b1f3e58f81fc0ead58f78ea435c9b55f08cbf44f0b0653',
     'h14/curvature_json/curvature.json':
-        'fd862dde388187c0d41ecd8b951d9ecbd5695677bd604760c01b257873eacc01',
+        '7c5b620ef65ada0a00c238581a2a2f869db198d2487baa731e58cd12a3f0e586',
     'h23/geodesic_csv/geodesic.csv':
         '44eb7693dcf868c55e1896e5832184c946c1dc92ecb80283f2286b3548831b57',
     'h23/invariants_csv/invariants.csv':
@@ -156,9 +162,9 @@ GOLDEN = {
     'h23/invariants_json/invariants.summary.json':
         'db50ce9b957d97d27796adf38a97bdfc575cd1abc561134361131537daebcbcb',
     'h23/curvature_csv/curvature.csv':
-        '529ae2ade02176b27250d375e72892af306c46f916623a818cfe3d719effe356',
+        '8203515f87cac494b4f43d606ff92e46c53d4dce1d303d575a6774b467dded2c',
     'h23/curvature_json/curvature.json':
-        'c51448ea7ca1b09f1c337405039d7cd67d1dc1617dccbb07076fa8890a9d4e1d',
+        '3b8fbb7c9fca177eaeef8b3b1f5006b5b7fcf02230d89b21c43aedea33ed31c4',
     'e56/geodesic_csv/geodesic.csv':
         'f60abd8c31f17d95921befe331eee52dbc0072723a04d63d2bb8a9d09a686daa',
     'e56/invariants_csv/invariants.csv':
@@ -170,9 +176,9 @@ GOLDEN = {
     'e56/invariants_json/invariants.summary.json':
         '3531ccccb3a5b383fb2c867118f5609c9231a431b89dbee8f59cd58fb081c1a1',
     'e56/curvature_csv/curvature.csv':
-        '74d5cd16c0e52497efc386c9254eff2caf2cfd827a98b5b1f5181e9ee0af6acb',
+        'c9fc8b14f2e191613a99ec3df39997a58f764e375834c425cdd8516f83d400d6',
     'e56/curvature_json/curvature.json':
-        '6651cf64c1e3e34cd26ce752ea141342cef75b6029cf15fd5618e81ee718142e',
+        'fe2284b05851468a4b84153fd028f0d9e7110fec23bac475a63f4cdea8568123',
     'e56-unit/geodesic_csv/geodesic.csv':
         '0cbe890e1355d92dc438b55d9c0a240b053d13cb232ada534f419dfed1a62aa9',
     'e56-unit/invariants_csv/invariants.csv':
@@ -194,9 +200,9 @@ GOLDEN = {
     'h14-B/invariants_json/invariants.summary.json':
         '6ef356dc5f9c1cf1c6047f5d88814f6cb64dc171b2068bfc261d712f2148a331',
     'h14-B/curvature_csv/curvature.csv':
-        '65f6fa1ffdb1d981c9d16731d75d5345277919e12e6bf2448931a8cc5544a037',
+        '773eb7e254aab470ee4924f55fbf3c9d861fa37ce36c9cf79f9ac3cd98656ca1',
     'h14-B/curvature_json/curvature.json':
-        'ed08ba5565dfcb2090a821393b14ae07dacd44a67335d4352422f953c612994a',
+        '538acba9d0e515c16a33a9ca7eb9222c423595e782483c9f09193a65fc97b9ff',
     'h23-B/geodesic_csv/geodesic.csv':
         'dfc89e46fb22bc592b7fcf39779c37e083fcbfe31300107b8f228ff46fe6dd84',
     'h23-B/invariants_csv/invariants.csv':
@@ -208,9 +214,9 @@ GOLDEN = {
     'h23-B/invariants_json/invariants.summary.json':
         '2aaf9ab36ecd261ba54ea70a7c2171ad4f18db798cb1b43c1299f1ba3799bbd8',
     'h23-B/curvature_csv/curvature.csv':
-        '5cf71cb61a8b6f15ab6c43d5489a08b03cc4e84b16f3e85de26c24db06a4c563',
+        '3189003f3d239371d529927a039fc828cc3dca739771ea57ea322101c9abdaf2',
     'h23-B/curvature_json/curvature.json':
-        '892f2c2106de2868c6b268cf47333ca11141fe74bb86bfb300f2fc28b781c467',
+        '27506652f9abc1b1addc5465e685c6343608e782385199ecae2d1800dc60a64f',
     'e56-A/geodesic_csv/geodesic.csv':
         'd3d2d7379e3dfa4eacd075e679f82d524a13b63b3f24180142eaacea858d3746',
     'e56-A/invariants_csv/invariants.csv':
@@ -222,9 +228,9 @@ GOLDEN = {
     'e56-A/invariants_json/invariants.summary.json':
         'b94ccb5b2f5638dbae35a3bf3a21fc60d58166dae2b9fa487299aaabeaf52267',
     'e56-A/curvature_csv/curvature.csv':
-        '381454bd6e5d74eda3a535c5ed019682b9faa6610f30f8a84fc3e717b9f99c0a',
+        '2b1d2b23614f25f97d62a5e69c98377ad8ef7714806fd5735b6bbc4e5d5ef010',
     'e56-A/curvature_json/curvature.json':
-        '7209d9a547d22df2fac58b9de52abc36a58e0680f6b766090b9500786e360ff0',
+        '9a029c6ae2d102b841cb21ad5b5c40729b948f595999ff923434d639b922fdb6',
 }
 
 
