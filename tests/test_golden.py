@@ -18,6 +18,13 @@ formula on the diagonal induced metric in place of finite differences:
 only the ``K_oracle``, ``K_gap`` and ``H_gap`` columns changed
 (``K_oracle`` by at most 5.7e-7 x max(1, |K|)), and every geodesic and
 invariants hash stayed as it was.
+The ``rotsurf killing`` standard output and exit codes in
+``KILLING_GOLDEN`` were recorded while ``isometries`` still computed its
+4x4 matrices with numpy, before they became plain float tuples, so that
+every printed sign of zero is checked as well.  Python 3.11's argparse
+reads ``-1e-300`` as an option, so that parameter vector stops at the
+usage error (exit 2, nothing on standard output); the all-positive
+``1e300 1e-300`` vector takes the same magnitudes through the residual.
 Any change to the arithmetic or to its order shows up here as a changed
 byte.  The digests depend on the platform's libm; they were recorded on
 x86-64 Linux with CPython 3.11.
@@ -253,6 +260,41 @@ def artifact_hashes(directory, name):
                 key = f"{name}/{out_dir.name}/{path.name}"
                 hashes[key] = hashlib.sha256(path.read_bytes()).hexdigest()
     return hashes
+
+
+# --params of ``rotsurf killing`` (None: the default) -> (exit code,
+# SHA-256 of standard output)
+# SHA-256 of the all-zero residual report (every field here is Killing)
+# and of an empty standard output
+_ZERO_REPORT = \
+    'c83798eba4e53e89e5f6441a9522410c4a01fe138d6c3e12f97c027d5e996410'
+_NO_OUTPUT = \
+    'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'
+KILLING_GOLDEN = {
+    None: (0, _ZERO_REPORT),
+    "0 0 0 0 0 0": (0, _ZERO_REPORT),
+    "-0 -0 -0 -0 -0 -0": (0, _ZERO_REPORT),
+    "-1 2 -3 0 0.5 -0": (0, _ZERO_REPORT),
+    "1e300 -1e-300 3 -2 0 7": (2, _NO_OUTPUT),
+    "1e300 1e-300 3 -2 0 7": (0, _ZERO_REPORT),
+    "2.5 -1 0 4 -7 1e-17": (0, _ZERO_REPORT),
+}
+
+
+def killing_run(capsys, params):
+    argv = ["killing"] if params is None else ["killing", "--params",
+                                               *params.split()]
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr().out
+    return code, hashlib.sha256(out.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("params", list(KILLING_GOLDEN))
+def test_killing_stdout_matches_golden_hash(capsys, params):
+    assert killing_run(capsys, params) == KILLING_GOLDEN[params]
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
