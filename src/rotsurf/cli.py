@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -237,6 +238,13 @@ def _cmd_killing(params: list[float]) -> int:
     return EXIT_OK
 
 
+def _require_finite(flag: str, values: list[float]):
+    """Reject a non-finite float flag before any work is done."""
+    if not all(map(math.isfinite, values)):
+        raise ConfigError(flag, "must be finite, got "
+                                + " ".join(_fmt(v) for v in values))
+
+
 def _cmd_parse_check(text: str) -> int:
     expr = parse(text)
     d1 = differentiate(expr)
@@ -288,9 +296,12 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "killing":
+            _require_finite("--params", args.params)
             return _cmd_killing(args.params)
         if args.command == "parse-check":
             return _cmd_parse_check(args.expression)
+        if args.command == "isometry":
+            _require_finite("--angle", [args.angle])
         config = load_config(args.config)
         if args.command == "info":
             return _cmd_info(config)

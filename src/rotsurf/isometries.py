@@ -6,30 +6,24 @@ elliptic spins acting inside the definite planes (x1,x2) and (x3,x4).
 The general linear Killing field is a six-parameter combination of these
 generators; ``lie_residual`` evaluates the Lie derivative of the constant
 metric along a linear field, which vanishes exactly on Killing fields.
+Matrices are 4x4 tuples of float rows; any 4x4 nested sequence is accepted.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import astuple, dataclass
 from enum import Enum
-
-import numpy as np
 
 from .ambient import METRIC_DIAGONAL, Vector4
 
-__all__ = [
-    "Rotation",
-    "KillingParams",
-    "killing_field",
-    "killing_matrix",
-    "lie_residual",
-    "rotation_matrix",
-    "generator_matrix",
-    "apply_matrix",
-]
+__all__ = ["Rotation", "KillingParams", "killing_field", "killing_matrix",
+           "lie_residual", "rotation_matrix", "generator_matrix", "apply_matrix"]
 
-_G = np.diag(METRIC_DIAGONAL)
+Matrix = tuple[tuple[float, float, float, float], ...]
+_G: Matrix = tuple(tuple(g if i == j else 0.0 for j in range(4))
+                   for i, g in enumerate(METRIC_DIAGONAL))
 
 
 class Rotation(Enum):
@@ -89,56 +83,62 @@ def killing_field(params: KillingParams, p: Vector4) -> Vector4:
     return apply_matrix(killing_matrix(params), p)
 
 
-def killing_matrix(params: KillingParams) -> np.ndarray:
-    """Matrix A of the Killing field, W(p) = A @ p.
+def _checked(matrix: Sequence[Sequence[float]]) -> Matrix:
+    try:
+        rows = tuple(tuple(map(float, row)) for row in matrix)
+    except TypeError:  # a row or an entry that is not a sequence
+        rows = ()
+    if len(rows) != 4 or any(len(row) != 4 for row in rows):
+        raise ValueError("field matrix must be 4x4")
+    if not all(math.isfinite(x) for row in rows for x in row):
+        raise ValueError("field matrix must be finite")
+    return rows
+
+
+def killing_matrix(params: KillingParams) -> Matrix:
+    """Matrix A of the Killing field, W(p) = A p.
 
     With p = (x1, x2, x3, x4) the components of W(p) are
     ``(a*x4 + c*x3 - f*x2,  b*x3 + d*x4 + f*x1,
        b*x2 + c*x1 - e*x4,  a*x1 + d*x2 + e*x3)``.
     """
-    a, b, c, d, e, f = params.a, params.b, params.c, params.d, params.e, params.f
-    return np.array([
-        [0.0, -f, c, a],
-        [f, 0.0, b, d],
-        [c, b, 0.0, -e],
-        [a, d, e, 0.0],
-    ])
+    a, b, c, d, e, f = map(float, astuple(params))
+    return ((0.0, -f, c, a), (f, 0.0, b, d), (c, b, 0.0, -e), (a, d, e, 0.0))
 
 
-def lie_residual(field_matrix: np.ndarray) -> np.ndarray:
+def lie_residual(field_matrix: Sequence[Sequence[float]]) -> Matrix:
     """Lie derivative of the metric along the linear field W(p) = A p.
 
     For a constant metric this is S_ij = sum_k (g_ik A_kj + g_jk A_ki);
-    S == 0 exactly when the field is Killing.
+    S == 0 exactly when the field is Killing.  Each sum over k starts
+    from 0, so a vanishing entry is +0 whatever the signs of its terms.
     """
-    a = np.asarray(field_matrix, dtype=float)
-    if a.shape != (4, 4):
-        raise ValueError("field matrix must be 4x4")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("field matrix must be finite")
-    ga = _G @ a
-    return ga + ga.T
+    a = _checked(field_matrix)
+    ga = [[sum(_G[i][k] * a[k][j] for k in range(4)) for j in range(4)]
+          for i in range(4)]
+    return tuple(tuple(ga[i][j] + ga[j][i] for j in range(4))
+                 for i in range(4))
 
 
-def rotation_matrix(rotation: Rotation, angle: float) -> np.ndarray:
-    """One-parameter group element: identity outside the rotation plane,
-    ``rotation.block(angle)`` inside it."""
+def _embed(rotation: Rotation, block: Sequence[float], diag: float) -> Matrix:
+    m = [[diag if r == c else 0.0 for c in range(4)] for r in range(4)]
+    i, j = rotation.plane
+    m[i][i], m[i][j], m[j][i], m[j][j] = block
+    return tuple(map(tuple, m))
+
+
+def rotation_matrix(rotation: Rotation, angle: float) -> Matrix:
+    """Identity outside the rotation plane, ``rotation.block(angle)`` in it."""
     if not math.isfinite(angle):
         raise ValueError("angle must be finite")
-    m = np.eye(4)
-    i, j = rotation.plane
-    m[i, i], m[i, j], m[j, i], m[j, j] = rotation.block(angle)
-    return m
+    return _embed(rotation, rotation.block(angle), 1.0)
 
 
-def generator_matrix(rotation: Rotation) -> np.ndarray:
+def generator_matrix(rotation: Rotation) -> Matrix:
     """Derivative of ``rotation_matrix(rotation, s)`` at s = 0."""
-    m = np.zeros((4, 4))
-    i, j = rotation.plane
-    m[i, i], m[i, j], m[j, i], m[j, j] = rotation.block_deriv(0.0)
-    return m
+    return _embed(rotation, rotation.block_deriv(0.0), 0.0)
 
 
-def apply_matrix(matrix: np.ndarray, v: Vector4) -> Vector4:
-    out = np.asarray(matrix, dtype=float) @ np.array(v.components())
-    return Vector4(*out.tolist())
+def apply_matrix(matrix: Sequence[Sequence[float]], v: Vector4) -> Vector4:
+    return Vector4(*(sum(m * x for m, x in zip(row, v.components()))
+                     for row in _checked(matrix)))

@@ -228,9 +228,9 @@ def test_06_isometry_suite():
         for _ in range(40):
             s = rng.uniform(-3, 3)
             u = rng.uniform(-3, 3)
-            product = (rotation_matrix(rotation, s)
-                       @ rotation_matrix(rotation, u))
-            direct = rotation_matrix(rotation, s + u)
+            product = (np.array(rotation_matrix(rotation, s))
+                       @ np.array(rotation_matrix(rotation, u)))
+            direct = np.array(rotation_matrix(rotation, s + u))
             worst_group = max(worst_group,
                               float(np.max(np.abs(product - direct))))
         _check(f"criterion-6 group law {rotation.label}",
@@ -271,10 +271,10 @@ def test_07_killing_residual():
     _check("criterion-7 killing residual", worst <= 1e-14,
            f"max-abs={worst:.3e} tol=1e-14")
 
-    perturbed = lie_residual(killing_matrix(params) + np.eye(4))
+    perturbed = lie_residual(np.array(killing_matrix(params)) + np.eye(4))
     _check("criterion-7 perturbed field detected",
-           perturbed[0, 0] == -2.0 and perturbed[1, 1] == -2.0
-           and perturbed[2, 2] == 2.0 and perturbed[3, 3] == 2.0,
+           perturbed[0][0] == -2.0 and perturbed[1][1] == -2.0
+           and perturbed[2][2] == 2.0 and perturbed[3][3] == 2.0,
            f"diagonal={np.diag(perturbed)}")
 
     for rotation in Rotation:

@@ -2,9 +2,14 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import rotsurf
 from rotsurf import ProfileFunction, make_family
 from rotsurf.cli import main
 from rotsurf.config import ConfigError, parse_config
@@ -322,6 +327,50 @@ def test_killing_command(capsys):
     assert main(["killing", "--params", "1", "1", "1", "1", "1", "1"]) == 0
     out = capsys.readouterr().out
     assert "max-abs entry: 0" in out
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_killing_rejects_non_finite_params(capsys, value):
+    assert main(["killing", "--params", "1", value, "0", "0", "0", "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--params: must be finite" in captured.err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_isometry_rejects_non_finite_angle(tmp_path, capsys, monkeypatch,
+                                           value):
+    # rejected before the config is read or a geodesic is integrated
+    def no_work(*args):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr("rotsurf.cli.load_config", no_work)
+    monkeypatch.setattr("rotsurf.cli._run_geodesic", no_work)
+    config = meridian_config(tmp_path)
+    assert main(["isometry", "--config", config, "--generator", "boost13",
+                 "--angle", value]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--angle: must be finite" in captured.err
+
+
+def test_runtime_imports_no_numpy():
+    # a fresh interpreter, so that numpy imported by other tests cannot mask
+    # an import made by rotsurf
+    src = str(Path(rotsurf.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    script = "\n".join([
+        "import sys",
+        "import rotsurf",
+        "from rotsurf.cli import main",
+        "assert main(['killing']) == 0",
+        "assert main(['parse-check', 't']) == 0",
+        "print('numpy' in sys.modules)",
+    ])
+    result = subprocess.run([sys.executable, "-c", script], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.splitlines()[-1] == "False"
 
 
 def test_parse_check(capsys):
