@@ -18,8 +18,8 @@ from enum import Enum
 
 from .ambient import METRIC_DIAGONAL, Vector4
 
-__all__ = ["Rotation", "KillingParams", "killing_field", "killing_matrix",
-           "lie_residual", "rotation_matrix", "generator_matrix", "apply_matrix"]
+__all__ = ["Rotation", "KillingParams", "killing_field", "generator_matrix",
+           "killing_matrix", "lie_residual", "rotation_matrix", "apply_matrix"]
 
 Matrix = tuple[tuple[float, float, float, float], ...]
 _G: Matrix = tuple(tuple(g if i == j else 0.0 for j in range(4))
