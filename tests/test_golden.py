@@ -262,14 +262,14 @@ def artifact_hashes(directory, name):
     return hashes
 
 
-# --params of ``rotsurf killing`` (None: the default) -> (exit code,
-# SHA-256 of standard output)
 # SHA-256 of the all-zero residual report (every field here is Killing)
 # and of an empty standard output
 _ZERO_REPORT = \
     'c83798eba4e53e89e5f6441a9522410c4a01fe138d6c3e12f97c027d5e996410'
 _NO_OUTPUT = \
     'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'
+# --params of ``rotsurf killing`` (None: the default) -> (exit code,
+# SHA-256 of standard output)
 KILLING_GOLDEN = {
     None: (0, _ZERO_REPORT),
     "0 0 0 0 0 0": (0, _ZERO_REPORT),
