@@ -23,7 +23,7 @@ from .config import ConfigError, RunConfig, initial_state, load_config
 from .curvature import (DoubleRotationSurface, FrameDegenerateError,
                         curvature_report)
 from .expressions import DomainError, ExprError, differentiate, parse, to_text
-from .geodesics import (Trajectory, clairaut_report, flow_residual, integrate,
+from .geodesics import (Trajectory, flow_residual, integrate, invariant_rows,
                         shift_samples)
 from .isometries import KillingParams, Rotation, killing_matrix, lie_residual
 from .surfaces import (DegenerateMetricError, NotTimelikeError, SurfaceFamily)
@@ -66,17 +66,30 @@ def _json(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
+# the members of one row object at indent level 2, by the C encoder (an
+# ``indent`` makes ``json.dumps`` fall back to the pure-Python one)
+_encode_row = json.JSONEncoder(sort_keys=True,
+                               separators=(",\n      ", ": ")).encode
+
+
 def _write_table(path: str, fmt: str, names: tuple[str, ...], rows,
                  key: str, **extra):
-    """Write ``rows`` with column ``names`` as CSV, or as JSON with one
-    object per row listed under ``key`` beside the ``extra`` members."""
+    """Write the tuples ``rows`` with column ``names`` as CSV, or as JSON
+    with one object per row listed under ``key`` beside the ``extra``
+    members.  The bytes are those of ``f"{value:.17g}"`` joined by commas,
+    and of ``json.dumps(payload, indent=2, sort_keys=True)``."""
     if fmt == "csv":
-        lines = [",".join(names)]
-        lines.extend(",".join(_fmt(value) for value in row) for row in rows)
-        _write_atomic(path, "\n".join(lines) + "\n")
-    else:
-        extra[key] = [dict(zip(names, row)) for row in rows]
-        _write_atomic(path, _json(extra))
+        line = ",".join(["%.17g"] * len(names)) + "\n"
+        _write_atomic(path, ",".join(names) + "\n"
+                      + "".join([line % row for row in rows]))
+        return
+    objects = [_encode_row(dict(zip(names, row)))[1:-1] for row in rows]
+    text = _json({**extra, key: []})
+    if objects:
+        listed = "\n    },\n    {\n      ".join(objects)
+        text = text.replace(f'\n  "{key}": []', f'\n  "{key}": [\n    {{\n'
+                            f'      {listed}\n    }}\n  ]', 1)
+    _write_atomic(path, text)
 
 
 _TRAJECTORY_COLUMNS = ("s", "u", "v", "t", "du", "dv", "dt",
@@ -85,20 +98,10 @@ _CURVATURE_COLUMNS = ("t", "s", "K_formula", "K_oracle", "K_gap",
                       "h3", "h4", "H_gap")
 
 
-def _trajectory_rows(fam: SurfaceFamily, trajectory: Trajectory):
-    for sample in trajectory.samples:
-        state = sample.state
-        report = clairaut_report(fam, state)
-        yield (sample.s, state.u, state.v, state.t,
-               state.du, state.dv, state.dt,
-               sample.L, sample.p_u, sample.p_v,
-               report.invariant1, report.invariant2)
-
-
 def _write_trajectory(path: str, fam: SurfaceFamily, trajectory: Trajectory,
                       fmt: str) -> list[tuple]:
     """Write the trajectory artifact and return its rows."""
-    rows = list(_trajectory_rows(fam, trajectory))
+    rows = invariant_rows(fam, trajectory.rows)
     _write_table(path, fmt, _TRAJECTORY_COLUMNS, rows, "samples",
                  columns=list(_TRAJECTORY_COLUMNS),
                  termination=trajectory.termination)
@@ -160,7 +163,7 @@ def _cmd_geodesic(config: RunConfig, summarize: bool = False) -> int:
     path = _resolve_output(config.output.path)
     rows = _write_trajectory(path, fam, trajectory, config.output.format)
     if not summarize:
-        print(f"wrote {path} ({len(trajectory.samples)} samples, "
+        print(f"wrote {path} ({len(trajectory.rows)} samples, "
               f"{trajectory.termination})")
         return EXIT_OK
     inv1_first, inv2_first = rows[0][10], rows[0][11]

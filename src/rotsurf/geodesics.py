@@ -9,7 +9,8 @@ u and v, so its extremal equations reduce to
 
 with conserved conjugate momenta p_u = 2 E u' and p_v = 2 G v' and a
 conserved L.  ``integrate`` runs a fixed-step classical 4th-order scheme
-and records per-sample diagnostics so conservation drift is auditable.
+and records one flat row (s, u, v, t, du, dv, dt, L, p_u, p_v) per sample,
+so conservation drift is auditable.
 
 For timelike flows each family admits an angle decomposition of the
 velocity against the meridian direction; the decomposed momenta are the
@@ -20,6 +21,7 @@ dt/du of the flow satisfies a closed-form law in those angles (``slope``).
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .expressions import DomainError
@@ -42,6 +44,7 @@ __all__ = [
     "slope",
     "flow_residual",
     "shift_samples",
+    "invariant_rows",
 ]
 
 
@@ -58,31 +61,65 @@ class Sample:
     p_v: float
 
 
+def _sample(row) -> Sample:
+    s, u, v, t, du, dv, dt, lagr, p_u, p_v = row
+    return Sample(s, GeodesicState(u, v, t, du, dv, dt), lagr, p_u, p_v)
+
+
+class _Samples(Sequence):
+    """Read-only ``Sample`` view of trajectory rows, built on access."""
+
+    __slots__ = ("_rows",)
+
+    def __init__(self, rows):
+        self._rows = rows
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(map(_sample, self._rows[index]))
+        return _sample(self._rows[index])
+
+    def __iter__(self):
+        return map(_sample, self._rows)
+
+
+def _drift(rows, k: int) -> float:
+    """Largest |row[k] - rows[0][k]|, folded from 0.0 like a running max."""
+    first = rows[0][k]
+    return max(0.0, *[abs(row[k] - first) for row in rows])
+
+
 @dataclass(frozen=True)
 class Trajectory:
-    """Sampled geodesic flow.  ``termination`` is one of ``completed``,
-    ``domain_exit``, ``degenerate_metric``, ``nonfinite_state``."""
+    """Sampled geodesic flow.  ``rows`` holds one plain tuple
+    (s, u, v, t, du, dv, dt, L, p_u, p_v) per sample; ``samples`` shows the
+    same data as ``Sample`` objects, built on access.  ``termination`` is
+    one of ``completed``, ``domain_exit``, ``degenerate_metric``,
+    ``nonfinite_state``."""
 
-    samples: tuple[Sample, ...]
+    rows: tuple[tuple[float, ...], ...]
     termination: str
     requested_length: float
 
     @property
+    def samples(self) -> Sequence[Sample]:
+        return _Samples(self.rows)
+
+    @property
     def final(self) -> Sample:
-        return self.samples[-1]
+        return _sample(self.rows[-1])
 
     @property
     def reached_length(self) -> float:
-        return self.samples[-1].s
+        return self.rows[-1][0]
 
     def drifts(self) -> dict[str, float]:
-        first = self.samples[0]
-        out = {"p_u_drift": 0.0, "p_v_drift": 0.0, "L_drift": 0.0}
-        for sample in self.samples:
-            out["p_u_drift"] = max(out["p_u_drift"], abs(sample.p_u - first.p_u))
-            out["p_v_drift"] = max(out["p_v_drift"], abs(sample.p_v - first.p_v))
-            out["L_drift"] = max(out["L_drift"], abs(sample.L - first.L))
-        return out
+        rows = self.rows
+        return {"p_u_drift": _drift(rows, 8), "p_v_drift": _drift(rows, 9),
+                "L_drift": _drift(rows, 7)}
 
 
 def geodesic_rhs(fam: SurfaceFamily, state: GeodesicState):
@@ -156,16 +193,6 @@ def _rk4_step(fam: SurfaceFamily, y, h: float, bundle):
             dt + sixth * (c1 + 2.0 * c2 + 2.0 * c3 + c4))
 
 
-def _make_sample(fam: SurfaceFamily, s: float, state: GeodesicState):
-    """The sample at ``state`` and the metric bundle it was computed from,
-    which the next step reuses as its first stage."""
-    bundle = fam.metric_bundle(state.t)
-    e, g, n, _, _, _ = bundle
-    lagr = math.fsum((e * state.du * state.du, g * state.dv * state.dv,
-                      n * state.dt * state.dt))
-    return Sample(s, state, lagr, 2.0 * e * state.du, 2.0 * g * state.dv), bundle
-
-
 def integrate(fam: SurfaceFamily, state0: GeodesicState, length: float,
               step: float) -> Trajectory:
     """Fixed-step classical RK4 integration of the geodesic system from
@@ -184,9 +211,12 @@ def integrate(fam: SurfaceFamily, state0: GeodesicState, length: float,
         raise ValueError("step must be <= length")
 
     t_min, t_max = fam.domain
-    y = state0.as_tuple()
-    sample, bundle = _make_sample(fam, 0.0, state0)
-    samples = [sample]
+    fsum, isfinite = math.fsum, math.isfinite
+    y = u, v, t, du, dv, dt = state0.as_tuple()
+    # a row's bundle is the next step's first stage
+    bundle = e, g, n, _, _, _ = fam.metric_bundle(t)
+    rows = [(0.0, *y, fsum((e * du * du, g * dv * dv, n * dt * dt)),
+             2.0 * e * du, 2.0 * g * dv)]
     n_steps = math.ceil(length / step - 1e-9)
     previous_s = 0.0
     termination = "completed"
@@ -194,25 +224,25 @@ def integrate(fam: SurfaceFamily, state0: GeodesicState, length: float,
         s_next = length if i == n_steps else i * step
         h = s_next - previous_s
         try:
-            y = _rk4_step(fam, y, h, bundle)
-            try:        # the state's own check is the step's finiteness check
-                state = GeodesicState(*y)
-            except ValueError:
+            y = u, v, t, du, dv, dt = _rk4_step(fam, y, h, bundle)
+            if not (isfinite(u) and isfinite(v) and isfinite(t)
+                    and isfinite(du) and isfinite(dv) and isfinite(dt)):
                 termination = "nonfinite_state"
                 break
-            if not (t_min <= state.t <= t_max):
+            if not (t_min <= t <= t_max):
                 termination = "domain_exit"
                 break
-            sample, bundle = _make_sample(fam, s_next, state)
+            bundle = e, g, n, _, _, _ = fam.metric_bundle(t)
         except DomainError:
             termination = "domain_exit"
             break
         except DegenerateMetricError:
             termination = "degenerate_metric"
             break
-        samples.append(sample)
+        rows.append((s_next, *y, fsum((e * du * du, g * dv * dv, n * dt * dt)),
+                     2.0 * e * du, 2.0 * g * dv))
         previous_s = s_next
-    return Trajectory(tuple(samples), termination, length)
+    return Trajectory(tuple(rows), termination, length)
 
 
 # ---------------------------------------------------------------------------
@@ -243,23 +273,24 @@ def extract_angles(fam: SurfaceFamily, state: GeodesicState,
     ties at zero resolve to phi = theta = 0.
     """
     fa, fb = fam.fa.evaluate(state.t), fam.fb.evaluate(state.t)
-    return _extract_angles(fam.spec, fa, fb, state, tol)
+    return AngleDecomposition(*_angles(fam.spec, fa * state.du,
+                                       fb * state.dv, state.dt, tol))
 
 
-def _extract_angles(spec: FamilySpec, fa: float, fb: float,
-                    state: GeodesicState, tol: float) -> AngleDecomposition:
-    targets = (fa * state.du, fb * state.dv, state.dt)
-    phi, theta, ok, residual = spec.invert(*targets, tol)
+def _angles(spec: FamilySpec, a: float, b: float, dt: float, tol: float):
+    """(phi, theta, defined, residual) of the velocity triple
+    (a, b, dt) = (fa*du, fb*dv, dt), as ``extract_angles`` describes."""
+    phi, theta, ok, residual = spec.invert(a, b, dt, tol)
     if ok:
         # the angles must actually reproduce the velocity triple
-        recon = spec.velocity(phi, theta)
-        recon_err = max(abs(r - w) for r, w in zip(recon, targets))
-        scale = 1.0 + max(abs(w) for w in targets)
+        ra, rb, rdt = spec.velocity(phi, theta)
+        recon_err = max(abs(ra - a), abs(rb - b), abs(rdt - dt))
+        scale = 1.0 + max(abs(a), abs(b), abs(dt))
         if recon_err > 10.0 * tol * scale:
             ok = False
     if not ok:
-        return AngleDecomposition(0.0, 0.0, False, residual)
-    return AngleDecomposition(phi, theta, True, residual)
+        return 0.0, 0.0, False, residual
+    return phi, theta, True, residual
 
 
 def state_from_angles(fam: SurfaceFamily, u: float, v: float, t: float,
@@ -289,6 +320,21 @@ class ClairautReport:
     angles: AngleDecomposition
 
 
+def _invariants(fam: SurfaceFamily, fa: float, fb: float, du: float,
+                dv: float, dt: float, p_u: float, p_v: float, tol: float):
+    """(inv1, inv2, angles) at one state from its profile values and
+    momenta: the angle forms when the velocity has angles (``angles`` as
+    ``_angles`` returns them), else the signed momenta."""
+    spec = fam.spec
+    angles = phi, theta, defined, _ = _angles(spec, fa * du, fb * dv, dt, tol)
+    if defined:
+        inv1, inv2 = spec.invariants(fa, fb, phi, theta)
+    else:
+        lay = fam.layout
+        inv1, inv2 = lay.mom_sign_u * p_u, lay.mom_sign_v * p_v
+    return inv1, inv2, angles
+
+
 def clairaut_report(fam: SurfaceFamily, state: GeodesicState,
                     tol: float = 1e-9) -> ClairautReport:
     t = state.t
@@ -296,14 +342,24 @@ def clairaut_report(fam: SurfaceFamily, state: GeodesicState,
     coeffs = fam.metric_values(fa, fb, fam.fa.derivative(t), fam.fb.derivative(t))
     lagr = coeffs.lagrangian(state)
     p_u, p_v = coeffs.momenta(state)
-    angles = _extract_angles(fam.spec, fa, fb, state, tol)
-    if angles.defined:
-        inv1, inv2 = fam.spec.invariants(fa, fb, angles.phi, angles.theta)
-    else:
-        lay = fam.layout
-        inv1 = lay.mom_sign_u * p_u
-        inv2 = lay.mom_sign_v * p_v
-    return ClairautReport(lagr, p_u, p_v, inv1, inv2, angles)
+    inv1, inv2, angles = _invariants(fam, fa, fb, state.du, state.dv,
+                                     state.dt, p_u, p_v, tol)
+    return ClairautReport(lagr, p_u, p_v, inv1, inv2,
+                          AngleDecomposition(*angles))
+
+
+def invariant_rows(fam: SurfaceFamily, rows, tol: float = 1e-9) -> list:
+    """Each ``Trajectory.rows`` row extended by (inv1, inv2), equal to
+    ``clairaut_report``'s on the row's state; the row's own L, p_u and p_v
+    are reused, so a row costs one evaluation each of fa and fb."""
+    fa, fb = fam.fa.evaluate, fam.fb.evaluate
+    out = []
+    for row in rows:
+        _, _, _, t, du, dv, dt, _, p_u, p_v = row
+        inv1, inv2, _ = _invariants(fam, fa(t), fb(t), du, dv, dt, p_u, p_v,
+                                    tol)
+        out.append(row + (inv1, inv2))
+    return out
 
 
 @dataclass(frozen=True)
@@ -348,6 +404,7 @@ def flow_residual(fam: SurfaceFamily, samples) -> float:
     with the right-hand side, so a geodesic sampled with step h scores
     O(h^2) while a forced non-geodesic path scores its actual defect.
     """
+    samples = tuple(samples)    # ``Trajectory.samples`` builds per access
     worst = 0.0
     for i in range(1, len(samples) - 1):
         before, here, after = samples[i - 1], samples[i], samples[i + 1]
