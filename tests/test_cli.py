@@ -11,7 +11,8 @@ import pytest
 
 import rotsurf
 from rotsurf import ProfileFunction, make_family
-from rotsurf.cli import main
+from rotsurf.cli import (_CURVATURE_COLUMNS, _TRAJECTORY_COLUMNS, _write_table,
+                         main)
 from rotsurf.config import ConfigError, parse_config
 
 MERIDIAN_CONFIG = {
@@ -410,3 +411,39 @@ def test_isometry_rejects_foreign_generator(tmp_path, capsys):
 
 def test_missing_config_file(tmp_path, capsys):
     assert main(["info", "--config", str(tmp_path / "absent.json")]) == 1
+
+
+# every value in every column: signed zeros, the smallest subnormal, large
+# and exactly representable magnitudes, and the JSON spellings NaN and
+# +-Infinity
+_SPECIAL = (0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, 1e16, math.nan,
+            math.inf, -math.inf, 1.0 / 3.0, -2.5)
+_INTEGERS = (0, 1, -7, 10**16, 10**20, -(10**17) - 1)
+
+
+def _table(width, values):
+    return [tuple(values[(i + k) % len(values)] for k in range(width))
+            for i in range(len(values))]
+
+
+@pytest.mark.parametrize("names,key,extra", [
+    (_TRAJECTORY_COLUMNS, "samples",
+     {"columns": list(_TRAJECTORY_COLUMNS), "termination": "completed"}),
+    (_CURVATURE_COLUMNS, "grid", {}),
+], ids=["trajectory", "curvature"])
+@pytest.mark.parametrize("values", [_SPECIAL, _INTEGERS, ()],
+                         ids=["special", "integers", "empty"])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_write_table_matches_plain_formatting(tmp_path, names, key, extra,
+                                              values, fmt):
+    rows = _table(len(names), values) if values else []
+    path = tmp_path / f"table.{fmt}"
+    _write_table(str(path), fmt, names, rows, key, **extra)
+    if fmt == "csv":
+        lines = [",".join(names)]
+        lines += [",".join(f"{value:.17g}" for value in row) for row in rows]
+        expected = "\n".join(lines) + "\n"
+    else:
+        payload = dict(extra, **{key: [dict(zip(names, row)) for row in rows]})
+        expected = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    assert path.read_bytes() == expected.encode("utf-8")

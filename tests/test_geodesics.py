@@ -11,6 +11,7 @@ from rotsurf import (DegenerateMetricError, DomainError, GeodesicState,
                      clairaut_report, extract_angles, flow_residual,
                      geodesic_rhs, integrate, make_family, momenta,
                      shift_samples, slope, state_from_angles)
+from rotsurf.geodesics import invariant_rows
 
 H14 = make_family("hyperbolic14", "A", "t", "1", 0.02, 40.0)
 H23 = make_family("hyperbolic23", "A", "2 + t/sqrt(2)", "1 + t/sqrt(2)", -1.4, 60.0)
@@ -420,3 +421,94 @@ def test_integrate_matches_reference_rk4(family, start, length, step,
     assert trajectory.termination == termination
     assert _bits(trajectory.samples) == _bits(samples)
     assert trajectory.reached_length == samples[-1].s
+
+
+@pytest.mark.parametrize("family,start,length,step,termination", REFERENCE_RUNS)
+def test_samples_view_matches_reference(family, start, length, step,
+                                        termination):
+    fam = make_family(*family)
+    samples, _ = _reference_integrate(fam, GeodesicState(*start), length, step)
+    view = integrate(fam, GeodesicState(*start), length, step).samples
+    assert len(view) == len(samples)
+    assert _bits([view[0], view[-1]]) == _bits([samples[0], samples[-1]])
+    assert isinstance(view[1:-1:2], tuple)
+    assert _bits(view[1:-1:2]) == _bits(samples[1:-1:2])
+    assert _bits(view[-3:]) == _bits(samples[-3:])
+    assert _bits(iter(view)) == _bits(samples)
+    with pytest.raises(IndexError):
+        view[len(samples)]
+
+
+def _count_states(monkeypatch):
+    """A list that grows by one for every ``GeodesicState`` constructed."""
+    built = []
+    check = GeodesicState.__post_init__
+
+    def counting(self):
+        built.append(self)
+        check(self)
+
+    monkeypatch.setattr(GeodesicState, "__post_init__", counting)
+    return built
+
+
+def test_integrate_builds_no_state_per_step(monkeypatch):
+    state0 = GeodesicState(0.0, 0.0, 0.0, 0.5, 0.5, 1.5)
+    built = _count_states(monkeypatch)
+    trajectory = integrate(H23, state0, 1.0, 1e-2)
+    assert len(trajectory.rows) == 101
+    assert built == []
+    # the view builds one state per sample and per access
+    trajectory.final
+    trajectory.samples[3]
+    assert len(built) == 2
+    built.clear()
+    assert flow_residual(H23, trajectory.samples) <= 1e-3
+    assert len(built) == len(trajectory.rows)
+
+
+def _unit_and_scaled_runs():
+    """(id, family, start, defined): the angle path on every row (unit speed
+    from angles) and the fallback on every row (the same start at 1.5x the
+    speed), for every (family, variant) pair."""
+    runs = []
+    for kind in ("hyperbolic14", "hyperbolic23", "elliptic56"):
+        for variant in ("A", "B"):
+            fam = make_family(kind, variant, "1.5 + t", "1.2", 0.1, 3.0)
+            unit = state_from_angles(fam, 0.1, -0.2, 1.0, 0.7, 0.2)
+            scaled = GeodesicState(unit.u, unit.v, unit.t, 1.5 * unit.du,
+                                   1.5 * unit.dv, 1.5 * unit.dt)
+            runs.append((f"{kind}-{variant}-angles", fam, unit, True))
+            runs.append((f"{kind}-{variant}-fallback", fam, scaled, False))
+    return runs
+
+
+INVARIANT_RUNS = _unit_and_scaled_runs()
+
+
+@pytest.mark.parametrize("name,fam,state0,defined", INVARIANT_RUNS,
+                         ids=[run[0] for run in INVARIANT_RUNS])
+def test_invariant_rows_match_clairaut_report(name, fam, state0, defined,
+                                              monkeypatch):
+    trajectory = integrate(fam, state0, 0.5, 1e-2)
+    assert trajectory.termination == "completed"
+    calls = {"evaluate": 0, "derivative": 0}
+    for method in calls:
+        original = getattr(ProfileFunction, method)
+
+        def counted(self, *args, _method=method, _original=original):
+            calls[_method] += 1
+            return _original(self, *args)
+
+        monkeypatch.setattr(ProfileFunction, method, counted)
+    rows = invariant_rows(fam, trajectory.rows)
+    # fa and fb once per row, and no derivative
+    assert calls == {"evaluate": 2 * len(rows), "derivative": 0}
+    for row, flat, sample in zip(rows, trajectory.rows, trajectory.samples,
+                                 strict=True):
+        report = clairaut_report(fam, sample.state)
+        assert report.angles.defined is defined
+        assert row[:10] == flat
+        assert [x.hex() for x in row[7:]] == [
+            x.hex() for x in (report.L, report.p_u, report.p_v,
+                              report.invariant1, report.invariant2)]
