@@ -16,6 +16,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 import tempfile
 
@@ -35,6 +36,13 @@ _OUTPUT_DIR_VAR = "ROTSURF_OUTPUT_DIR"
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_NUMERICAL = 2
+
+# A negative number as the float flags take it.  argparse (3.11) reads an
+# argument that starts with "-" as an option unless its private
+# ``_negative_number_matcher`` matches, and that pattern has no exponent,
+# so ``--angle -1e-3`` would stop at a usage error.  This widened pattern
+# is set on the parsers of those flags; it relies on argparse internals.
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
 
 def _fmt(value: float) -> str:
@@ -288,6 +296,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         "six-parameter field")
     killing.add_argument("--params", type=float, nargs=6,
                          default=[1.0] * 6, metavar=("A", "B", "C", "D", "E", "F"))
+    for command in (isometry, killing):
+        command._negative_number_matcher = _NEGATIVE_NUMBER
 
     parse_check = sub.add_parser(
         "parse-check", help="print the tree and derivatives of an expression")

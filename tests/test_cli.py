@@ -330,6 +330,19 @@ def test_killing_command(capsys):
     assert "max-abs entry: 0" in out
 
 
+def test_killing_takes_negative_params_with_exponent(capsys):
+    # argparse on its own reads "-1e-3" as an option
+    assert main(["killing", "--params", "1", "-1e-3", "1", "1", "1", "1"]) == 0
+    assert "max-abs entry: 0" in capsys.readouterr().out
+
+
+def test_isometry_takes_negative_angle_with_exponent(tmp_path, capsys):
+    config = meridian_config(tmp_path)
+    assert main(["isometry", "--config", config, "--generator", "boost13",
+                 "--angle", "-1e-3"]) == 0
+    assert "angle -0.001:" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_killing_rejects_non_finite_params(capsys, value):
     assert main(["killing", "--params", "1", value, "0", "0", "0", "0"]) == 1
