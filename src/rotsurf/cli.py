@@ -37,11 +37,9 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_NUMERICAL = 2
 
-# A negative number as the float flags take it.  argparse (3.11) reads an
-# argument that starts with "-" as an option unless its private
-# ``_negative_number_matcher`` matches, and that pattern has no exponent,
-# so ``--angle -1e-3`` would stop at a usage error.  This widened pattern
-# is set on the parsers of those flags; it relies on argparse internals.
+# argparse reads an argument that starts with "-" as an option unless its
+# private ``_negative_number_matcher`` matches, and 3.11's has no exponent:
+# the parsers of the float flags get this one (relies on argparse internals)
 _NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
 
@@ -82,21 +80,19 @@ _encode_row = json.JSONEncoder(sort_keys=True,
 
 def _write_table(path: str, fmt: str, names: tuple[str, ...], rows,
                  key: str, **extra):
-    """Write the tuples ``rows`` with column ``names`` as CSV, or as JSON
-    with one object per row listed under ``key`` beside the ``extra``
-    members.  The bytes are those of ``f"{value:.17g}"`` joined by commas,
-    and of ``json.dumps(payload, indent=2, sort_keys=True)``."""
+    """Write the tuples ``rows`` with column ``names`` as CSV, or as JSON with
+    one object per row under ``key`` beside ``extra``: the bytes of
+    ``f"{value:.17g}"`` and of ``json.dumps(indent=2, sort_keys=True)``."""
     if fmt == "csv":
         line = ",".join(["%.17g"] * len(names)) + "\n"
-        _write_atomic(path, ",".join(names) + "\n"
-                      + "".join([line % row for row in rows]))
-        return
-    objects = [_encode_row(dict(zip(names, row)))[1:-1] for row in rows]
-    text = _json({**extra, key: []})
-    if objects:
-        listed = "\n    },\n    {\n      ".join(objects)
-        text = text.replace(f'\n  "{key}": []', f'\n  "{key}": [\n    {{\n'
-                            f'      {listed}\n    }}\n  ]', 1)
+        text = ",".join(names) + "\n" + "".join([line % row for row in rows])
+    else:
+        text = _json({**extra, key: []})
+        if rows:
+            listed = "\n    },\n    {\n      ".join(
+                [_encode_row(dict(zip(names, row)))[1:-1] for row in rows])
+            text = text.replace(f'\n  "{key}": []', f'\n  "{key}": [\n    {{'
+                                f'\n      {listed}\n    }}\n  ]', 1)
     _write_atomic(path, text)
 
 
@@ -104,16 +100,6 @@ _TRAJECTORY_COLUMNS = ("s", "u", "v", "t", "du", "dv", "dt",
                        "L", "p_u", "p_v", "inv1", "inv2")
 _CURVATURE_COLUMNS = ("t", "s", "K_formula", "K_oracle", "K_gap",
                       "h3", "h4", "H_gap")
-
-
-def _write_trajectory(path: str, fam: SurfaceFamily, trajectory: Trajectory,
-                      fmt: str) -> list[tuple]:
-    """Write the trajectory artifact and return its rows."""
-    rows = invariant_rows(fam, trajectory.rows)
-    _write_table(path, fmt, _TRAJECTORY_COLUMNS, rows, "samples",
-                 columns=list(_TRAJECTORY_COLUMNS),
-                 termination=trajectory.termination)
-    return rows
 
 
 def _run_geodesic(config: RunConfig, fam: SurfaceFamily):
@@ -169,7 +155,10 @@ def _cmd_geodesic(config: RunConfig, summarize: bool = False) -> int:
     if failure is not None:
         return failure
     path = _resolve_output(config.output.path)
-    rows = _write_trajectory(path, fam, trajectory, config.output.format)
+    rows = invariant_rows(fam, trajectory.rows)
+    _write_table(path, config.output.format, _TRAJECTORY_COLUMNS, rows,
+                 "samples", columns=list(_TRAJECTORY_COLUMNS),
+                 termination=trajectory.termination)
     if not summarize:
         print(f"wrote {path} ({len(trajectory.rows)} samples, "
               f"{trajectory.termination})")
@@ -296,8 +285,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         "six-parameter field")
     killing.add_argument("--params", type=float, nargs=6,
                          default=[1.0] * 6, metavar=("A", "B", "C", "D", "E", "F"))
-    for command in (isometry, killing):
-        command._negative_number_matcher = _NEGATIVE_NUMBER
+    isometry._negative_number_matcher = _NEGATIVE_NUMBER
+    killing._negative_number_matcher = _NEGATIVE_NUMBER
 
     parse_check = sub.add_parser(
         "parse-check", help="print the tree and derivatives of an expression")

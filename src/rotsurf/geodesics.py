@@ -9,8 +9,7 @@ u and v, so its extremal equations reduce to
 
 with conserved conjugate momenta p_u = 2 E u' and p_v = 2 G v' and a
 conserved L.  ``integrate`` runs a fixed-step classical 4th-order scheme
-and records one flat row (s, u, v, t, du, dv, dt, L, p_u, p_v) per sample,
-so conservation drift is auditable.
+and records a flat row per sample so conservation drift is auditable.
 
 For timelike flows each family admits an angle decomposition of the
 velocity against the meridian direction; the decomposed momenta are the
@@ -66,13 +65,11 @@ def _sample(row) -> Sample:
     return Sample(s, GeodesicState(u, v, t, du, dv, dt), lagr, p_u, p_v)
 
 
+@dataclass(frozen=True)
 class _Samples(Sequence):
     """Read-only ``Sample`` view of trajectory rows, built on access."""
 
-    __slots__ = ("_rows",)
-
-    def __init__(self, rows):
-        self._rows = rows
+    _rows: tuple
 
     def __len__(self) -> int:
         return len(self._rows)
@@ -86,19 +83,12 @@ class _Samples(Sequence):
         return map(_sample, self._rows)
 
 
-def _drift(rows, k: int) -> float:
-    """Largest |row[k] - rows[0][k]|, folded from 0.0 like a running max."""
-    first = rows[0][k]
-    return max(0.0, *[abs(row[k] - first) for row in rows])
-
-
 @dataclass(frozen=True)
 class Trajectory:
-    """Sampled geodesic flow.  ``rows`` holds one plain tuple
-    (s, u, v, t, du, dv, dt, L, p_u, p_v) per sample; ``samples`` shows the
-    same data as ``Sample`` objects, built on access.  ``termination`` is
-    one of ``completed``, ``domain_exit``, ``degenerate_metric``,
-    ``nonfinite_state``."""
+    """Sampled geodesic flow: a tuple (s, u, v, t, du, dv, dt, L, p_u, p_v)
+    per sample in ``rows``, shown as ``Sample``s by ``samples``; the
+    ``termination`` is ``completed``, ``domain_exit``, ``degenerate_metric``
+    or ``nonfinite_state``."""
 
     rows: tuple[tuple[float, ...], ...]
     termination: str
@@ -117,9 +107,10 @@ class Trajectory:
         return self.rows[-1][0]
 
     def drifts(self) -> dict[str, float]:
-        rows = self.rows
-        return {"p_u_drift": _drift(rows, 8), "p_v_drift": _drift(rows, 9),
-                "L_drift": _drift(rows, 7)}
+        first = self.rows[0]      # a running max of each |x - x_0| from 0.0
+        return {name: max(0.0, *[abs(row[k] - first[k]) for row in self.rows])
+                for name, k in (("p_u_drift", 8), ("p_v_drift", 9),
+                                ("L_drift", 7))}
 
 
 def geodesic_rhs(fam: SurfaceFamily, state: GeodesicState):
@@ -278,8 +269,7 @@ def extract_angles(fam: SurfaceFamily, state: GeodesicState,
 
 
 def _angles(spec: FamilySpec, a: float, b: float, dt: float, tol: float):
-    """(phi, theta, defined, residual) of the velocity triple
-    (a, b, dt) = (fa*du, fb*dv, dt), as ``extract_angles`` describes."""
+    """``extract_angles``'s fields for (a, b, dt) = (fa*du, fb*dv, dt)."""
     phi, theta, ok, residual = spec.invert(a, b, dt, tol)
     if ok:
         # the angles must actually reproduce the velocity triple
@@ -322,17 +312,14 @@ class ClairautReport:
 
 def _invariants(fam: SurfaceFamily, fa: float, fb: float, du: float,
                 dv: float, dt: float, p_u: float, p_v: float, tol: float):
-    """(inv1, inv2, angles) at one state from its profile values and
-    momenta: the angle forms when the velocity has angles (``angles`` as
-    ``_angles`` returns them), else the signed momenta."""
+    """(inv1, inv2, ``_angles``'s tuple) at one state: the angle forms when
+    the velocity has angles, else the signed momenta."""
     spec = fam.spec
     angles = phi, theta, defined, _ = _angles(spec, fa * du, fb * dv, dt, tol)
     if defined:
-        inv1, inv2 = spec.invariants(fa, fb, phi, theta)
-    else:
-        lay = fam.layout
-        inv1, inv2 = lay.mom_sign_u * p_u, lay.mom_sign_v * p_v
-    return inv1, inv2, angles
+        return (*spec.invariants(fa, fb, phi, theta), angles)
+    lay = fam.layout
+    return lay.mom_sign_u * p_u, lay.mom_sign_v * p_v, angles
 
 
 def clairaut_report(fam: SurfaceFamily, state: GeodesicState,
@@ -349,17 +336,11 @@ def clairaut_report(fam: SurfaceFamily, state: GeodesicState,
 
 
 def invariant_rows(fam: SurfaceFamily, rows, tol: float = 1e-9) -> list:
-    """Each ``Trajectory.rows`` row extended by (inv1, inv2), equal to
-    ``clairaut_report``'s on the row's state; the row's own L, p_u and p_v
-    are reused, so a row costs one evaluation each of fa and fb."""
+    """Each ``Trajectory.rows`` row + (inv1, inv2) as ``clairaut_report``
+    gives them, from the row's p_u and p_v and one call each of fa, fb."""
     fa, fb = fam.fa.evaluate, fam.fb.evaluate
-    out = []
-    for row in rows:
-        _, _, _, t, du, dv, dt, _, p_u, p_v = row
-        inv1, inv2, _ = _invariants(fam, fa(t), fb(t), du, dv, dt, p_u, p_v,
-                                    tol)
-        out.append(row + (inv1, inv2))
-    return out
+    return [row + _invariants(fam, fa(row[3]), fb(row[3]), *row[4:7], *row[8:],
+                              tol)[:2] for row in rows]
 
 
 @dataclass(frozen=True)
