@@ -65,11 +65,11 @@ def _sample(row) -> Sample:
     return Sample(s, GeodesicState(u, v, t, du, dv, dt), lagr, p_u, p_v)
 
 
-@dataclass(frozen=True)
 class _Samples(Sequence):
     """Read-only ``Sample`` view of trajectory rows, built on access."""
 
-    _rows: tuple
+    def __init__(self, rows):
+        self._rows = rows
 
     def __len__(self) -> int:
         return len(self._rows)
