@@ -38,9 +38,9 @@ EXIT_VALIDATION = 1
 EXIT_NUMERICAL = 2
 
 # argparse reads an argument that starts with "-" as an option unless its
-# private ``_negative_number_matcher`` matches, and 3.11's has no exponent:
-# the parsers of the float flags get this one (relies on argparse internals)
-_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+# private ``_negative_number_matcher`` matches, and 3.11's takes no exponent,
+# inf or nan: the float flags' parsers get this one (argparse internals)
+_NEGATIVE_NUMBER = re.compile(r"^-(\.?\d|inf|nan)", re.IGNORECASE)
 
 
 def _fmt(value: float) -> str:

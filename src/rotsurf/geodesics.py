@@ -335,12 +335,12 @@ def clairaut_report(fam: SurfaceFamily, state: GeodesicState,
                           AngleDecomposition(*angles))
 
 
-def invariant_rows(fam: SurfaceFamily, rows, tol: float = 1e-9) -> list:
-    """Each ``Trajectory.rows`` row + (inv1, inv2) as ``clairaut_report``
-    gives them, from the row's p_u and p_v and one call each of fa, fb."""
+def invariant_rows(fam: SurfaceFamily, rows) -> list:
+    """Each ``Trajectory.rows`` row + (inv1, inv2) as ``clairaut_report``'s
+    default gives them, from the row's p_u, p_v and one call each of fa, fb."""
     fa, fb = fam.fa.evaluate, fam.fb.evaluate
     return [row + _invariants(fam, fa(row[3]), fb(row[3]), *row[4:7], *row[8:],
-                              tol)[:2] for row in rows]
+                              1e-9)[:2] for row in rows]
 
 
 @dataclass(frozen=True)

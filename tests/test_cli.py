@@ -343,7 +343,7 @@ def test_isometry_takes_negative_angle_with_exponent(tmp_path, capsys):
     assert "angle -0.001:" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-NaN", "-Infinity"])
 def test_killing_rejects_non_finite_params(capsys, value):
     assert main(["killing", "--params", "1", value, "0", "0", "0", "0"]) == 1
     captured = capsys.readouterr()
@@ -351,7 +351,7 @@ def test_killing_rejects_non_finite_params(capsys, value):
     assert "--params: must be finite" in captured.err
 
 
-@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-NaN", "-Infinity"])
 def test_isometry_rejects_non_finite_angle(tmp_path, capsys, monkeypatch,
                                            value):
     # rejected before the config is read or a geodesic is integrated
