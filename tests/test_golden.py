@@ -28,6 +28,10 @@ standard output).  Once the CLI read negative numbers with an exponent as
 values, it was re-recorded with the plain-tuple matrices: exit 0 and the
 all-zero report, which the all-positive ``1e300 1e-300`` vector had
 already shown with numpy.
+``AUDIT_GOLDEN``, the standard output of ``scripts/curvature_audit.py
+--verbose``, was recorded while the script still called
+``curvature_report`` point by point, before it switched to the grid
+kernel ``curvature_grid``.
 Any change to the arithmetic or to its order shows up here as a changed
 byte.  The digests depend on the platform's libm; they were recorded on
 x86-64 Linux with CPython 3.11.
@@ -35,9 +39,14 @@ x86-64 Linux with CPython 3.11.
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import rotsurf
 from rotsurf.cli import main
 
 CONFIGS = {
@@ -302,3 +311,19 @@ def test_artifacts_match_golden_hashes(tmp_path, name, capsys):
     expected = {key: value for key, value in GOLDEN.items()
                 if key.startswith(name + "/")}
     assert artifact_hashes(tmp_path, name) == expected
+
+
+# SHA-256 of ``scripts/curvature_audit.py --verbose``'s standard output
+AUDIT_GOLDEN = \
+    'ca6834a22f16e4796d0691dd2f7be489e884323bf08998e343ac21292f5a436c'
+
+
+def test_curvature_audit_stdout_matches_golden_hash():
+    root = Path(__file__).resolve().parents[1]
+    src = str(Path(rotsurf.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run(
+        [sys.executable, str(root / "scripts" / "curvature_audit.py"),
+         "--verbose"], env=env, capture_output=True, check=True)
+    assert hashlib.sha256(result.stdout).hexdigest() == AUDIT_GOLDEN
