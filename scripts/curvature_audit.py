@@ -13,7 +13,7 @@ ground truth.
 
 import argparse
 
-from rotsurf import (DoubleRotationSurface, ProfileFunction, curvature_report,
+from rotsurf import (DoubleRotationSurface, ProfileFunction, curvature_grid,
                      make_family)
 
 
@@ -45,20 +45,16 @@ def main():
                         help="print every grid point")
     args = parser.parse_args()
 
+    points = [0.2 + 1.6 * i / max(args.grid - 1, 1) for i in range(args.grid)]
     for name, surface in SURFACES:
         k_gaps, h_gaps = [], []
-        for i in range(args.grid):
-            t = 0.2 + 1.6 * i / max(args.grid - 1, 1)
-            for j in range(args.grid):
-                s = 0.2 + 1.6 * j / max(args.grid - 1, 1)
-                report = curvature_report(surface, t, s)
-                k_gaps.append(report.K_gap)
-                h_gaps.append(report.H_gap)
-                if args.verbose:
-                    print(f"  t={t:.3f} s={s:.3f} "
-                          f"K_formula={report.K_formula:+.6e} "
-                          f"K_oracle={report.K_oracle:+.6e} "
-                          f"gap={report.K_gap:.3e}")
+        for t, s, k_formula, k_oracle, k_gap, _, _, h_gap in curvature_grid(
+                surface, points, points):
+            k_gaps.append(k_gap)
+            h_gaps.append(h_gap)
+            if args.verbose:
+                print(f"  t={t:.3f} s={s:.3f} K_formula={k_formula:+.6e} "
+                      f"K_oracle={k_oracle:+.6e} gap={k_gap:.3e}")
         count = len(k_gaps)
         print(f"{name}: {count} points, "
               f"K_gap max={max(k_gaps):.3e} mean={sum(k_gaps) / count:.3e}, "

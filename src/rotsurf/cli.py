@@ -21,8 +21,7 @@ import sys
 import tempfile
 
 from .config import ConfigError, RunConfig, initial_state, load_config
-from .curvature import (DoubleRotationSurface, FrameDegenerateError,
-                        curvature_report)
+from .curvature import DoubleRotationSurface, GridPointError, curvature_grid
 from .expressions import DomainError, ExprError, differentiate, parse, to_text
 from .geodesics import (Trajectory, flow_residual, integrate, invariant_rows,
                         shift_samples)
@@ -182,22 +181,17 @@ def _cmd_curvature(config: RunConfig) -> int:
     surface = DoubleRotationSurface(fam, config.angle_profile("u"),
                                     config.angle_profile("v"))
     section = config.curvature
-    rows = []
-    for i in range(section.nt):
-        t = (config.t_min + (config.t_max - config.t_min)
-             * (i + 0.5) / section.nt)
-        for j in range(section.ns):
-            s = (config.t_min + (config.t_max - config.t_min)
-                 * (j + 0.5) / section.ns)
-            try:
-                report = curvature_report(surface, t, s)
-            except (FrameDegenerateError, DegenerateMetricError,
-                    DomainError) as exc:
-                print(f"numerical failure at t={_fmt(t)}, s={_fmt(s)}: {exc}",
-                      file=sys.stderr)
-                return EXIT_NUMERICAL
-            rows.append((t, s, report.K_formula, report.K_oracle,
-                         report.K_gap, report.h3, report.h4, report.H_gap))
+    span = config.t_max - config.t_min
+    ts = [config.t_min + span * (i + 0.5) / section.nt
+          for i in range(section.nt)]
+    ss = [config.t_min + span * (j + 0.5) / section.ns
+          for j in range(section.ns)]
+    try:
+        rows = curvature_grid(surface, ts, ss)
+    except GridPointError as exc:
+        print(f"numerical failure at t={_fmt(exc.t)}, s={_fmt(exc.s)}: "
+              f"{exc.error}", file=sys.stderr)
+        return EXIT_NUMERICAL
     path = _resolve_output(config.output.path)
     _write_table(path, config.output.format, _CURVATURE_COLUMNS, rows, "grid")
     print(f"wrote {path} ({section.nt * section.ns} grid points)")

@@ -134,8 +134,9 @@ class RunConfig:
 
 _VELOCITY_KEYS = {"u", "v", "t", "du", "dv", "dt"}
 _ANGLE_KEYS = {"u", "v", "t", "phi", "theta"}
-# integrate keeps every sample, about 490 bytes each: 1e6 steps is ~0.5 GB
-_MAX_STEPS = 1_000_000
+# every geodesic step and every curvature grid point keeps one artifact
+# row: at most this many of either
+_MAX_ROWS = 1_000_000
 
 
 def _parse_geodesic(section: dict) -> GeodesicSection:
@@ -157,10 +158,10 @@ def _parse_geodesic(section: dict) -> GeodesicSection:
         raise ConfigError("geodesic.step", "must be > 0")
     if step > length:
         raise ConfigError("geodesic.step", "must be <= geodesic.length")
-    if math.ceil(length / step) > _MAX_STEPS:
+    if math.ceil(length / step) > _MAX_ROWS:
         raise ConfigError("geodesic.step",
                           f"geodesic.length/geodesic.step must be at most "
-                          f"{_MAX_STEPS} steps (every step keeps a sample)")
+                          f"{_MAX_ROWS} steps (every step keeps a sample)")
     normalize = section.get("normalize", False)
     if not isinstance(normalize, bool):
         raise ConfigError("geodesic.normalize", "must be a boolean")
@@ -179,6 +180,9 @@ def _parse_curvature(section: dict) -> CurvatureSection:
         ns = _integer(grid, "ns", "curvature.grid")
         if nt < 1 or ns < 1:
             raise ConfigError("curvature.grid", "nt and ns must be >= 1")
+        if nt * ns > _MAX_ROWS:
+            raise ConfigError("curvature.grid", f"nt*ns must be at most "
+                                                f"{_MAX_ROWS} points")
     return CurvatureSection(angle_u, angle_v, nt, ns)
 
 

@@ -13,6 +13,11 @@ computations side by side:
   ``H_oracle`` (the Gauss formula) are closed expressions in the profile
   and angle values and their first two derivatives at the point.
 
+``curvature_grid`` computes both on a grid of (t, s) points as plain
+floats: the angle values and rotation blocks once per t, the profile
+values once per s.  ``curvature_report`` and ``normal_frame`` run the same
+per-point code and wrap its 4-tuples in ``Vector4`` on return.
+
 The finite-difference oracles ``gaussian_curvature_fd`` (Christoffel
 symbols and the single independent curvature component of any 2-metric)
 and ``mean_curvature_fd`` (second partials of the immersion with the
@@ -31,17 +36,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .ambient import Vector4, inner
-from .expressions import ProfileFunction
+from .expressions import DomainError, ProfileFunction, _Lowering
 from .surfaces import DegenerateMetricError, SurfaceFamily, _turn
 
 __all__ = [
     "DoubleRotationSurface",
     "CurvatureReport",
     "FrameDegenerateError",
+    "GridPointError",
     "normal_frame",
     "curvature_report",
+    "curvature_grid",
     "gaussian_curvature_fd",
     "mean_curvature_fd",
 ]
@@ -51,18 +59,54 @@ class FrameDegenerateError(ValueError):
     """A normal-frame radicand was not strictly positive."""
 
 
+class GridPointError(ValueError):
+    """``curvature_grid`` failed at (t, s) with ``error``: a
+    ``FrameDegenerateError``, ``DegenerateMetricError`` or ``DomainError``."""
+
+    def __init__(self, t: float, s: float, error: ValueError):
+        super().__init__(f"t={t!r}, s={s!r}: {error}")
+        self.t, self.s, self.error = t, s, error
+
+
 def _gram(st: Vector4, ss: Vector4) -> tuple:
     """The 2-metric ((g00, g01), (g10, g11)) of the tangents (S_t, S_s)."""
     return ((inner(st, st), inner(st, ss)), (inner(ss, st), inner(ss, ss)))
 
 
+def _lower_pair(first: ProfileFunction, second: ProfileFunction):
+    """(p, q, p', q', p'', q'') of two profiles at t as one generated
+    function, with no domain check and with the checks and messages of the
+    six ``ProfileFunction`` calls it replaces."""
+    lowering = _Lowering()
+    names = [lowering.emit(tree) for tree in (first.value, second.value,
+                                              first.d1, second.d1,
+                                              first.d2, second.d2)]
+    return lowering.function(f"({', '.join(names)})")
+
+
 @dataclass(frozen=True)
 class DoubleRotationSurface:
-    """A 2-surface (t, s) -> immersion(x(t), w(t), s) over one family."""
+    """A 2-surface (t, s) -> immersion(x(t), w(t), s) over one family.
+
+    The generated profile and angle functions are built on first use and
+    kept on the instance, outside the dataclass fields."""
 
     family: SurfaceFamily
     angle_u: ProfileFunction
     angle_v: ProfileFunction
+
+    def __getstate__(self):
+        # the generated functions are rebuilt on demand
+        return {name: getattr(self, name)
+                for name in ("family", "angle_u", "angle_v")}
+
+    @cached_property
+    def _profile_values(self):
+        return _lower_pair(self.family.fa, self.family.fb)
+
+    @cached_property
+    def _angle_values(self):
+        return _lower_pair(self.angle_u, self.angle_v)
 
     def point(self, t: float, s: float) -> Vector4:
         fam = self.family
@@ -89,35 +133,42 @@ class DoubleRotationSurface:
     def induced_metric(self, t: float, s: float) -> tuple:
         return _gram(*self.tangents(t, s))
 
-    def _frame_scalars(self, t: float, s: float) -> dict[str, float]:
-        """Profile and angle values at (t, s), with both normal-frame
-        radicands (``rad3``, ``rad4``) and their roots (``q3``, ``q4``).
 
-        Both radicands must be strictly positive, else the closed-form
-        normal frame does not exist and ``FrameDegenerateError`` is raised.
-        """
-        fam = self.family
-        c = {
-            "fa": fam.fa.evaluate(s, check=False),
-            "fb": fam.fb.evaluate(s, check=False),
-            "dfa": fam.fa.derivative(s, check=False),
-            "dfb": fam.fb.derivative(s, check=False),
-            "d2fa": fam.fa.second_derivative(s, check=False),
-            "d2fb": fam.fb.second_derivative(s, check=False),
-            "x": self.angle_u.evaluate(t, check=False),
-            "w": self.angle_v.evaluate(t, check=False),
-            "dx": self.angle_u.derivative(t, check=False),
-            "dw": self.angle_v.derivative(t, check=False),
-            "d2x": self.angle_u.second_derivative(t, check=False),
-            "d2w": self.angle_v.second_derivative(t, check=False),
-        }
-        rad3, rad4 = fam.spec.radicands(**c)
-        if rad3 <= 0.0 or rad4 <= 0.0:
-            raise FrameDegenerateError(
-                f"normal frame degenerate at t={t!r}, s={s!r} "
-                f"(radicands {rad3!r}, {rad4!r})")
-        c.update(rad3=rad3, rad4=rad4, q3=math.sqrt(rad3), q4=math.sqrt(rad4))
-        return c
+def _angle_row(surface: DoubleRotationSurface, t: float) -> tuple:
+    """(x', w', x'', w'', blocks) at t, where ``blocks`` holds R_u(x),
+    R_u'(x), R_v(w), R_v'(w), or the ``DomainError`` of their overflow,
+    which a point raises only once its frame radicands have passed."""
+    x, w, dx, dw, d2x, d2w = surface._angle_values(t)
+    spec = surface.family.spec
+    try:
+        blocks = (spec.rot_u.block(x), spec.rot_u.block_deriv(x),
+                  spec.rot_v.block(w), spec.rot_v.block_deriv(w))
+    except OverflowError:
+        blocks = DomainError("cosh overflow")
+    return dx, dw, d2x, d2w, blocks
+
+
+def _radicals(spec, t: float, s: float, col, row) -> tuple:
+    """(rad3, rad4, q3, q4) at (t, s) from the profile values ``col`` at s
+    and the ``_angle_row`` at t, either of which may be the ``DomainError``
+    its evaluation raised; ``col``'s is raised first.  Both radicands must
+    be strictly positive, else the closed-form normal frame does not exist
+    and ``FrameDegenerateError`` is raised; a block overflow is raised
+    after that check."""
+    if isinstance(col, DomainError):
+        raise col
+    if isinstance(row, DomainError):
+        raise row
+    fa, fb, dfa, dfb, _, _ = col
+    dx, dw, _, _, blocks = row
+    rad3, rad4 = spec.radicands(fa, fb, dfa, dfb, dx, dw)
+    if rad3 <= 0.0 or rad4 <= 0.0:
+        raise FrameDegenerateError(
+            f"normal frame degenerate at t={t!r}, s={s!r} "
+            f"(radicands {rad3!r}, {rad4!r})")
+    if isinstance(blocks, DomainError):
+        raise blocks
+    return rad3, rad4, math.sqrt(rad3), math.sqrt(rad4)
 
 
 def normal_frame(surface: DoubleRotationSurface, t: float,
@@ -128,7 +179,13 @@ def normal_frame(surface: DoubleRotationSurface, t: float,
     (spacelike or timelike depending on the family) orthogonal to the
     surface tangents and to each other.
     """
-    return surface.family.spec.normal_frame(**surface._frame_scalars(t, s))
+    spec = surface.family.spec
+    col = surface._profile_values(s)
+    row = _angle_row(surface, t)
+    _, _, q3, q4 = _radicals(spec, t, s, col, row)
+    dx, dw, _, _, blocks = row
+    e3, e4 = spec.normal_frame(*col[:4], dx, dw, q3, q4, blocks[0], blocks[2])
+    return Vector4(*e3), Vector4(*e4)
 
 
 def _inverse(g, t: float) -> tuple[tuple, float]:
@@ -234,19 +291,19 @@ def mean_curvature_fd(point_fn, tangents_fn, t: float, s: float,
 # ---------------------------------------------------------------------------
 # exact oracles
 
-def _plane_part(rotation, angle: float, pos: int, along_block: float,
+def _plane_part(block, deriv, pos: int, along_block: float,
                 along_deriv: float) -> tuple[float, float]:
-    """``along_block`` times column ``pos`` of ``rotation.block(angle)``
-    plus ``along_deriv`` times that column of its angle derivative."""
-    r = _turn(rotation.block(angle), pos, along_block)
-    dr = _turn(rotation.block_deriv(angle), pos, along_deriv)
+    """``along_block`` times column ``pos`` of a rotation ``block`` plus
+    ``along_deriv`` times that column of its angle derivative ``deriv``."""
+    r = _turn(block, pos, along_block)
+    dr = _turn(deriv, pos, along_deriv)
     return (r[0] + dr[0], r[1] + dr[1])
 
 
-def _exact_oracles(lay, t: float, fa, fb, dfa, dfb, d2fa, d2fb, x, w, dx, dw,
-                   d2x, d2w, **_) -> tuple[float, Vector4]:
+def _exact_oracles(lay, t: float, fa, fb, dfa, dfb, d2fa, d2fb, dx, dw,
+                   d2x, d2w, blocks) -> tuple[float, tuple]:
     """Exact (K, H) of the surface at one point, from the profile values at
-    s and the angle values at t (``_frame_scalars``' keywords).
+    s and the angle derivatives and ``_angle_row`` blocks at t.
 
     The family metric is diag(E, G, N)(s) in (u, v, s), so the induced
     2-metric is diag(P, Q) with P = E x'^2 + G w'^2 and Q = N.  With no
@@ -280,16 +337,81 @@ def _exact_oracles(lay, t: float, fa, fb, dfa, dfb, d2fa, d2fb, x, w, dx, dw,
     a, b = 0.5 * g_tt, 0.5 * g_ss
     c_t = -0.25 * g_tt * g_tt * p_t
     c_s = 0.25 * g_ss * (g_tt * p_s - g_ss * q_s)
-    rot_u, rot_v = lay.rot_u, lay.rot_v
-    sign_u = 1.0 if rot_u.hyperbolic else -1.0
-    sign_v = 1.0 if rot_v.hyperbolic else -1.0
-    h_u = _plane_part(rot_u, x, lay.fa_pos,
+    sign_u = 1.0 if lay.rot_u.hyperbolic else -1.0
+    sign_v = 1.0 if lay.rot_v.hyperbolic else -1.0
+    h_u = _plane_part(blocks[0], blocks[1], lay.fa_pos,
                       a * sign_u * dx2 * fa + b * d2fa + c_s * dfa,
                       (a * d2x + c_t * dx) * fa)
-    h_v = _plane_part(rot_v, w, lay.fb_pos,
+    h_v = _plane_part(blocks[2], blocks[3], lay.fb_pos,
                       a * sign_v * dw2 * fb + b * d2fb + c_s * dfb,
                       (a * d2w + c_t * dw) * fb)
-    return k, lay.vector(h_u, h_v)
+    return k, lay.place(h_u, h_v)
+
+
+def _point(spec, lay, t: float, s: float, col, row) -> tuple:
+    """(K_formula, K_oracle, h3, h4, e3, e4, H_formula, H_oracle, H_gap) at
+    (t, s), the vectors as 4-tuples, from ``_radicals``' inputs.
+
+    Every ``Vector4`` operation of the report is done in the same order on
+    floats; H_formula - H_oracle must be finite, and an overflow or a zero
+    divisor is a ``DomainError``."""
+    rad3, rad4, q3, q4 = _radicals(spec, t, s, col, row)
+    fa, fb, dfa, dfb, d2fa, d2fb = col
+    dx, dw, d2x, d2w, blocks = row
+    try:
+        k_formula, h3, h4 = spec.closed_forms(fa, fb, dfa, dfb, d2fa, d2fb,
+                                              dx, dw, d2x, d2w, rad3, rad4,
+                                              q3, q4)
+        e3, e4 = spec.normal_frame(fa, fb, dfa, dfb, dx, dw, q3, q4,
+                                   blocks[0], blocks[2])
+        k_oracle, h_oracle = _exact_oracles(lay, t, fa, fb, dfa, dfb, d2fa,
+                                            d2fb, dx, dw, d2x, d2w, blocks)
+    except OverflowError as exc:
+        raise DomainError("curvature overflow") from exc
+    except ZeroDivisionError as exc:  # (P Q)^2 underflows to 0
+        raise DomainError("division by zero") from exc
+    h_formula = (e3[0] * h3 + e4[0] * h4, e3[1] * h3 + e4[1] * h4,
+                 e3[2] * h3 + e4[2] * h4, e3[3] * h3 + e4[3] * h4)
+    d0, d1, d2, d3 = (h_formula[0] - h_oracle[0], h_formula[1] - h_oracle[1],
+                      h_formula[2] - h_oracle[2], h_formula[3] - h_oracle[3])
+    if not (math.isfinite(d0) and math.isfinite(d1) and math.isfinite(d2)
+            and math.isfinite(d3)):
+        raise DomainError("curvature overflow")
+    return (k_formula, k_oracle, h3, h4, e3, e4, h_formula, h_oracle,
+            max(abs(d0), abs(d1), abs(d2), abs(d3)))
+
+
+def _attempt(fn, *args):
+    """``fn(*args)``, or the ``DomainError`` it raised."""
+    try:
+        return fn(*args)
+    except DomainError as exc:
+        return exc
+
+
+def curvature_grid(surface: DoubleRotationSurface, ts, ss) -> list[tuple]:
+    """Rows (t, s, K_formula, K_oracle, K_gap, h3, h4, H_gap) at every
+    (t, s) of ``ts`` x ``ss`` in row-major order, the values of
+    ``curvature_report`` at each point.
+
+    The angle values are evaluated once per t and the profile values once
+    per s; an error of either is raised at the first point that needs it.
+    The first point that fails raises ``GridPointError``."""
+    spec, lay = surface.family.spec, surface.family.layout
+    cols = [_attempt(surface._profile_values, s) for s in ss]
+    rows = []
+    for t in ts:
+        row = _attempt(_angle_row, surface, t)
+        for s, col in zip(ss, cols):
+            try:
+                k_formula, k_oracle, h3, h4, *_, h_gap = _point(
+                    spec, lay, t, s, col, row)
+            except (FrameDegenerateError, DegenerateMetricError,
+                    DomainError) as exc:
+                raise GridPointError(t, s, exc) from exc
+            rows.append((t, s, k_formula, k_oracle,
+                         abs(k_formula - k_oracle), h3, h4, h_gap))
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -317,23 +439,18 @@ class CurvatureReport:
 def curvature_report(surface: DoubleRotationSurface, t: float,
                      s: float) -> CurvatureReport:
     """Evaluate closed forms and exact oracles at (t, s) and report the gaps."""
-    c = surface._frame_scalars(t, s)
-    spec = surface.family.spec
-    k_formula, h3, h4 = spec.closed_forms(**c)
-    e3, e4 = spec.normal_frame(**c)
-    h_formula = e3 * h3 + e4 * h4
-    k_oracle, h_oracle = _exact_oracles(surface.family.layout, t, **c)
-    delta = h_formula - h_oracle
-    h_gap = max(abs(x) for x in delta.components())
+    (k_formula, k_oracle, h3, h4, e3, e4, h_formula, h_oracle,
+     h_gap) = _point(surface.family.spec, surface.family.layout, t, s,
+                     surface._profile_values(s), _angle_row(surface, t))
     return CurvatureReport(
         K_formula=k_formula,
         K_oracle=k_oracle,
         h3=h3,
         h4=h4,
-        e3=e3,
-        e4=e4,
-        H_formula=h_formula,
-        H_oracle=h_oracle,
+        e3=Vector4(*e3),
+        e4=Vector4(*e4),
+        H_formula=Vector4(*h_formula),
+        H_oracle=Vector4(*h_oracle),
         K_gap=abs(k_formula - k_oracle),
         H_gap=h_gap,
     )

@@ -85,12 +85,15 @@ class _Layout:
         self.mom_sign_u = self.e_sign
         self.mom_sign_v = spec.inv2_sign * self.g_sign
 
-    def vector(self, pu=(0.0, 0.0), pv=(0.0, 0.0)) -> Vector4:
-        """The vector with components ``pu`` in plane_u, ``pv`` in plane_v."""
+    def place(self, pu=(0.0, 0.0), pv=(0.0, 0.0)) -> tuple:
+        """The 4 components with ``pu`` in plane_u and ``pv`` in plane_v."""
         comps = [0.0, 0.0, 0.0, 0.0]
         comps[self.plane_u[0]], comps[self.plane_u[1]] = pu
         comps[self.plane_v[0]], comps[self.plane_v[1]] = pv
-        return Vector4(*comps)
+        return tuple(comps)
+
+    def vector(self, pu=(0.0, 0.0), pv=(0.0, 0.0)) -> Vector4:
+        return Vector4(*self.place(pu, pv))
 
 
 class FamilySpec:
@@ -105,9 +108,13 @@ class FamilySpec:
       ``residual`` is the defect of the identity (a, b, dt) must satisfy;
     * ``invariants(fa, fb, phi, theta)``: 2*fa^2*du, inv2_sign*2*fb^2*dv;
     * ``slope(fa, phi, theta, lagr)`` -> (dt/du, radicand of its root);
-    * ``radicands``, ``normal_frame`` -> (e3, e4) and ``closed_forms`` ->
-      (K, h3, h4) of a double-rotation surface, from the profile and angle
-      values at one point as keywords (and ``rad3, rad4, q3, q4``).
+    * ``radicands`` -> (rad3, rad4), ``normal_frame`` -> (e3, e4) and
+      ``closed_forms`` -> (K, h3, h4) of a double-rotation surface at one
+      point, as plain floats and 4-tuples, from the profile values at s,
+      the angle derivatives at t, q3 = sqrt(rad3), q4 = sqrt(rad4) and the
+      rotation blocks ``bu``, ``bv`` at the angles x, w, whose first two
+      entries are (cosh, sinh) of the angle for a boost, (cos, sin) for a
+      spin.
     """
 
     rot_u: Rotation
@@ -156,18 +163,19 @@ class _Hyperbolic14(FamilySpec):
                     - lagr / (cos_phi * cos_phi))
         return fa * math.sqrt(abs(radicand)), radicand
 
-    def radicands(self, fa, fb, dfa, dfb, dx, dw, **_):
+    def radicands(self, fa, fb, dfa, dfb, dx, dw):
         return fb * fb * dw * dw - fa * fa * dx * dx, dfb * dfb - dfa * dfa
 
-    def normal_frame(self, fa, fb, dfa, dfb, x, w, dx, dw, q3, q4, **_):
-        e3 = Vector4(fb * dw * math.sinh(x), fa * dx * math.cosh(w),
-                     fb * dw * math.cosh(x), fa * dx * math.sinh(w)) / q3
-        e4 = Vector4(dfb * math.cosh(x), dfa * math.sinh(w),
-                     dfb * math.sinh(x), dfa * math.cosh(w)) / q4
-        return e3, e4
+    def normal_frame(self, fa, fb, dfa, dfb, dx, dw, q3, q4, bu, bv):
+        (chx, shx, _, _), (chw, shw, _, _) = bu, bv
+        r3, r4 = 1.0 / q3, 1.0 / q4
+        return ((fb * dw * shx * r3, fa * dx * chw * r3,
+                 fb * dw * chx * r3, fa * dx * shw * r3),
+                (dfb * chx * r4, dfa * shw * r4,
+                 dfb * shx * r4, dfa * chw * r4))
 
     def closed_forms(self, fa, fb, dfa, dfb, d2fa, d2fb, dx, dw, d2x, d2w,
-                     rad3, rad4, q3, q4, **_):
+                     rad3, rad4, q3, q4):
         wronskian = dfa * d2fb - d2fa * dfb
         curv = ((dfa * fb - fa * dfb) ** 2 * (dx * dw) ** 2 / rad3
                 + (dfa * fb * dw * dw - dfb * fa * dx * dx) * wronskian / rad4)
@@ -207,21 +215,22 @@ class _Hyperbolic23(FamilySpec):
         return (fa * math.sqrt(abs(radicand))
                 / (math.cos(theta) * math.sinh(phi))), radicand
 
-    def radicands(self, fa, fb, dfa, dfb, dx, dw, **_):
+    def radicands(self, fa, fb, dfa, dfb, dx, dw):
         return fb * fb * dw * dw + fa * fa * dx * dx, dfa * dfa + dfb * dfb
 
-    def normal_frame(self, fa, fb, dfa, dfb, x, w, dx, dw, q3, q4, **_):
+    def normal_frame(self, fa, fb, dfa, dfb, dx, dw, q3, q4, bu, bv):
         # middle-slot signs fixed so both vectors are orthogonal to the
         # surface tangents (inner product with S_t is 2*fa*fb*dx*dw and
         # with S_s is -2*dfa*dfb otherwise)
-        e3 = Vector4(fb * dw * math.sinh(x), -fa * dx * math.sinh(w),
-                     -fa * dx * math.cosh(w), fb * dw * math.cosh(x)) / q3
-        e4 = Vector4(dfb * math.cosh(x), -dfa * math.cosh(w),
-                     -dfa * math.sinh(w), dfb * math.sinh(x)) / q4
-        return e3, e4
+        (chx, shx, _, _), (chw, shw, _, _) = bu, bv
+        r3, r4 = 1.0 / q3, 1.0 / q4
+        return ((fb * dw * shx * r3, -fa * dx * shw * r3,
+                 -fa * dx * chw * r3, fb * dw * chx * r3),
+                (dfb * chx * r4, -dfa * chw * r4,
+                 -dfa * shw * r4, dfb * shx * r4))
 
     def closed_forms(self, fa, fb, dfa, dfb, d2fa, d2fb, dx, dw, d2x, d2w,
-                     rad3, rad4, q3, q4, **_):
+                     rad3, rad4, q3, q4):
         cross_term = d2fa * dfb + dfa * d2fb
         curv = -((fa * dfb + dfa * fb) ** 2 * (dx * dw) ** 2 / rad3
                  + (fa * dfb * dx * dx + dfa * fb * dw * dw) * cross_term / rad4)
@@ -267,15 +276,16 @@ class _Elliptic56(FamilySpec):
 
     radicands = _Hyperbolic14.radicands  # the same as the boost-13/24 family's
 
-    def normal_frame(self, fa, fb, dfa, dfb, x, w, dx, dw, q3, q4, **_):
-        e3 = Vector4(-fb * dw * math.cos(x), fb * dw * math.sin(x),
-                     -fa * dx * math.cos(w), fa * dx * math.sin(w)) / q3
-        e4 = Vector4(dfb * math.sin(x), dfb * math.cos(x),
-                     dfa * math.sin(w), dfa * math.cos(w)) / q4
-        return e3, e4
+    def normal_frame(self, fa, fb, dfa, dfb, dx, dw, q3, q4, bu, bv):
+        (cox, six, _, _), (cow, siw, _, _) = bu, bv
+        r3, r4 = 1.0 / q3, 1.0 / q4
+        return ((-fb * dw * cox * r3, fb * dw * six * r3,
+                 -fa * dx * cow * r3, fa * dx * siw * r3),
+                (dfb * six * r4, dfb * cox * r4,
+                 dfa * siw * r4, dfa * cow * r4))
 
     def closed_forms(self, fa, fb, dfa, dfb, d2fa, d2fb, dx, dw, d2x, d2w,
-                     rad3, rad4, q3, q4, **_):
+                     rad3, rad4, q3, q4):
         wronskian = -d2fa * dfb + dfa * d2fb
         curv = -((dfa * fb - fa * dfb) ** 2 * (dx * dw) ** 2 / rad3
                  + wronskian * (dfb * fa * dx * dx - dfa * fb * dw * dw) ** 2 / rad4)

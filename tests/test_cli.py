@@ -324,6 +324,75 @@ def test_curvature_degenerate_grid_is_numerical_failure(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+# the curved surface of scripts/curvature_audit.py, on the CLI's grid
+AUDIT_SURFACE = {
+    "family": "hyperbolic14",
+    "profiles": {"fa": "2 + t^2/8", "fb": "3 + t"},
+    "domain": [0.1, 2.0],
+    "curvature": {"xAngle": "t/2", "vAngle": "t"},
+}
+
+
+def run_curvature(tmp_path, capsys, **changes):
+    """Exit code and standard error of ``rotsurf curvature`` on the audit
+    surface with ``changes``; a failing run must write no artifact."""
+    document = patched(AUDIT_SURFACE, **changes)
+    document["output"] = {"path": str(tmp_path / "grid.csv")}
+    code = main(["curvature", "--config", write_config(tmp_path, document)])
+    if code != 0:
+        assert not (tmp_path / "grid.csv").exists()
+    return code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("changes,line", [
+    # cosh(1000 t) overflows in the rotation block of the v-angle
+    ({"curvature.vAngle": "1000*t"},
+     "t=0.7649999999999999, s=0.19500000000000001: cosh overflow"),
+    # cosh(w) is finite, fa x' cosh(w) in the normal frame is not
+    ({"curvature.xAngle": "t", "curvature.vAngle": "t + 708.8",
+      "curvature.grid": {"nt": 1, "ns": 1}},
+     "t=1.05, s=1.05: curvature overflow"),
+    # det = P Q is about 1e-180, so det^2 underflows to 0
+    ({"family": "hyperbolic23", "profiles.fa": "2 + t/2",
+      "profiles.fb": "1 + t/4", "curvature.xAngle": "1e-90*t",
+      "curvature.vAngle": "1", "curvature.grid": {"nt": 1, "ns": 1}},
+     "t=1.05, s=1.05: division by zero"),
+], ids=["cosh", "frame", "determinant"])
+def test_curvature_overflow_is_numerical_failure(tmp_path, capsys, changes,
+                                                 line):
+    assert run_curvature(tmp_path, capsys, **changes) == (
+        2, f"numerical failure at {line}\n")
+
+
+@pytest.mark.parametrize("changes,line", [
+    # the angle fails on the last row only: its first point
+    ({"curvature.xAngle": "sqrt(1.5 - t)"},
+     "t=1.7625, s=0.33750000000000002: sqrt of a negative number"),
+    # the profile fails on the last column, the angle on the last row: the
+    # last point of the first row
+    ({"profiles.fb": "3 + t + log(1.5 - t)/100",
+      "curvature.xAngle": "sqrt(1.5 - t)"},
+     "t=0.33750000000000002, s=1.7625: log of a non-positive number"),
+    # both fail at the first point: the profile's error comes first
+    ({"profiles.fb": "3 + log(t - 0.5)", "curvature.xAngle": "sqrt(t - 0.5)"},
+     "t=0.33750000000000002, s=0.33750000000000002: "
+     "log of a non-positive number"),
+], ids=["row", "column", "both"])
+def test_curvature_reports_first_failing_point(tmp_path, capsys, changes,
+                                               line):
+    assert run_curvature(tmp_path, capsys, **changes,
+                         **{"curvature.grid": {"nt": 4, "ns": 4}}) == (
+        2, f"numerical failure at {line}\n")
+
+
+@pytest.mark.parametrize("grid", [{"nt": 1001, "ns": 1001},
+                                  {"nt": 1e300, "ns": 1}])
+def test_curvature_grid_size_limit(tmp_path, capsys, grid):
+    assert run_curvature(tmp_path, capsys, **{"curvature.grid": grid}) == (
+        1, "config error: curvature.grid: nt*ns must be at most 1000000 "
+           "points\n")
+
+
 def test_killing_command(capsys):
     assert main(["killing", "--params", "1", "1", "1", "1", "1", "1"]) == 0
     out = capsys.readouterr().out

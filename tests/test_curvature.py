@@ -3,6 +3,7 @@
 import importlib.util
 import math
 import pathlib
+import pickle
 import random
 
 import mpmath
@@ -10,10 +11,12 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from rotsurf import (DegenerateMetricError, DoubleRotationSurface,
-                     FrameDegenerateError, ProfileFunction, Vector4,
+from rotsurf import (DegenerateMetricError, DomainError,
+                     DoubleRotationSurface, FrameDegenerateError,
+                     ProfileFunction, Vector4, curvature_grid,
                      curvature_report, gaussian_curvature_fd, inner,
                      make_family, mean_curvature_fd, normal_frame)
+from rotsurf.curvature import GridPointError
 from rotsurf.config import ConfigError, parse_config
 
 
@@ -337,3 +340,75 @@ def test_exact_k_vanishes_on_h23_audit_surface():
             report = curvature_report(srf, 0.2 + 1.6 * i / 5,
                                       0.2 + 1.6 * j / 5)
             assert abs(report.K_oracle) <= 1e-12
+
+
+# --- the grid kernel --------------------------------------------------------
+
+GRIDS = {"3x4": ((0.7, 1.1, 1.6), (0.7, 0.9, 1.1, 1.6)),
+         "1x1": ((1.1,), (0.9,))}
+
+
+@pytest.mark.parametrize("grid", sorted(GRIDS))
+@pytest.mark.parametrize("case", EXACT_CASES, ids=lambda c: f"{c[0]}-{c[1]}")
+def test_grid_matches_per_point_reports(case, grid):
+    srf = surface(case[0], case[1], case[2], case[3], 0.1, 2.0, case[4],
+                  case[5])
+    ts, ss = GRIDS[grid]
+    expected = []
+    for t in ts:
+        for s in ss:
+            r = curvature_report(srf, t, s)
+            expected.append((t, s, r.K_formula, r.K_oracle, r.K_gap, r.h3,
+                             r.h4, r.H_gap))
+    rows = curvature_grid(srf, ts, ss)
+    assert [[float.hex(v) for v in row] for row in rows] == \
+        [[float.hex(v) for v in row] for row in expected]
+
+
+def test_grid_locates_the_first_failing_point():
+    # rad3 = 0.36 (3 + 2s)^2 - (2 + s)^2 is negative for s < 1 only
+    srf = surface("hyperbolic14", "A", "2+t", "3+2*t", 0.1, 2.0, "t", "0.6*t")
+    with pytest.raises(GridPointError) as excinfo:
+        curvature_grid(srf, (1.5, 0.7), (1.8, 0.5))
+    assert (excinfo.value.t, excinfo.value.s) == (1.5, 0.5)
+    assert isinstance(excinfo.value.error, FrameDegenerateError)
+
+
+def test_profile_error_comes_before_angle_error():
+    # both the profile at s and the angle at t fail: the profile's error
+    # is raised, by the report, the frame and the grid alike
+    srf = surface("hyperbolic14", "A", "2 + log(t - 0.5)", "3 + t", 0.1, 2.0,
+                  "sqrt(t - 0.5)", "t")
+    for call in (curvature_report, normal_frame):
+        with pytest.raises(DomainError, match="log of a non-positive"):
+            call(srf, 0.3, 0.3)
+    with pytest.raises(GridPointError, match="log of a non-positive"):
+        curvature_grid(srf, (0.3,), (0.3,))
+
+
+def test_overflow_is_a_domain_error():
+    # cosh(1000 t) overflows in the rotation block of the v-angle
+    srf = surface("hyperbolic14", "A", "2 + t^2/8", "3 + t", 0.1, 2.0,
+                  "t/2", "1000*t")
+    for call in (curvature_report, normal_frame):
+        with pytest.raises(DomainError, match="cosh overflow"):
+            call(srf, 0.8, 0.5)
+    # cosh(w) is finite, but fa x' cosh(w) in the frame is not
+    srf = surface("hyperbolic14", "A", "2 + t^2/8", "3 + t", 0.1, 2.0,
+                  "t", "t + 708.8")
+    with pytest.raises(DomainError, match="curvature overflow"):
+        curvature_report(srf, 1.05, 1.05)
+    with pytest.raises(ValueError, match="must be finite"):
+        normal_frame(srf, 1.05, 1.05)
+
+
+def test_surface_pickles_after_grid():
+    # the generated profile and angle functions stay outside the fields
+    srf = surface(*EXACT_CASES[0][:4], 0.1, 2.0, *EXACT_CASES[0][4:])
+    fresh = surface(*EXACT_CASES[0][:4], 0.1, 2.0, *EXACT_CASES[0][4:])
+    rows = curvature_grid(srf, (0.7, 1.1), (0.9,))
+    assert srf == fresh and repr(srf) == repr(fresh)
+    assert hash(srf) == hash(fresh)
+    restored = pickle.loads(pickle.dumps(srf))
+    assert restored == fresh
+    assert curvature_grid(restored, (0.7, 1.1), (0.9,)) == rows
