@@ -352,9 +352,8 @@ def _point(spec, lay, t: float, s: float, col, row) -> tuple:
     """(K_formula, K_oracle, h3, h4, e3, e4, H_formula, H_oracle, H_gap) at
     (t, s), the vectors as 4-tuples, from ``_radicals``' inputs.
 
-    Every ``Vector4`` operation of the report is done in the same order on
-    floats; H_formula - H_oracle must be finite, and an overflow or a zero
-    divisor is a ``DomainError``."""
+    H_formula = e3 h3 + e4 h4 is summed in that order; H_formula - H_oracle
+    must be finite, and an overflow or a zero divisor is a ``DomainError``."""
     rad3, rad4, q3, q4 = _radicals(spec, t, s, col, row)
     fa, fb, dfa, dfb, d2fa, d2fb = col
     dx, dw, d2x, d2w, blocks = row
@@ -362,12 +361,13 @@ def _point(spec, lay, t: float, s: float, col, row) -> tuple:
         k_formula, h3, h4 = spec.closed_forms(fa, fb, dfa, dfb, d2fa, d2fb,
                                               dx, dw, d2x, d2w, rad3, rad4,
                                               q3, q4)
-        e3, e4 = spec.normal_frame(fa, fb, dfa, dfb, dx, dw, q3, q4,
-                                   blocks[0], blocks[2])
+    except OverflowError as exc:  # float ** raises where * gives inf
+        raise DomainError("curvature overflow") from exc
+    e3, e4 = spec.normal_frame(fa, fb, dfa, dfb, dx, dw, q3, q4, blocks[0],
+                               blocks[2])
+    try:
         k_oracle, h_oracle = _exact_oracles(lay, t, fa, fb, dfa, dfb, d2fa,
                                             d2fb, dx, dw, d2x, d2w, blocks)
-    except OverflowError as exc:
-        raise DomainError("curvature overflow") from exc
     except ZeroDivisionError as exc:  # (P Q)^2 underflows to 0
         raise DomainError("division by zero") from exc
     h_formula = (e3[0] * h3 + e4[0] * h4, e3[1] * h3 + e4[1] * h4,

@@ -114,7 +114,8 @@ class FamilySpec:
       the angle derivatives at t, q3 = sqrt(rad3), q4 = sqrt(rad4) and the
       rotation blocks ``bu``, ``bv`` at the angles x, w, whose first two
       entries are (cosh, sinh) of the angle for a boost, (cos, sin) for a
-      spin.
+      spin.  e3 and e4 are scaled by the reciprocals 1/q3 and 1/q4, not
+      divided by q3 and q4: the curvature goldens pin that rounding.
     """
 
     rot_u: Rotation

@@ -400,6 +400,11 @@ def test_overflow_is_a_domain_error():
         curvature_report(srf, 1.05, 1.05)
     with pytest.raises(ValueError, match="must be finite"):
         normal_frame(srf, 1.05, 1.05)
+    # (fa' fb - fa fb')^2 in the closed form of K overflows
+    srf = surface("hyperbolic14", "A", "2 + t^2/8", "1e160*(3 + t)", 0.1,
+                  2.0, "t/2", "t")
+    with pytest.raises(DomainError, match="curvature overflow"):
+        curvature_report(srf, 0.7, 0.9)
 
 
 def test_surface_pickles_after_grid():
