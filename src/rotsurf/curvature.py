@@ -40,7 +40,7 @@ from functools import cached_property
 
 from .ambient import Vector4, inner
 from .expressions import DomainError, ProfileFunction, _Lowering
-from .surfaces import DegenerateMetricError, SurfaceFamily, _turn
+from .surfaces import DegenerateMetricError, SurfaceFamily, _emit_pair, _turn
 
 __all__ = [
     "DoubleRotationSurface",
@@ -78,10 +78,8 @@ def _lower_pair(first: ProfileFunction, second: ProfileFunction):
     function, with no domain check and with the checks and messages of the
     six ``ProfileFunction`` calls it replaces."""
     lowering = _Lowering()
-    names = [lowering.emit(tree) for tree in (first.value, second.value,
-                                              first.d1, second.d1,
-                                              first.d2, second.d2)]
-    return lowering.function(f"({', '.join(names)})")
+    return lowering.function(
+        f"({', '.join(_emit_pair(lowering, first, second))})")
 
 
 @dataclass(frozen=True)

@@ -353,6 +353,15 @@ def _turn(block, pos: int, value: float) -> tuple[float, float]:
     return (m_ii * a + m_ij * b, m_ji * a + m_jj * b)
 
 
+def _emit_pair(lowering: _Lowering, first: ProfileFunction,
+               second: ProfileFunction) -> list[str]:
+    """Emit (p, q, p', q', p'', q'') of two profiles, in that order, into
+    ``lowering``; return the names of the six values."""
+    return [lowering.emit(tree) for tree in (first.value, second.value,
+                                             first.d1, second.d1,
+                                             first.d2, second.d2)]
+
+
 def _lower_bundle(fam: SurfaceFamily) -> Callable[[float], tuple]:
     """``fam.metric_bundle`` as one generated function of t: one domain
     check, then fa, fb, fa', fb', fa'', fb'' lowered in that order into one
@@ -365,10 +374,7 @@ def _lower_bundle(fam: SurfaceFamily) -> Callable[[float], tuple]:
         e_sign=lay.e_sign, g_sign=lay.g_sign, na_sign=lay.na_sign,
         nb_sign=lay.nb_sign)
     lowering.lines.append("if not (t_min <= t <= t_max): raise outside(t)")
-    fa, fb, dfa, dfb, d2fa, d2fb = [
-        lowering.emit(tree) for tree in (fam.fa.value, fam.fb.value,
-                                         fam.fa.d1, fam.fb.d1,
-                                         fam.fa.d2, fam.fb.d2)]
+    fa, fb, dfa, dfb, d2fa, d2fb = _emit_pair(lowering, fam.fa, fam.fb)
     lowering.lines += [
         f"e = e_sign * {fa} * {fa}",
         f"g = g_sign * {fb} * {fb}",

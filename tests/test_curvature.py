@@ -205,12 +205,15 @@ def test_frame_orthonormality_at_random_points(srf, signature):
 
 
 def test_frame_degenerate_raises():
-    # freezing the v-angle makes the first radicand negative here
-    srf = surface("hyperbolic14", "A", "2+t", "3+2*t", 0.1, 2.0, "t", "1")
-    with pytest.raises(FrameDegenerateError):
-        normal_frame(srf, 0.7, 1.1)
-    with pytest.raises(FrameDegenerateError):
-        curvature_report(srf, 0.7, 1.1)
+    # freezing the v-angle makes the first radicand negative here; at
+    # w = 1000 the degenerate frame is reported before cosh(w) overflows
+    for angle_v in ("1", "1000"):
+        srf = surface("hyperbolic14", "A", "2+t", "3+2*t", 0.1, 2.0, "t",
+                      angle_v)
+        with pytest.raises(FrameDegenerateError):
+            normal_frame(srf, 0.7, 1.1)
+        with pytest.raises(FrameDegenerateError):
+            curvature_report(srf, 0.7, 1.1)
 
 
 def test_degenerate_induced_metric_raises():
