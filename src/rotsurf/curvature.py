@@ -5,18 +5,24 @@ A ``DoubleRotationSurface`` immerses (t, s) -> family point at angles
 path while s runs along the profile.  ``curvature_report`` puts two
 computations side by side:
 
-* closed-form values ``K_formula`` and ``H_formula = h3 e3 + h4 e4`` in
-  each family's closed-form normal frame (these formulas are under
-  audit: gaps are data, not failures);
+* closed forms ``K_formula`` and ``H_formula = h3 e3 + h4 e4`` in the
+  normal frame (e3, e4).  One derivation serves all six (family,
+  variant) pairs: the frame comes from the layout's signs and slots and
+  the rotation blocks (``_frame``), and K, h3 and h4 from the Gauss
+  equation and the normal parts of the second partials (``_point``),
+  which hold in any signature;
 * exact oracles: the family metric is diagonal, so the induced 2-metric
   is diag(E x'^2 + G w'^2, N), and ``K_oracle`` (Brioschi's formula) and
   ``H_oracle`` (the Gauss formula) are closed expressions in the profile
   and angle values and their first two derivatives at the point.
 
+The two agree to rounding; the tests hold the gaps to 1e-9.
 ``curvature_grid`` computes both on a grid of (t, s) points as plain
-floats: the angle values and rotation blocks once per t, the profile
-values once per s.  ``curvature_report`` and ``normal_frame`` run the same
-per-point code and wrap its 4-tuples in ``Vector4`` on return.
+floats: the layout's signs once per grid, the angle values and the
+profile columns of the rotation blocks once per t, the profile values
+once per s.  The kernel works in plane coordinates, the u-plane's two
+slots then the v-plane's; ``curvature_report`` and ``normal_frame`` run
+the same per-point code and place its 4-tuples in ``Vector4`` on return.
 
 The finite-difference oracles ``gaussian_curvature_fd`` (Christoffel
 symbols and the single independent curvature component of any 2-metric)
@@ -24,8 +30,8 @@ and ``mean_curvature_fd`` (second partials of the immersion with the
 tangential part projected away) are the independent cross-check of the
 exact oracles; they are not on the report path.
 
-The induced 2-metric is a plain 2x2 tuple of floats, indexed g[i][j];
-``_inverse`` is the one place its determinant and inverse are computed.
+Their induced 2-metric is a plain 2x2 tuple of floats, indexed g[i][j],
+inverted by ``_inverse``.
 
 Profile and angle expressions are evaluated without the domain-interval
 guard here, because central differences must straddle the evaluation
@@ -40,7 +46,7 @@ from functools import cached_property
 
 from .ambient import Vector4, inner
 from .expressions import DomainError, ProfileFunction, _Lowering
-from .surfaces import DegenerateMetricError, SurfaceFamily, _emit_pair, _turn
+from .surfaces import DegenerateMetricError, SurfaceFamily, _emit_pair
 
 __all__ = [
     "DoubleRotationSurface",
@@ -56,12 +62,12 @@ __all__ = [
 
 
 class FrameDegenerateError(ValueError):
-    """A normal-frame radicand was not strictly positive."""
+    """A normal of the frame is null: P = 0 or Q = 0 at the point."""
 
 
 class GridPointError(ValueError):
     """``curvature_grid`` failed at (t, s) with ``error``: a
-    ``FrameDegenerateError``, ``DegenerateMetricError`` or ``DomainError``."""
+    ``FrameDegenerateError`` or a ``DomainError``."""
 
     def __init__(self, t: float, s: float, error: ValueError):
         super().__init__(f"t={t!r}, s={s!r}: {error}")
@@ -133,58 +139,89 @@ class DoubleRotationSurface:
 
 
 def _angle_row(surface: DoubleRotationSurface, t: float) -> tuple:
-    """(x', w', x'', w'', blocks) at t, where ``blocks`` holds R_u(x),
-    R_u'(x), R_v(w), R_v'(w), or the ``DomainError`` of their overflow,
-    which a point raises only once its frame radicands have passed."""
+    """(x', w', x'', w'', cols) at t: ``cols`` holds the profile columns
+    (fa_pos, fb_pos) of R_u(x), R_u'(x), R_v(w) and R_v'(w), which S_t and
+    S_s are built from, or the ``DomainError`` of their overflow, which a
+    point raises only after ``_frame``'s degeneracy check."""
     x, w, dx, dw, d2x, d2w = surface._angle_values(t)
-    spec = surface.family.spec
+    lay = surface.family.layout
     try:
-        blocks = (spec.rot_u.block(x), spec.rot_u.block_deriv(x),
-                  spec.rot_v.block(w), spec.rot_v.block_deriv(w))
+        bu, dbu = lay.rot_u.block(x), lay.rot_u.block_deriv(x)
+        bv, dbv = lay.rot_v.block(w), lay.rot_v.block_deriv(w)
     except OverflowError:
-        blocks = DomainError("cosh overflow")
-    return dx, dw, d2x, d2w, blocks
+        return dx, dw, d2x, d2w, DomainError("cosh overflow")
+    iu, iv = lay.fa_pos, lay.fb_pos
+    return dx, dw, d2x, d2w, (bu[iu::2], dbu[iu::2], bv[iv::2], dbv[iv::2])
 
 
-def _radicals(spec, t: float, s: float, col, row) -> tuple:
-    """(rad3, rad4, q3, q4) at (t, s) from the profile values ``col`` at s
-    and the ``_angle_row`` at t, either of which may be the ``DomainError``
-    its evaluation raised; ``col``'s is raised first.  Both radicands must
-    be strictly positive, else the closed-form normal frame does not exist
-    and ``FrameDegenerateError`` is raised; a block overflow is raised
-    after that check."""
+def _signs(lay) -> tuple:
+    """The layout's (e, g, na, nb, sigma, rho), read once per grid: the
+    metric signs, sigma = +1 for boosts and -1 for spins (R'' = sigma R;
+    a family's two rotations are of one kind) and rho = -e*g."""
+    sigma = 1.0 if lay.rot_u.hyperbolic else -1.0
+    return (lay.e_sign, lay.g_sign, lay.na_sign, lay.nb_sign, sigma,
+            -lay.e_sign * lay.g_sign)
+
+
+def _frame(signs, t: float, s: float, col, row) -> tuple:
+    """(P, Q, n3, n4, sqrt|P|, sqrt|Q|, e3, e4) at (t, s), from the
+    profile values ``col`` at s and the ``_angle_row`` at t, either of
+    which may be the ``DomainError`` its evaluation raised; ``col``'s is
+    raised first.
+
+    The induced metric is diag(P, Q), P = e fa^2 x'^2 + g fb^2 w'^2 and
+    Q = na fa'^2 + nb fb'^2.  In plane coordinates (the u-plane's two
+    slots, then the v-plane's), with c the profile columns of ``cols``,
+
+        e3~ = (c(R_u') fb w', rho c(R_v') fa x'),
+        e4~ = (c(R_u) fb', rho c(R_v) fa')
+
+    are normal to S_t, S_s and each other, with n3 = <e3~, e3~> = e g P
+    and n4 = <e4~, e4~> = na nb Q; e3 and e4 are them over sqrt|P| and
+    sqrt|Q|, scaled before the columns.  A normal is null where P = 0 or
+    Q = 0: ``FrameDegenerateError``.  P Q must be finite, else "curvature
+    overflow"; a block overflow is raised after both checks."""
     if isinstance(col, DomainError):
         raise col
     if isinstance(row, DomainError):
         raise row
+    e, g, na, nb, _, rho = signs
     fa, fb, dfa, dfb, _, _ = col
-    dx, dw, _, _, blocks = row
-    rad3, rad4 = spec.radicands(fa, fb, dfa, dfb, dx, dw)
-    if rad3 <= 0.0 or rad4 <= 0.0:
+    dx, dw, _, _, cols = row
+    p = e * fa * fa * (dx * dx) + g * fb * fb * (dw * dw)
+    q = na * dfa * dfa + nb * dfb * dfb
+    if p == 0.0 or q == 0.0:
         raise FrameDegenerateError(
-            f"normal frame degenerate at t={t!r}, s={s!r} "
-            f"(radicands {rad3!r}, {rad4!r})")
-    if isinstance(blocks, DomainError):
-        raise blocks
-    return rad3, rad4, math.sqrt(rad3), math.sqrt(rad4)
+            f"normal frame degenerate at t={t!r}, s={s!r} (P={p!r}, Q={q!r})")
+    if not math.isfinite(p * q):
+        raise DomainError("curvature overflow")
+    if isinstance(cols, DomainError):
+        raise cols
+    (cu0, cu1), (du0, du1), (cv0, cv1), (dv0, dv1) = cols
+    q3, q4 = math.sqrt(abs(p)), math.sqrt(abs(q))
+    a3, b3 = fb * dw / q3, rho * fa * dx / q3
+    a4, b4 = dfb / q4, rho * dfa / q4
+    return (p, q, e * g * p, na * nb * q, q3, q4,
+            (du0 * a3, du1 * a3, dv0 * b3, dv1 * b3),
+            (cu0 * a4, cu1 * a4, cv0 * b4, cv1 * b4))
 
 
 def normal_frame(surface: DoubleRotationSurface, t: float,
                  s: float) -> tuple[Vector4, Vector4]:
-    """The closed-form unit normals (e3, e4) of the surface.
+    """The unit normals (e3, e4) of the surface at (t, s).
 
-    Both radicands must be strictly positive; e3/e4 are then unit vectors
-    (spacelike or timelike depending on the family) orthogonal to the
-    surface tangents and to each other.
+    They are orthogonal to the surface tangents and to each other, and
+    spacelike or timelike as the signs of e g P and na nb Q say; a null
+    normal raises ``FrameDegenerateError``.
     """
-    spec = surface.family.spec
-    col = surface._profile_values(s)
-    row = _angle_row(surface, t)
-    _, _, q3, q4 = _radicals(spec, t, s, col, row)
-    dx, dw, _, _, blocks = row
-    e3, e4 = spec.normal_frame(*col[:4], dx, dw, q3, q4, blocks[0], blocks[2])
-    return Vector4(*e3), Vector4(*e4)
+    lay = surface.family.layout
+    *_, e3, e4 = _frame(_signs(lay), t, s, surface._profile_values(s),
+                        _angle_row(surface, t))
+    return lay.vector(e3[:2], e3[2:]), lay.vector(e4[:2], e4[2:])
 
+
+# ---------------------------------------------------------------------------
+# finite-difference oracles
 
 def _inverse(g, t: float) -> tuple[tuple, float]:
     """Inverse and determinant of a 2-metric ``g`` (indexed g[i][j]);
@@ -195,9 +232,6 @@ def _inverse(g, t: float) -> tuple[tuple, float]:
     return ((g[1][1] / det, -g[0][1] / det),
             (-g[1][0] / det, g[0][0] / det)), det
 
-
-# ---------------------------------------------------------------------------
-# finite-difference oracles
 
 def _central(plus, minus, h: float):
     """Central difference of two 2-metrics, entry by entry."""
@@ -289,19 +323,10 @@ def mean_curvature_fd(point_fn, tangents_fn, t: float, s: float,
 # ---------------------------------------------------------------------------
 # exact oracles
 
-def _plane_part(block, deriv, pos: int, along_block: float,
-                along_deriv: float) -> tuple[float, float]:
-    """``along_block`` times column ``pos`` of a rotation ``block`` plus
-    ``along_deriv`` times that column of its angle derivative ``deriv``."""
-    r = _turn(block, pos, along_block)
-    dr = _turn(deriv, pos, along_deriv)
-    return (r[0] + dr[0], r[1] + dr[1])
-
-
-def _exact_oracles(lay, t: float, fa, fb, dfa, dfb, d2fa, d2fb, dx, dw,
-                   d2x, d2w, blocks) -> tuple[float, tuple]:
-    """Exact (K, H) of the surface at one point, from the profile values at
-    s and the angle derivatives and ``_angle_row`` blocks at t.
+def _exact_oracles(signs, p: float, q: float, col, row) -> tuple:
+    """Exact (K, H) of the surface at one point, H in plane coordinates,
+    from ``_frame``'s P and Q, the profile values at s and the angle
+    derivatives and ``_angle_row`` columns at t.
 
     The family metric is diag(E, G, N)(s) in (u, v, s), so the induced
     2-metric is diag(P, Q) with P = E x'^2 + G w'^2 and Q = N.  With no
@@ -314,68 +339,86 @@ def _exact_oracles(lay, t: float, fa, fb, dfa, dfb, d2fa, d2fb, dx, dw,
     with Gamma^t_tt = P_t / 2P, Gamma^s_tt = -P_s / 2Q, Gamma^t_ss = 0 and
     Gamma^s_ss = Q_s / 2Q.  In each rotation plane, S_t, S_tt, S_s and
     S_ss are combinations of the profile column of the rotation block R
-    and of R' (R'' = R for a boost, -R for a spin; the two planes do not
-    mix, so S_tt has no u-v cross term), so H is assembled plane by plane.
+    and of R' (R'' = sigma R; the two planes do not mix, so S_tt has no
+    u-v cross term), so H is assembled plane by plane.
     """
-    e, g = lay.e_sign * fa * fa, lay.g_sign * fb * fb
+    e_sign, g_sign, na_sign, nb_sign, sigma, _ = signs
+    fa, fb, dfa, dfb, d2fa, d2fb = col
+    dx, dw, d2x, d2w, ((cu0, cu1), (du0, du1), (cv0, cv1), (dv0, dv1)) = row
+    e, g = e_sign * fa * fa, g_sign * fb * fb
     dx2, dw2 = dx * dx, dw * dw
-    p = e * dx2 + g * dw2
     p_t = 2.0 * (e * dx * d2x + g * dw * d2w)
-    p_s = 2.0 * (lay.e_sign * fa * dfa * dx2 + lay.g_sign * fb * dfb * dw2)
-    p_ss = 2.0 * (lay.e_sign * (dfa * dfa + fa * d2fa) * dx2
-                  + lay.g_sign * (dfb * dfb + fb * d2fb) * dw2)
-    q = lay.na_sign * dfa * dfa + lay.nb_sign * dfb * dfb
-    q_s = 2.0 * (lay.na_sign * dfa * d2fa + lay.nb_sign * dfb * d2fb)
-    ginv, det = _inverse(((p, 0.0), (0.0, q)), t)
+    p_s = 2.0 * (e_sign * fa * dfa * dx2 + g_sign * fb * dfb * dw2)
+    p_ss = 2.0 * (e_sign * (dfa * dfa + fa * d2fa) * dx2
+                  + g_sign * (dfb * dfb + fb * d2fb) * dw2)
+    q_s = 2.0 * (na_sign * dfa * d2fa + nb_sign * dfb * d2fb)
+    det = p * q
     k = (-0.5 * p_ss * p * q + 0.25 * p * p_s * q_s
          + 0.25 * p_s * p_s * q) / (det * det)
 
     # H = a S_tt + b S_ss + c_t S_t + c_s S_s
-    g_tt, g_ss = ginv[0][0], ginv[1][1]
+    g_tt, g_ss = q / det, p / det
     a, b = 0.5 * g_tt, 0.5 * g_ss
     c_t = -0.25 * g_tt * g_tt * p_t
     c_s = 0.25 * g_ss * (g_tt * p_s - g_ss * q_s)
-    sign_u = 1.0 if lay.rot_u.hyperbolic else -1.0
-    sign_v = 1.0 if lay.rot_v.hyperbolic else -1.0
-    h_u = _plane_part(blocks[0], blocks[1], lay.fa_pos,
-                      a * sign_u * dx2 * fa + b * d2fa + c_s * dfa,
-                      (a * d2x + c_t * dx) * fa)
-    h_v = _plane_part(blocks[2], blocks[3], lay.fb_pos,
-                      a * sign_v * dw2 * fb + b * d2fb + c_s * dfb,
-                      (a * d2w + c_t * dw) * fb)
-    return k, lay.place(h_u, h_v)
+    # along the column of R and of R' in each plane
+    ru = a * sigma * dx2 * fa + b * d2fa + c_s * dfa
+    dru = (a * d2x + c_t * dx) * fa
+    rv = a * sigma * dw2 * fb + b * d2fb + c_s * dfb
+    drv = (a * d2w + c_t * dw) * fb
+    return k, (cu0 * ru + du0 * dru, cu1 * ru + du1 * dru,
+               cv0 * rv + dv0 * drv, cv1 * rv + dv1 * drv)
 
 
-def _point(spec, lay, t: float, s: float, col, row) -> tuple:
-    """(K_formula, K_oracle, h3, h4, e3, e4, H_formula, H_oracle, H_gap) at
-    (t, s), the vectors as 4-tuples, from ``_radicals``' inputs.
+def _point(signs, t: float, s: float, col, row) -> tuple:
+    """(K_formula, K_oracle, K_gap, h3, h4, e3, e4, H_formula, H_oracle,
+    H_gap) at (t, s), the vectors in plane coordinates, from ``_frame``'s
+    inputs.
 
-    H_formula = e3 h3 + e4 h4 is summed in that order; H_formula - H_oracle
-    must be finite, and an overflow or a zero divisor is a ``DomainError``."""
-    rad3, rad4, q3, q4 = _radicals(spec, t, s, col, row)
+    The Gauss equation and the normal parts of the second partials give
+    the closed forms in any signature.  The nonzero products of S_tt, S_ss
+    and S_ts with the unnormalised normals are
+
+        A3 = <S_tt, e3~> = e fa fb (x'' w' - x' w''),
+        A4 = <S_tt, e4~> = na sigma (fa fb' x'^2 - fb fa' w'^2),
+        B4 = <S_ss, e4~> = na (fa'' fb' - fa' fb''),
+        C3 = <S_ts, e3~> = e x' w' (fa' fb - fa fb'),
+
+    so K = (A4 B4 / n4 - C3^2 / n3) / (P Q),
+    h3 = sgn(n3) A3 / (2 P sqrt|P|) and
+    h4 = sgn(n4) (A4 / P + B4 / Q) / (2 sqrt|Q|).
+
+    H_formula = e3 h3 + e4 h4 is summed in that order.  A zero divisor is
+    a ``DomainError``, and so is a K_gap or H_formula - H_oracle that is
+    not finite, which a non-finite K_formula, h3, h4 or oracle makes it.
+    """
+    p, q, n3, n4, q3, q4, e3, e4 = _frame(signs, t, s, col, row)
+    e, _, na, _, sigma, _ = signs
     fa, fb, dfa, dfb, d2fa, d2fb = col
-    dx, dw, d2x, d2w, blocks = row
+    dx, dw, d2x, d2w, _ = row
+    a3 = e * fa * fb * (d2x * dw - dx * d2w)
+    a4 = na * sigma * (fa * dfb * dx * dx - fb * dfa * dw * dw)
+    b4 = na * (d2fa * dfb - dfa * d2fb)
+    c3 = e * dx * dw * (dfa * fb - fa * dfb)
     try:
-        k_formula, h3, h4 = spec.closed_forms(fa, fb, dfa, dfb, d2fa, d2fb,
-                                              dx, dw, d2x, d2w, rad3, rad4,
-                                              q3, q4)
-    except OverflowError as exc:  # float ** raises where * gives inf
-        raise DomainError("curvature overflow") from exc
-    e3, e4 = spec.normal_frame(fa, fb, dfa, dfb, dx, dw, q3, q4, blocks[0],
-                               blocks[2])
-    try:
-        k_oracle, h_oracle = _exact_oracles(lay, t, fa, fb, dfa, dfb, d2fa,
-                                            d2fb, dx, dw, d2x, d2w, blocks)
-    except ZeroDivisionError as exc:  # (P Q)^2 underflows to 0
+        k_formula = (a4 * b4 / n4 - c3 * c3 / n3) / (p * q)
+        h3 = a3 / (2.0 * p * q3)
+        h4 = (a4 / p + b4 / q) / (2.0 * q4)
+        k_oracle, h_oracle = _exact_oracles(signs, p, q, col, row)
+    except ZeroDivisionError as exc:  # a product underflows to 0
         raise DomainError("division by zero") from exc
+    if n3 < 0.0:
+        h3 = -h3
+    if n4 < 0.0:
+        h4 = -h4
     h_formula = (e3[0] * h3 + e4[0] * h4, e3[1] * h3 + e4[1] * h4,
                  e3[2] * h3 + e4[2] * h4, e3[3] * h3 + e4[3] * h4)
     d0, d1, d2, d3 = (h_formula[0] - h_oracle[0], h_formula[1] - h_oracle[1],
                       h_formula[2] - h_oracle[2], h_formula[3] - h_oracle[3])
-    if not (math.isfinite(d0) and math.isfinite(d1) and math.isfinite(d2)
-            and math.isfinite(d3)):
+    k_gap = abs(k_formula - k_oracle)
+    if not math.isfinite(k_gap + d0 + d1 + d2 + d3):
         raise DomainError("curvature overflow")
-    return (k_formula, k_oracle, h3, h4, e3, e4, h_formula, h_oracle,
+    return (k_formula, k_oracle, k_gap, h3, h4, e3, e4, h_formula, h_oracle,
             max(abs(d0), abs(d1), abs(d2), abs(d3)))
 
 
@@ -395,20 +438,18 @@ def curvature_grid(surface: DoubleRotationSurface, ts, ss) -> list[tuple]:
     The angle values are evaluated once per t and the profile values once
     per s; an error of either is raised at the first point that needs it.
     The first point that fails raises ``GridPointError``."""
-    spec, lay = surface.family.spec, surface.family.layout
+    signs = _signs(surface.family.layout)
     cols = [_attempt(surface._profile_values, s) for s in ss]
     rows = []
     for t in ts:
         row = _attempt(_angle_row, surface, t)
         for s, col in zip(ss, cols):
             try:
-                k_formula, k_oracle, h3, h4, *_, h_gap = _point(
-                    spec, lay, t, s, col, row)
-            except (FrameDegenerateError, DegenerateMetricError,
-                    DomainError) as exc:
+                k_formula, k_oracle, k_gap, h3, h4, *_, h_gap = _point(
+                    signs, t, s, col, row)
+            except (FrameDegenerateError, DomainError) as exc:
                 raise GridPointError(t, s, exc) from exc
-            rows.append((t, s, k_formula, k_oracle,
-                         abs(k_formula - k_oracle), h3, h4, h_gap))
+            rows.append((t, s, k_formula, k_oracle, k_gap, h3, h4, h_gap))
     return rows
 
 
@@ -418,8 +459,10 @@ def curvature_grid(surface: DoubleRotationSurface, ts, ss) -> list[tuple]:
 class CurvatureReport:
     """Closed-form versus oracle curvature at one (t, s) point.
 
-    ``K_gap`` and ``H_gap`` are reported discrepancies, not assertions:
-    the closed forms are under numerical audit.
+    ``K_gap`` = |K_formula - K_oracle| and ``H_gap``, the largest
+    component of |H_formula - H_oracle|, are rounding-level: the tests
+    and ``scripts/curvature_audit.py`` hold them to 1e-9 times
+    max(1, |K_oracle|) and max(1, max |H_oracle|).
     """
 
     K_formula: float
@@ -437,18 +480,19 @@ class CurvatureReport:
 def curvature_report(surface: DoubleRotationSurface, t: float,
                      s: float) -> CurvatureReport:
     """Evaluate closed forms and exact oracles at (t, s) and report the gaps."""
-    (k_formula, k_oracle, h3, h4, e3, e4, h_formula, h_oracle,
-     h_gap) = _point(surface.family.spec, surface.family.layout, t, s,
-                     surface._profile_values(s), _angle_row(surface, t))
+    lay = surface.family.layout
+    (k_formula, k_oracle, k_gap, h3, h4, e3, e4, h_formula, h_oracle,
+     h_gap) = _point(_signs(lay), t, s, surface._profile_values(s),
+                     _angle_row(surface, t))
     return CurvatureReport(
         K_formula=k_formula,
         K_oracle=k_oracle,
         h3=h3,
         h4=h4,
-        e3=Vector4(*e3),
-        e4=Vector4(*e4),
-        H_formula=Vector4(*h_formula),
-        H_oracle=Vector4(*h_oracle),
-        K_gap=abs(k_formula - k_oracle),
+        e3=lay.vector(e3[:2], e3[2:]),
+        e4=lay.vector(e4[:2], e4[2:]),
+        H_formula=lay.vector(h_formula[:2], h_formula[2:]),
+        H_oracle=lay.vector(h_oracle[:2], h_oracle[2:]),
+        K_gap=k_gap,
         H_gap=h_gap,
     )

@@ -107,15 +107,10 @@ class FamilySpec:
     * ``invert(a, b, dt, tol)`` -> (phi, theta, ok, residual), where
       ``residual`` is the defect of the identity (a, b, dt) must satisfy;
     * ``invariants(fa, fb, phi, theta)``: 2*fa^2*du, inv2_sign*2*fb^2*dv;
-    * ``slope(fa, phi, theta, lagr)`` -> (dt/du, radicand of its root);
-    * ``radicands`` -> (rad3, rad4), ``normal_frame`` -> (e3, e4) and
-      ``closed_forms`` -> (K, h3, h4) of a double-rotation surface at one
-      point, as plain floats and 4-tuples, from the profile values at s,
-      the angle derivatives at t, q3 = sqrt(rad3), q4 = sqrt(rad4) and the
-      rotation blocks ``bu``, ``bv`` at the angles x, w, whose first two
-      entries are (cosh, sinh) of the angle for a boost, (cos, sin) for a
-      spin.  e3 and e4 are scaled by the reciprocals 1/q3 and 1/q4, not
-      divided by q3 and q4: the curvature goldens pin that rounding.
+    * ``slope(fa, phi, theta, lagr)`` -> (dt/du, radicand of its root).
+
+    The normal frame and curvature of a double-rotation surface need no
+    law of their own: ``curvature`` derives them from the layout alone.
     """
 
     rot_u: Rotation
@@ -164,27 +159,6 @@ class _Hyperbolic14(FamilySpec):
                     - lagr / (cos_phi * cos_phi))
         return fa * math.sqrt(abs(radicand)), radicand
 
-    def radicands(self, fa, fb, dfa, dfb, dx, dw):
-        return fb * fb * dw * dw - fa * fa * dx * dx, dfb * dfb - dfa * dfa
-
-    def normal_frame(self, fa, fb, dfa, dfb, dx, dw, q3, q4, bu, bv):
-        (chx, shx, _, _), (chw, shw, _, _) = bu, bv
-        r3, r4 = 1.0 / q3, 1.0 / q4
-        return ((fb * dw * shx * r3, fa * dx * chw * r3,
-                 fb * dw * chx * r3, fa * dx * shw * r3),
-                (dfb * chx * r4, dfa * shw * r4,
-                 dfb * shx * r4, dfa * chw * r4))
-
-    def closed_forms(self, fa, fb, dfa, dfb, d2fa, d2fb, dx, dw, d2x, d2w,
-                     rad3, rad4, q3, q4):
-        wronskian = dfa * d2fb - d2fa * dfb
-        curv = ((dfa * fb - fa * dfb) ** 2 * (dx * dw) ** 2 / rad3
-                + (dfa * fb * dw * dw - dfb * fa * dx * dx) * wronskian / rad4)
-        h3 = (fa * fb * (d2x * dw + dx * d2w) / (2.0 * q3)
-              + (dfb * fa * dx * dx - dfa * fb * dw * dw) / (2.0 * q4))
-        h4 = wronskian / (2.0 * q4)
-        return curv, h3, h4
-
 
 class _Hyperbolic23(FamilySpec):
     """Boosts in the x1x4 and x2x3 planes (boost-14/23):
@@ -215,30 +189,6 @@ class _Hyperbolic23(FamilySpec):
         radicand = math.sinh(phi) ** 2 - lagr
         return (fa * math.sqrt(abs(radicand))
                 / (math.cos(theta) * math.sinh(phi))), radicand
-
-    def radicands(self, fa, fb, dfa, dfb, dx, dw):
-        return fb * fb * dw * dw + fa * fa * dx * dx, dfa * dfa + dfb * dfb
-
-    def normal_frame(self, fa, fb, dfa, dfb, dx, dw, q3, q4, bu, bv):
-        # middle-slot signs fixed so both vectors are orthogonal to the
-        # surface tangents (inner product with S_t is 2*fa*fb*dx*dw and
-        # with S_s is -2*dfa*dfb otherwise)
-        (chx, shx, _, _), (chw, shw, _, _) = bu, bv
-        r3, r4 = 1.0 / q3, 1.0 / q4
-        return ((fb * dw * shx * r3, -fa * dx * shw * r3,
-                 -fa * dx * chw * r3, fb * dw * chx * r3),
-                (dfb * chx * r4, -dfa * chw * r4,
-                 -dfa * shw * r4, dfb * shx * r4))
-
-    def closed_forms(self, fa, fb, dfa, dfb, d2fa, d2fb, dx, dw, d2x, d2w,
-                     rad3, rad4, q3, q4):
-        cross_term = d2fa * dfb + dfa * d2fb
-        curv = -((fa * dfb + dfa * fb) ** 2 * (dx * dw) ** 2 / rad3
-                 + (fa * dfb * dx * dx + dfa * fb * dw * dw) * cross_term / rad4)
-        h3 = fa * fb * (dx * d2w + d2x * dw) / (2.0 * q3)
-        h4 = ((fa * dfb * dx * dx + dfa * fb * dw * dw - d2fa * dfb - dfa * d2fb)
-              / (2.0 * q4))
-        return curv, h3, h4
 
 
 class _Elliptic56(FamilySpec):
@@ -274,26 +224,6 @@ class _Elliptic56(FamilySpec):
         radicand = lagr + math.sin(phi) ** 2
         return (fa * math.sqrt(abs(radicand))
                 / (math.sin(phi) * math.cosh(theta))), radicand
-
-    radicands = _Hyperbolic14.radicands  # the same as the boost-13/24 family's
-
-    def normal_frame(self, fa, fb, dfa, dfb, dx, dw, q3, q4, bu, bv):
-        (cox, six, _, _), (cow, siw, _, _) = bu, bv
-        r3, r4 = 1.0 / q3, 1.0 / q4
-        return ((-fb * dw * cox * r3, fb * dw * six * r3,
-                 -fa * dx * cow * r3, fa * dx * siw * r3),
-                (dfb * six * r4, dfb * cox * r4,
-                 dfa * siw * r4, dfa * cow * r4))
-
-    def closed_forms(self, fa, fb, dfa, dfb, d2fa, d2fb, dx, dw, d2x, d2w,
-                     rad3, rad4, q3, q4):
-        wronskian = -d2fa * dfb + dfa * d2fb
-        curv = -((dfa * fb - fa * dfb) ** 2 * (dx * dw) ** 2 / rad3
-                 + wronskian * (dfb * fa * dx * dx - dfa * fb * dw * dw) ** 2 / rad4)
-        h3 = fb * fa * (dx * d2w - dw * d2x) / (2.0 * q3)
-        h4 = ((dfb * fa * dx * dx - dfa * fb * dw * dw + d2fa * dfb - dfa * d2fb)
-              / (2.0 * q4))
-        return curv, h3, h4
 
 
 _SPECS: dict[FamilyKind, FamilySpec] = {

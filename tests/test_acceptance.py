@@ -289,7 +289,8 @@ def _profile(text):
 
 
 def test_08_curvature():
-    """Flat cases, oracle order, frame orthonormality; gaps reported."""
+    """Flat cases, oracle order, frame orthonormality; closed forms equal
+    to the exact oracles."""
     flats = [
         ("hyperbolic14",
          DoubleRotationSurface(
@@ -309,6 +310,11 @@ def test_08_curvature():
         _check(f"criterion-8 flat {name}",
                report.K_formula == 0.0 and abs(report.K_oracle) <= 1e-6,
                f"K_formula={report.K_formula} K_oracle={report.K_oracle:.2e}")
+        _check_gaps(f"criterion-8 flat {name} gaps", report)
+        if name == "elliptic56":  # a plane region: no mean curvature
+            _check("criterion-8 flat elliptic56 h3 = h4 = 0",
+                   report.h3 == 0.0 and report.h4 == 0.0,
+                   f"h3={report.h3} h4={report.h4}")
 
     curved = DoubleRotationSurface(
         make_family("hyperbolic14", "A", "2 + t^2/8", "3 + t", 0.1, 2.0),
@@ -348,10 +354,18 @@ def test_08_curvature():
         _check(f"criterion-8 frame orthonormality {name}", worst <= 1e-10,
                f"worst defect={worst:.3e} tol=1e-10 (100 points)")
 
-    # non-flat closed forms are under audit: gaps are reported, not asserted
-    audited = curvature_report(curved, 0.6, 1.0)
-    print(f"[acceptance] criterion-8 audit (reported only): "
-          f"K_gap={audited.K_gap:.3e} H_gap={audited.H_gap:.3e}")
+    _check_gaps("criterion-8 curved hyperbolic14 gaps",
+                curvature_report(curved, 0.6, 1.0))
+
+
+def _check_gaps(name: str, report):
+    """K_gap and H_gap within 1e-9 of max(1, |K_oracle|) and
+    max(1, max |H_oracle|)."""
+    k_tol = 1e-9 * max(1.0, abs(report.K_oracle))
+    h_tol = 1e-9 * max(1.0, max(abs(x) for x in report.H_oracle.components()))
+    _check(name, report.K_gap <= k_tol and report.H_gap <= h_tol,
+           f"K_gap={report.K_gap:.3e} (tol {k_tol:.1e}) "
+           f"H_gap={report.H_gap:.3e} (tol {h_tol:.1e})")
 
 
 def test_09_parser():

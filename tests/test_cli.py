@@ -10,7 +10,8 @@ from pathlib import Path
 import pytest
 
 import rotsurf
-from rotsurf import ProfileFunction, make_family
+from rotsurf import (DoubleRotationSurface, ProfileFunction, inner,
+                     make_family, normal_frame)
 from rotsurf.cli import (_CURVATURE_COLUMNS, _TRAJECTORY_COLUMNS, _write_table,
                          main)
 from rotsurf.config import ConfigError, parse_config
@@ -313,15 +314,40 @@ def test_curvature_grid_rejects_non_integer_size(tmp_path, capsys, field, value)
 def test_curvature_degenerate_grid_is_numerical_failure(tmp_path, capsys):
     document = {
         "family": "hyperbolic14",
-        "profiles": {"fa": "2+t", "fb": "3+2*t"},
+        "profiles": {"fa": "2+t", "fb": "2+t"},
         "domain": [0.1, 2.0],
-        # frozen v-angle makes the first frame radicand negative
-        "curvature": {"xAngle": "t", "vAngle": "1"},
+        # fa = fb and x = w: P = Q = 0, so both normals are null
+        "curvature": {"xAngle": "t", "vAngle": "t"},
         "output": {"path": str(tmp_path / "grid.csv"), "format": "csv"},
     }
     config = write_config(tmp_path, document)
     assert main(["curvature", "--config", config]) == 2
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_curvature_frozen_v_angle_has_a_timelike_e3(tmp_path, capsys):
+    # P = fa^2 > 0 with w frozen: e3 is a timelike normal of hyperbolic14,
+    # not a degenerate frame
+    document = {
+        "family": "hyperbolic14",
+        "profiles": {"fa": "2+t", "fb": "3+2*t"},
+        "domain": [0.1, 2.0],
+        "curvature": {"xAngle": "t", "vAngle": "1"},
+        "output": {"path": str(tmp_path / "grid.csv"), "format": "csv"},
+    }
+    assert main(["curvature", "--config",
+                 write_config(tmp_path, document)]) == 0
+    lines = (tmp_path / "grid.csv").read_text().splitlines()
+    surface = DoubleRotationSurface(
+        make_family("hyperbolic14", "A", "2+t", "3+2*t", 0.1, 2.0),
+        ProfileFunction.from_text("t", 0.1, 2.0),
+        ProfileFunction.from_text("1", 0.1, 2.0))
+    for line in lines[1:]:
+        t, s, _, k_oracle, k_gap, _, _, h_gap = map(float, line.split(","))
+        assert k_gap <= 1e-9 * max(1.0, abs(k_oracle))
+        assert h_gap <= 1e-9
+        e3, _ = normal_frame(surface, t, s)
+        assert abs(inner(e3, e3) + 1.0) <= 1e-10
 
 
 # the curved surface of scripts/curvature_audit.py, on the CLI's grid
@@ -348,9 +374,8 @@ def run_curvature(tmp_path, capsys, **changes):
     # cosh(1000 t) overflows in the rotation block of the v-angle
     ({"curvature.vAngle": "1000*t"},
      "t=0.7649999999999999, s=0.19500000000000001: cosh overflow"),
-    # cosh(w) is finite, fa x' cosh(w) in the normal frame is not
-    ({"curvature.xAngle": "t", "curvature.vAngle": "t + 708.8",
-      "curvature.grid": {"nt": 1, "ns": 1}},
+    # fb^2 w'^2 in P overflows, so the frame has no finite P Q
+    ({"profiles.fb": "1e160*(3 + t)", "curvature.grid": {"nt": 1, "ns": 1}},
      "t=1.05, s=1.05: curvature overflow"),
     # det = P Q is about 1e-180, so det^2 underflows to 0
     ({"family": "hyperbolic23", "profiles.fa": "2 + t/2",

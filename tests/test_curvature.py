@@ -13,7 +13,7 @@ import sympy as sp
 
 from rotsurf import (DegenerateMetricError, DomainError,
                      DoubleRotationSurface, FrameDegenerateError,
-                     ProfileFunction, Vector4, curvature_grid,
+                     ProfileFunction, Vector4, cross, curvature_grid,
                      curvature_report, gaussian_curvature_fd, inner,
                      make_family, mean_curvature_fd, normal_frame)
 from rotsurf.curvature import GridPointError
@@ -27,6 +27,14 @@ def profile(text, lo=-10.0, hi=10.0):
 def surface(kind, variant, fa, fb, lo, hi, angle_u, angle_v):
     fam = make_family(kind, variant, fa, fb, lo, hi)
     return DoubleRotationSurface(fam, profile(angle_u), profile(angle_v))
+
+
+def assert_gaps_small(report):
+    """The closed forms agree with the exact oracles to 1e-9, relative to
+    max(1, |K_oracle|) and max(1, max |H_oracle|)."""
+    assert report.K_gap <= 1e-9 * max(1.0, abs(report.K_oracle))
+    scale = max(1.0, max(abs(x) for x in report.H_oracle.components()))
+    assert report.H_gap <= 1e-9 * scale
 
 
 # --- the intrinsic-curvature oracle against classical metrics -------------
@@ -114,28 +122,32 @@ def test_curvature_oracle_second_point():
 
 
 # --- flat configurations ---------------------------------------------------
-# Linear profiles kill the second closed-form curvature term; freezing one
-# angle kills the first.  Each configuration is genuinely flat (the induced
-# metric is diag(+-a(s)^2, const) with linear a).
+# Linear profiles kill B4 = <S_ss, e4~>; freezing one angle kills
+# C3 = <S_ts, e3~>, so the closed-form K is exactly zero.  Each
+# configuration is genuinely flat (the induced metric is
+# diag(+-a(s)^2, const) with linear a).  Freezing an angle also puts e3 in
+# the plane of the frozen rotation: the other plane's part of e3~ carries
+# the frozen angle's derivative as a factor.
 
 FLAT_CASES = [
-    # (surface, h4 vanishes too): linear profiles kill h4's numerator for
-    # the boost-13/24 and spin families; the boost-14/23 h4 keeps
-    # first-derivative terms
+    # (surface, the frozen angle is the u-angle)
     (surface("hyperbolic14", "A", "2+t", "3+2*t", 0.1, 2.0, "1", "t"), True),
     (surface("hyperbolic23", "A", "2+t", "3+2*t", 0.1, 2.0, "t", "1"), False),
     (surface("elliptic56", "A", "1", "2+t", 0.1, 2.0, "1", "t"), True),
 ]
 
 
-@pytest.mark.parametrize("srf,h4_zero", FLAT_CASES)
-def test_flat_configurations(srf, h4_zero):
+@pytest.mark.parametrize("srf,u_frozen", FLAT_CASES)
+def test_flat_configurations(srf, u_frozen):
+    lay = srf.family.layout
+    off_plane = lay.plane_v if u_frozen else lay.plane_u
     for (t, s) in ((0.5, 0.8), (1.2, 1.5)):
         report = curvature_report(srf, t, s)
         assert report.K_formula == 0.0
         assert abs(report.K_oracle) <= 1e-6
-        if h4_zero:
-            assert report.h4 == 0.0
+        assert_gaps_small(report)
+        e3 = report.e3.components()
+        assert [e3[i] for i in off_plane] == [0.0, 0.0]
 
 
 # --- convergence orders -----------------------------------------------------
@@ -178,13 +190,21 @@ def test_oracle_self_consistency_at_default_step():
 # --- normal frames ----------------------------------------------------------
 
 FRAME_CASES = [
-    # surface, expected (e3.e3, e4.e4)
+    # surface, expected (e3.e3, e4.e4), or None where they change sign
+    # over the sampled box
     (surface("hyperbolic14", "A", "2 + t^2/8", "3 + t", 0.1, 2.0, "t/2", "t"),
      (1.0, -1.0)),
     (surface("hyperbolic23", "A", "2 + t/2", "1 + t/4", 0.1, 2.0, "t", "t/3"),
      (1.0, -1.0)),
     (surface("elliptic56", "A", "1 + t/8", "2 + t", 0.1, 2.0, "t/4", "t"),
      (-1.0, -1.0)),
+    # the B surfaces of EXACT_CASES
+    (surface("hyperbolic14", "B", "1 + t/4", "2 + t^2/4", 0.1, 2.0, "t/3",
+             "t"), None),
+    (surface("hyperbolic23", "B", "2 + t/sqrt(2)", "1 + t/sqrt(2)", 0.1, 2.0,
+             "t/2", "sin(t)"), (-1.0, 1.0)),
+    (surface("elliptic56", "B", "1 + t/8", "2 + t^2/4", 0.1, 2.0, "t/4", "t"),
+     None),
 ]
 
 
@@ -195,20 +215,37 @@ def test_frame_orthonormality_at_random_points(srf, signature):
         t = rng.uniform(0.15, 1.95)
         s = rng.uniform(0.15, 1.95)
         e3, e4 = normal_frame(srf, t, s)
-        assert abs(inner(e3, e3) - signature[0]) <= 1e-10
-        assert abs(inner(e4, e4) - signature[1]) <= 1e-10
-        assert abs(inner(e3, e4)) <= 1e-10
         st, ss = srf.tangents(t, s)
+        expected = signature
+        if signature is None:
+            # the law of inertia: an orthogonal basis of (-, -, +, +) has
+            # two timelike vectors
+            squares = [inner(v, v) for v in (st, ss, e3, e4)]
+            assert sum(x < 0.0 for x in squares) == 2
+            expected = (math.copysign(1.0, squares[2]),
+                        math.copysign(1.0, squares[3]))
+        assert abs(inner(e3, e3) - expected[0]) <= 1e-10
+        assert abs(inner(e4, e4) - expected[1]) <= 1e-10
+        assert abs(inner(e3, e4)) <= 1e-10
         for normal in (e3, e4):
             assert abs(inner(normal, st)) <= 1e-10
             assert abs(inner(normal, ss)) <= 1e-10
+        # e4 spans the normal line of (S_t, S_s, e3): the ternary cross
+        # product less its part along e4 vanishes
+        c = cross(st, ss, e3)
+        rest = c - e4 * (inner(c, e4) * expected[1])
+        assert max(map(abs, rest.components())) \
+            <= 1e-10 * max(map(abs, c.components()))
 
 
 def test_frame_degenerate_raises():
-    # freezing the v-angle makes the first radicand negative here; at
-    # w = 1000 the degenerate frame is reported before cosh(w) overflows
-    for angle_v in ("1", "1000"):
-        srf = surface("hyperbolic14", "A", "2+t", "3+2*t", 0.1, 2.0, "t",
+    # a null normal: e3~ is null where P = 0, e4~ where Q = 0
+    for fb, angle_u, angle_v in (
+            ("2+t", "t", "t"),       # fa = fb and x = w: P = Q = 0
+            ("4+2*t", "t", "t/2"),   # fb w' = fa x': P = 0, Q = 3
+            # fa' = fb': Q = 0, reported before cosh(1000) overflows
+            ("2+t", "t", "1000")):
+        srf = surface("hyperbolic14", "A", "2+t", fb, 0.1, 2.0, angle_u,
                       angle_v)
         with pytest.raises(FrameDegenerateError):
             normal_frame(srf, 0.7, 1.1)
@@ -242,12 +279,9 @@ def test_oracle_mean_curvature_is_normal():
         assert abs(inner(report.H_oracle, ss)) <= 1e-8
 
 
-def test_gaps_are_reported_not_asserted():
-    # the closed form disagrees with the oracle on this surface;
-    # the report carries the discrepancy as data
-    report = curvature_report(TORUS, 0.3, 1.2)
-    assert report.K_gap > 1.0
-    assert math.isfinite(report.H_gap)
+def test_closed_forms_match_the_torus_oracles():
+    for t, s in ((0.3, 1.2), (1.1, 2.0)):
+        assert_gaps_small(curvature_report(TORUS, t, s))
 
 
 def test_fd_step_is_an_unknown_key():
@@ -334,6 +368,66 @@ def test_exact_oracles_match_finite_differences(case):
             assert abs(got - want) <= 1e-6 * scale
 
 
+@pytest.mark.parametrize("case", EXACT_CASES, ids=lambda c: f"{c[0]}-{c[1]}")
+def test_closed_forms_match_exact_oracles(case):
+    srf = surface(case[0], case[1], case[2], case[3], 0.1, 2.0, case[4],
+                  case[5])
+    for t, s in EXACT_POINTS:
+        assert_gaps_small(curvature_report(srf, t, s))
+
+
+def erratum_forms(kind, fa, fb, dfa, dfb, d2fa, d2fb, dx, dw, d2x, d2w):
+    """The corrected (K, h3, h4) of README.md's erratum table, variant A,
+    in the family's radicands; None where a radicand is not positive."""
+    d = dfa * fb - fa * dfb
+    w = dfa * d2fb - d2fa * dfb
+    m = dfa * fb * dw * dw - fa * dfb * dx * dx
+    if kind == "hyperbolic23":
+        rad3, rad4 = fb * fb * dw * dw + fa * fa * dx * dx, dfa ** 2 + dfb ** 2
+    else:
+        rad3, rad4 = fb * fb * dw * dw - fa * fa * dx * dx, dfb ** 2 - dfa ** 2
+    if rad3 <= 0.0 or rad4 <= 0.0:
+        return None
+    k = (d * d * (dx * dw) ** 2 / rad3 + m * w / rad4) / (rad3 * rad4)
+    h3 = fa * fb * (dx * d2w - d2x * dw) / (2.0 * rad3 ** 1.5)
+    h4 = (m / rad3 - w / rad4) / (2.0 * math.sqrt(rad4))
+    if kind != "hyperbolic14":
+        h3 = -h3
+    if kind == "hyperbolic23":
+        h4 = -h4
+    return k, h3, h4
+
+
+@pytest.mark.parametrize("kind,variant", [
+    (kind, variant) for kind in ("hyperbolic14", "hyperbolic23", "elliptic56")
+    for variant in "AB"])
+def test_closed_forms_match_exact_oracles_at_random_draws(kind, variant):
+    # random quadratic profiles and angles, one random point each; on
+    # variant A, where both radicands are positive, the README's erratum
+    # table gives the same K, h3 and h4
+    rng = random.Random(f"{kind}-{variant}")
+
+    def quadratic(c0):
+        return (f"{c0 + rng.uniform(0.5, 2.0)!r} + {rng.uniform(-1, 1)!r}*t"
+                f" + {rng.uniform(-0.5, 0.5)!r}*t^2")
+
+    erratum_checked = 0
+    for _ in range(40):
+        srf = surface(kind, variant, quadratic(1.0), quadratic(1.0), 0.1,
+                      2.0, quadratic(-1.0), quadratic(-1.0))
+        t, s = rng.uniform(0.2, 1.8), rng.uniform(0.2, 1.8)
+        report = curvature_report(srf, t, s)
+        assert_gaps_small(report)
+        forms = erratum_forms(kind, *srf._profile_values(s),
+                              *srf._angle_values(t)[2:])
+        if variant == "A" and forms is not None:
+            for want, got in zip(forms, (report.K_formula, report.h3,
+                                         report.h4)):
+                assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+            erratum_checked += 1
+    assert variant == "B" or erratum_checked >= 5
+
+
 def test_exact_k_vanishes_on_h23_audit_surface():
     # erratum lead: sympy's K is 0 on this surface, the closed form is not
     srf = surface("hyperbolic23", "A", "2 + t/2", "1 + t/4", 0.1, 2.0,
@@ -369,11 +463,11 @@ def test_grid_matches_per_point_reports(case, grid):
 
 
 def test_grid_locates_the_first_failing_point():
-    # rad3 = 0.36 (3 + 2s)^2 - (2 + s)^2 is negative for s < 1 only
-    srf = surface("hyperbolic14", "A", "2+t", "3+2*t", 0.1, 2.0, "t", "0.6*t")
+    # P = (2 + s)^2 - (2 s)^2 vanishes at s = 2 only: e3~ is null there
+    srf = surface("hyperbolic14", "A", "2+t", "2*t", 0.1, 2.0, "t", "t")
     with pytest.raises(GridPointError) as excinfo:
-        curvature_grid(srf, (1.5, 0.7), (1.8, 0.5))
-    assert (excinfo.value.t, excinfo.value.s) == (1.5, 0.5)
+        curvature_grid(srf, (1.5, 0.7), (1.8, 2.0))
+    assert (excinfo.value.t, excinfo.value.s) == (1.5, 2.0)
     assert isinstance(excinfo.value.error, FrameDegenerateError)
 
 
@@ -396,18 +490,27 @@ def test_overflow_is_a_domain_error():
     for call in (curvature_report, normal_frame):
         with pytest.raises(DomainError, match="cosh overflow"):
             call(srf, 0.8, 0.5)
-    # cosh(w) is finite, but fa x' cosh(w) in the frame is not
+    # cosh(w) is finite, but fa x' / sqrt|P| cosh(w) in e3 is not: P is
+    # small, fb w' is close to fa x'
     srf = surface("hyperbolic14", "A", "2 + t^2/8", "3 + t", 0.1, 2.0,
-                  "t", "t + 708.8")
+                  "t", "t/2 + 709")
     with pytest.raises(DomainError, match="curvature overflow"):
         curvature_report(srf, 1.05, 1.05)
     with pytest.raises(ValueError, match="must be finite"):
         normal_frame(srf, 1.05, 1.05)
-    # (fa' fb - fa fb')^2 in the closed form of K overflows
+    # fb^2 w'^2 in P overflows, so the frame has no finite P Q
     srf = surface("hyperbolic14", "A", "2 + t^2/8", "1e160*(3 + t)", 0.1,
                   2.0, "t/2", "t")
+    for call in (curvature_report, normal_frame):
+        with pytest.raises(DomainError, match="curvature overflow"):
+            call(srf, 0.7, 0.9)
+    # the frame is finite, but A3 = e fa fb (x'' w' - x' w'') is not, at
+    # t = 1 where x' = 1 and x'' = 2e307
+    srf = surface("hyperbolic14", "A", "2 + t^2/8", "3 + t", 0.1, 2.0,
+                  "t + 1e307*(t - 1)^2", "3*t")
+    normal_frame(srf, 1.0, 1.0)
     with pytest.raises(DomainError, match="curvature overflow"):
-        curvature_report(srf, 0.7, 0.9)
+        curvature_report(srf, 1.0, 1.0)
 
 
 def test_surface_pickles_after_grid():
