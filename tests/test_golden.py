@@ -18,6 +18,13 @@ formula on the diagonal induced metric in place of finite differences:
 only the ``K_oracle``, ``K_gap`` and ``H_gap`` columns changed
 (``K_oracle`` by at most 5.7e-7 x max(1, |K|)), and every geodesic and
 invariants hash stayed as it was.
+All twelve were re-recorded once more, with ``AUDIT_GOLDEN``, when one
+normal frame and one set of closed forms derived from the layout
+replaced the three per-family copies of the paper's printed forms: the
+``t``, ``s`` and ``K_oracle`` columns stayed byte-identical, while
+``K_formula``, ``K_gap``, ``h4``, ``H_gap`` and, on h14, h14-B and
+h23-B, ``h3`` moved to agree with the oracles to rounding (the largest
+K_gap is 2.6e-16 x max(1, |K|), the largest H_gap 1.1e-14).
 The ``rotsurf killing`` standard output and exit codes in
 ``KILLING_GOLDEN`` were recorded while ``isometries`` still computed its
 4x4 matrices with numpy, before they became plain float tuples, so that
@@ -28,10 +35,8 @@ standard output).  Once the CLI read negative numbers with an exponent as
 values, it was re-recorded with the plain-tuple matrices: exit 0 and the
 all-zero report, which the all-positive ``1e300 1e-300`` vector had
 already shown with numpy.
-``AUDIT_GOLDEN``, the standard output of ``scripts/curvature_audit.py
---verbose``, was recorded while the script still called
-``curvature_report`` point by point, before it switched to the grid
-kernel ``curvature_grid``.
+``AUDIT_GOLDEN`` is the standard output of ``scripts/curvature_audit.py
+--verbose``, which sweeps all six (family, variant) pairs.
 Any change to the arithmetic or to its order shows up here as a changed
 byte.  The digests depend on the platform's libm; they were recorded on
 x86-64 Linux with CPython 3.11.
@@ -90,8 +95,8 @@ CONFIGS = {
                       "grid": {"nt": 3, "ns": 3}},
     },
     # unit speed with N = -1: clairaut_report takes the angle path on every
-    # row; a constant fb leaves no positive normal-frame radicand, so there
-    # is no curvature run
+    # row; it pins the geodesic and invariants artifacts only (its
+    # constant fb does not rule out a curvature run: Q = N = -1)
     "e56-unit": {
         "family": "elliptic56",
         "variant": "A",
@@ -167,9 +172,9 @@ GOLDEN = {
     'h14/invariants_json/invariants.summary.json':
         'b95e3a03abdd536f47df606c7985af47b031748ae2764c1ee4dfab1d84979ed3',
     'h14/curvature_csv/curvature.csv':
-        'dbcc1a056dce6931a7b1f3e58f81fc0ead58f78ea435c9b55f08cbf44f0b0653',
+        '590b98e458e1114d00495d67da51e765251e2d41d353fc8997a3bac39ece180d',
     'h14/curvature_json/curvature.json':
-        '7c5b620ef65ada0a00c238581a2a2f869db198d2487baa731e58cd12a3f0e586',
+        '58882aff7d4a6d20106e61a968a000b843401078b04cbee898d0bf7db6126201',
     'h23/geodesic_csv/geodesic.csv':
         '44eb7693dcf868c55e1896e5832184c946c1dc92ecb80283f2286b3548831b57',
     'h23/invariants_csv/invariants.csv':
@@ -181,9 +186,9 @@ GOLDEN = {
     'h23/invariants_json/invariants.summary.json':
         'db50ce9b957d97d27796adf38a97bdfc575cd1abc561134361131537daebcbcb',
     'h23/curvature_csv/curvature.csv':
-        '8203515f87cac494b4f43d606ff92e46c53d4dce1d303d575a6774b467dded2c',
+        'c86c42fe3c7b0e1a8faa19bddeb829da0cffe4c1e767736e28b9261bedd1a7e1',
     'h23/curvature_json/curvature.json':
-        '3b8fbb7c9fca177eaeef8b3b1f5006b5b7fcf02230d89b21c43aedea33ed31c4',
+        '7f1cc47f693368f83d8b644cee8ff23efac96fa12541f22dcdb537c955b02fa8',
     'e56/geodesic_csv/geodesic.csv':
         'f60abd8c31f17d95921befe331eee52dbc0072723a04d63d2bb8a9d09a686daa',
     'e56/invariants_csv/invariants.csv':
@@ -195,9 +200,9 @@ GOLDEN = {
     'e56/invariants_json/invariants.summary.json':
         '3531ccccb3a5b383fb2c867118f5609c9231a431b89dbee8f59cd58fb081c1a1',
     'e56/curvature_csv/curvature.csv':
-        'c9fc8b14f2e191613a99ec3df39997a58f764e375834c425cdd8516f83d400d6',
+        '8a8ce96b6af78cebd0e048b9ec3788e286e3acdcf6c8517ff0e4eea9c9f3dd8d',
     'e56/curvature_json/curvature.json':
-        'fe2284b05851468a4b84153fd028f0d9e7110fec23bac475a63f4cdea8568123',
+        '8788642737ddd78cb795af59197d1ca0a0cf505db2941a06e1a9d32edf4f4718',
     'e56-unit/geodesic_csv/geodesic.csv':
         '0cbe890e1355d92dc438b55d9c0a240b053d13cb232ada534f419dfed1a62aa9',
     'e56-unit/invariants_csv/invariants.csv':
@@ -219,9 +224,9 @@ GOLDEN = {
     'h14-B/invariants_json/invariants.summary.json':
         '6ef356dc5f9c1cf1c6047f5d88814f6cb64dc171b2068bfc261d712f2148a331',
     'h14-B/curvature_csv/curvature.csv':
-        '773eb7e254aab470ee4924f55fbf3c9d861fa37ce36c9cf79f9ac3cd98656ca1',
+        '6efdb427cc3117c1f76a3f5ac732f11be4d3c5b76dfebf7216140e0c22ad9dd0',
     'h14-B/curvature_json/curvature.json':
-        '538acba9d0e515c16a33a9ca7eb9222c423595e782483c9f09193a65fc97b9ff',
+        '5f20d85e937941bba1d5b524df3e40f18153f7c09cf2ae54c5a70cd2488b6a28',
     'h23-B/geodesic_csv/geodesic.csv':
         'dfc89e46fb22bc592b7fcf39779c37e083fcbfe31300107b8f228ff46fe6dd84',
     'h23-B/invariants_csv/invariants.csv':
@@ -233,9 +238,9 @@ GOLDEN = {
     'h23-B/invariants_json/invariants.summary.json':
         '2aaf9ab36ecd261ba54ea70a7c2171ad4f18db798cb1b43c1299f1ba3799bbd8',
     'h23-B/curvature_csv/curvature.csv':
-        '3189003f3d239371d529927a039fc828cc3dca739771ea57ea322101c9abdaf2',
+        '6792017b074276c977600fc5826990e2f4bfce4615dfd91f3041bc3b8b6a4286',
     'h23-B/curvature_json/curvature.json':
-        '27506652f9abc1b1addc5465e685c6343608e782385199ecae2d1800dc60a64f',
+        '2762c3faba32f8bcfb9161adc5428a055c108856c7ddf8be655c189fb6b2fdd4',
     'e56-A/geodesic_csv/geodesic.csv':
         'd3d2d7379e3dfa4eacd075e679f82d524a13b63b3f24180142eaacea858d3746',
     'e56-A/invariants_csv/invariants.csv':
@@ -247,9 +252,9 @@ GOLDEN = {
     'e56-A/invariants_json/invariants.summary.json':
         'b94ccb5b2f5638dbae35a3bf3a21fc60d58166dae2b9fa487299aaabeaf52267',
     'e56-A/curvature_csv/curvature.csv':
-        '2b1d2b23614f25f97d62a5e69c98377ad8ef7714806fd5735b6bbc4e5d5ef010',
+        'fe071afabaf286ce4c68a31d01822ea210d2121fccff9721a125ae5630196a59',
     'e56-A/curvature_json/curvature.json':
-        '9a029c6ae2d102b841cb21ad5b5c40729b948f595999ff923434d639b922fdb6',
+        '20e9e417ff06e9aaa506c718ffaa0e9fc0678a9ea1a3230d2a07f850b40a0c94',
 }
 
 
@@ -315,7 +320,7 @@ def test_artifacts_match_golden_hashes(tmp_path, name, capsys):
 
 # SHA-256 of ``scripts/curvature_audit.py --verbose``'s standard output
 AUDIT_GOLDEN = \
-    'ca6834a22f16e4796d0691dd2f7be489e884323bf08998e343ac21292f5a436c'
+    '23d788084c50ab39c74965ca230f1e9aa2a038b022b5a639452a209b29fee03a'
 
 
 def test_curvature_audit_stdout_matches_golden_hash():
