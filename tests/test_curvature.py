@@ -307,8 +307,7 @@ _spec = importlib.util.spec_from_file_location("bench_reference",
 reference = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(reference)
 
-# one surface per (family, variant), every point with both frame radicands
-# positive
+# one surface per (family, variant), with P and Q nonzero at every point
 EXACT_CASES = [
     ("hyperbolic14", "A", "2 + t^2/8", "3 + t", "t/2", "t"),
     ("hyperbolic14", "B", "1 + t/4", "2 + t^2/4", "t/3", "t"),
@@ -429,7 +428,8 @@ def test_closed_forms_match_exact_oracles_at_random_draws(kind, variant):
 
 
 def test_exact_k_vanishes_on_h23_audit_surface():
-    # erratum lead: sympy's K is 0 on this surface, the closed form is not
+    # sympy's K is 0 on this surface, where the printed closed form stays
+    # near -0.027 (README.md's erratum table)
     srf = surface("hyperbolic23", "A", "2 + t/2", "1 + t/4", 0.1, 2.0,
                   "t", "t/3")
     for i in range(6):
