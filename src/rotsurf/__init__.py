@@ -1,55 +1,41 @@
 """Geodesics, conserved momenta, and curvature on rotational surfaces in
 flat 4-space with metric signature (-, -, +, +)."""
 
-from .ambient import (CausalCharacter, QuadricMembership, QuadricTag, Vector4,
-                      classify, cross, inner, quadric_membership)
-from .curvature import (CurvatureReport, DoubleRotationSurface,
-                        FrameDegenerateError, curvature_grid,
-                        curvature_report, gaussian_curvature_fd,
-                        mean_curvature_fd, normal_frame)
-from .expressions import (DomainError, Expr, ParseError, ProfileFunction,
+from .ambient import Vector4, cross, inner
+from .curvature import (DoubleRotationSurface, FrameDegenerateError,
+                        curvature_grid, curvature_report,
+                        gaussian_curvature_fd, mean_curvature_fd,
+                        normal_frame)
+from .expressions import (DomainError, ParseError, ProfileFunction,
                           differentiate, evaluate, parse, to_text)
-from .geodesics import (AngleDecomposition, ClairautReport,
-                        MeridianUndefinedError, Sample, SlopeReport,
-                        Trajectory, clairaut_report, extract_angles,
-                        flow_residual, geodesic_rhs, integrate, momenta,
-                        shift_samples, slope, state_from_angles)
+from .geodesics import (MeridianUndefinedError, Sample, clairaut_report,
+                        extract_angles, flow_residual, geodesic_rhs,
+                        integrate, momenta, shift_samples, slope,
+                        state_from_angles)
 from .isometries import (KillingParams, Rotation, apply_matrix,
-                         generator_matrix, killing_field, killing_matrix,
-                         lie_residual, rotation_matrix)
+                         generator_matrix, killing_matrix, lie_residual,
+                         rotation_matrix)
 from .surfaces import (DegenerateMetricError, FamilyKind, GeodesicState,
-                       MetricCoefficients, NotTimelikeError, SurfaceFamily,
-                       Variant, make_family)
+                       NotTimelikeError, SurfaceFamily, Variant, make_family)
 
 __all__ = [
-    "AngleDecomposition",
-    "CausalCharacter",
-    "ClairautReport",
-    "CurvatureReport",
     "DegenerateMetricError",
     "DomainError",
     "DoubleRotationSurface",
-    "Expr",
     "FamilyKind",
     "FrameDegenerateError",
     "GeodesicState",
     "KillingParams",
     "MeridianUndefinedError",
-    "MetricCoefficients",
     "NotTimelikeError",
     "ParseError",
     "ProfileFunction",
-    "QuadricMembership",
-    "QuadricTag",
     "Rotation",
     "Sample",
-    "SlopeReport",
     "SurfaceFamily",
-    "Trajectory",
     "Variant",
     "Vector4",
     "apply_matrix",
-    "classify",
     "clairaut_report",
     "cross",
     "curvature_grid",
@@ -63,7 +49,6 @@ __all__ = [
     "geodesic_rhs",
     "inner",
     "integrate",
-    "killing_field",
     "killing_matrix",
     "lie_residual",
     "make_family",
@@ -71,7 +56,6 @@ __all__ = [
     "momenta",
     "normal_frame",
     "parse",
-    "quadric_membership",
     "rotation_matrix",
     "shift_samples",
     "slope",

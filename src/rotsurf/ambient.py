@@ -1,10 +1,7 @@
 """Vector algebra of flat 4-space with metric signature (-, -, +, +).
 
 Points and tangent vectors share the ``Vector4`` type.  The bilinear form
-has index 2, so nonzero vectors split into spacelike / timelike / null
-causal classes, and the level sets ``<x-m, x-m> = +-r^2`` play the role of
-spheres (a pseudo-sphere for ``+r^2``, a pseudo-hyperbolic space for
-``-r^2``, whose ``x1 > 0`` sheet is the hyperbolic-space slice).
+``inner`` has index 2; ``cross`` is the ternary cross product it induces.
 
 Everything here is a pure function of immutable values.
 """
@@ -13,18 +10,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 __all__ = [
     "METRIC_DIAGONAL",
     "Vector4",
-    "CausalCharacter",
-    "QuadricTag",
-    "QuadricMembership",
     "inner",
-    "classify",
     "cross",
-    "quadric_membership",
 ]
 
 #: Diagonal of the metric in the standard rectangular coordinates.
@@ -55,9 +46,6 @@ class Vector4:
     def components(self) -> tuple[float, float, float, float]:
         return (self.x1, self.x2, self.x3, self.x4)
 
-    def is_zero(self) -> bool:
-        return self.x1 == 0.0 and self.x2 == 0.0 and self.x3 == 0.0 and self.x4 == 0.0
-
     def __add__(self, other: "Vector4") -> "Vector4":
         return Vector4(self.x1 + other.x1, self.x2 + other.x2,
                        self.x3 + other.x3, self.x4 + other.x4)
@@ -79,52 +67,9 @@ class Vector4:
         return self * (1.0 / scalar)
 
 
-class CausalCharacter(Enum):
-    SPACELIKE = "spacelike"
-    TIMELIKE = "timelike"
-    NULL = "null"
-
-
-class QuadricTag(Enum):
-    PSEUDO_SPHERE = "pseudo_sphere"
-    PSEUDO_HYPERBOLIC = "pseudo_hyperbolic"
-    HYPERBOLIC_SPACE = "hyperbolic_space"
-    NONE = "none"
-
-
-@dataclass(frozen=True)
-class QuadricMembership:
-    """Result of testing a point against the radius-r quadrics."""
-
-    tag: QuadricTag
-    radius: float | None
-
-    @property
-    def is_pseudo_hyperbolic(self) -> bool:
-        # The x1 > 0 sheet is contained in the full pseudo-hyperbolic quadric.
-        return self.tag in (QuadricTag.PSEUDO_HYPERBOLIC, QuadricTag.HYPERBOLIC_SPACE)
-
-
 def inner(v: Vector4, w: Vector4) -> float:
     """Index-2 inner product: -v1*w1 - v2*w2 + v3*w3 + v4*w4."""
     return math.fsum((-v.x1 * w.x1, -v.x2 * w.x2, v.x3 * w.x3, v.x4 * w.x4))
-
-
-def classify(v: Vector4, tol: float = 1e-12) -> CausalCharacter:
-    """Causal class of ``v`` with a null band of half-width ``tol``.
-
-    The zero vector counts as spacelike; null requires a nonzero vector.
-    """
-    if tol < 0:
-        raise ValueError("tol must be >= 0")
-    if v.is_zero():
-        return CausalCharacter.SPACELIKE
-    q = inner(v, v)
-    if q < -tol:
-        return CausalCharacter.TIMELIKE
-    if q > tol:
-        return CausalCharacter.SPACELIKE
-    return CausalCharacter.NULL
 
 
 def _det3(row0, row1, row2) -> float:
@@ -147,26 +92,3 @@ def cross(x: Vector4, y: Vector4, z: Vector4) -> Vector4:
 
     return Vector4(-minor(0), minor(1), minor(2), -minor(3))
 
-
-def quadric_membership(p: Vector4, center: Vector4, radius: float,
-                       tol: float = 1e-12) -> QuadricMembership:
-    """Classify ``p`` against the radius-``radius`` quadrics centred at ``center``.
-
-    ``pseudo_sphere`` when ``<p-m, p-m>`` is within ``tol`` of ``+r^2``,
-    ``pseudo_hyperbolic`` when within ``tol`` of ``-r^2``; the latter is
-    reported as ``hyperbolic_space`` when additionally ``p.x1 > 0`` (the
-    most specific tag wins).
-    """
-    if radius <= 0:
-        raise ValueError("radius must be > 0")
-    if tol < 0:
-        raise ValueError("tol must be >= 0")
-    d = p - center
-    q = inner(d, d)
-    r2 = radius * radius
-    if abs(q - r2) <= tol:
-        return QuadricMembership(QuadricTag.PSEUDO_SPHERE, radius)
-    if abs(q + r2) <= tol:
-        tag = QuadricTag.HYPERBOLIC_SPACE if p.x1 > 0 else QuadricTag.PSEUDO_HYPERBOLIC
-        return QuadricMembership(tag, radius)
-    return QuadricMembership(QuadricTag.NONE, None)

@@ -43,12 +43,18 @@ def _reject_unknown(mapping: dict, allowed: set[str], path: str):
 def _number(mapping: dict, key: str, path: str) -> float:
     if key not in mapping:
         raise ConfigError(f"{path}.{key}", "missing")
-    value = mapping[key]
+    return _finite(mapping[key], f"{path}.{key}")
+
+def _finite(value, field_path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{path}.{key}", "must be a number")
+        raise ConfigError(field_path, "must be a number")
+    try:
+        value = float(value)
+    except OverflowError:  # an integer beyond the float range
+        value = math.inf
     if not math.isfinite(value):
-        raise ConfigError(f"{path}.{key}", "must be finite")
-    return float(value)
+        raise ConfigError(field_path, "must be finite")
+    return value
 
 def _integer(mapping: dict, key: str, path: str) -> int:
     value = _number(mapping, key, path)
@@ -214,13 +220,11 @@ def parse_config(document: dict) -> RunConfig:
     fb_text = _string(profiles, "fb", "profiles")
 
     domain = document.get("domain")
-    if (not isinstance(domain, (list, tuple)) or len(domain) != 2
-            or any(isinstance(x, bool) or not isinstance(x, (int, float))
-                   for x in domain)):
+    if not isinstance(domain, (list, tuple)) or len(domain) != 2:
         raise ConfigError("domain", "must be [t_min, t_max]")
-    t_min, t_max = float(domain[0]), float(domain[1])
-    if not (math.isfinite(t_min) and math.isfinite(t_max) and t_min < t_max):
-        raise ConfigError("domain", "must satisfy t_min < t_max, both finite")
+    t_min, t_max = (_finite(x, "domain") for x in domain)
+    if not t_min < t_max:
+        raise ConfigError("domain", "must satisfy t_min < t_max")
 
     geodesic = None
     if "geodesic" in document:

@@ -113,26 +113,16 @@ class DoubleRotationSurface:
         return _lower_pair(self.angle_u, self.angle_v)
 
     def point(self, t: float, s: float) -> Vector4:
-        fam = self.family
-        return fam.immerse_values(fam.fa.evaluate(s, check=False),
-                                  fam.fb.evaluate(s, check=False),
-                                  self.angle_u.evaluate(t, check=False),
-                                  self.angle_v.evaluate(t, check=False))
+        fa, fb, *_ = self._profile_values(s)
+        u, v, *_ = self._angle_values(t)
+        return self.family.immerse_values(fa, fb, u, v)
 
     def tangents(self, t: float, s: float) -> tuple[Vector4, Vector4]:
         """Exact tangent vectors (d/dt, d/ds) by the chain rule."""
-        fam = self.family
-        u = self.angle_u.evaluate(t, check=False)
-        v = self.angle_v.evaluate(t, check=False)
-        du = self.angle_u.derivative(t, check=False)
-        dv = self.angle_v.derivative(t, check=False)
-        frame = fam.frame_values(fam.fa.evaluate(s, check=False),
-                                 fam.fb.evaluate(s, check=False),
-                                 fam.fa.derivative(s, check=False),
-                                 fam.fb.derivative(s, check=False), u, v)
-        tangent_t = frame[0] * du + frame[1] * dv
-        tangent_s = frame[2]
-        return tangent_t, tangent_s
+        fa, fb, dfa, dfb, _, _ = self._profile_values(s)
+        u, v, du, dv, _, _ = self._angle_values(t)
+        frame = self.family.frame_values(fa, fb, dfa, dfb, u, v)
+        return frame[0] * du + frame[1] * dv, frame[2]
 
     def induced_metric(self, t: float, s: float) -> tuple:
         return _gram(*self.tangents(t, s))

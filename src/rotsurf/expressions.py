@@ -210,7 +210,11 @@ class _Parser:
     def atom(self) -> Expr:
         token = self.advance()
         if token.kind == "number":
-            return Literal(float(token.text))
+            value = float(token.text)
+            if not math.isfinite(value):
+                raise ParseError(f"number {token.text!r} out of range",
+                                 token.pos + 1)
+            return Literal(value)
         if token.kind == "op" and token.text == "(":
             expr = self.sum()
             self.expect_op(")")
@@ -448,6 +452,11 @@ _ZERO = _lit(0.0)
 _ONE = _lit(1.0)
 
 
+def _fold(op: str, a: Literal, b: Literal, value: float) -> Expr:
+    # a fold that overflows stays unfolded, so evaluating it raises
+    return _lit(value) if math.isfinite(value) else Binary(op, a, b)
+
+
 def _is_const(expr: Expr, value: float | None = None) -> bool:
     if not isinstance(expr, Literal):
         return False
@@ -460,7 +469,7 @@ def _add(a: Expr, b: Expr) -> Expr:
     if _is_const(b, 0.0):
         return a
     if isinstance(a, Literal) and isinstance(b, Literal):
-        return _lit(a.value + b.value)
+        return _fold("+", a, b, a.value + b.value)
     return Binary("+", a, b)
 
 
@@ -468,7 +477,7 @@ def _sub(a: Expr, b: Expr) -> Expr:
     if _is_const(b, 0.0):
         return a
     if isinstance(a, Literal) and isinstance(b, Literal):
-        return _lit(a.value - b.value)
+        return _fold("-", a, b, a.value - b.value)
     if _is_const(a, 0.0):
         return _neg(b)
     return Binary("-", a, b)
@@ -490,7 +499,7 @@ def _mul(a: Expr, b: Expr) -> Expr:
     if _is_const(b, 1.0):
         return a
     if isinstance(a, Literal) and isinstance(b, Literal):
-        return _lit(a.value * b.value)
+        return _fold("*", a, b, a.value * b.value)
     return Binary("*", a, b)
 
 
@@ -500,7 +509,7 @@ def _div(a: Expr, b: Expr) -> Expr:
     if _is_const(b, 1.0):
         return a
     if isinstance(a, Literal) and isinstance(b, Literal) and b.value != 0.0:
-        return _lit(a.value / b.value)
+        return _fold("/", a, b, a.value / b.value)
     return Binary("/", a, b)
 
 
@@ -619,9 +628,7 @@ def to_text(expr: Expr) -> str:
 @dataclass(frozen=True)
 class ProfileFunction:
     """A scalar profile with exact first and second derivatives on a
-    closed interval.  Evaluation outside [t_min, t_max] is a hard fault
-    unless ``check=False`` (used by finite-difference probes that must
-    straddle an evaluation point).
+    closed interval.  Evaluation outside [t_min, t_max] is a hard fault.
 
     Each tree is lowered on its first evaluation and the function kept on
     the instance, outside the dataclass fields, so building a profile
@@ -667,17 +674,17 @@ class ProfileFunction:
     def _d2_fn(self) -> Callable[[float], float]:
         return lower(self.d2)
 
-    def evaluate(self, t: float, check: bool = True) -> float:
-        if check and not (self.t_min <= t <= self.t_max):
+    def evaluate(self, t: float) -> float:
+        if not self.t_min <= t <= self.t_max:
             raise self._outside(t)
         return self._value_fn(t)
 
-    def derivative(self, t: float, check: bool = True) -> float:
-        if check and not (self.t_min <= t <= self.t_max):
+    def derivative(self, t: float) -> float:
+        if not self.t_min <= t <= self.t_max:
             raise self._outside(t)
         return self._d1_fn(t)
 
-    def second_derivative(self, t: float, check: bool = True) -> float:
-        if check and not (self.t_min <= t <= self.t_max):
+    def second_derivative(self, t: float) -> float:
+        if not self.t_min <= t <= self.t_max:
             raise self._outside(t)
         return self._d2_fn(t)

@@ -18,8 +18,8 @@ from enum import Enum
 
 from .ambient import METRIC_DIAGONAL, Vector4
 
-__all__ = ["Rotation", "KillingParams", "killing_field", "generator_matrix",
-           "killing_matrix", "lie_residual", "rotation_matrix", "apply_matrix"]
+__all__ = ["Rotation", "KillingParams", "generator_matrix", "killing_matrix",
+           "lie_residual", "rotation_matrix", "apply_matrix"]
 
 Matrix = tuple[tuple[float, float, float, float], ...]
 _G: Matrix = tuple(tuple(g if i == j else 0.0 for j in range(4))
@@ -76,11 +76,6 @@ class KillingParams:
     d: float = 0.0
     e: float = 0.0
     f: float = 0.0
-
-
-def killing_field(params: KillingParams, p: Vector4) -> Vector4:
-    """Value of the six-parameter Killing field at the point ``p``."""
-    return apply_matrix(killing_matrix(params), p)
 
 
 def _checked(matrix: Sequence[Sequence[float]]) -> Matrix:

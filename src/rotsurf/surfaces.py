@@ -357,13 +357,6 @@ class SurfaceFamily:
             return self.spec.rot_v
         raise ValueError("which must be 'u' or 'v'")
 
-    # -- profile plumbing ---------------------------------------------------
-
-    def profile_curve(self, t: float, check: bool = True) -> Vector4:
-        """gamma(t): the unrotated profile point."""
-        return self.immerse_values(self.fa.evaluate(t, check),
-                                   self.fb.evaluate(t, check), 0.0, 0.0)
-
     # -- geometry -----------------------------------------------------------
 
     def immerse_values(self, fa_value: float, fb_value: float,

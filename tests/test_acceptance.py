@@ -379,8 +379,8 @@ def test_09_parser():
             t = -1.98 + 3.96 * k / 99.0
             h = 1e-5 * (1.0 + abs(t))
             d1 = profile.derivative(t)
-            numeric = (profile.evaluate(t + h, check=False)
-                       - profile.evaluate(t - h, check=False)) / (2 * h)
+            numeric = (profile.evaluate(t + h)
+                       - profile.evaluate(t - h)) / (2 * h)
             worst = max(worst, abs(d1 - numeric) / (1.0 + abs(d1)))
     _check("criterion-9 derivative vs central difference", worst <= 1e-7,
            f"worst relative gap={worst:.3e} tol=1e-7 (100 samples/profile)")

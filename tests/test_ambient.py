@@ -1,4 +1,4 @@
-"""Inner product, causal classification, cross product, quadric membership."""
+"""Inner product, cross product, finite components."""
 
 import math
 
@@ -6,8 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rotsurf import (CausalCharacter, QuadricTag, Vector4, classify, cross,
-                     inner, quadric_membership)
+from rotsurf import Vector4, cross, inner
 
 I1 = Vector4(1, 0, 0, 0)
 I2 = Vector4(0, 1, 0, 0)
@@ -53,34 +52,6 @@ def test_inner_bilinear(v, u, w, a, b):
     assert inner(combined, w) == pytest.approx(expected, abs=1e-10)
 
 
-def test_classify_examples():
-    assert classify(Vector4(1, 0, 1, 0)) is CausalCharacter.NULL
-    assert classify(Vector4(0, 1, 0, 0)) is CausalCharacter.TIMELIKE
-    # -1 - 1 + 4 + 9 = 11 > 0
-    assert classify(Vector4(1, 1, 2, 3)) is CausalCharacter.SPACELIKE
-
-
-def test_classify_zero_vector_is_spacelike():
-    assert classify(Vector4.zero()) is CausalCharacter.SPACELIKE
-    assert classify(Vector4.zero(), tol=0.0) is CausalCharacter.SPACELIKE
-
-
-def test_classify_tol_band():
-    v = Vector4(1, 0, 1 + 1e-14, 0)
-    assert classify(v, tol=1e-12) is CausalCharacter.NULL
-    assert classify(v, tol=0.0) is CausalCharacter.SPACELIKE
-    with pytest.raises(ValueError):
-        classify(v, tol=-1.0)
-
-
-@given(vec(), st.floats(-100, 100, allow_nan=False).filter(lambda x: abs(x) > 0.5))
-def test_classify_scale_invariant(v, scale):
-    if abs(inner(v, v)) <= 1e-6:
-        return  # stay clear of the null band, where tolerance scaling bites
-    scaled = v * scale
-    assert classify(scaled, tol=0.0) is classify(v, tol=0.0)
-
-
 def test_cross_cyclic_basis():
     assert cross(I2, I3, I4).components() == (-1.0, 0.0, 0.0, 0.0)
 
@@ -109,45 +80,6 @@ def test_cross_antisymmetric(x, y, z):
     base = cross(x, y, z)
     swapped = cross(y, x, z)
     assert base.components() == (-swapped).components()
-
-
-def test_quadric_hyperbolic_space():
-    # <p,p> = -9 = -r^2 with x1 > 0
-    membership = quadric_membership(Vector4(3, 0, 0, 0), Vector4.zero(), 3.0)
-    assert membership.tag is QuadricTag.HYPERBOLIC_SPACE
-    assert membership.is_pseudo_hyperbolic
-    assert membership.radius == 3.0
-
-
-def test_quadric_pseudo_hyperbolic_without_positive_x1():
-    membership = quadric_membership(Vector4(-3, 0, 0, 0), Vector4.zero(), 3.0)
-    assert membership.tag is QuadricTag.PSEUDO_HYPERBOLIC
-
-
-def test_quadric_pseudo_sphere():
-    membership = quadric_membership(Vector4(0, 0, 2, 0), Vector4.zero(), 2.0)
-    assert membership.tag is QuadricTag.PSEUDO_SPHERE
-
-
-def test_quadric_null_cone_point_matches_nothing():
-    for radius in (0.5, 1.0, 2.0):
-        membership = quadric_membership(Vector4(1, 0, 1, 0), Vector4.zero(),
-                                        radius)
-        assert membership.tag is QuadricTag.NONE
-        assert membership.radius is None
-
-
-def test_quadric_invalid_radius():
-    with pytest.raises(ValueError):
-        quadric_membership(Vector4(1, 0, 0, 0), Vector4.zero(), 0.0)
-    with pytest.raises(ValueError):
-        quadric_membership(Vector4(1, 0, 0, 0), Vector4.zero(), -2.0)
-
-
-def test_quadric_off_center():
-    center = Vector4(1.0, 2.0, 0.5, -1.0)
-    point = center + Vector4(0, 0, 2, 0)
-    assert quadric_membership(point, center, 2.0).tag is QuadricTag.PSEUDO_SPHERE
 
 
 def test_vector4_rejects_non_finite():

@@ -215,6 +215,23 @@ def test_validation_bad_profile_expression(tmp_path, capsys):
     assert "profiles.fa" in capsys.readouterr().err
 
 
+def test_validation_non_finite_literal(tmp_path, capsys):
+    config = meridian_config(tmp_path, **{"profiles.fb": "1e400"})
+    assert main(["info", "--config", config]) == 1
+    assert "profiles.fb" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("change,field", [
+    ({"geodesic.length": 10 ** 400}, "geodesic.length"),
+    ({"domain": [0.05, 10 ** 400]}, "domain"),
+])
+def test_validation_integer_beyond_float_range(tmp_path, capsys, change,
+                                               field):
+    config = meridian_config(tmp_path, **change)
+    assert main(["geodesic", "--config", config]) == 1
+    assert f"{field}: must be finite" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("field", ["xAngle", "vAngle"])
 def test_validation_bad_angle_expression(tmp_path, capsys, field):
     # angles are parsed with the config, so every command rejects them

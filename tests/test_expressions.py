@@ -61,6 +61,9 @@ def test_parse_stray_token():
         parse("(t")
     with pytest.raises(ParseError):
         parse("t @ 2")
+    with pytest.raises(ParseError) as info:      # a literal beyond float range
+        parse("2*1e400")
+    assert info.value.position == 3
 
 
 def test_precedence():
@@ -95,6 +98,12 @@ def test_evaluate_domain_errors():
         evaluate(parse("cosh(t)"), 1000.0)         # overflow surfaces as error
     with pytest.raises(DomainError):
         evaluate(parse("exp(t)"), 1e6)
+    # 1e308 * 2 is not folded into a literal inf; it overflows when evaluated
+    profile = ProfileFunction.from_text("1e308*t^2", 0.0, 1.0)
+    with pytest.raises(DomainError):
+        evaluate(profile.d2, 0.5)
+    with pytest.raises(DomainError):
+        profile.second_derivative(0.5)
 
 
 def test_evaluate_simple_values():
@@ -289,12 +298,12 @@ def test_profile_derivatives_match_central_differences(text, lo, hi):
         t = lo + inset + (hi - lo - 2 * inset) * k / 99.0
         h = 1e-5 * (1.0 + abs(t))
         d1 = profile.derivative(t)
-        fd1 = (profile.evaluate(t + h, check=False)
-               - profile.evaluate(t - h, check=False)) / (2.0 * h)
+        fd1 = (profile.evaluate(t + h)
+               - profile.evaluate(t - h)) / (2.0 * h)
         assert abs(d1 - fd1) <= 1e-7 * (1.0 + abs(d1))
         d2 = profile.second_derivative(t)
-        fd2 = (profile.derivative(t + h, check=False)
-               - profile.derivative(t - h, check=False)) / (2.0 * h)
+        fd2 = (profile.derivative(t + h)
+               - profile.derivative(t - h)) / (2.0 * h)
         assert abs(d2 - fd2) <= 1e-7 * (1.0 + abs(d2))
 
 
@@ -305,8 +314,8 @@ def test_profile_domain_guard():
         profile.evaluate(1.5)
     with pytest.raises(DomainError):
         profile.derivative(-0.1)
-    # probes may straddle the boundary when asked to skip the guard
-    assert profile.evaluate(1.0001, check=False) == pytest.approx(1.0001 ** 2)
+    with pytest.raises(DomainError):
+        profile.second_derivative(1.0001)
 
 
 def test_profile_requires_ordered_finite_domain():

@@ -8,14 +8,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rotsurf import (KillingParams, Rotation, Vector4, apply_matrix,
-                     generator_matrix, inner, killing_field, killing_matrix,
-                     lie_residual, rotation_matrix)
+                     generator_matrix, inner, killing_matrix, lie_residual,
+                     rotation_matrix)
 
 coefficient = st.floats(-5, 5, allow_nan=False)
 component = st.floats(-10, 10, allow_nan=False)
 vec = st.builds(Vector4, component, component, component, component)
 params_strategy = st.builds(KillingParams, coefficient, coefficient,
                             coefficient, coefficient, coefficient, coefficient)
+
+
+def killing_field(params, p):
+    """The six-parameter Killing field at ``p``."""
+    return apply_matrix(killing_matrix(params), p)
 
 
 def test_killing_field_first_generator_term():
@@ -37,16 +42,14 @@ def test_killing_field_spin_term():
 
 @given(params_strategy, vec)
 def test_killing_matrix_matches_field(params, p):
-    # killing_field is killing_matrix applied to p; check both against the
-    # component formula written out
+    # killing_matrix applied to p against the component formula written out
     x1, x2, x3, x4 = p.components()
     a, b, c, d, e, f = (params.a, params.b, params.c, params.d, params.e,
                         params.f)
     expected = (a * x4 + c * x3 - f * x2, b * x3 + d * x4 + f * x1,
                 b * x2 + c * x1 - e * x4, a * x1 + d * x2 + e * x3)
-    for value in (apply_matrix(killing_matrix(params), p),
-                  killing_field(params, p)):
-        assert value.components() == pytest.approx(expected, abs=1e-12)
+    value = killing_field(params, p)
+    assert value.components() == pytest.approx(expected, abs=1e-12)
 
 
 @given(params_strategy)

@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 from test_expressions import _lowering_func, _lowering_leaf, _outcome, _tree
 
 from rotsurf import (DomainError, GeodesicState, NotTimelikeError, Vector4,
-                     apply_matrix, inner, make_family, quadric_membership,
-                     rotation_matrix)
+                     apply_matrix, inner, make_family, rotation_matrix)
 
 H14A = make_family("hyperbolic14", "A", "t", "1", 0.05, 10.0)
 H14B = make_family("hyperbolic14", "B", "t", "2", 0.1, 5.0)
@@ -110,8 +109,7 @@ def test_unit_quadric_embedding(u, v, t):
     # lies on the radius-1 pseudo-hyperbolic quadric
     fam = make_family("hyperbolic14", "A", "cosh(t)", "sinh(t)", -2.0, 2.0)
     point = fam.immerse(u, v, t)
-    membership = quadric_membership(point, Vector4.zero(), 1.0, tol=1e-12)
-    assert membership.is_pseudo_hyperbolic
+    assert abs(inner(point, point) + 1.0) <= 1e-12
 
 
 def test_degeneracy_flags():
@@ -200,14 +198,6 @@ def test_family_requires_shared_domain():
     fb = ProfileFunction.from_text("1", 0.0, 2.0)
     with pytest.raises(ValueError):
         SurfaceFamily(FamilyKind.HYPERBOLIC14, Variant.A, fa, fb)
-
-
-def test_profile_curve_matches_immersion_at_zero_angles():
-    for fam in ALL_FAMILIES:
-        lo, hi = fam.domain
-        t = lo + (hi - lo) * 0.4
-        assert fam.profile_curve(t).components() == pytest.approx(
-            fam.immerse(0.0, 0.0, t).components(), abs=1e-15)
 
 
 # --- the generated metric bundle against six ProfileFunction calls -------
