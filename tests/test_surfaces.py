@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_expressions import _lowering_func, _lowering_leaf, _outcome, _tree
 
-from rotsurf import (DomainError, GeodesicState, NotTimelikeError, Vector4,
+from rotsurf import (DomainError, GeodesicState, NotTimelikeError,
                      apply_matrix, inner, make_family, rotation_matrix)
 
 H14A = make_family("hyperbolic14", "A", "t", "1", 0.05, 10.0)
