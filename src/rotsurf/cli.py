@@ -13,12 +13,12 @@ state).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
 import re
 import sys
-import tempfile
 
 from .config import ConfigError, RunConfig, initial_state, load_config
 from .curvature import DoubleRotationSurface, GridPointError, curvature_grid
@@ -56,7 +56,11 @@ def _resolve_output(path: str) -> str:
 def _write_atomic(path: str, text: str):
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
-    fd, temp_path = tempfile.mkstemp(dir=directory, prefix=".rotsurf-")
+    # os.replace keeps the temporary file's mode, so it is created as
+    # open(path, "w") would create ``path``: 0o666 under the umask (a
+    # mkstemp file would be 0o600); O_EXCL never reuses an existing name
+    temp_path = os.path.join(directory, f".rotsurf-{os.urandom(8).hex()}")
+    fd = os.open(temp_path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(text)
@@ -250,7 +254,10 @@ def _cmd_parse_check(text: str) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first ``main`` call and reused
+    by every later one: parsing leaves no state in it."""
     parser = argparse.ArgumentParser(
         prog="rotsurf",
         description="Geodesics and curvature on rotational surfaces in "

@@ -104,7 +104,7 @@ class Trajectory:
 
     @property
     def reached_length(self) -> float:
-        return self.rows[-1][0]
+        return self.rows[-1][0] if self.rows else 0.0
 
     def drifts(self) -> dict[str, float]:
         first = self.rows[0]      # a running max of each |x - x_0| from 0.0
@@ -191,8 +191,9 @@ def integrate(fam: SurfaceFamily, state0: GeodesicState, length: float,
 
     Samples at every step plus the endpoint ``s = length``.  The run aborts
     cleanly (partial trajectory, ``termination`` set) when t leaves the
-    profile domain, a metric coefficient vanishes, or the state stops
-    being finite.
+    profile domain, a metric coefficient vanishes, or the state or a
+    row's L, p_u or p_v stops being finite; no row holds a non-finite
+    value, so ``rows`` is empty when the row of ``state0`` is not finite.
     """
     if not (length > 0.0 and math.isfinite(length)):
         raise ValueError("length must be > 0")
@@ -202,20 +203,30 @@ def integrate(fam: SurfaceFamily, state0: GeodesicState, length: float,
         raise ValueError("step must be <= length")
 
     t_min, t_max = fam.domain
-    fsum, isfinite = math.fsum, math.isfinite
+    fsum, isfinite, nan = math.fsum, math.isfinite, math.nan
     y = u, v, t, du, dv, dt = state0.as_tuple()
     # a row's bundle is the next step's first stage
     bundle = e, g, n, _, _, _ = fam.metric_bundle(t)
-    rows = [(0.0, *y, fsum((e * du * du, g * dv * dv, n * dt * dt)),
-             2.0 * e * du, 2.0 * g * dv)]
     n_steps = math.ceil(length / step - 1e-9)
-    previous_s = 0.0
+    rows = []
+    s = 0.0
     termination = "completed"
-    for i in range(1, n_steps + 1):
-        s_next = length if i == n_steps else i * step
-        h = s_next - previous_s
+    for i in range(1, n_steps + 2):  # row i - 1, then the step to row i
+        p_u, p_v = 2.0 * e * du, 2.0 * g * dv
         try:
-            y = u, v, t, du, dv, dt = _rk4_step(fam, y, h, bundle)
+            lagr = fsum((e * du * du, g * dv * dv, n * dt * dt))
+        except (ValueError, OverflowError):  # inf - inf, or a finite overflow
+            lagr = nan
+        # 0 * x is nan exactly when x is inf or nan
+        if not isfinite(0.0 * lagr * p_u * p_v):
+            termination = "nonfinite_state"
+            break
+        rows.append((s, *y, lagr, p_u, p_v))
+        if i > n_steps:
+            break
+        s_next = length if i == n_steps else i * step
+        try:
+            y = u, v, t, du, dv, dt = _rk4_step(fam, y, s_next - s, bundle)
             if not (isfinite(u) and isfinite(v) and isfinite(t)
                     and isfinite(du) and isfinite(dv) and isfinite(dt)):
                 termination = "nonfinite_state"
@@ -230,9 +241,7 @@ def integrate(fam: SurfaceFamily, state0: GeodesicState, length: float,
         except DegenerateMetricError:
             termination = "degenerate_metric"
             break
-        rows.append((s_next, *y, fsum((e * du * du, g * dv * dv, n * dt * dt)),
-                     2.0 * e * du, 2.0 * g * dv))
-        previous_s = s_next
+        s = s_next
     return Trajectory(tuple(rows), termination, length)
 
 

@@ -28,7 +28,7 @@ from functools import cached_property
 from typing import Callable
 
 from .ambient import METRIC_DIAGONAL, Vector4
-from .expressions import ProfileFunction, _Lowering
+from .expressions import DomainError, ProfileFunction, _Lowering
 from .isometries import Rotation
 
 __all__ = [
@@ -392,13 +392,15 @@ class SurfaceFamily:
 
     def metric_values(self, fa: float, fb: float, dfa: float,
                       dfb: float) -> MetricCoefficients:
-        """Metric coefficients from raw profile values (no domain logic)."""
+        """Metric coefficients from raw profile values (no domain logic);
+        ``DomainError`` when one of them is not finite."""
         lay = self.layout
-        return MetricCoefficients(
-            E=lay.e_sign * fa * fa,
-            G=lay.g_sign * fb * fb,
-            N=lay.na_sign * dfa * dfa + lay.nb_sign * dfb * dfb,
-        )
+        e = lay.e_sign * fa * fa
+        g = lay.g_sign * fb * fb
+        n = lay.na_sign * dfa * dfa + lay.nb_sign * dfb * dfb
+        if not (math.isfinite(e) and math.isfinite(g) and math.isfinite(n)):
+            raise DomainError("metric overflow")
+        return MetricCoefficients(E=e, G=g, N=n)
 
     @cached_property
     def _bundle_fn(self) -> Callable[[float], tuple]:

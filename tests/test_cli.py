@@ -12,8 +12,8 @@ import pytest
 import rotsurf
 from rotsurf import (DoubleRotationSurface, ProfileFunction, inner,
                      make_family, normal_frame)
-from rotsurf.cli import (_CURVATURE_COLUMNS, _TRAJECTORY_COLUMNS, _write_table,
-                         main)
+from rotsurf.cli import (_CURVATURE_COLUMNS, _TRAJECTORY_COLUMNS, _build_parser,
+                         _write_table, main)
 from rotsurf.config import ConfigError, parse_config
 
 MERIDIAN_CONFIG = {
@@ -276,6 +276,41 @@ def test_not_timelike_normalization_is_numerical_failure(tmp_path, capsys):
     assert main(["geodesic", "--config", config]) == 2
 
 
+
+def overflow_config(tmp_path, **changes):
+    """G = -(1e200)^2 overflows on the whole domain; t, dt start as in
+    the meridian config."""
+    return meridian_config(tmp_path, **{"domain": [0.5, 3.0],
+                                        "profiles.fb": "1e200",
+                                        "geodesic.initial.du": 0.5,
+                                        "geodesic.length": 0.01,
+                                        "geodesic.step": 0.001, **changes})
+
+
+def test_info_reports_metric_overflow(tmp_path, capsys):
+    assert main(["info", "--config", overflow_config(tmp_path)]) == 0
+    rows = capsys.readouterr().out.splitlines()[3:]
+    assert len(rows) == 10
+    assert all(row.endswith(",error: metric overflow") for row in rows)
+
+
+@pytest.mark.parametrize("command", ["geodesic", "invariants"])
+@pytest.mark.parametrize("changes,line", [
+    ({}, "numerical failure: nonfinite_state after s=0\n"),
+    # fb^2 stays finite, but p_v = 2 G dv overflows after 19 rows
+    ({"profiles.fb": "1e153*(9 + t)", "domain": [0.1, 10.0],
+      "geodesic.initial.t": 0.3, "geodesic.initial.dv": 0.2,
+      "geodesic.length": 0.5, "geodesic.step": 0.01},
+     "numerical failure: nonfinite_state after s=0.17999999999999999\n"),
+], ids=["first-row", "later-row"])
+def test_metric_overflow_is_numerical_failure(tmp_path, capsys, command,
+                                              changes, line):
+    config = overflow_config(tmp_path, **changes)
+    assert main([command, "--config", config]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", line)
+    assert sorted(os.listdir(tmp_path)) == ["config.json"]
+
 def test_output_dir_override(tmp_path, capsys, monkeypatch):
     override = tmp_path / "elsewhere"
     override.mkdir()
@@ -285,6 +320,18 @@ def test_output_dir_override(tmp_path, capsys, monkeypatch):
     assert (override / "out.csv").exists()
     assert not (tmp_path / "out.csv").exists()
 
+
+
+@pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_artifacts_get_the_mode_of_a_new_file(tmp_path, capsys, umask, mode):
+    config = meridian_config(tmp_path, **{"geodesic.length": 0.01})
+    previous = os.umask(umask)
+    try:
+        assert main(["invariants", "--config", config]) == 0
+    finally:
+        os.umask(previous)
+    for name in ("out.csv", "out.summary.json"):
+        assert (tmp_path / name).stat().st_mode & 0o777 == mode
 
 def test_json_trajectory_format(tmp_path, capsys):
     document = patched(MERIDIAN_CONFIG, **{"output.format": "json"})
@@ -497,6 +544,86 @@ def test_runtime_imports_no_numpy():
                             capture_output=True, text=True, check=True)
     assert result.stdout.splitlines()[-1] == "False"
 
+
+
+def test_parser_is_built_once_on_the_first_call():
+    # a fresh interpreter, so that the count starts before rotsurf.cli is
+    # imported; each parser and subparser is one ArgumentParser
+    src = str(Path(rotsurf.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    script = "\n".join([
+        "import argparse",
+        "built = []",
+        "init = argparse.ArgumentParser.__init__",
+        "def counting(self, *args, **kwargs):",
+        "    built.append(self)",
+        "    init(self, *args, **kwargs)",
+        "argparse.ArgumentParser.__init__ = counting",
+        "from rotsurf.cli import main",
+        "counts = [len(built)]",
+        "assert main(['parse-check', 't']) == 0",
+        "counts.append(len(built))",
+        "assert main(['killing']) == 0",
+        "assert main(['parse-check', '2*t']) == 0",
+        "counts.append(len(built))",
+        "print(counts)",
+    ])
+    result = subprocess.run([sys.executable, "-c", script], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.splitlines()[-1] == "[0, 8, 8]"
+
+
+def _outcome(argv, capsys):
+    """(exit code, stdout, stderr) of one ``main`` call; a usage error's
+    ``SystemExit`` gives its code."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def _fresh_outcome(argv, capsys):
+    """``_outcome`` with a parser built anew for this call."""
+    _build_parser.cache_clear()
+    return _outcome(argv, capsys)
+
+
+def test_parser_keeps_no_state_between_calls(tmp_path, capsys, monkeypatch):
+    config = meridian_config(tmp_path, **{"geodesic.length": 0.01})
+    isometry = ["isometry", "--config", config, "--generator", "boost13"]
+    params = []
+    monkeypatch.setattr("rotsurf.cli._cmd_killing",
+                        lambda values: params.append(list(values)) or 0)
+    sequences = [
+        # the mutable --params default
+        (["killing", "--params", "1", "2", "3", "4", "5", "6"], ["killing"]),
+        (isometry + ["--angle", "-1e-3"], isometry),
+        # a usage error (SystemExit(2)) before a valid command
+        (["killing", "--params", "1"], ["parse-check", "sin(t)"]),
+        (["killing", "--params", "1"], isometry),
+        (["info", "--config", config], ["parse-check", "t^2"],
+         ["info", "--config", config]),
+    ]
+    for sequence in sequences:
+        expected = [_fresh_outcome(argv, capsys) for argv in sequence]
+        _fresh_outcome(["parse-check", "t"], capsys)
+        assert [_outcome(argv, capsys) for argv in sequence] == expected
+    assert params[-2:] == [[1.0, 2.0, 3.0, 4.0, 5.0, 6.0], [1.0] * 6]
+
+
+def test_usage_error_reaches_captured_stderr(capsys):
+    main(["parse-check", "t"])
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as excinfo:
+        main(["killing", "--params", "1"])
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: rotsurf killing")
+    assert "expected 6 arguments" in captured.err
 
 def test_parse_check(capsys):
     assert main(["parse-check", "2*t+1"]) == 0

@@ -344,11 +344,18 @@ def _reference_step(fam, y, h):
 
 
 def _reference_sample(fam, s, y):
+    """The sample at ``s``, or None when its L, p_u or p_v is not finite."""
     state = GeodesicState(*y)
     e, g, n = fam.metric_bundle(state.t)[:3]
-    lagr = math.fsum((e * state.du * state.du, g * state.dv * state.dv,
-                      n * state.dt * state.dt))
-    return Sample(s, state, lagr, 2.0 * e * state.du, 2.0 * g * state.dv)
+    try:
+        lagr = math.fsum((e * state.du * state.du, g * state.dv * state.dv,
+                          n * state.dt * state.dt))
+    except (ValueError, OverflowError):
+        return None
+    sample = Sample(s, state, lagr, 2.0 * e * state.du, 2.0 * g * state.dv)
+    if all(map(math.isfinite, (sample.L, sample.p_u, sample.p_v))):
+        return sample
+    return None
 
 
 def _reference_integrate(fam, state0, length, step):
@@ -356,6 +363,8 @@ def _reference_integrate(fam, state0, length, step):
     t_min, t_max = fam.domain
     y = state0.as_tuple()
     samples = [_reference_sample(fam, 0.0, y)]
+    if samples[0] is None:
+        return [], "nonfinite_state"
     n_steps = math.ceil(length / step - 1e-9)
     previous_s = 0.0
     for i in range(1, n_steps + 1):
@@ -366,7 +375,10 @@ def _reference_integrate(fam, state0, length, step):
                 return samples, "nonfinite_state"
             if not (t_min <= y_next[2] <= t_max):
                 return samples, "domain_exit"
-            samples.append(_reference_sample(fam, s_next, y_next))
+            sample = _reference_sample(fam, s_next, y_next)
+            if sample is None:
+                return samples, "nonfinite_state"
+            samples.append(sample)
         except DomainError:
             return samples, "domain_exit"
         except DegenerateMetricError:
@@ -400,9 +412,13 @@ REFERENCE_RUNS = [
     # sqrt(1.5 - t) faults inside the interval
     (("elliptic56", "B", "sqrt(1.5 - t)", "t + 3", -1.0, 2.0),
      (0.0, 0.0, 1.0, 0.2, 0.1, 1.0), 1.0, 1e-2, "domain_exit"),
-    # u = s * 1e307 overflows at s = 18 while t stays put
-    (("hyperbolic14", "A", "2", "t", 0.1, 10.0),
+    # u = s * 1e307 overflows at s = 18 while t stays put (E = 1e-308
+    # keeps L and p_u finite)
+    (("hyperbolic14", "A", "1e-154", "t", 0.1, 10.0),
      (0.0, 0.0, 1.0, 1e307, 0.0, 0.0), 30.0, 1.0, "nonfinite_state"),
+    # p_v = 2 G dv overflows at s = 0.19 while the state stays finite
+    (("hyperbolic14", "A", "t", "1e153*(9 + t)", 0.1, 10.0),
+     (0.0, 0.0, 0.3, 0.5, 0.2, 1.0), 0.5, 1e-2, "nonfinite_state"),
     # the fourth stage of the sixth step lands on fa = t - 0.5 = 0
     (("hyperbolic14", "A", "t - 0.5", "2*t + 3", -2.0, 2.0),
      (0.1, 0.2, -1.0, 0.0, 0.0, 1.0), 3.0, 0.25, "degenerate_metric"),
@@ -438,6 +454,26 @@ def test_samples_view_matches_reference(family, start, length, step,
     with pytest.raises(IndexError):
         view[len(samples)]
 
+
+
+@pytest.mark.parametrize("fa,fb,start", [
+    # G = -(1e200)^2 = -inf: L = fsum((..., -inf * 0, ...)) is nan
+    ("t", "1e200", (0.0, 0.0, 1.0, 0.5, 0.0, 1.0)),
+    # E = +inf and G = -inf: fsum raises on inf - inf
+    ("1e200", "1e200", (0.0, 0.0, 1.0, 0.5, 0.5, 1.0)),
+    # G = -1e308 is finite, but p_v = 2 G dv is not
+    ("t", "1e154", (0.0, 0.0, 1.0, 0.5, 1.0, 1.0)),
+    # E du^2 = 4e614 is inf
+    ("2", "t", (0.0, 0.0, 1.0, 1e307, 0.0, 0.0)),
+], ids=["nan-L", "fsum-raises", "p_v", "inf-L"])
+def test_integrate_stops_before_a_non_finite_first_row(fa, fb, start):
+    fam = make_family("hyperbolic14", "A", fa, fb, 0.5, 3.0)
+    trajectory = integrate(fam, GeodesicState(*start), 0.01, 0.001)
+    assert trajectory.termination == "nonfinite_state"
+    assert trajectory.rows == ()
+    assert trajectory.reached_length == 0.0
+    assert _reference_integrate(fam, GeodesicState(*start), 0.01, 0.001) == (
+        [], "nonfinite_state")
 
 def _count_states(monkeypatch):
     """A list that grows by one for every ``GeodesicState`` constructed."""
