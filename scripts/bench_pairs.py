@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Paired benchmark runs of two git revisions, summarised in a BENCH file.
 
-    python3 scripts/bench_pairs.py --base 87026d8 --head HEAD --label pr13 \\
+    python3 scripts/bench_pairs.py --base HEAD~1 --head HEAD --label mine \\
         --workload curvature-grid:10 --workload trajectory:5 \\
         --workload ensemble:5 --first-seed 1001
 

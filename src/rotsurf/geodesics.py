@@ -88,7 +88,8 @@ class Trajectory:
     """Sampled geodesic flow: a tuple (s, u, v, t, du, dv, dt, L, p_u, p_v)
     per sample in ``rows``, shown as ``Sample``s by ``samples``; the
     ``termination`` is ``completed``, ``domain_exit``, ``degenerate_metric``
-    or ``nonfinite_state``."""
+    or ``nonfinite_state``.  ``rows`` is empty only when the first row is
+    not finite; ``reached_length`` is then 0."""
 
     rows: tuple[tuple[float, ...], ...]
     termination: str

@@ -322,6 +322,16 @@ def test_output_dir_override(tmp_path, capsys, monkeypatch):
 
 
 
+
+def test_metric_overflow_while_normalising_is_a_config_error(tmp_path,
+                                                             capsys):
+    config = overflow_config(tmp_path, **{"geodesic.normalize": True})
+    assert main(["geodesic", "--config", config]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "", "config error: metric overflow\n")
+    assert sorted(os.listdir(tmp_path)) == ["config.json"]
+
 @pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)])
 def test_artifacts_get_the_mode_of_a_new_file(tmp_path, capsys, umask, mode):
     config = meridian_config(tmp_path, **{"geodesic.length": 0.01})
