@@ -276,7 +276,6 @@ def test_not_timelike_normalization_is_numerical_failure(tmp_path, capsys):
     assert main(["geodesic", "--config", config]) == 2
 
 
-
 def overflow_config(tmp_path, **changes):
     """G = -(1e200)^2 overflows on the whole domain; t, dt start as in
     the meridian config."""
@@ -311,6 +310,7 @@ def test_metric_overflow_is_numerical_failure(tmp_path, capsys, command,
     assert (captured.out, captured.err) == ("", line)
     assert sorted(os.listdir(tmp_path)) == ["config.json"]
 
+
 def test_output_dir_override(tmp_path, capsys, monkeypatch):
     override = tmp_path / "elsewhere"
     override.mkdir()
@@ -319,8 +319,6 @@ def test_output_dir_override(tmp_path, capsys, monkeypatch):
     assert main(["geodesic", "--config", config]) == 0
     assert (override / "out.csv").exists()
     assert not (tmp_path / "out.csv").exists()
-
-
 
 
 def test_metric_overflow_while_normalising_is_a_config_error(tmp_path,
@@ -332,6 +330,7 @@ def test_metric_overflow_while_normalising_is_a_config_error(tmp_path,
         "", "config error: metric overflow\n")
     assert sorted(os.listdir(tmp_path)) == ["config.json"]
 
+
 @pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)])
 def test_artifacts_get_the_mode_of_a_new_file(tmp_path, capsys, umask, mode):
     config = meridian_config(tmp_path, **{"geodesic.length": 0.01})
@@ -342,6 +341,7 @@ def test_artifacts_get_the_mode_of_a_new_file(tmp_path, capsys, umask, mode):
         os.umask(previous)
     for name in ("out.csv", "out.summary.json"):
         assert (tmp_path / name).stat().st_mode & 0o777 == mode
+
 
 def test_json_trajectory_format(tmp_path, capsys):
     document = patched(MERIDIAN_CONFIG, **{"output.format": "json"})
@@ -555,7 +555,6 @@ def test_runtime_imports_no_numpy():
     assert result.stdout.splitlines()[-1] == "False"
 
 
-
 def test_parser_is_built_once_on_the_first_call():
     # a fresh interpreter, so that the count starts before rotsurf.cli is
     # imported; each parser and subparser is one ArgumentParser
@@ -634,6 +633,7 @@ def test_usage_error_reaches_captured_stderr(capsys):
     assert captured.out == ""
     assert captured.err.startswith("usage: rotsurf killing")
     assert "expected 6 arguments" in captured.err
+
 
 def test_parse_check(capsys):
     assert main(["parse-check", "2*t+1"]) == 0

@@ -455,7 +455,6 @@ def test_samples_view_matches_reference(family, start, length, step,
         view[len(samples)]
 
 
-
 @pytest.mark.parametrize("fa,fb,start", [
     # G = -(1e200)^2 = -inf: L = fsum((..., -inf * 0, ...)) is nan
     ("t", "1e200", (0.0, 0.0, 1.0, 0.5, 0.0, 1.0)),
@@ -474,6 +473,7 @@ def test_integrate_stops_before_a_non_finite_first_row(fa, fb, start):
     assert trajectory.reached_length == 0.0
     assert _reference_integrate(fam, GeodesicState(*start), 0.01, 0.001) == (
         [], "nonfinite_state")
+
 
 def _count_states(monkeypatch):
     """A list that grows by one for every ``GeodesicState`` constructed."""
