@@ -8,9 +8,8 @@
 Each revision is exported with ``git archive`` (tracked files only) into
 a temporary directory, and the command of ``BENCHMARK.json`` (``python3
 bench/run.py``) runs in each export.  Pair i of a workload runs both sides
-on seed ``first_seed + i`` for ``--seconds`` (``BENCHMARK.json``'s
-``run_seconds`` by default); even pairs run the base first, odd pairs the
-head.  ``BENCH_<label>.json`` at the root of the repository, rewritten
+on seed ``first_seed + i`` for ``BENCHMARK.json``'s ``run_seconds``; even
+pairs run the base first, odd pairs the head.  ``BENCH_<label>.json`` at the root of the repository, rewritten
 after every pair, holds each run with its result line and the Python
 version, and for each workload and end-to-end metric each side's median
 and quartiles and the number of pairs in which the head reads better, in
@@ -41,8 +40,10 @@ def _git(*args: str) -> bytes:
 
 def export(revision: str, directory: str):
     """The tracked files of ``revision``, written under ``directory``."""
+    # the "data" filter exists from Python 3.10.12 and 3.11.4 on
+    safe = {"filter": "data"} if hasattr(tarfile, "data_filter") else {}
     with tarfile.open(fileobj=io.BytesIO(_git("archive", revision))) as tar:
-        tar.extractall(directory, filter="data")
+        tar.extractall(directory, **safe)
 
 
 def run_once(command: list[str], checkout: str, workload: str, seed: int,
@@ -130,13 +131,12 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", type=_workload, action="append",
                         required=True, metavar="NAME:PAIRS")
     parser.add_argument("--first-seed", type=int, required=True)
-    parser.add_argument("--seconds", type=float,
-                        default=benchmark["run_seconds"])
     args = parser.parse_args(argv)
 
     revisions = {side: _git("rev-parse", "--verify",
                             f"{getattr(args, side)}^{{commit}}")
                  .decode().strip() for side in SIDES}
+    seconds = benchmark["run_seconds"]
     out_path = os.path.join(ROOT, f"BENCH_{args.label}.json")
     record = {
         "label": args.label,
@@ -156,10 +156,10 @@ def main(argv=None) -> int:
                 order = SIDES if i % 2 == 0 else SIDES[::-1]
                 for position, side in enumerate(order):
                     result = run_once(benchmark["command"], checkouts[side],
-                                      workload, seed, args.seconds)
+                                      workload, seed, seconds)
                     record["runs"].append({
                         "workload": workload, "seed": seed,
-                        "seconds": args.seconds, "side": side,
+                        "seconds": seconds, "side": side,
                         "revision": revisions[side], "order": position,
                         "result": result})
                     print(f"{workload} seed {seed} {side}: "

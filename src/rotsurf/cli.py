@@ -26,7 +26,8 @@ from .expressions import DomainError, ExprError, differentiate, parse, to_text
 from .geodesics import (Trajectory, flow_residual, integrate, invariant_rows,
                         shift_samples)
 from .isometries import KillingParams, Rotation, killing_matrix, lie_residual
-from .surfaces import (DegenerateMetricError, NotTimelikeError, SurfaceFamily)
+from .surfaces import (DegenerateMetricError, MetricOverflowError,
+                       NotTimelikeError, SurfaceFamily)
 
 __all__ = ["main"]
 
@@ -316,7 +317,8 @@ def main(argv: list[str] | None = None) -> int:
             return _cmd_isometry(config, args.generator, args.angle)
         raise AssertionError(f"unhandled command {args.command}")
     except (ConfigError, ExprError, ValueError) as exc:
-        if isinstance(exc, (DegenerateMetricError, NotTimelikeError)):
+        if isinstance(exc, (DegenerateMetricError, MetricOverflowError,
+                            NotTimelikeError)):
             print(f"numerical failure: {exc}", file=sys.stderr)
             return EXIT_NUMERICAL
         print(f"config error: {exc}", file=sys.stderr)

@@ -89,7 +89,8 @@ class Trajectory:
     per sample in ``rows``, shown as ``Sample``s by ``samples``; the
     ``termination`` is ``completed``, ``domain_exit``, ``degenerate_metric``
     or ``nonfinite_state``.  ``rows`` is empty only when the first row is
-    not finite; ``reached_length`` is then 0."""
+    not finite; ``reached_length`` and each drift are then 0 and
+    ``final`` raises ``ValueError``."""
 
     rows: tuple[tuple[float, ...], ...]
     termination: str
@@ -101,6 +102,9 @@ class Trajectory:
 
     @property
     def final(self) -> Sample:
+        if not self.rows:
+            raise ValueError(f"no final sample: the run ended as "
+                             f"{self.termination} at its first row")
         return _sample(self.rows[-1])
 
     @property
@@ -108,8 +112,10 @@ class Trajectory:
         return self.rows[-1][0] if self.rows else 0.0
 
     def drifts(self) -> dict[str, float]:
-        first = self.rows[0]      # a running max of each |x - x_0| from 0.0
-        return {name: max(0.0, *[abs(row[k] - first[k]) for row in self.rows])
+        """The largest |x - x_0| of p_u, p_v and L; 0.0 without rows."""
+        first = self.rows[0] if self.rows else None
+        return {name: max([abs(row[k] - first[k]) for row in self.rows],
+                          default=0.0)
                 for name, k in (("p_u_drift", 8), ("p_v_drift", 9),
                                 ("L_drift", 7))}
 

@@ -40,6 +40,7 @@ __all__ = [
     "SurfaceFamily",
     "DegenerateMetricError",
     "NotTimelikeError",
+    "MetricOverflowError",
     "make_family",
 ]
 
@@ -65,6 +66,14 @@ class DegenerateMetricError(ValueError):
 
 class NotTimelikeError(ValueError):
     """Normalisation requested for a state that is not timelike."""
+
+
+class MetricOverflowError(DomainError):
+    """A metric coefficient that is not finite: a numerical failure, not a
+    domain error of the profiles."""
+
+    def __init__(self):
+        super().__init__("metric overflow")
 
 
 class _Layout:
@@ -393,13 +402,13 @@ class SurfaceFamily:
     def metric_values(self, fa: float, fb: float, dfa: float,
                       dfb: float) -> MetricCoefficients:
         """Metric coefficients from raw profile values (no domain logic);
-        ``DomainError`` when one of them is not finite."""
+        ``MetricOverflowError`` when one of them is not finite."""
         lay = self.layout
         e = lay.e_sign * fa * fa
         g = lay.g_sign * fb * fb
         n = lay.na_sign * dfa * dfa + lay.nb_sign * dfb * dfb
         if not (math.isfinite(e) and math.isfinite(g) and math.isfinite(n)):
-            raise DomainError("metric overflow")
+            raise MetricOverflowError()
         return MetricCoefficients(E=e, G=g, N=n)
 
     @cached_property

@@ -321,13 +321,13 @@ def test_output_dir_override(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "out.csv").exists()
 
 
-def test_metric_overflow_while_normalising_is_a_config_error(tmp_path,
-                                                             capsys):
+def test_metric_overflow_while_normalising_is_numerical_failure(tmp_path,
+                                                                capsys):
     config = overflow_config(tmp_path, **{"geodesic.normalize": True})
-    assert main(["geodesic", "--config", config]) == 1
+    assert main(["geodesic", "--config", config]) == 2
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == (
-        "", "config error: metric overflow\n")
+        "", "numerical failure: metric overflow\n")
     assert sorted(os.listdir(tmp_path)) == ["config.json"]
 
 

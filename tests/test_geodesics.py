@@ -471,6 +471,10 @@ def test_integrate_stops_before_a_non_finite_first_row(fa, fb, start):
     assert trajectory.termination == "nonfinite_state"
     assert trajectory.rows == ()
     assert trajectory.reached_length == 0.0
+    assert trajectory.drifts() == {"p_u_drift": 0.0, "p_v_drift": 0.0,
+                                   "L_drift": 0.0}
+    with pytest.raises(ValueError, match="ended as nonfinite_state"):
+        trajectory.final
     assert _reference_integrate(fam, GeodesicState(*start), 0.01, 0.001) == (
         [], "nonfinite_state")
 
