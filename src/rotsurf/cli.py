@@ -23,8 +23,8 @@ import sys
 from .config import ConfigError, RunConfig, initial_state, load_config
 from .curvature import DoubleRotationSurface, GridPointError, curvature_grid
 from .expressions import DomainError, ExprError, differentiate, parse, to_text
-from .geodesics import (Trajectory, flow_residual, integrate, invariant_rows,
-                        shift_samples)
+from .geodesics import (Trajectory, _drift, flow_residual, integrate,
+                        invariant_rows, shift_samples)
 from .isometries import KillingParams, Rotation, killing_matrix, lie_residual
 from .surfaces import (DegenerateMetricError, MetricOverflowError,
                        NotTimelikeError, SurfaceFamily)
@@ -167,10 +167,10 @@ def _cmd_geodesic(config: RunConfig, summarize: bool = False) -> int:
         print(f"wrote {path} ({len(trajectory.rows)} samples, "
               f"{trajectory.termination})")
         return EXIT_OK
-    inv1_first, inv2_first = rows[0][10], rows[0][11]
+    columns = tuple(zip(*rows))
     summary = trajectory.drifts()
-    summary["inv1_drift"] = max(abs(row[10] - inv1_first) for row in rows)
-    summary["inv2_drift"] = max(abs(row[11] - inv2_first) for row in rows)
+    summary["inv1_drift"] = _drift(columns[10])
+    summary["inv2_drift"] = _drift(columns[11])
     if residual is not None:
         summary["initial_angle_residual"] = residual
     summary_path = os.path.splitext(path)[0] + ".summary.json"

@@ -24,8 +24,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .expressions import DomainError
-from .surfaces import (DegenerateMetricError, FamilySpec, GeodesicState,
-                       SurfaceFamily)
+from .surfaces import DegenerateMetricError, GeodesicState, SurfaceFamily
 
 __all__ = [
     "Sample",
@@ -113,11 +112,17 @@ class Trajectory:
 
     def drifts(self) -> dict[str, float]:
         """The largest |x - x_0| of p_u, p_v and L; 0.0 without rows."""
-        first = self.rows[0] if self.rows else None
-        return {name: max([abs(row[k] - first[k]) for row in self.rows],
-                          default=0.0)
-                for name, k in (("p_u_drift", 8), ("p_v_drift", 9),
-                                ("L_drift", 7))}
+        columns = tuple(zip(*self.rows)) or ((0.0,),) * 10
+        return {"p_u_drift": _drift(columns[8]),
+                "p_v_drift": _drift(columns[9]),
+                "L_drift": _drift(columns[7])}
+
+
+def _drift(column) -> float:
+    """max |x - x_0| over ``column``, bit for bit: fl(x - x_0) is monotone
+    in x and rounding is sign-symmetric, so the extremes attain it."""
+    x0 = column[0]
+    return max(max(column) - x0, x0 - min(column))
 
 
 def geodesic_rhs(fam: SurfaceFamily, state: GeodesicState):
@@ -137,58 +142,69 @@ def momenta(fam: SurfaceFamily, state: GeodesicState) -> tuple[float, float]:
     return fam.metric_coefficients(state.t).momenta(state)
 
 
-def _rk4_step(fam: SurfaceFamily, y, h: float, bundle):
-    """One RK4 step; ``bundle`` is the metric bundle at ``y``.
-
-    Written out in scalars: stage k is (du_k, dv_k, dt_k, a_k, b_k, c_k),
-    with ``geodesic_rhs``'s arithmetic at y + (h/2) k_1, y + (h/2) k_2 and
-    y + h k_3.  The u and v of a stage state are never read, so they are
-    not formed."""
-    u, v, t, du, dv, dt = y
-    half = 0.5 * h
-    sixth = h / 6.0
-    metric_bundle = fam.metric_bundle
-
+# The fixed-step loop of ``integrate``, generated once per family.
+# ``{bundle}`` stands for the metric bundle's statements, which compute e,
+# g, n, de, dg and dn at ``t``; they are inlined at each accepted state and
+# at RK4 stages 2-4, and stage 1 reuses the accepted state's bundle.  Local
+# names stay clear of the lowering's ``c<k>`` and ``v<k>``.
+_RUN = """\
+def run(rows, y, bundle, length, step, n_steps):
+    u, v, t_acc, du1, dv1, dt1 = y
     e, g, n, de, dg, dn = bundle
-    if e == 0.0 or g == 0.0 or n == 0.0:
-        raise DegenerateMetricError(t)
-    a1 = -(de / e) * du * dt
-    b1 = -(dg / g) * dv * dt
-    c1 = (de * du * du + dg * dv * dv - dn * dt * dt) / (2.0 * n)
+    s = 0.0
+    for i in range(1, n_steps + 2):  # row i - 1, then the step to row i
+        p_u, p_v = 2.0 * e * du1, 2.0 * g * dv1
+        try:
+            lagr = fsum((e * du1 * du1, g * dv1 * dv1, n * dt1 * dt1))
+        except (ValueError, OverflowError):  # inf - inf, or a finite overflow
+            lagr = nan
+        # 0 * x is nan exactly when x is inf or nan
+        if not isfinite(0.0 * lagr * p_u * p_v): return "nonfinite_state"
+        rows.append((s, u, v, t_acc, du1, dv1, dt1, lagr, p_u, p_v))
+        if i > n_steps: return "completed"
+        s_next = length if i == n_steps else i * step
+        h = s_next - s
+        half, sixth = 0.5 * h, h / 6.0
+{rhs1}
+{stages}
+        u, v, t_acc, du1, dv1, dt1 = (
+            u + sixth * (du1 + 2.0 * du2 + 2.0 * du3 + du4),
+            v + sixth * (dv1 + 2.0 * dv2 + 2.0 * dv3 + dv4),
+            t_acc + sixth * (dt1 + 2.0 * dt2 + 2.0 * dt3 + dt4),
+            du1 + sixth * (ddu1 + 2.0 * ddu2 + 2.0 * ddu3 + ddu4),
+            dv1 + sixth * (ddv1 + 2.0 * ddv2 + 2.0 * ddv3 + ddv4),
+            dt1 + sixth * (ddt1 + 2.0 * ddt2 + 2.0 * ddt3 + ddt4))
+        if not isfinite(0.0 * u * v * t_acc * du1 * dv1 * dt1): return "nonfinite_state"
+        t = t_acc  # the bundle opens with the domain check
+{bundle}
+        s = s_next
+"""
+# Stage k > 1: its t and velocities, at ``f`` times stage k - 1's
+# derivative, and its bundle (a stage's u and v are never read); then, for
+# every stage, its derivative by ``geodesic_rhs``'s arithmetic.
+_STAGE = """\
+        t = t_acc + {f} * dt{j}
+        du{k}, dv{k}, dt{k} = du1 + {f} * ddu{j}, dv1 + {f} * ddv{j}, dt1 + {f} * ddt{j}
+{bundle}
+"""
+_RHS = """\
+        if e == 0.0 or g == 0.0 or n == 0.0: return "degenerate_metric"
+        ddu{k} = -(de / e) * du{k} * dt{k}
+        ddv{k} = -(dg / g) * dv{k} * dt{k}
+        ddt{k} = (de * du{k} * du{k} + dg * dv{k} * dv{k} - dn * dt{k} * dt{k}) / (2.0 * n)"""
 
-    t2 = t + half * dt
-    du2, dv2, dt2 = du + half * a1, dv + half * b1, dt + half * c1
-    e, g, n, de, dg, dn = metric_bundle(t2)
-    if e == 0.0 or g == 0.0 or n == 0.0:
-        raise DegenerateMetricError(t2)
-    a2 = -(de / e) * du2 * dt2
-    b2 = -(dg / g) * dv2 * dt2
-    c2 = (de * du2 * du2 + dg * dv2 * dv2 - dn * dt2 * dt2) / (2.0 * n)
 
-    t3 = t + half * dt2
-    du3, dv3, dt3 = du + half * a2, dv + half * b2, dt + half * c2
-    e, g, n, de, dg, dn = metric_bundle(t3)
-    if e == 0.0 or g == 0.0 or n == 0.0:
-        raise DegenerateMetricError(t3)
-    a3 = -(de / e) * du3 * dt3
-    b3 = -(dg / g) * dv3 * dt3
-    c3 = (de * du3 * du3 + dg * dv3 * dv3 - dn * dt3 * dt3) / (2.0 * n)
-
-    t4 = t + h * dt3
-    du4, dv4, dt4 = du + h * a3, dv + h * b3, dt + h * c3
-    e, g, n, de, dg, dn = metric_bundle(t4)
-    if e == 0.0 or g == 0.0 or n == 0.0:
-        raise DegenerateMetricError(t4)
-    a4 = -(de / e) * du4 * dt4
-    b4 = -(dg / g) * dv4 * dt4
-    c4 = (de * du4 * du4 + dg * dv4 * dv4 - dn * dt4 * dt4) / (2.0 * n)
-
-    return (u + sixth * (du + 2.0 * du2 + 2.0 * du3 + du4),
-            v + sixth * (dv + 2.0 * dv2 + 2.0 * dv3 + dv4),
-            t + sixth * (dt + 2.0 * dt2 + 2.0 * dt3 + dt4),
-            du + sixth * (a1 + 2.0 * a2 + 2.0 * a3 + a4),
-            dv + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4),
-            dt + sixth * (c1 + 2.0 * c2 + 2.0 * c3 + c4))
+def _lower_run(lowering):
+    """``_RUN`` with the bundle statements of ``lowering`` (see
+    ``surfaces._bundle_lowering``), compiled in its namespace."""
+    bundle = "".join(f"        {line}\n" for line in lowering.lines)[:-1]
+    stages = "\n".join(_STAGE.format(k=k, j=k - 1, f=f, bundle=bundle)
+                       + _RHS.format(k=k)
+                       for k, f in ((2, "half"), (3, "half"), (4, "h")))
+    source = _RUN.format(rhs1=_RHS.format(k=1), stages=stages, bundle=bundle)
+    lowering.namespace.update(fsum=math.fsum, nan=math.nan)
+    exec(compile(source, "<generated RK4 run>", "exec"), lowering.namespace)
+    return lowering.namespace["run"]
 
 
 def integrate(fam: SurfaceFamily, state0: GeodesicState, length: float,
@@ -201,6 +217,9 @@ def integrate(fam: SurfaceFamily, state0: GeodesicState, length: float,
     profile domain, a metric coefficient vanishes, or the state or a
     row's L, p_u or p_v stops being finite; no row holds a non-finite
     value, so ``rows`` is empty when the row of ``state0`` is not finite.
+
+    The loop is ``fam``'s generated run (``_RUN``), with the bundle inlined;
+    ``state0``'s bundle alone is a ``metric_bundle`` call (and may raise).
     """
     if not (length > 0.0 and math.isfinite(length)):
         raise ValueError("length must be > 0")
@@ -209,46 +228,13 @@ def integrate(fam: SurfaceFamily, state0: GeodesicState, length: float,
     if step > length:
         raise ValueError("step must be <= length")
 
-    t_min, t_max = fam.domain
-    fsum, isfinite, nan = math.fsum, math.isfinite, math.nan
-    y = u, v, t, du, dv, dt = state0.as_tuple()
-    # a row's bundle is the next step's first stage
-    bundle = e, g, n, _, _, _ = fam.metric_bundle(t)
-    n_steps = math.ceil(length / step - 1e-9)
     rows = []
-    s = 0.0
-    termination = "completed"
-    for i in range(1, n_steps + 2):  # row i - 1, then the step to row i
-        p_u, p_v = 2.0 * e * du, 2.0 * g * dv
-        try:
-            lagr = fsum((e * du * du, g * dv * dv, n * dt * dt))
-        except (ValueError, OverflowError):  # inf - inf, or a finite overflow
-            lagr = nan
-        # 0 * x is nan exactly when x is inf or nan
-        if not isfinite(0.0 * lagr * p_u * p_v):
-            termination = "nonfinite_state"
-            break
-        rows.append((s, *y, lagr, p_u, p_v))
-        if i > n_steps:
-            break
-        s_next = length if i == n_steps else i * step
-        try:
-            y = u, v, t, du, dv, dt = _rk4_step(fam, y, s_next - s, bundle)
-            if not (isfinite(u) and isfinite(v) and isfinite(t)
-                    and isfinite(du) and isfinite(dv) and isfinite(dt)):
-                termination = "nonfinite_state"
-                break
-            if not (t_min <= t <= t_max):
-                termination = "domain_exit"
-                break
-            bundle = e, g, n, _, _, _ = fam.metric_bundle(t)
-        except DomainError:
-            termination = "domain_exit"
-            break
-        except DegenerateMetricError:
-            termination = "degenerate_metric"
-            break
-        s = s_next
+    bundle = fam.metric_bundle(state0.t)
+    try:
+        termination = fam._run_fn(rows, state0.as_tuple(), bundle, length,
+                                  step, math.ceil(length / step - 1e-9))
+    except DomainError:
+        termination = "domain_exit"
     return Trajectory(tuple(rows), termination, length)
 
 
@@ -280,16 +266,18 @@ def extract_angles(fam: SurfaceFamily, state: GeodesicState,
     ties at zero resolve to phi = theta = 0.
     """
     fa, fb = fam.fa.evaluate(state.t), fam.fb.evaluate(state.t)
-    return AngleDecomposition(*_angles(fam.spec, fa * state.du,
+    spec = fam.spec
+    return AngleDecomposition(*_angles(spec.invert, spec.velocity, fa * state.du,
                                        fb * state.dv, state.dt, tol))
 
 
-def _angles(spec: FamilySpec, a: float, b: float, dt: float, tol: float):
-    """``extract_angles``'s fields for (a, b, dt) = (fa*du, fb*dv, dt)."""
-    phi, theta, ok, residual = spec.invert(a, b, dt, tol)
+def _angles(invert, velocity, a: float, b: float, dt: float, tol: float):
+    """``extract_angles``'s fields for (a, b, dt) = (fa*du, fb*dv, dt), by a
+    ``FamilySpec``'s ``invert`` and ``velocity``."""
+    phi, theta, ok, residual = invert(a, b, dt, tol)
     if ok:
         # the angles must actually reproduce the velocity triple
-        ra, rb, rdt = spec.velocity(phi, theta)
+        ra, rb, rdt = velocity(phi, theta)
         recon_err = max(abs(ra - a), abs(rb - b), abs(rdt - dt))
         scale = 1.0 + max(abs(a), abs(b), abs(dt))
         if recon_err > 10.0 * tol * scale:
@@ -326,16 +314,21 @@ class ClairautReport:
     angles: AngleDecomposition
 
 
-def _invariants(fam: SurfaceFamily, fa: float, fb: float, du: float,
-                dv: float, dt: float, p_u: float, p_v: float, tol: float):
-    """(inv1, inv2, ``_angles``'s tuple) at one state: the angle forms when
-    the velocity has angles, else the signed momenta."""
-    spec = fam.spec
-    angles = phi, theta, defined, _ = _angles(spec, fa * du, fb * dv, dt, tol)
-    if defined:
-        return (*spec.invariants(fa, fb, phi, theta), angles)
-    lay = fam.layout
-    return lay.mom_sign_u * p_u, lay.mom_sign_v * p_v, angles
+def _invariants(fam: SurfaceFamily, tol: float):
+    """(fa, fb, du, dv, dt, p_u, p_v) -> (inv1, inv2, ``_angles``'s tuple)
+    at one state, with ``fam``'s laws and signs looked up once: the angle
+    forms when the velocity has angles, else the signed momenta."""
+    spec, lay = fam.spec, fam.layout
+    invert, velocity, invariants = spec.invert, spec.velocity, spec.invariants
+    sign_u, sign_v = lay.mom_sign_u, lay.mom_sign_v
+
+    def at(fa, fb, du, dv, dt, p_u, p_v):
+        angles = phi, theta, defined, _ = _angles(invert, velocity, fa * du,
+                                                  fb * dv, dt, tol)
+        if defined:
+            return (*invariants(fa, fb, phi, theta), angles)
+        return sign_u * p_u, sign_v * p_v, angles
+    return at
 
 
 def clairaut_report(fam: SurfaceFamily, state: GeodesicState,
@@ -345,8 +338,8 @@ def clairaut_report(fam: SurfaceFamily, state: GeodesicState,
     coeffs = fam.metric_values(fa, fb, fam.fa.derivative(t), fam.fb.derivative(t))
     lagr = coeffs.lagrangian(state)
     p_u, p_v = coeffs.momenta(state)
-    inv1, inv2, angles = _invariants(fam, fa, fb, state.du, state.dv,
-                                     state.dt, p_u, p_v, tol)
+    inv1, inv2, angles = _invariants(fam, tol)(fa, fb, state.du, state.dv,
+                                               state.dt, p_u, p_v)
     return ClairautReport(lagr, p_u, p_v, inv1, inv2,
                           AngleDecomposition(*angles))
 
@@ -355,8 +348,9 @@ def invariant_rows(fam: SurfaceFamily, rows) -> list:
     """Each ``Trajectory.rows`` row + (inv1, inv2) as ``clairaut_report``'s
     default gives them, from the row's p_u, p_v and one call each of fa, fb."""
     fa, fb = fam.fa.evaluate, fam.fb.evaluate
-    return [row + _invariants(fam, fa(row[3]), fb(row[3]), *row[4:7], *row[8:],
-                              1e-9)[:2] for row in rows]
+    at = _invariants(fam, 1e-9)
+    return [row + at(fa(row[3]), fb(row[3]), *row[4:7], *row[8:])[:2]
+            for row in rows]
 
 
 @dataclass(frozen=True)

@@ -301,11 +301,11 @@ def _emit_pair(lowering: _Lowering, first: ProfileFunction,
                                              first.d2, second.d2)]
 
 
-def _lower_bundle(fam: SurfaceFamily) -> Callable[[float], tuple]:
-    """``fam.metric_bundle`` as one generated function of t: one domain
-    check, then fa, fb, fa', fb', fa'', fb'' lowered in that order into one
-    body, with the checks and messages of the six ``ProfileFunction``
-    calls it replaces, then the bundle's arithmetic."""
+def _bundle_lowering(fam: SurfaceFamily) -> _Lowering:
+    """The statements of ``fam.metric_bundle`` at ``t``: one domain check,
+    then fa, fb, fa', fb', fa'', fb'' lowered in that order into one body,
+    with the checks and messages of the six ``ProfileFunction`` calls they
+    replace, then the bundle's arithmetic into e, g, n, de, dg and dn."""
     lay = fam.layout
     lowering = _Lowering()
     lowering.namespace.update(
@@ -322,16 +322,17 @@ def _lower_bundle(fam: SurfaceFamily) -> Callable[[float], tuple]:
         f"dg = 2.0 * g_sign * {fb} * {dfb}",
         f"dn = 2.0 * (na_sign * {dfa} * {d2fa} + nb_sign * {dfb} * {d2fb})",
     ]
-    return lowering.function("(e, g, n, de, dg, dn)")
+    return lowering
 
 
 @dataclass(frozen=True)
 class SurfaceFamily:
     """A rotational family with its two profile functions.
 
-    The generated metric bundle is built on first use and kept on the
-    instance, outside the dataclass fields, like ``ProfileFunction``'s
-    lowered trees: equality, repr and pickling see only the fields."""
+    The generated metric bundle and RK4 run are built on first use and
+    kept on the instance, outside the dataclass fields, like
+    ``ProfileFunction``'s lowered trees: equality, repr and pickling see
+    only the fields."""
 
     kind: FamilyKind
     variant: Variant
@@ -343,7 +344,7 @@ class SurfaceFamily:
             raise ValueError("fa and fb must share one domain interval")
 
     def __getstate__(self):
-        # the layout and the generated bundle are rebuilt on demand
+        # the layout and the generated functions are rebuilt on demand
         return {field.name: getattr(self, field.name) for field in fields(self)}
 
     @property
@@ -413,7 +414,12 @@ class SurfaceFamily:
 
     @cached_property
     def _bundle_fn(self) -> Callable[[float], tuple]:
-        return _lower_bundle(self)
+        return _bundle_lowering(self).function("(e, g, n, de, dg, dn)")
+
+    @cached_property
+    def _run_fn(self) -> Callable[..., str]:
+        from .geodesics import _lower_run  # the RK4 template lives there
+        return _lower_run(_bundle_lowering(self))
 
     def metric_bundle(self, t: float):
         """(E, G, N, dE/dt, dG/dt, dN/dt) in one pass over the profiles."""

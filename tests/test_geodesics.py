@@ -5,13 +5,14 @@ import math
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_expressions import _lowering_func, _lowering_leaf, _tree
 
 from rotsurf import (DegenerateMetricError, DomainError, GeodesicState,
                      MeridianUndefinedError, ProfileFunction, Sample,
-                     clairaut_report, extract_angles, flow_residual,
-                     geodesic_rhs, integrate, make_family, momenta,
-                     shift_samples, slope, state_from_angles)
-from rotsurf.geodesics import invariant_rows
+                     SurfaceFamily, clairaut_report, extract_angles,
+                     flow_residual, geodesic_rhs, integrate, make_family,
+                     momenta, shift_samples, slope, state_from_angles)
+from rotsurf.geodesics import Trajectory, invariant_rows
 
 H14 = make_family("hyperbolic14", "A", "t", "1", 0.02, 40.0)
 H23 = make_family("hyperbolic23", "A", "2 + t/sqrt(2)", "1 + t/sqrt(2)", -1.4, 60.0)
@@ -313,6 +314,39 @@ def test_trajectory_drifts_structure():
     assert all(value >= 0.0 for value in drifts.values())
 
 
+_DRIFT_VALUES = st.one_of(st.sampled_from([0.0, -0.0, 1.5, -1.5, 1e308,
+                                           -1e308, 5e-324]),
+                          st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_DRIFT_VALUES, _DRIFT_VALUES, _DRIFT_VALUES),
+                min_size=1, max_size=8))
+def test_drifts_match_the_largest_absolute_difference(columns):
+    rows = tuple((0.1 * k, 0.0, 0.0, 1.0, 0.0, 0.0, 1.0, *values)
+                 for k, values in enumerate(columns))
+    first = rows[0]
+    # the formula the column extremes replace
+    expected = {name: max([abs(row[k] - first[k]) for row in rows])
+                for name, k in (("p_u_drift", 8), ("p_v_drift", 9),
+                                ("L_drift", 7))}
+    drifts = Trajectory(rows, "completed", 1.0).drifts()
+    assert {k: v.hex() for k, v in drifts.items()} == {
+        k: v.hex() for k, v in expected.items()}
+
+
+@pytest.mark.parametrize("column", [
+    (0.0, -0.0, 0.0), (-0.0, 0.0, -0.0), (2.5, 2.5, 2.5), (-0.0, -0.0),
+    (1.0, 3.0, -2.0, 3.0), (1e308, -1e308), (0.1, 0.2, 0.3)])
+def test_drifts_on_equal_values_and_signed_zeros(column):
+    rows = tuple((0.0,) * 7 + (x, x, x) for x in column)
+    expected = max(abs(x - column[0]) for x in column)
+    drifts = Trajectory(rows, "completed", 1.0).drifts()
+    assert {v.hex() for v in drifts.values()} == {expected.hex()}
+    assert Trajectory((), "nonfinite_state", 1.0).drifts() == {
+        "p_u_drift": 0.0, "p_v_drift": 0.0, "L_drift": 0.0}
+
+
 def test_state_from_angles_requires_nonzero_profiles():
     fam = make_family("hyperbolic14", "A", "t", "1", -1.0, 1.0)
     with pytest.raises(DegenerateMetricError):
@@ -424,6 +458,43 @@ REFERENCE_RUNS = [
      (0.0, 0.0, 0.3, 0.5, 0.2, 1.0), 0.5, 1e-2, "nonfinite_state"),
 ]
 
+# A DomainError inside one RK4 stage of the second step, never at an
+# accepted state, from a guard of log, / or ^: fb is 1, and 0 * (guarded
+# term) keeps the guard in fb's tree while its derivatives simplify to 0.
+STAGE_START = (0.0, 0.0, 1.0, 0.6, 0.3, 1.0)
+STAGE_FAULTS = [
+    (("hyperbolic14", "A", "t", "1 + 0*log(1.30032 - t)", 0.1, 10.0),
+     2, "log of a non-positive number"),
+    # 1.3948937463687903 is exactly t of the second step's third stage
+    (("elliptic56", "A", "t", "1 + 0*(1/(t - 1.3948937463687903))", 0.1, 10.0),
+     3, "division by zero"),
+    (("hyperbolic23", "B", "t", "1 + 0*(1.41405 - t)^0.5", 0.1, 10.0),
+     4, "negative base with non-integer exponent"),
+]
+REFERENCE_RUNS += [(family, STAGE_START, 2.0, 0.25, "domain_exit")
+                   for family, _, _ in STAGE_FAULTS]
+
+
+@pytest.mark.parametrize("family,stage,message", STAGE_FAULTS)
+def test_stage_faults_fire_inside_their_stage(family, stage, message,
+                                              monkeypatch):
+    fam = make_family(*family)
+    samples, termination = _reference_integrate(
+        fam, GeodesicState(*STAGE_START), 0.25, 0.25)
+    assert termination == "completed"
+    calls = []
+    bundle = SurfaceFamily.metric_bundle
+
+    def counted(self, t):
+        calls.append(t)
+        return bundle(self, t)
+
+    monkeypatch.setattr(SurfaceFamily, "metric_bundle", counted)
+    with pytest.raises(DomainError, match=message):
+        _reference_step(fam, samples[-1].state.as_tuple(), 0.25)
+    # one bundle per stage: the call that raised is the stage's
+    assert len(calls) == stage
+
 
 @pytest.mark.parametrize("family,start,length,step,termination", REFERENCE_RUNS)
 def test_integrate_matches_reference_rk4(family, start, length, step,
@@ -505,6 +576,52 @@ def test_integrate_builds_no_state_per_step(monkeypatch):
     built.clear()
     assert flow_residual(H23, trajectory.samples) <= 1e-3
     assert len(built) == len(trajectory.rows)
+
+
+def test_integrate_calls_metric_bundle_once_per_run(monkeypatch):
+    calls = []
+    bundle = SurfaceFamily.metric_bundle
+
+    def counted(self, t):
+        calls.append(t)
+        return bundle(self, t)
+
+    monkeypatch.setattr(SurfaceFamily, "metric_bundle", counted)
+    state0 = GeodesicState(0.0, 0.0, 0.0, 0.5, 0.5, 1.5)
+    assert len(integrate(H23, state0, 1.0, 1e-2).rows) == 101
+    # a run that ends in a stage's DomainError calls it once as well
+    fam = make_family(*STAGE_FAULTS[0][0])
+    run = integrate(fam, GeodesicState(*STAGE_START), 2.0, 0.25)
+    assert run.termination == "domain_exit"
+    assert calls == [0.0, 1.0]
+
+
+_PAIRS = [(kind, variant) for kind in ("hyperbolic14", "hyperbolic23",
+                                       "elliptic56") for variant in "AB"]
+_PROFILE = _tree(3, _lowering_leaf, _lowering_func, ("+", "-", "*", "/", "^"))
+_SPEED = st.floats(-2.0, 2.0)
+
+
+@pytest.mark.parametrize("kind,variant", _PAIRS)
+@settings(max_examples=40, deadline=None)
+@given(_PROFILE, _PROFILE, st.floats(-1.0, 2.0), _SPEED, _SPEED, _SPEED)
+def test_integrate_matches_reference_on_random_profiles(kind, variant, fa, fb,
+                                                        t0, du, dv, dt):
+    """Every termination, bit for bit, on profiles whose lowering emits
+    many ``c<k>`` and ``v<k>`` names into the generated run; the linear
+    terms keep most metrics from vanishing at the first row."""
+    fam = make_family(kind, variant, f"{fa} + t + 3", f"{fb} - 2*t + 4",
+                      -1.0, 2.0)
+    state0 = GeodesicState(0.1, -0.2, t0, du, dv, dt)
+    try:
+        samples, termination = _reference_integrate(fam, state0, 0.2, 0.02)
+    except DomainError:  # at the first row: integrate raises too
+        with pytest.raises(DomainError):
+            integrate(fam, state0, 0.2, 0.02)
+        return
+    trajectory = integrate(fam, state0, 0.2, 0.02)
+    assert trajectory.termination == termination
+    assert _bits(trajectory.samples) == _bits(samples)
 
 
 def _unit_and_scaled_runs():
