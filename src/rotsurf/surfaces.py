@@ -418,7 +418,7 @@ class SurfaceFamily:
 
     @cached_property
     def _run_fn(self) -> Callable[..., str]:
-        from .geodesics import _lower_run  # the RK4 template lives there
+        from .geodesics import _lower_run  # geodesics imports this module
         return _lower_run(_bundle_lowering(self))
 
     def metric_bundle(self, t: float):

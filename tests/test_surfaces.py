@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from test_expressions import _lowering_func, _lowering_leaf, _outcome, _tree
 
 from rotsurf import (DomainError, GeodesicState, NotTimelikeError,
-                     apply_matrix, inner, make_family, rotation_matrix)
+                     apply_matrix, inner, integrate, make_family,
+                     rotation_matrix)
 
 H14A = make_family("hyperbolic14", "A", "t", "1", 0.05, 10.0)
 H14B = make_family("hyperbolic14", "B", "t", "2", 0.1, 5.0)
@@ -273,9 +274,13 @@ def test_family_pickles_after_metric_bundle():
         fam = make_family(*pair, "2 + t/sqrt(2)", "1 + t/sqrt(2)", -1.0, 6.0)
         fresh = make_family(*pair, "2 + t/sqrt(2)", "1 + t/sqrt(2)", -1.0, 6.0)
         bundle = fam.metric_bundle(0.5)
+        # the generated RK4 run is kept on the instance too
+        start = GeodesicState(0.0, 0.0, 0.5, 0.3, 0.2, 1.2)
+        rows = integrate(fam, start, 0.1, 0.01).rows
         assert fam == fresh
         assert repr(fam) == repr(fresh)
         assert hash(fam) == hash(fresh)
         restored = pickle.loads(pickle.dumps(fam))
         assert restored == fresh
         assert restored.metric_bundle(0.5) == bundle
+        assert integrate(restored, start, 0.1, 0.01).rows == rows
