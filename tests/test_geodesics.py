@@ -466,13 +466,8 @@ REFERENCE_RUNS += [(family, STAGE_START, 2.0, 0.25, "domain_exit")
                    for family, _, _ in STAGE_FAULTS]
 
 
-@pytest.mark.parametrize("family,stage,message", STAGE_FAULTS)
-def test_stage_faults_fire_inside_their_stage(family, stage, message,
-                                              monkeypatch):
-    fam = make_family(*family)
-    samples, termination = _reference_integrate(
-        fam, GeodesicState(*STAGE_START), 0.25, 0.25)
-    assert termination == "completed"
+def _count_bundles(monkeypatch):
+    """A list that grows by the t of every ``metric_bundle`` call."""
     calls = []
     bundle = SurfaceFamily.metric_bundle
 
@@ -481,6 +476,17 @@ def test_stage_faults_fire_inside_their_stage(family, stage, message,
         return bundle(self, t)
 
     monkeypatch.setattr(SurfaceFamily, "metric_bundle", counted)
+    return calls
+
+
+@pytest.mark.parametrize("family,stage,message", STAGE_FAULTS)
+def test_stage_faults_fire_inside_their_stage(family, stage, message,
+                                              monkeypatch):
+    fam = make_family(*family)
+    samples, termination = _reference_integrate(
+        fam, GeodesicState(*STAGE_START), 0.25, 0.25)
+    assert termination == "completed"
+    calls = _count_bundles(monkeypatch)
     with pytest.raises(DomainError, match=message):
         _reference_step(fam, samples[-1].state.as_tuple(), 0.25)
     # one bundle per stage: the call that raised is the stage's
@@ -570,14 +576,7 @@ def test_integrate_builds_no_state_per_step(monkeypatch):
 
 
 def test_integrate_calls_metric_bundle_once_per_run(monkeypatch):
-    calls = []
-    bundle = SurfaceFamily.metric_bundle
-
-    def counted(self, t):
-        calls.append(t)
-        return bundle(self, t)
-
-    monkeypatch.setattr(SurfaceFamily, "metric_bundle", counted)
+    calls = _count_bundles(monkeypatch)
     state0 = GeodesicState(0.0, 0.0, 0.0, 0.5, 0.5, 1.5)
     assert len(integrate(H23, state0, 1.0, 1e-2).rows) == 101
     # a run that ends in a stage's DomainError calls it once as well
