@@ -167,10 +167,10 @@ def _cmd_geodesic(config: RunConfig, summarize: bool = False) -> int:
         print(f"wrote {path} ({len(trajectory.rows)} samples, "
               f"{trajectory.termination})")
         return EXIT_OK
-    columns = tuple(zip(*rows))
-    summary = trajectory.drifts()
-    summary["inv1_drift"] = _drift(columns[10])
-    summary["inv2_drift"] = _drift(columns[11])
+    # Trajectory.drifts' three and the invariants', from one transpose
+    columns = dict(zip(_TRAJECTORY_COLUMNS, zip(*rows)))
+    summary = {f"{name}_drift": _drift(columns[name])
+               for name in ("p_u", "p_v", "L", "inv1", "inv2")}
     if residual is not None:
         summary["initial_angle_residual"] = residual
     summary_path = os.path.splitext(path)[0] + ".summary.json"

@@ -164,7 +164,7 @@ def _parse_geodesic(section: dict) -> GeodesicSection:
         raise ConfigError("geodesic.step", "must be > 0")
     if step > length:
         raise ConfigError("geodesic.step", "must be <= geodesic.length")
-    if math.ceil(length / step) > _MAX_ROWS:
+    if length / step > _MAX_ROWS:  # as ceil would, for an integer bound; inf too
         raise ConfigError("geodesic.step",
                           f"geodesic.length/geodesic.step must be at most "
                           f"{_MAX_ROWS} steps (every step keeps a sample)")
@@ -225,6 +225,8 @@ def parse_config(document: dict) -> RunConfig:
     t_min, t_max = (_finite(x, "domain") for x in domain)
     if not t_min < t_max:
         raise ConfigError("domain", "must satisfy t_min < t_max")
+    if not math.isfinite(t_max - t_min):
+        raise ConfigError("domain", "t_max - t_min must be finite")
 
     geodesic = None
     if "geodesic" in document:

@@ -7,8 +7,8 @@ computations side by side:
 
 * closed forms ``K_formula`` and ``H_formula = h3 e3 + h4 e4`` in the
   normal frame (e3, e4).  One derivation serves all six (family,
-  variant) pairs: the frame comes from the layout's signs and slots and
-  the rotation blocks (``_frame``), and K, h3 and h4 from the Gauss
+  variant) pairs: the frame comes from the pair's ``FamilySpec.signs``
+  and ``FamilySpec.columns`` (``_frame``), and K, h3 and h4 from the Gauss
   equation and the normal parts of the second partials (``_point``),
   which hold in any signature;
 * exact oracles: the family metric is diagonal, so the induced 2-metric
@@ -18,11 +18,11 @@ computations side by side:
 
 The two agree to rounding; the tests hold the gaps to 1e-9.
 ``curvature_grid`` computes both on a grid of (t, s) points as plain
-floats: the layout's signs once per grid, the angle values and the
-profile columns of the rotation blocks once per t, the profile values
-once per s.  The kernel works in plane coordinates, the u-plane's two
-slots then the v-plane's; ``curvature_report`` and ``normal_frame`` run
-the same per-point code and place its 4-tuples in ``Vector4`` on return.
+floats: the angle values and the profile columns of the rotation blocks
+once per t, the profile values once per s.  The kernel works in plane
+coordinates, the u-plane's two slots then the v-plane's;
+``curvature_report`` and ``normal_frame`` run the same per-point code and
+place its 4-tuples in ``Vector4`` by ``FamilySpec.vector`` on return.
 
 The finite-difference oracles ``gaussian_curvature_fd`` (Christoffel
 symbols and the single independent curvature component of any 2-metric)
@@ -129,28 +129,16 @@ class DoubleRotationSurface:
 
 
 def _angle_row(surface: DoubleRotationSurface, t: float) -> tuple:
-    """(x', w', x'', w'', cols) at t: ``cols`` holds the profile columns
-    (fa_pos, fb_pos) of R_u(x), R_u'(x), R_v(w) and R_v'(w), which S_t and
-    S_s are built from, or the ``DomainError`` of their overflow, which a
-    point raises only after ``_frame``'s degeneracy check."""
+    """(x', w', x'', w'', cols) at t: ``cols`` is ``FamilySpec.columns``
+    at (x, w), which S_t and S_s are built from, or the ``DomainError`` of
+    their overflow, which a point raises only after ``_frame``'s
+    degeneracy check."""
     x, w, dx, dw, d2x, d2w = surface._angle_values(t)
-    lay = surface.family.layout
     try:
-        bu, dbu = lay.rot_u.block(x), lay.rot_u.block_deriv(x)
-        bv, dbv = lay.rot_v.block(w), lay.rot_v.block_deriv(w)
+        cols = surface.family.spec.columns(x, w)
     except OverflowError:
-        return dx, dw, d2x, d2w, DomainError("cosh overflow")
-    iu, iv = lay.fa_pos, lay.fb_pos
-    return dx, dw, d2x, d2w, (bu[iu::2], dbu[iu::2], bv[iv::2], dbv[iv::2])
-
-
-def _signs(lay) -> tuple:
-    """The layout's (e, g, na, nb, sigma, rho), read once per grid: the
-    metric signs, sigma = +1 for boosts and -1 for spins (R'' = sigma R;
-    a family's two rotations are of one kind) and rho = -e*g."""
-    sigma = 1.0 if lay.rot_u.hyperbolic else -1.0
-    return (lay.e_sign, lay.g_sign, lay.na_sign, lay.nb_sign, sigma,
-            -lay.e_sign * lay.g_sign)
+        cols = DomainError("cosh overflow")
+    return dx, dw, d2x, d2w, cols
 
 
 def _frame(signs, t: float, s: float, col, row) -> tuple:
@@ -204,10 +192,10 @@ def normal_frame(surface: DoubleRotationSurface, t: float,
     spacelike or timelike as the signs of e g P and na nb Q say; a null
     normal raises ``FrameDegenerateError``.
     """
-    lay = surface.family.layout
-    *_, e3, e4 = _frame(_signs(lay), t, s, surface._profile_values(s),
+    spec = surface.family.spec
+    *_, e3, e4 = _frame(spec.signs, t, s, surface._profile_values(s),
                         _angle_row(surface, t))
-    return lay.vector(e3[:2], e3[2:]), lay.vector(e4[:2], e4[2:])
+    return spec.vector(e3), spec.vector(e4)
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +416,7 @@ def curvature_grid(surface: DoubleRotationSurface, ts, ss) -> list[tuple]:
     The angle values are evaluated once per t and the profile values once
     per s; an error of either is raised at the first point that needs it.
     The first point that fails raises ``GridPointError``."""
-    signs = _signs(surface.family.layout)
+    signs = surface.family.spec.signs
     cols = [_attempt(surface._profile_values, s) for s in ss]
     rows = []
     for t in ts:
@@ -470,19 +458,19 @@ class CurvatureReport:
 def curvature_report(surface: DoubleRotationSurface, t: float,
                      s: float) -> CurvatureReport:
     """Evaluate closed forms and exact oracles at (t, s) and report the gaps."""
-    lay = surface.family.layout
+    spec = surface.family.spec
     (k_formula, k_oracle, k_gap, h3, h4, e3, e4, h_formula, h_oracle,
-     h_gap) = _point(_signs(lay), t, s, surface._profile_values(s),
+     h_gap) = _point(spec.signs, t, s, surface._profile_values(s),
                      _angle_row(surface, t))
     return CurvatureReport(
         K_formula=k_formula,
         K_oracle=k_oracle,
         h3=h3,
         h4=h4,
-        e3=lay.vector(e3[:2], e3[2:]),
-        e4=lay.vector(e4[:2], e4[2:]),
-        H_formula=lay.vector(h_formula[:2], h_formula[2:]),
-        H_oracle=lay.vector(h_oracle[:2], h_oracle[2:]),
+        e3=spec.vector(e3),
+        e4=spec.vector(e4),
+        H_formula=spec.vector(h_formula),
+        H_oracle=spec.vector(h_oracle),
         K_gap=k_gap,
         H_gap=h_gap,
     )

@@ -24,7 +24,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .expressions import DomainError
-from .surfaces import DegenerateMetricError, GeodesicState, SurfaceFamily
+from .surfaces import TOL, DegenerateMetricError, GeodesicState, SurfaceFamily
 
 __all__ = [
     "Sample",
@@ -227,6 +227,8 @@ def integrate(fam: SurfaceFamily, state0: GeodesicState, length: float,
         raise ValueError("step must be > 0")
     if step > length:
         raise ValueError("step must be <= length")
+    if not math.isfinite(length / step):
+        raise ValueError("step must be large enough for a finite step count")
 
     rows = []
     bundle = fam.metric_bundle(state0.t)
@@ -248,7 +250,7 @@ class AngleDecomposition:
     ``phi`` is the mixing angle and ``theta`` distributes the remaining
     speed, as the family's ``FamilySpec.velocity`` says.  ``residual`` is
     the consistency defect of the defining identities; ``defined`` means a
-    decomposition exists within the caller's tolerance.
+    decomposition exists within ``TOL``.
     """
 
     phi: float
@@ -257,8 +259,7 @@ class AngleDecomposition:
     residual: float
 
 
-def extract_angles(fam: SurfaceFamily, state: GeodesicState,
-                   tol: float = 1e-9) -> AngleDecomposition:
+def extract_angles(fam: SurfaceFamily, state: GeodesicState) -> AngleDecomposition:
     """Invert the family's velocity law (``FamilySpec.velocity``), if the
     state's velocity has angles.
 
@@ -268,19 +269,19 @@ def extract_angles(fam: SurfaceFamily, state: GeodesicState,
     fa, fb = fam.fa.evaluate(state.t), fam.fb.evaluate(state.t)
     spec = fam.spec
     return AngleDecomposition(*_angles(spec.invert, spec.velocity, fa * state.du,
-                                       fb * state.dv, state.dt, tol))
+                                       fb * state.dv, state.dt))
 
 
-def _angles(invert, velocity, a: float, b: float, dt: float, tol: float):
+def _angles(invert, velocity, a: float, b: float, dt: float):
     """``extract_angles``'s fields for (a, b, dt) = (fa*du, fb*dv, dt), by a
     ``FamilySpec``'s ``invert`` and ``velocity``."""
-    phi, theta, ok, residual = invert(a, b, dt, tol)
+    phi, theta, ok, residual = invert(a, b, dt)
     if ok:
         # the angles must actually reproduce the velocity triple
         ra, rb, rdt = velocity(phi, theta)
         recon_err = max(abs(ra - a), abs(rb - b), abs(rdt - dt))
         scale = 1.0 + max(abs(a), abs(b), abs(dt))
-        if recon_err > 10.0 * tol * scale:
+        if recon_err > 10.0 * TOL * scale:
             ok = False
     if not ok:
         return 0.0, 0.0, False, residual
@@ -314,41 +315,40 @@ class ClairautReport:
     angles: AngleDecomposition
 
 
-def _invariants(fam: SurfaceFamily, tol: float):
+def _invariants(fam: SurfaceFamily):
     """(fa, fb, du, dv, dt, p_u, p_v) -> (inv1, inv2, ``_angles``'s tuple)
     at one state, with ``fam``'s laws and signs looked up once: the angle
     forms when the velocity has angles, else the signed momenta."""
-    spec, lay = fam.spec, fam.layout
+    spec = fam.spec
     invert, velocity, invariants = spec.invert, spec.velocity, spec.invariants
-    sign_u, sign_v = lay.mom_sign_u, lay.mom_sign_v
+    sign_u, sign_v = spec.mom_sign_u, spec.mom_sign_v
 
     def at(fa, fb, du, dv, dt, p_u, p_v):
         angles = phi, theta, defined, _ = _angles(invert, velocity, fa * du,
-                                                  fb * dv, dt, tol)
+                                                  fb * dv, dt)
         if defined:
             return (*invariants(fa, fb, phi, theta), angles)
         return sign_u * p_u, sign_v * p_v, angles
     return at
 
 
-def clairaut_report(fam: SurfaceFamily, state: GeodesicState,
-                    tol: float = 1e-9) -> ClairautReport:
+def clairaut_report(fam: SurfaceFamily, state: GeodesicState) -> ClairautReport:
     t = state.t
     fa, fb = fam.fa.evaluate(t), fam.fb.evaluate(t)
     coeffs = fam.metric_values(fa, fb, fam.fa.derivative(t), fam.fb.derivative(t))
     lagr = coeffs.lagrangian(state)
     p_u, p_v = coeffs.momenta(state)
-    inv1, inv2, angles = _invariants(fam, tol)(fa, fb, state.du, state.dv,
-                                               state.dt, p_u, p_v)
+    inv1, inv2, angles = _invariants(fam)(fa, fb, state.du, state.dv,
+                                          state.dt, p_u, p_v)
     return ClairautReport(lagr, p_u, p_v, inv1, inv2,
                           AngleDecomposition(*angles))
 
 
 def invariant_rows(fam: SurfaceFamily, rows) -> list:
-    """Each ``Trajectory.rows`` row + (inv1, inv2) as ``clairaut_report``'s
-    default gives them, from the row's p_u, p_v and one call each of fa, fb."""
+    """Each ``Trajectory.rows`` row + (inv1, inv2) as ``clairaut_report``
+    gives them, from the row's p_u, p_v and one call each of fa, fb."""
     fa, fb = fam.fa.evaluate, fam.fb.evaluate
-    at = _invariants(fam, 1e-9)
+    at = _invariants(fam)
     return [row + at(fa(row[3]), fb(row[3]), *row[4:7], *row[8:])[:2]
             for row in rows]
 
@@ -369,12 +369,11 @@ class SlopeReport:
     imaginary_radicand: bool = False
 
 
-def slope(fam: SurfaceFamily, state: GeodesicState,
-          tol: float = 1e-9) -> SlopeReport:
+def slope(fam: SurfaceFamily, state: GeodesicState) -> SlopeReport:
     if state.du == 0.0:
         raise MeridianUndefinedError("du = 0: slope along a meridian is undefined")
     state_slope = state.dt / state.du
-    angles = extract_angles(fam, state, tol)
+    angles = extract_angles(fam, state)
     if not angles.defined:
         return SlopeReport(state_slope, None, None)
     lagr = fam.lagrangian(state)

@@ -10,10 +10,10 @@ v-rotation plane, so the induced metric is diagonal:
 with E = +-fa^2, G = +-fb^2 and N a signed sum of fa'^2 and fb'^2.  A
 rotation preserves the inner product on its plane, so E and G take the
 ``METRIC_DIAGONAL`` sign of the slot the profile component does not
-occupy and N those of the slots they do: ``_Layout`` derives every sign
-from the rotation planes and the variant's profile slots, and the test
-suite cross-checks them against the immersion.  Each family's rotations,
-slots and laws live in one ``FamilySpec``.
+occupy and N those of the slots they do.  One ``FamilySpec`` per (family,
+variant) pair holds the rotations, profile slots and laws, the signs derived
+from them, which the tests cross-check against the immersion, and
+``columns``, the one rule for which column of a rotation block is the profile's.
 
 Angles u, v are cyclic, which is what makes the conjugate momenta
 2*E*du and 2*G*dv conserved along geodesics (see ``geodesics``).
@@ -76,50 +76,30 @@ class MetricOverflowError(DomainError):
         super().__init__("metric overflow")
 
 
-class _Layout:
-    """Slot bookkeeping for one (kind, variant) pair, derived once:
-    E = e_sign*fa^2, G = g_sign*fb^2, N = na_sign*fa'^2 + nb_sign*fb'^2,
-    and invariant1 = mom_sign_u * p_u, invariant2 = mom_sign_v * p_v.
-    ``fa_pos``/``fb_pos`` are the slots the profile components occupy.
-    """
-
-    def __init__(self, spec: FamilySpec, fa_pos: int, fb_pos: int):
-        self.rot_u, self.rot_v = spec.rot_u, spec.rot_v
-        self.plane_u, self.plane_v = spec.rot_u.plane, spec.rot_v.plane
-        self.fa_pos, self.fb_pos = fa_pos, fb_pos
-        self.e_sign = METRIC_DIAGONAL[self.plane_u[1 - fa_pos]]
-        self.g_sign = METRIC_DIAGONAL[self.plane_v[1 - fb_pos]]
-        self.na_sign = METRIC_DIAGONAL[self.plane_u[fa_pos]]
-        self.nb_sign = METRIC_DIAGONAL[self.plane_v[fb_pos]]
-        self.mom_sign_u = self.e_sign
-        self.mom_sign_v = spec.inv2_sign * self.g_sign
-
-    def place(self, pu=(0.0, 0.0), pv=(0.0, 0.0)) -> tuple:
-        """The 4 components with ``pu`` in plane_u and ``pv`` in plane_v."""
-        comps = [0.0, 0.0, 0.0, 0.0]
-        comps[self.plane_u[0]], comps[self.plane_u[1]] = pu
-        comps[self.plane_v[0]], comps[self.plane_v[1]] = pv
-        return tuple(comps)
-
-    def vector(self, pu=(0.0, 0.0), pv=(0.0, 0.0)) -> Vector4:
-        return Vector4(*self.place(pu, pv))
+#: Tolerance of the angle decompositions (``FamilySpec.invert``).
+TOL = 1e-9
 
 
 class FamilySpec:
-    """One family's rotations, profile slots and laws, in one place.
+    """One (family, variant) pair: rotations, profile slots, signs and laws.
 
-    ``slots`` gives each variant's (fa_pos, fb_pos), ``layouts`` the
-    ``_Layout`` derived from it.  The laws of the family's Clairaut
-    statement, with (a, b, dt) = (fa*du, fb*dv, dt):
+    The class holds the family's rotations, laws and ``slots`` (each
+    variant's (fa_pos, fb_pos)); the instance for a variant derives once
+    E = e_sign*fa^2, G = g_sign*fb^2, N = na_sign*fa'^2 + nb_sign*fb'^2,
+    invariant1, 2 = mom_sign_u * p_u, mom_sign_v * p_v and ``signs`` =
+    (e, g, na, nb, sigma, rho), sigma = +1 for boosts and -1 for spins
+    (R'' = sigma R; a family's rotations are of one kind), rho = -e*g.
+
+    The laws of its Clairaut statement, with (a, b, dt) = (fa*du, fb*dv, dt):
 
     * ``velocity(phi, theta)`` -> (a, b, dt), the angle decomposition;
-    * ``invert(a, b, dt, tol)`` -> (phi, theta, ok, residual), where
+    * ``invert(a, b, dt)`` -> (phi, theta, ok, residual), where
       ``residual`` is the defect of the identity (a, b, dt) must satisfy;
     * ``invariants(fa, fb, phi, theta)``: 2*fa^2*du, inv2_sign*2*fb^2*dv;
     * ``slope(fa, phi, theta, lagr)`` -> (dt/du, radicand of its root).
 
-    The normal frame and curvature of a double-rotation surface need no
-    law of their own: ``curvature`` derives them from the layout alone.
+    ``curvature`` needs no law of its own: it derives the normal frame and
+    curvature of a double-rotation surface from ``signs`` and ``columns``.
     """
 
     rot_u: Rotation
@@ -127,9 +107,30 @@ class FamilySpec:
     slots: dict[Variant, tuple[int, int]]
     inv2_sign = 1.0
 
-    def __init__(self):
-        self.layouts = {variant: _Layout(self, fa_pos, fb_pos)
-                        for variant, (fa_pos, fb_pos) in self.slots.items()}
+    def __init__(self, variant: Variant):
+        self.fa_pos, self.fb_pos = fa_pos, fb_pos = self.slots[variant]
+        self.plane_u, self.plane_v = pu, pv = self.rot_u.plane, self.rot_v.plane
+        self.e_sign = e = METRIC_DIAGONAL[pu[1 - fa_pos]]
+        self.g_sign = g = METRIC_DIAGONAL[pv[1 - fb_pos]]
+        self.na_sign = na = METRIC_DIAGONAL[pu[fa_pos]]
+        self.nb_sign = nb = METRIC_DIAGONAL[pv[fb_pos]]
+        self.mom_sign_u, self.mom_sign_v = e, self.inv2_sign * g
+        sigma = 1.0 if self.rot_u.hyperbolic else -1.0
+        self.signs = (e, g, na, nb, sigma, -e * g)
+
+    def columns(self, u: float, v: float) -> tuple:
+        """The profile columns of R_u(u), R_u'(u), R_v(v) and R_v'(v): each
+        block's column at its profile slot, the image of a unit value there."""
+        iu, iv = self.fa_pos, self.fb_pos
+        return (self.rot_u.block(u)[iu::2], self.rot_u.block_deriv(u)[iu::2],
+                self.rot_v.block(v)[iv::2], self.rot_v.block_deriv(v)[iv::2])
+
+    def vector(self, comps) -> Vector4:
+        """The vector of plane coordinates: u-plane slots, then v-plane's."""
+        x = [0.0, 0.0, 0.0, 0.0]
+        (x[self.plane_u[0]], x[self.plane_u[1]],
+         x[self.plane_v[0]], x[self.plane_v[1]]) = comps
+        return Vector4(*x)
 
 
 class _Hyperbolic14(FamilySpec):
@@ -146,9 +147,9 @@ class _Hyperbolic14(FamilySpec):
         return (math.cos(phi), math.cosh(theta) * sin_phi,
                 math.sinh(theta) * sin_phi)
 
-    def invert(self, a, b, dt, tol):
+    def invert(self, a, b, dt):
         residual = abs(a * a + b * b - dt * dt - 1.0)
-        ok = abs(a) <= 1.0 + tol and b >= -tol and residual <= tol
+        ok = abs(a) <= 1.0 + TOL and b >= -TOL and residual <= TOL
         phi = math.acos(min(1.0, max(-1.0, a))) if ok else 0.0
         sin_phi = math.sin(phi)
         if ok and sin_phi > 1e-15:
@@ -182,10 +183,10 @@ class _Hyperbolic23(FamilySpec):
         return (sinh_phi * math.cos(theta), sinh_phi * math.sin(theta),
                 math.cosh(phi))
 
-    def invert(self, a, b, dt, tol):
+    def invert(self, a, b, dt):
         sq = (dt - 1.0) * (dt + 1.0)
         residual = abs(a * a + b * b - sq)
-        ok = dt >= 1.0 - tol and residual <= tol
+        ok = dt >= 1.0 - TOL and residual <= TOL
         phi = math.acosh(max(1.0, dt)) if ok else 0.0
         theta = math.atan2(b, a) if ok and (a != 0.0 or b != 0.0) else 0.0
         return phi, theta, ok, residual
@@ -213,10 +214,10 @@ class _Elliptic56(FamilySpec):
         return (sin_phi * math.cosh(theta), sin_phi * math.sinh(theta),
                 math.cos(phi))
 
-    def invert(self, a, b, dt, tol):
+    def invert(self, a, b, dt):
         sq = (1.0 - dt) * (1.0 + dt)
         residual = abs(a * a - b * b - sq)
-        ok = abs(dt) <= 1.0 + tol and a >= -tol and residual <= tol
+        ok = abs(dt) <= 1.0 + TOL and a >= -TOL and residual <= TOL
         phi = math.acos(min(1.0, max(-1.0, dt))) if ok else 0.0
         sin_phi = math.sin(phi)
         if ok and sin_phi > 1e-15:
@@ -235,11 +236,11 @@ class _Elliptic56(FamilySpec):
                 / (math.sin(phi) * math.cosh(theta))), radicand
 
 
-_SPECS: dict[FamilyKind, FamilySpec] = {
-    FamilyKind.HYPERBOLIC14: _Hyperbolic14(),
-    FamilyKind.HYPERBOLIC23: _Hyperbolic23(),
-    FamilyKind.ELLIPTIC56: _Elliptic56(),
-}
+_SPECS: dict[tuple[FamilyKind, Variant], FamilySpec] = {
+    (kind, variant): cls(variant) for variant in Variant
+    for kind, cls in ((FamilyKind.HYPERBOLIC14, _Hyperbolic14),
+                      (FamilyKind.HYPERBOLIC23, _Hyperbolic23),
+                      (FamilyKind.ELLIPTIC56, _Elliptic56))}
 
 
 @dataclass(frozen=True)
@@ -285,13 +286,6 @@ class GeodesicState:
         return (self.u, self.v, self.t, self.du, self.dv, self.dt)
 
 
-def _turn(block, pos: int, value: float) -> tuple[float, float]:
-    """A rotation ``block`` applied to ``value`` in slot ``pos`` of its plane."""
-    m_ii, m_ij, m_ji, m_jj = block
-    a, b = (value, 0.0) if pos == 0 else (0.0, value)
-    return (m_ii * a + m_ij * b, m_ji * a + m_jj * b)
-
-
 def _emit_pair(lowering: _Lowering, first: ProfileFunction,
                second: ProfileFunction) -> list[str]:
     """Emit (p, q, p', q', p'', q'') of two profiles, in that order, into
@@ -306,12 +300,12 @@ def _bundle_lowering(fam: SurfaceFamily) -> _Lowering:
     then fa, fb, fa', fb', fa'', fb'' lowered in that order into one body,
     with the checks and messages of the six ``ProfileFunction`` calls they
     replace, then the bundle's arithmetic into e, g, n, de, dg and dn."""
-    lay = fam.layout
+    spec = fam.spec
     lowering = _Lowering()
     lowering.namespace.update(
         t_min=fam.fa.t_min, t_max=fam.fa.t_max, outside=fam.fa._outside,
-        e_sign=lay.e_sign, g_sign=lay.g_sign, na_sign=lay.na_sign,
-        nb_sign=lay.nb_sign)
+        e_sign=spec.e_sign, g_sign=spec.g_sign, na_sign=spec.na_sign,
+        nb_sign=spec.nb_sign)
     lowering.lines.append("if not (t_min <= t <= t_max): raise outside(t)")
     fa, fb, dfa, dfb, d2fa, d2fb = _emit_pair(lowering, fam.fa, fam.fb)
     lowering.lines += [
@@ -344,17 +338,13 @@ class SurfaceFamily:
             raise ValueError("fa and fb must share one domain interval")
 
     def __getstate__(self):
-        # the layout and the generated functions are rebuilt on demand
+        # the spec and the generated functions are looked up on demand
         return {field.name: getattr(self, field.name) for field in fields(self)}
 
-    @property
-    def spec(self) -> FamilySpec:
-        return _SPECS[self.kind]
-
     @cached_property
-    def layout(self) -> _Layout:
+    def spec(self) -> FamilySpec:
         # kept on the instance: the immersion and its frame read it per call
-        return _SPECS[self.kind].layouts[self.variant]
+        return _SPECS[self.kind, self.variant]
 
     @property
     def domain(self) -> tuple[float, float]:
@@ -372,9 +362,10 @@ class SurfaceFamily:
     def immerse_values(self, fa_value: float, fb_value: float,
                        u: float, v: float) -> Vector4:
         """Immersed point from raw profile values (no domain logic)."""
-        lay = self.layout
-        return lay.vector(_turn(lay.rot_u.block(u), lay.fa_pos, fa_value),
-                          _turn(lay.rot_v.block(v), lay.fb_pos, fb_value))
+        spec = self.spec
+        (cu0, cu1), _, (cv0, cv1), _ = spec.columns(u, v)
+        return spec.vector((cu0 * fa_value, cu1 * fa_value,
+                            cv0 * fb_value, cv1 * fb_value))
 
     def immerse(self, u: float, v: float, t: float) -> Vector4:
         return self.immerse_values(self.fa.evaluate(t), self.fb.evaluate(t), u, v)
@@ -383,12 +374,12 @@ class SurfaceFamily:
                      dfa_value: float, dfb_value: float,
                      u: float, v: float) -> tuple[Vector4, Vector4, Vector4]:
         """Coordinate tangent vectors (d/du, d/dv, d/dt) from raw values."""
-        lay = self.layout
-        rot_u, rot_v, fa_pos, fb_pos = lay.rot_u, lay.rot_v, lay.fa_pos, lay.fb_pos
-        return (lay.vector(pu=_turn(rot_u.block_deriv(u), fa_pos, fa_value)),
-                lay.vector(pv=_turn(rot_v.block_deriv(v), fb_pos, fb_value)),
-                lay.vector(_turn(rot_u.block(u), fa_pos, dfa_value),
-                           _turn(rot_v.block(v), fb_pos, dfb_value)))
+        spec = self.spec
+        (cu0, cu1), (du0, du1), (cv0, cv1), (dv0, dv1) = spec.columns(u, v)
+        return (spec.vector((du0 * fa_value, du1 * fa_value, 0.0, 0.0)),
+                spec.vector((0.0, 0.0, dv0 * fb_value, dv1 * fb_value)),
+                spec.vector((cu0 * dfa_value, cu1 * dfa_value,
+                             cv0 * dfb_value, cv1 * dfb_value)))
 
     def tangent_frame(self, u: float, v: float, t: float):
         return self.frame_values(self.fa.evaluate(t), self.fb.evaluate(t),
@@ -404,10 +395,10 @@ class SurfaceFamily:
                       dfb: float) -> MetricCoefficients:
         """Metric coefficients from raw profile values (no domain logic);
         ``MetricOverflowError`` when one of them is not finite."""
-        lay = self.layout
-        e = lay.e_sign * fa * fa
-        g = lay.g_sign * fb * fb
-        n = lay.na_sign * dfa * dfa + lay.nb_sign * dfb * dfb
+        spec = self.spec
+        e = spec.e_sign * fa * fa
+        g = spec.g_sign * fb * fb
+        n = spec.na_sign * dfa * dfa + spec.nb_sign * dfb * dfb
         if not (math.isfinite(e) and math.isfinite(g) and math.isfinite(n)):
             raise MetricOverflowError()
         return MetricCoefficients(E=e, G=g, N=n)

@@ -155,6 +155,11 @@ def test_validation_step_count_limit(tmp_path, capsys):
     assert "geodesic.step" in err and "1000000" in err
     limit = patched(MERIDIAN_CONFIG, **{"geodesic.step": 1e-6})
     assert parse_config(limit).geodesic.step == 1e-6
+    # a step count beyond float range is rejected the same way
+    config = meridian_config(tmp_path, **{"geodesic.length": 1e300,
+                                          "geodesic.step": 1e-10})
+    assert main(["geodesic", "--config", config]) == 1
+    assert "geodesic.step" in capsys.readouterr().err
 
 
 def test_info_parses_each_profile_once(tmp_path, capsys, monkeypatch):
@@ -204,9 +209,11 @@ def test_validation_mixed_initial_styles(tmp_path, capsys):
 
 
 def test_validation_reversed_domain(tmp_path, capsys):
-    config = meridian_config(tmp_path, domain=[2.0, 1.0])
-    assert main(["info", "--config", config]) == 1
-    assert "domain" in capsys.readouterr().err
+    # reversed, or a width t_max - t_min beyond float range
+    for domain in ([2.0, 1.0], [-1e308, 1e308]):
+        config = meridian_config(tmp_path, domain=domain)
+        assert main(["info", "--config", config]) == 1
+        assert "domain" in capsys.readouterr().err
 
 
 def test_validation_bad_profile_expression(tmp_path, capsys):

@@ -139,7 +139,7 @@ FLAT_CASES = [
 
 @pytest.mark.parametrize("srf,u_frozen", FLAT_CASES)
 def test_flat_configurations(srf, u_frozen):
-    lay = srf.family.layout
+    lay = srf.family.spec
     off_plane = lay.plane_v if u_frozen else lay.plane_u
     for (t, s) in ((0.5, 0.8), (1.2, 1.5)):
         report = curvature_report(srf, t, s)

@@ -77,6 +77,8 @@ def test_integrate_validates_stepping():
         integrate(H14, state, 1.0, 0.0)
     with pytest.raises(ValueError):
         integrate(H14, state, -1.0, 0.1)
+    with pytest.raises(ValueError, match="step"):
+        integrate(H14, state, 1e300, 1e-10)     # length/step overflows
 
 
 def test_integrate_domain_exit_reports_last_valid_s():
@@ -157,11 +159,11 @@ def test_clairaut_identity_where_defined(fam, phi, theta, fraction):
     state = state_from_angles(fam, 0.0, 0.0, t, phi, theta)
     report = clairaut_report(fam, state)
     assert report.angles.defined
-    layout = fam.layout
+    spec = fam.spec
     assert report.invariant1 == pytest.approx(
-        layout.mom_sign_u * report.p_u, abs=1e-12)
+        spec.mom_sign_u * report.p_u, abs=1e-12)
     assert report.invariant2 == pytest.approx(
-        layout.mom_sign_v * report.p_v, abs=1e-12)
+        spec.mom_sign_v * report.p_v, abs=1e-12)
 
 
 def test_clairaut_identity_boost_example():

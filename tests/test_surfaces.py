@@ -209,7 +209,7 @@ PAIRS = [(kind, variant) for kind in ("hyperbolic14", "hyperbolic23", "elliptic5
 
 def six_call_bundle(fam, t):
     """The metric bundle from six separate, domain-checked profile calls."""
-    lay = fam.layout
+    lay = fam.spec
     fa = fam.fa.evaluate(t)
     fb = fam.fb.evaluate(t)
     dfa = fam.fa.derivative(t)
