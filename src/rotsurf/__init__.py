@@ -10,8 +10,7 @@ from .expressions import (DomainError, ParseError, ProfileFunction,
                           differentiate, evaluate, parse, to_text)
 from .geodesics import (MeridianUndefinedError, Sample, clairaut_report,
                         extract_angles, flow_residual, geodesic_rhs,
-                        integrate, momenta, shift_samples, slope,
-                        state_from_angles)
+                        integrate, momenta, slope, state_from_angles)
 from .isometries import (KillingParams, Rotation, apply_matrix,
                          generator_matrix, killing_matrix, lie_residual,
                          rotation_matrix)
@@ -57,7 +56,6 @@ __all__ = [
     "normal_frame",
     "parse",
     "rotation_matrix",
-    "shift_samples",
     "slope",
     "state_from_angles",
     "to_text",

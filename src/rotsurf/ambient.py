@@ -39,10 +39,6 @@ class Vector4:
             if not isinstance(value, (int, float)) or not math.isfinite(value):
                 raise ValueError(f"component {name} must be finite, got {value!r}")
 
-    @staticmethod
-    def zero() -> "Vector4":
-        return Vector4(0.0, 0.0, 0.0, 0.0)
-
     def components(self) -> tuple[float, float, float, float]:
         return (self.x1, self.x2, self.x3, self.x4)
 

@@ -24,7 +24,7 @@ from .config import ConfigError, RunConfig, initial_state, load_config
 from .curvature import DoubleRotationSurface, GridPointError, curvature_grid
 from .expressions import DomainError, ExprError, differentiate, parse, to_text
 from .geodesics import (Trajectory, _drift, flow_residual, integrate,
-                        invariant_rows, shift_samples)
+                        invariant_rows)
 from .isometries import KillingParams, Rotation, killing_matrix, lie_residual
 from .surfaces import (DegenerateMetricError, MetricOverflowError,
                        NotTimelikeError, SurfaceFamily)
@@ -205,23 +205,21 @@ def _cmd_curvature(config: RunConfig) -> int:
 
 def _cmd_isometry(config: RunConfig, generator: str, angle: float) -> int:
     fam = config.build_family()
-    rotation = Rotation.from_label(generator)
-    if rotation is fam.generator("u"):
-        shift = {"du": angle}
-    elif rotation is fam.generator("v"):
-        shift = {"dv": angle}
-    else:
+    rot_u, rot_v = fam.spec.rot_u, fam.spec.rot_v
+    if Rotation.from_label(generator) not in (rot_u, rot_v):
         raise ConfigError("generator",
                           f"{generator} does not act on family "
                           f"{config.family.value} (expects "
-                          f"{fam.generator('u').label} or "
-                          f"{fam.generator('v').label})")
+                          f"{rot_u.label} or {rot_v.label})")
     trajectory, _ = _run_geodesic(config, fam)
     failure = _numerical_exit(trajectory)
     if failure is not None:
         return failure
-    moved = shift_samples(trajectory.samples, **shift)
-    residual = flow_residual(fam, moved)
+    # the rotation adds ``angle`` to u or v and keeps s, t and the
+    # velocities; the geodesic equations read neither u nor v, so the image
+    # of the path has the path's own residual, whatever the generator and
+    # the angle
+    residual = flow_residual(fam, trajectory.samples)
     print(f"generator {generator} angle {_fmt(angle)}: "
           f"max geodesic-equation residual {_fmt(residual)}")
     return EXIT_OK

@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .expressions import ExprError, ProfileFunction
+from .geodesics import _MAX_ROWS, extract_angles, state_from_angles
 from .surfaces import FamilyKind, GeodesicState, SurfaceFamily, Variant
 
 __all__ = ["ConfigError", "GeodesicSection", "CurvatureSection",
@@ -76,7 +77,7 @@ class GeodesicSection:
     initial: dict
     length: float
     step: float
-    normalize: bool = False
+    normalize: bool
 
     @property
     def angle_style(self) -> bool:
@@ -87,14 +88,14 @@ class GeodesicSection:
 class CurvatureSection:
     angle_u_text: str
     angle_v_text: str
-    nt: int = 10
-    ns: int = 10
+    nt: int
+    ns: int
 
 
 @dataclass(frozen=True)
 class OutputSection:
     path: str
-    format: str = "csv"
+    format: str
 
 
 @dataclass(frozen=True)
@@ -140,9 +141,6 @@ class RunConfig:
 
 _VELOCITY_KEYS = {"u", "v", "t", "du", "dv", "dt"}
 _ANGLE_KEYS = {"u", "v", "t", "phi", "theta"}
-# every geodesic step and every curvature grid point keeps one artifact
-# row: at most this many of either
-_MAX_ROWS = 1_000_000
 
 
 def _parse_geodesic(section: dict) -> GeodesicSection:
@@ -262,8 +260,6 @@ def initial_state(config: RunConfig, fam: SurfaceFamily):
     the returned residual measures how exactly the produced state
     reproduces the requested angles.
     """
-    from .geodesics import extract_angles, state_from_angles
-
     section = config.geodesic
     if section is None:
         raise ConfigError("geodesic", "missing")

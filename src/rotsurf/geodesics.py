@@ -12,9 +12,9 @@ conserved L.  ``integrate`` runs a fixed-step classical 4th-order scheme
 and records a flat row per sample so conservation drift is auditable.
 
 For timelike flows each family admits an angle decomposition of the
-velocity against the meridian direction; the decomposed momenta are the
-classical Clairaut-style invariants (``clairaut_report``), and the slope
-dt/du of the flow satisfies a closed-form law in those angles (``slope``).
+velocity against the meridian direction (``FamilySpec.angles``); the
+decomposed momenta are the Clairaut invariants (``FamilySpec.clairaut``,
+``clairaut_report``), and dt/du obeys a closed-form law in them (``slope``).
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .expressions import DomainError
-from .surfaces import TOL, DegenerateMetricError, GeodesicState, SurfaceFamily
+from .surfaces import DegenerateMetricError, GeodesicState, SurfaceFamily
 
 __all__ = [
     "Sample",
@@ -41,9 +41,12 @@ __all__ = [
     "clairaut_report",
     "slope",
     "flow_residual",
-    "shift_samples",
     "invariant_rows",
 ]
+
+
+# every step keeps a row, as does a config's every curvature grid point
+_MAX_ROWS = 1_000_000
 
 
 class MeridianUndefinedError(ValueError):
@@ -227,8 +230,9 @@ def integrate(fam: SurfaceFamily, state0: GeodesicState, length: float,
         raise ValueError("step must be > 0")
     if step > length:
         raise ValueError("step must be <= length")
-    if not math.isfinite(length / step):
-        raise ValueError("step must be large enough for a finite step count")
+    if length / step > _MAX_ROWS:  # inf too
+        raise ValueError(f"step must be at least length/{_MAX_ROWS}: "
+                         f"every step keeps a row")
 
     rows = []
     bundle = fam.metric_bundle(state0.t)
@@ -250,7 +254,7 @@ class AngleDecomposition:
     ``phi`` is the mixing angle and ``theta`` distributes the remaining
     speed, as the family's ``FamilySpec.velocity`` says.  ``residual`` is
     the consistency defect of the defining identities; ``defined`` means a
-    decomposition exists within ``TOL``.
+    decomposition exists within tolerance (``FamilySpec.angles``).
     """
 
     phi: float
@@ -267,25 +271,8 @@ def extract_angles(fam: SurfaceFamily, state: GeodesicState) -> AngleDecompositi
     ties at zero resolve to phi = theta = 0.
     """
     fa, fb = fam.fa.evaluate(state.t), fam.fb.evaluate(state.t)
-    spec = fam.spec
-    return AngleDecomposition(*_angles(spec.invert, spec.velocity, fa * state.du,
-                                       fb * state.dv, state.dt))
-
-
-def _angles(invert, velocity, a: float, b: float, dt: float):
-    """``extract_angles``'s fields for (a, b, dt) = (fa*du, fb*dv, dt), by a
-    ``FamilySpec``'s ``invert`` and ``velocity``."""
-    phi, theta, ok, residual = invert(a, b, dt)
-    if ok:
-        # the angles must actually reproduce the velocity triple
-        ra, rb, rdt = velocity(phi, theta)
-        recon_err = max(abs(ra - a), abs(rb - b), abs(rdt - dt))
-        scale = 1.0 + max(abs(a), abs(b), abs(dt))
-        if recon_err > 10.0 * TOL * scale:
-            ok = False
-    if not ok:
-        return 0.0, 0.0, False, residual
-    return phi, theta, True, residual
+    return AngleDecomposition(*fam.spec.angles(fa * state.du, fb * state.dv,
+                                               state.dt))
 
 
 def state_from_angles(fam: SurfaceFamily, u: float, v: float, t: float,
@@ -315,31 +302,14 @@ class ClairautReport:
     angles: AngleDecomposition
 
 
-def _invariants(fam: SurfaceFamily):
-    """(fa, fb, du, dv, dt, p_u, p_v) -> (inv1, inv2, ``_angles``'s tuple)
-    at one state, with ``fam``'s laws and signs looked up once: the angle
-    forms when the velocity has angles, else the signed momenta."""
-    spec = fam.spec
-    invert, velocity, invariants = spec.invert, spec.velocity, spec.invariants
-    sign_u, sign_v = spec.mom_sign_u, spec.mom_sign_v
-
-    def at(fa, fb, du, dv, dt, p_u, p_v):
-        angles = phi, theta, defined, _ = _angles(invert, velocity, fa * du,
-                                                  fb * dv, dt)
-        if defined:
-            return (*invariants(fa, fb, phi, theta), angles)
-        return sign_u * p_u, sign_v * p_v, angles
-    return at
-
-
 def clairaut_report(fam: SurfaceFamily, state: GeodesicState) -> ClairautReport:
     t = state.t
     fa, fb = fam.fa.evaluate(t), fam.fb.evaluate(t)
     coeffs = fam.metric_values(fa, fb, fam.fa.derivative(t), fam.fb.derivative(t))
     lagr = coeffs.lagrangian(state)
     p_u, p_v = coeffs.momenta(state)
-    inv1, inv2, angles = _invariants(fam)(fa, fb, state.du, state.dv,
-                                          state.dt, p_u, p_v)
+    inv1, inv2, angles = fam.spec.clairaut(fa, fb, state.du, state.dv,
+                                           state.dt, p_u, p_v)
     return ClairautReport(lagr, p_u, p_v, inv1, inv2,
                           AngleDecomposition(*angles))
 
@@ -348,7 +318,7 @@ def invariant_rows(fam: SurfaceFamily, rows) -> list:
     """Each ``Trajectory.rows`` row + (inv1, inv2) as ``clairaut_report``
     gives them, from the row's p_u, p_v and one call each of fa, fb."""
     fa, fb = fam.fa.evaluate, fam.fb.evaluate
-    at = _invariants(fam)
+    at = fam.spec.clairaut
     return [row + at(fa(row[3]), fb(row[3]), *row[4:7], *row[8:])[:2]
             for row in rows]
 
@@ -409,15 +379,3 @@ def flow_residual(fam: SurfaceFamily, samples) -> float:
         analytic = geodesic_rhs(fam, here.state)[3:]
         worst = max(worst, max(abs(x - y) for x, y in zip(numeric, analytic)))
     return worst
-
-
-def shift_samples(samples, du: float = 0.0, dv: float = 0.0):
-    """Samples with rotated coordinates u+du, v+dv (velocities unchanged),
-    as produced by applying a one-parameter isometry to the whole path."""
-    shifted = []
-    for sample in samples:
-        state = sample.state
-        moved = GeodesicState(state.u + du, state.v + dv, state.t,
-                              state.du, state.dv, state.dt)
-        shifted.append(Sample(sample.s, moved, sample.L, sample.p_u, sample.p_v))
-    return shifted

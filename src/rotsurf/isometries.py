@@ -3,6 +3,8 @@
 Six coordinate-plane rotations preserve the (-,-,+,+) inner product: four
 hyperbolic boosts mixing a negative slot with a positive one, and two
 elliptic spins acting inside the definite planes (x1,x2) and (x3,x4).
+Each group element R(s) satisfies R' = J R with J its generator, so
+``Rotation.derivative`` takes R' from R by an entry permutation.
 The general linear Killing field is a six-parameter combination of these
 generators; ``lie_residual`` evaluates the Lie derivative of the constant
 metric along a linear field, which vanishes exactly on Killing fields.
@@ -50,13 +52,18 @@ class Rotation(Enum):
         co, si = math.cos(angle), math.sin(angle)
         return co, si, -si, co
 
-    def block_deriv(self, angle: float) -> tuple[float, float, float, float]:
-        """Derivative of ``block`` with respect to the angle."""
+    def derivative(self, block: Sequence[float]) -> tuple[float, ...]:
+        """R' = J R: the entries of J times the group element ``block``,
+        its derivative in the angle, where J, the generator, swaps the
+        rows and, for a spin, negates the new second row."""
+        m_ii, m_ij, m_ji, m_jj = block
         if self.hyperbolic:
-            ch, sh = math.cosh(angle), math.sinh(angle)
-            return sh, ch, ch, sh
-        co, si = math.cos(angle), math.sin(angle)
-        return -si, co, -co, -si
+            return m_ji, m_jj, m_ii, m_ij
+        return m_ji, m_jj, -m_ii, -m_ij
+
+    def block_deriv(self, angle: float) -> tuple[float, ...]:
+        """Derivative of ``block`` with respect to the angle."""
+        return self.derivative(self.block(angle))
 
     @classmethod
     def from_label(cls, label: str) -> "Rotation":

@@ -12,8 +12,9 @@ rotation preserves the inner product on its plane, so E and G take the
 ``METRIC_DIAGONAL`` sign of the slot the profile component does not
 occupy and N those of the slots they do.  One ``FamilySpec`` per (family,
 variant) pair holds the rotations, profile slots and laws, the signs derived
-from them, which the tests cross-check against the immersion, and
-``columns``, the one rule for which column of a rotation block is the profile's.
+from them, which the tests cross-check against the immersion, ``columns``,
+the one rule for which column of a rotation block is the profile's, and
+``angles`` and ``clairaut``, the one rule for the Clairaut invariants.
 
 Angles u, v are cyclic, which is what makes the conjugate momenta
 2*E*du and 2*G*dv conserved along geodesics (see ``geodesics``).
@@ -76,7 +77,7 @@ class MetricOverflowError(DomainError):
         super().__init__("metric overflow")
 
 
-#: Tolerance of the angle decompositions (``FamilySpec.invert``).
+#: Tolerance of the angle decompositions (``FamilySpec.invert``, ``angles``).
 TOL = 1e-9
 
 
@@ -93,13 +94,15 @@ class FamilySpec:
     The laws of its Clairaut statement, with (a, b, dt) = (fa*du, fb*dv, dt):
 
     * ``velocity(phi, theta)`` -> (a, b, dt), the angle decomposition;
-    * ``invert(a, b, dt)`` -> (phi, theta, ok, residual), where
-      ``residual`` is the defect of the identity (a, b, dt) must satisfy;
+    * ``invert(a, b, dt)`` -> (phi, theta, ok, residual), phi = theta = 0
+      unless ok, ``residual`` the defect of the identity (a, b, dt) obeys;
     * ``invariants(fa, fb, phi, theta)``: 2*fa^2*du, inv2_sign*2*fb^2*dv;
     * ``slope(fa, phi, theta, lagr)`` -> (dt/du, radicand of its root).
 
-    ``curvature`` needs no law of its own: it derives the normal frame and
-    curvature of a double-rotation surface from ``signs`` and ``columns``.
+    ``angles`` and ``clairaut`` make the decision built on these laws,
+    once for every caller.  ``curvature`` needs no law of its own: it derives
+    the normal frame and curvature of a double-rotation surface from
+    ``signs`` and ``columns``.
     """
 
     rot_u: Rotation
@@ -122,8 +125,29 @@ class FamilySpec:
         """The profile columns of R_u(u), R_u'(u), R_v(v) and R_v'(v): each
         block's column at its profile slot, the image of a unit value there."""
         iu, iv = self.fa_pos, self.fb_pos
-        return (self.rot_u.block(u)[iu::2], self.rot_u.block_deriv(u)[iu::2],
-                self.rot_v.block(v)[iv::2], self.rot_v.block_deriv(v)[iv::2])
+        ru, rv = self.rot_u.block(u), self.rot_v.block(v)
+        return (ru[iu::2], self.rot_u.derivative(ru)[iu::2],
+                rv[iv::2], self.rot_v.derivative(rv)[iv::2])
+
+    def angles(self, a: float, b: float, dt: float) -> tuple:
+        """(phi, theta, defined, residual) of (a, b, dt) = (fa*du, fb*dv, dt):
+        ``invert``'s angles if ``velocity`` takes them back to (a, b, dt)
+        within ``TOL``, else phi = theta = 0 and defined = False."""
+        phi, theta, ok, residual = self.invert(a, b, dt)
+        if ok:  # the angles must actually reproduce the velocity triple
+            ra, rb, rdt = self.velocity(phi, theta)
+            recon_err = max(abs(ra - a), abs(rb - b), abs(rdt - dt))
+            if recon_err > 10.0 * TOL * (1.0 + max(abs(a), abs(b), abs(dt))):
+                return 0.0, 0.0, False, residual
+        return phi, theta, ok, residual
+
+    def clairaut(self, fa, fb, du, dv, dt, p_u, p_v) -> tuple:
+        """(invariant1, invariant2, ``angles``' tuple) at one state: the
+        angle forms when the velocity has angles, else the signed momenta."""
+        angles = phi, theta, defined, _ = self.angles(fa * du, fb * dv, dt)
+        if defined:
+            return (*self.invariants(fa, fb, phi, theta), angles)
+        return self.mom_sign_u * p_u, self.mom_sign_v * p_v, angles
 
     def vector(self, comps) -> Vector4:
         """The vector of plane coordinates: u-plane slots, then v-plane's."""
@@ -349,13 +373,6 @@ class SurfaceFamily:
     @property
     def domain(self) -> tuple[float, float]:
         return (self.fa.t_min, self.fa.t_max)
-
-    def generator(self, which: str) -> Rotation:
-        if which == "u":
-            return self.spec.rot_u
-        if which == "v":
-            return self.spec.rot_v
-        raise ValueError("which must be 'u' or 'v'")
 
     # -- geometry -----------------------------------------------------------
 

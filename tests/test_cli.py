@@ -663,11 +663,18 @@ def test_isometry_command(tmp_path, capsys):
                           "geodesic.step": 0.0005})
     document["output"]["path"] = str(tmp_path / "out.csv")
     config = write_config(tmp_path, document)
-    assert main(["isometry", "--config", config, "--generator", "boost13",
-                 "--angle", "0.8"]) == 0
-    out = capsys.readouterr().out
-    residual = float(out.rsplit(" ", 1)[-1])
-    assert residual <= 1e-6
+    # the geodesic equations read neither u nor v: one residual for either
+    # generator of the family and every angle
+    residuals = set()
+    for generator in ("boost13", "boost24"):
+        for angle in ("0.5", "-3", "40"):
+            assert main(["isometry", "--config", config, "--generator",
+                         generator, "--angle", angle]) == 0
+            out = capsys.readouterr().out
+            assert out.startswith(f"generator {generator} angle {angle}:")
+            residuals.add(out.rsplit(" ", 1)[-1])
+    assert len(residuals) == 1
+    assert float(residuals.pop()) <= 1e-6
 
 
 def test_isometry_rejects_foreign_generator(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Geodesic integration, conserved momenta, angle decompositions, slopes."""
 
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings
@@ -11,7 +12,7 @@ from rotsurf import (DegenerateMetricError, DomainError, GeodesicState,
                      MeridianUndefinedError, ProfileFunction, Sample,
                      SurfaceFamily, clairaut_report, extract_angles,
                      flow_residual, geodesic_rhs, integrate, make_family,
-                     momenta, shift_samples, slope, state_from_angles)
+                     momenta, slope, state_from_angles)
 from rotsurf.geodesics import Trajectory, invariant_rows
 
 H14 = make_family("hyperbolic14", "A", "t", "1", 0.02, 40.0)
@@ -77,8 +78,10 @@ def test_integrate_validates_stepping():
         integrate(H14, state, 1.0, 0.0)
     with pytest.raises(ValueError):
         integrate(H14, state, -1.0, 0.1)
-    with pytest.raises(ValueError, match="step"):
-        integrate(H14, state, 1e300, 1e-10)     # length/step overflows
+    for length, step in ((1e300, 1e-10),        # length/step overflows
+                         (1e9, 1.0)):           # a billion rows
+        with pytest.raises(ValueError, match="step"):
+            integrate(H14, state, length, step)
 
 
 def test_integrate_domain_exit_reports_last_valid_s():
@@ -295,12 +298,19 @@ def test_forced_parallel_fails_geodesic_equations():
 
 
 def test_geodesics_map_to_geodesics_under_angle_shifts():
+    # the u- or v-rotation adds its angle to u or v and keeps s, t and the
+    # velocities; the geodesic equations read neither u nor v, so the image
+    # has the unshifted path's residual
     state0 = GeodesicState(0, 0, 1.0, 0.3, 0.1, math.sqrt(1.08))
     trajectory = integrate(H14, state0, 2.0, 5e-4)
     assert trajectory.termination == "completed"
-    for shift in ({"du": 0.8}, {"dv": -1.1}):
-        moved = shift_samples(trajectory.samples, **shift)
-        assert flow_residual(H14, moved) <= 1e-6
+    residual = flow_residual(H14, trajectory.samples)
+    assert residual <= 1e-6
+    for name, shift in (("u", 0.8), ("v", -1.1)):
+        moved = [replace(sample, state=replace(sample.state, **{
+                     name: getattr(sample.state, name) + shift}))
+                 for sample in trajectory.samples]
+        assert flow_residual(H14, moved) == residual
 
 
 def test_flow_residual_small_on_true_geodesic():

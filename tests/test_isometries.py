@@ -139,14 +139,25 @@ def test_generator_matrix_is_derivative_at_zero():
         assert np.max(np.abs(numeric - exact)) <= 1e-9
 
 
+def _closed_form_deriv(rotation, angle):
+    if rotation.hyperbolic:
+        ch, sh = math.cosh(angle), math.sinh(angle)
+        return sh, ch, ch, sh
+    co, si = math.cos(angle), math.sin(angle)
+    return -si, co, -co, -si
+
+
 def test_rotation_blocks():
     h = 1e-6
     for rotation in Rotation:
         assert rotation.block(0.0) == (1.0, 0.0, 0.0, 1.0)
-        for angle in (-1.3, 0.0, 0.4, 2.1):
+        for angle in (-1.3, 0.0, -0.0, 0.4, 2.1):
+            exact = rotation.block_deriv(angle)
+            # R' = J R gives the closed form bit for bit, signed zeros too
+            assert list(map(float.hex, exact)) == list(
+                map(float.hex, _closed_form_deriv(rotation, angle)))
             plus, minus = rotation.block(angle + h), rotation.block(angle - h)
             numeric = [(p - m) / (2.0 * h) for p, m in zip(plus, minus)]
-            exact = rotation.block_deriv(angle)
             assert max(abs(n - e) for n, e in zip(numeric, exact)) <= 1e-8
 
 

@@ -73,6 +73,20 @@ def test_tangent_frame_example():
     assert inner(dt, dt) == -1.0
 
 
+@pytest.mark.parametrize("fam", ALL_FAMILIES)
+def test_columns_are_block_slices(fam):
+    # the block's and its derivative's columns at the profile slots, bit
+    # for bit, signed zeros included
+    spec = fam.spec
+    for u, v in ((0.0, -0.0), (-0.0, 0.0), (0.4, -1.3), (2.1, 40.0)):
+        expected = (spec.rot_u.block(u)[spec.fa_pos::2],
+                    spec.rot_u.block_deriv(u)[spec.fa_pos::2],
+                    spec.rot_v.block(v)[spec.fb_pos::2],
+                    spec.rot_v.block_deriv(v)[spec.fb_pos::2])
+        assert [list(map(float.hex, c)) for c in spec.columns(u, v)] == [
+            list(map(float.hex, c)) for c in expected]
+
+
 @settings(max_examples=120, deadline=None)
 @given(st.sampled_from(ALL_FAMILIES), angle, angle, unit)
 def test_frame_reproduces_metric(fam, u, v, fraction):
@@ -93,12 +107,12 @@ def test_rotation_invariance(fam, u, v, shift, fraction):
     t = domain_point(fam, fraction)
     shifted_u = fam.immerse(u + shift, v, t)
     rotated_u = apply_matrix(
-        rotation_matrix(fam.generator("u"), shift), fam.immerse(u, v, t))
+        rotation_matrix(fam.spec.rot_u, shift), fam.immerse(u, v, t))
     assert shifted_u.components() == pytest.approx(
         rotated_u.components(), abs=1e-12)
     shifted_v = fam.immerse(u, v + shift, t)
     rotated_v = apply_matrix(
-        rotation_matrix(fam.generator("v"), shift), fam.immerse(u, v, t))
+        rotation_matrix(fam.spec.rot_v, shift), fam.immerse(u, v, t))
     assert shifted_v.components() == pytest.approx(
         rotated_v.components(), abs=1e-12)
 
