@@ -209,7 +209,7 @@ def parse_config(document: dict) -> RunConfig:
         raise ConfigError("family",
                           f"must be one of {sorted(_FAMILY_NAMES)}")
     variant_name = document.get("variant", "A")
-    if variant_name not in _VARIANT_NAMES:
+    if not isinstance(variant_name, str) or variant_name not in _VARIANT_NAMES:
         raise ConfigError("variant", "must be 'A' or 'B'")
 
     profiles = _require_mapping(document.get("profiles"), "profiles")

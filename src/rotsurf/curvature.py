@@ -30,23 +30,20 @@ and ``mean_curvature_fd`` (second partials of the immersion with the
 tangential part projected away) are the independent cross-check of the
 exact oracles; they are not on the report path.
 
-Their induced 2-metric is a plain 2x2 tuple of floats, indexed g[i][j],
-inverted by ``_inverse``.
-
-Profile and angle expressions are evaluated without the domain-interval
-guard here, because central differences must straddle the evaluation
-point; grid drivers keep the sample points themselves inside the domain.
+Profile and angle trees are walked by ``expressions.evaluate`` (a grid
+reads each once per t or s, too few times for lowering to pay off) without
+the domain-interval guard, because central differences must straddle the
+evaluation point; grid drivers keep the sample points inside the domain.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 from .ambient import Vector4, inner
-from .expressions import DomainError, ProfileFunction, _Lowering
-from .surfaces import DegenerateMetricError, SurfaceFamily, _emit_pair
+from .expressions import DomainError, ProfileFunction, evaluate
+from .surfaces import DegenerateMetricError, SurfaceFamily
 
 __all__ = [
     "DoubleRotationSurface",
@@ -79,38 +76,27 @@ def _gram(st: Vector4, ss: Vector4) -> tuple:
     return ((inner(st, st), inner(st, ss)), (inner(ss, st), inner(ss, ss)))
 
 
-def _lower_pair(first: ProfileFunction, second: ProfileFunction):
-    """(p, q, p', q', p'', q'') of two profiles at t as one generated
-    function, with no domain check and with the checks and messages of the
-    six ``ProfileFunction`` calls it replaces."""
-    lowering = _Lowering()
-    return lowering.function(
-        f"({', '.join(_emit_pair(lowering, first, second))})")
+def _pair_values(first: ProfileFunction, second: ProfileFunction,
+                 t: float) -> tuple:
+    """(p, q, p', q', p'', q'') of two profiles at t, their trees walked in
+    that order, with no domain check."""
+    return tuple(evaluate(tree, t) for tree in (
+        first.value, second.value, first.d1, second.d1, first.d2, second.d2))
 
 
 @dataclass(frozen=True)
 class DoubleRotationSurface:
-    """A 2-surface (t, s) -> immersion(x(t), w(t), s) over one family.
-
-    The generated profile and angle functions are built on first use and
-    kept on the instance, outside the dataclass fields."""
+    """A 2-surface (t, s) -> immersion(x(t), w(t), s) over one family."""
 
     family: SurfaceFamily
     angle_u: ProfileFunction
     angle_v: ProfileFunction
 
-    def __getstate__(self):
-        # the generated functions are rebuilt on demand
-        return {name: getattr(self, name)
-                for name in ("family", "angle_u", "angle_v")}
+    def _profile_values(self, s: float) -> tuple:
+        return _pair_values(self.family.fa, self.family.fb, s)
 
-    @cached_property
-    def _profile_values(self):
-        return _lower_pair(self.family.fa, self.family.fb)
-
-    @cached_property
-    def _angle_values(self):
-        return _lower_pair(self.angle_u, self.angle_v)
+    def _angle_values(self, t: float) -> tuple:
+        return _pair_values(self.angle_u, self.angle_v, t)
 
     def point(self, t: float, s: float) -> Vector4:
         fa, fb, *_ = self._profile_values(s)
@@ -459,18 +445,8 @@ def curvature_report(surface: DoubleRotationSurface, t: float,
                      s: float) -> CurvatureReport:
     """Evaluate closed forms and exact oracles at (t, s) and report the gaps."""
     spec = surface.family.spec
-    (k_formula, k_oracle, k_gap, h3, h4, e3, e4, h_formula, h_oracle,
-     h_gap) = _point(spec.signs, t, s, surface._profile_values(s),
-                     _angle_row(surface, t))
-    return CurvatureReport(
-        K_formula=k_formula,
-        K_oracle=k_oracle,
-        h3=h3,
-        h4=h4,
-        e3=spec.vector(e3),
-        e4=spec.vector(e4),
-        H_formula=spec.vector(h_formula),
-        H_oracle=spec.vector(h_oracle),
-        K_gap=k_gap,
-        H_gap=h_gap,
-    )
+    k_formula, k_oracle, k_gap, h3, h4, *vectors, h_gap = _point(
+        spec.signs, t, s, surface._profile_values(s), _angle_row(surface, t))
+    # e3, e4, H_formula and H_oracle, in the fields' order
+    return CurvatureReport(k_formula, k_oracle, h3, h4,
+                           *map(spec.vector, vectors), k_gap, h_gap)

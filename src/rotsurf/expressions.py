@@ -11,11 +11,11 @@ returns NaN or infinity (domain faults raise ``DomainError`` instead).
 subtrees folded, so first and second derivatives of a profile are
 noise-free wherever curvature formulas consume them.
 
-``lower`` compiles a tree into one straight-line Python function that
-performs the same floating-point operations, in the same order and with
-the same domain checks, as ``evaluate``; subtrees free of ``t`` are
-evaluated once, when the tree is lowered.  ``ProfileFunction`` evaluates
-through it.  ``evaluate`` stays as the reference tree walker.
+``evaluate`` walks a tree; ``lower`` compiles one into a straight-line
+function with the same float operations, order and domain checks, t-free
+subtrees evaluated once.  That costs 25-46 walks, so only code run per step,
+row or sample is lowered: ``ProfileFunction.evaluate``, the metric bundle
+and the RK4 run.  ``parse`` and ``differentiate`` bound depth and size.
 """
 
 from __future__ import annotations
@@ -113,6 +113,9 @@ _CONSTANTS = {"pi": math.pi, "e": math.e}
 
 _VARIABLE_NAME = "t"
 
+_MAX_DEPTH, _MAX_NODES = 64, 5_000
+_TOO_DEEP = f"expression nested deeper than {_MAX_DEPTH} levels"
+
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<number>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?"
     r"|\d+(?:[eE][+-]?\d+)?)"
@@ -155,6 +158,7 @@ class _Parser:
     def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
         self.index = 0
+        self.depth = 0  # of the ``unary`` calls open
 
     def peek(self) -> _Token:
         return self.tokens[self.index]
@@ -192,11 +196,17 @@ class _Parser:
         return expr
 
     def unary(self) -> Expr:
+        self.depth += 1  # every nesting, by (, - or ^, recurses through here
+        if self.depth > _MAX_DEPTH:
+            raise ExprError(_TOO_DEEP)
         token = self.peek()
         if token.kind == "op" and token.text == "-":
             self.advance()
-            return Negate(self.unary())
-        return self.power()
+            expr = Negate(self.unary())
+        else:
+            expr = self.power()
+        self.depth -= 1
+        return expr
 
     def power(self) -> Expr:
         base = self.atom()
@@ -242,11 +252,37 @@ class _Parser:
         raise ParseError("expected a value", token.pos + 1)
 
 
+def _children(expr: Expr) -> tuple:
+    if isinstance(expr, Binary):
+        return (expr.left, expr.right)
+    if isinstance(expr, (Negate, Call)):
+        return (expr.arg,)
+    return ()
+
+
+def _measure(expr: Expr) -> tuple[int, int]:
+    """(depth, node count) of ``expr`` as a tree, a shared subtree counted
+    once per use, found without recursion and each shared node once."""
+    sizes: dict[int, tuple[int, int]] = {}
+    stack = [expr]
+    while stack:
+        kids = _children(stack[-1])
+        todo = [kid for kid in kids if id(kid) not in sizes]
+        stack += todo
+        if not todo:  # (0, depths...), (0, node counts...)
+            depths, counts = zip((0, 0), *(sizes[id(kid)] for kid in kids))
+            sizes[id(stack.pop())] = (1 + max(depths), 1 + sum(counts))
+    return sizes[id(expr)]
+
+
 def parse(text: str) -> Expr:
     """Parse ``text`` into an expression tree over the variable ``t``."""
     if not text or not text.strip():
         raise ParseError("empty expression", 1)
-    return _Parser(_tokenize(text)).parse()
+    expr = _Parser(_tokenize(text)).parse()
+    if _measure(expr)[0] > _MAX_DEPTH:  # chains of + - * / nest, unseen
+        raise ExprError(_TOO_DEEP)      # by ``_Parser.depth``
+    return expr
 
 
 def _checked(value: float, context: str) -> float:
@@ -425,13 +461,7 @@ class _Lowering:
 
 
 def _free_of_t(expr: Expr) -> bool:
-    if isinstance(expr, Variable):
-        return False
-    if isinstance(expr, Binary):
-        return _free_of_t(expr.left) and _free_of_t(expr.right)
-    if isinstance(expr, (Negate, Call)):
-        return _free_of_t(expr.arg)
-    return True
+    return not isinstance(expr, Variable) and all(map(_free_of_t, _children(expr)))
 
 
 def lower(expr: Expr) -> Callable[[float], float]:
@@ -522,16 +552,25 @@ def _pow(a: Expr, b: Expr) -> Expr:
 
 
 def differentiate(expr: Expr) -> Expr:
-    """Exact derivative with respect to ``t``, constants folded."""
+    """Exact derivative with respect to ``t``, constants folded;
+    ``ExprError`` if it has more than ``_MAX_NODES`` nodes."""
+    derivative = _derivative(expr)
+    nodes = _measure(derivative)[1]
+    if nodes > _MAX_NODES:
+        raise ExprError(f"derivative has {nodes} nodes, more than {_MAX_NODES}")
+    return derivative
+
+
+def _derivative(expr: Expr) -> Expr:
     if isinstance(expr, Literal):
         return _ZERO
     if isinstance(expr, Variable):
         return _ONE
     if isinstance(expr, Negate):
-        return _neg(differentiate(expr.arg))
+        return _neg(_derivative(expr.arg))
     if isinstance(expr, Binary):
-        da = differentiate(expr.left)
-        db = differentiate(expr.right)
+        da = _derivative(expr.left)
+        db = _derivative(expr.right)
         a, b = expr.left, expr.right
         op = expr.op
         if op == "+":
@@ -548,7 +587,7 @@ def differentiate(expr: Expr) -> Expr:
         return _mul(_pow(a, b), _add(_mul(db, Call("log", a)), _mul(b, _div(da, a))))
     if isinstance(expr, Call):
         u = expr.arg
-        du = differentiate(u)
+        du = _derivative(u)
         name = expr.name
         if name == "sin":
             return _mul(Call("cos", u), du)
@@ -630,9 +669,9 @@ class ProfileFunction:
     """A scalar profile with exact first and second derivatives on a
     closed interval.  Evaluation outside [t_min, t_max] is a hard fault.
 
-    Each tree is lowered on its first evaluation and the function kept on
-    the instance, outside the dataclass fields, so building a profile
-    costs no compilation and equality and repr see only the trees."""
+    ``evaluate`` runs the value tree lowered on its first call and kept
+    outside the dataclass fields, which alone equality and repr see; the
+    derivatives walk ``d1`` and ``d2``."""
 
     value: Expr
     d1: Expr
@@ -655,7 +694,7 @@ class ProfileFunction:
         return cls(value, d1, d2, float(t_min), float(t_max), text)
 
     def __getstate__(self):
-        # the lowered functions are rebuilt on demand and cannot be pickled
+        # the lowered function is rebuilt on demand and cannot be pickled
         return {field.name: getattr(self, field.name) for field in fields(self)}
 
     def _outside(self, t: float) -> DomainError:
@@ -666,14 +705,6 @@ class ProfileFunction:
     def _value_fn(self) -> Callable[[float], float]:
         return lower(self.value)
 
-    @cached_property
-    def _d1_fn(self) -> Callable[[float], float]:
-        return lower(self.d1)
-
-    @cached_property
-    def _d2_fn(self) -> Callable[[float], float]:
-        return lower(self.d2)
-
     def evaluate(self, t: float) -> float:
         if not self.t_min <= t <= self.t_max:
             raise self._outside(t)
@@ -682,9 +713,9 @@ class ProfileFunction:
     def derivative(self, t: float) -> float:
         if not self.t_min <= t <= self.t_max:
             raise self._outside(t)
-        return self._d1_fn(t)
+        return evaluate(self.d1, t)
 
     def second_derivative(self, t: float) -> float:
         if not self.t_min <= t <= self.t_max:
             raise self._outside(t)
-        return self._d2_fn(t)
+        return evaluate(self.d2, t)

@@ -147,15 +147,16 @@ def momenta(fam: SurfaceFamily, state: GeodesicState) -> tuple[float, float]:
 
 # The fixed-step loop of ``integrate``, generated once per family.
 # ``{bundle}`` stands for the metric bundle's statements, which compute e,
-# g, n, de, dg and dn at ``t``; they are inlined at each accepted state and
-# at RK4 stages 2-4, and stage 1 reuses the accepted state's bundle.  Local
-# names stay clear of the lowering's ``c<k>`` and ``v<k>``.
+# g, n, de, dg and dn at ``t``; they are inlined at each accepted state,
+# the first one included, and at RK4 stages 2-4; stage 1 reuses the
+# accepted state's.  Local names avoid the lowering's ``c<k>`` and ``v<k>``.
 _RUN = """\
-def run(rows, y, bundle, length, step, n_steps):
+def run(rows, y, length, step, n_steps):
     u, v, t_acc, du1, dv1, dt1 = y
-    e, g, n, de, dg, dn = bundle
     s = 0.0
     for i in range(1, n_steps + 2):  # row i - 1, then the step to row i
+        t = t_acc  # the bundle opens with the domain check
+{bundle}
         p_u, p_v = 2.0 * e * du1, 2.0 * g * dv1
         try:
             lagr = fsum((e * du1 * du1, g * dv1 * dv1, n * dt1 * dt1))
@@ -178,8 +179,6 @@ def run(rows, y, bundle, length, step, n_steps):
             dv1 + sixth * (ddv1 + 2.0 * ddv2 + 2.0 * ddv3 + ddv4),
             dt1 + sixth * (ddt1 + 2.0 * ddt2 + 2.0 * ddt3 + ddt4))
         if not isfinite(0.0 * u * v * t_acc * du1 * dv1 * dt1): return "nonfinite_state"
-        t = t_acc  # the bundle opens with the domain check
-{bundle}
         s = s_next
 """
 # Stage k > 1: its t and velocities, at ``f`` times stage k - 1's
@@ -221,8 +220,8 @@ def integrate(fam: SurfaceFamily, state0: GeodesicState, length: float,
     row's L, p_u or p_v stops being finite; no row holds a non-finite
     value, so ``rows`` is empty when the row of ``state0`` is not finite.
 
-    The loop is ``fam``'s generated run (``_RUN``), with the bundle inlined;
-    ``state0``'s bundle alone is a ``metric_bundle`` call (and may raise).
+    The loop is ``fam``'s generated run (``_RUN``), every bundle inlined;
+    a ``DomainError`` before the first row, of ``state0``'s, is raised.
     """
     if not (length > 0.0 and math.isfinite(length)):
         raise ValueError("length must be > 0")
@@ -235,11 +234,12 @@ def integrate(fam: SurfaceFamily, state0: GeodesicState, length: float,
                          f"every step keeps a row")
 
     rows = []
-    bundle = fam.metric_bundle(state0.t)
     try:
-        termination = fam._run_fn(rows, state0.as_tuple(), bundle, length,
-                                  step, math.ceil(length / step - 1e-9))
+        termination = fam._run_fn(rows, state0.as_tuple(), length, step,
+                                  math.ceil(length / step - 1e-9))
     except DomainError:
+        if not rows:
+            raise
         termination = "domain_exit"
     return Trajectory(tuple(rows), termination, length)
 

@@ -11,10 +11,7 @@ with E = +-fa^2, G = +-fb^2 and N a signed sum of fa'^2 and fb'^2.  A
 rotation preserves the inner product on its plane, so E and G take the
 ``METRIC_DIAGONAL`` sign of the slot the profile component does not
 occupy and N those of the slots they do.  One ``FamilySpec`` per (family,
-variant) pair holds the rotations, profile slots and laws, the signs derived
-from them, which the tests cross-check against the immersion, ``columns``,
-the one rule for which column of a rotation block is the profile's, and
-``angles`` and ``clairaut``, the one rule for the Clairaut invariants.
+variant) pair holds the rotations, profile slots, signs and laws.
 
 Angles u, v are cyclic, which is what makes the conjugate momenta
 2*E*du and 2*G*dv conserved along geodesics (see ``geodesics``).
@@ -310,15 +307,6 @@ class GeodesicState:
         return (self.u, self.v, self.t, self.du, self.dv, self.dt)
 
 
-def _emit_pair(lowering: _Lowering, first: ProfileFunction,
-               second: ProfileFunction) -> list[str]:
-    """Emit (p, q, p', q', p'', q'') of two profiles, in that order, into
-    ``lowering``; return the names of the six values."""
-    return [lowering.emit(tree) for tree in (first.value, second.value,
-                                             first.d1, second.d1,
-                                             first.d2, second.d2)]
-
-
 def _bundle_lowering(fam: SurfaceFamily) -> _Lowering:
     """The statements of ``fam.metric_bundle`` at ``t``: one domain check,
     then fa, fb, fa', fb', fa'', fb'' lowered in that order into one body,
@@ -331,7 +319,8 @@ def _bundle_lowering(fam: SurfaceFamily) -> _Lowering:
         e_sign=spec.e_sign, g_sign=spec.g_sign, na_sign=spec.na_sign,
         nb_sign=spec.nb_sign)
     lowering.lines.append("if not (t_min <= t <= t_max): raise outside(t)")
-    fa, fb, dfa, dfb, d2fa, d2fb = _emit_pair(lowering, fam.fa, fam.fb)
+    fa, fb, dfa, dfb, d2fa, d2fb = map(lowering.emit, (
+        fam.fa.value, fam.fb.value, fam.fa.d1, fam.fb.d1, fam.fa.d2, fam.fb.d2))
     lowering.lines += [
         f"e = e_sign * {fa} * {fa}",
         f"g = g_sign * {fb} * {fb}",
@@ -348,9 +337,8 @@ class SurfaceFamily:
     """A rotational family with its two profile functions.
 
     The generated metric bundle and RK4 run are built on first use and
-    kept on the instance, outside the dataclass fields, like
-    ``ProfileFunction``'s lowered trees: equality, repr and pickling see
-    only the fields."""
+    kept on the instance, outside the dataclass fields, which alone
+    equality, repr and pickling see."""
 
     kind: FamilyKind
     variant: Variant

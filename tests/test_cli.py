@@ -15,6 +15,7 @@ from rotsurf import (DoubleRotationSurface, ProfileFunction, inner,
 from rotsurf.cli import (_CURVATURE_COLUMNS, _TRAJECTORY_COLUMNS, _build_parser,
                          _write_table, main)
 from rotsurf.config import ConfigError, parse_config
+from test_expressions import sine_sum
 
 MERIDIAN_CONFIG = {
     "family": "hyperbolic14",
@@ -200,6 +201,16 @@ def test_validation_bad_family(tmp_path, capsys):
     assert "family" in capsys.readouterr().err
 
 
+def test_validation_bad_variant(tmp_path, capsys):
+    # a list or an object must not reach the set lookup, where it is
+    # unhashable
+    for variant in ("C", ["A"], {"x": 1}, 7):
+        config = meridian_config(tmp_path, variant=variant)
+        assert main(["info", "--config", config]) == 1
+        assert ("config error: variant: must be 'A' or 'B'"
+                in capsys.readouterr().err)
+
+
 def test_validation_mixed_initial_styles(tmp_path, capsys):
     config = meridian_config(
         tmp_path, **{"geodesic.initial": {"u": 0, "v": 0, "t": 1,
@@ -217,9 +228,16 @@ def test_validation_reversed_domain(tmp_path, capsys):
 
 
 def test_validation_bad_profile_expression(tmp_path, capsys):
-    config = meridian_config(tmp_path, **{"profiles.fa": "t +"})
-    assert main(["info", "--config", config]) == 1
-    assert "profiles.fa" in capsys.readouterr().err
+    for field, text, message in (
+            ("profiles.fa", "t +", "expected a value at position 4"),
+            # nested too deep, or a derivative too large, to walk or lower
+            ("profiles.fa", "+".join(["t"] * 1000),
+             "expression nested deeper than 64 levels"),
+            ("profiles.fb", sine_sum(500) + " + t^3",
+             "derivative has 5001 nodes, more than 5000")):
+        config = meridian_config(tmp_path, **{field: text})
+        assert main(["info", "--config", config]) == 1
+        assert f"config error: {field}: {message}" in capsys.readouterr().err
 
 
 def test_validation_non_finite_literal(tmp_path, capsys):
@@ -652,6 +670,12 @@ def test_parse_check(capsys):
 def test_parse_check_syntax_error(capsys):
     assert main(["parse-check", "t +"]) == 1
     assert "position 4" in capsys.readouterr().err
+    # nothing is printed of a tree nested too deep or too large
+    for text, message in (("+".join(["t"] * 400), "nested deeper than 64"),
+                          ("0.5 + " + "*".join(["t"] * 45), "60631 nodes")):
+        assert main(["parse-check", text]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err
 
 
 def test_isometry_command(tmp_path, capsys):

@@ -514,7 +514,8 @@ def test_overflow_is_a_domain_error():
 
 
 def test_surface_pickles_after_grid():
-    # the generated profile and angle functions stay outside the fields
+    # a surface holds nothing but its fields, so a grid run leaves it equal
+    # to a fresh one and picklable
     srf = surface(*EXACT_CASES[0][:4], 0.1, 2.0, *EXACT_CASES[0][4:])
     fresh = surface(*EXACT_CASES[0][:4], 0.1, 2.0, *EXACT_CASES[0][4:])
     rows = curvature_grid(srf, (0.7, 1.1), (0.9,))

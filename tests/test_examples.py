@@ -17,9 +17,10 @@ def test_readme_quick_tour_runs(capsys):
     blocks = re.findall(r"^```python\n(.*?)^```", readme, re.S | re.M)
     assert len(blocks) == 1
     exec(compile(blocks[0], "README.md", "exec"), {})
-    drifts, report = capsys.readouterr().out.splitlines()
+    drifts, report, slope = capsys.readouterr().out.splitlines()
     assert drifts.startswith("{'p_u_drift': ")
     assert report.startswith("ClairautReport(")
+    assert slope.startswith("SlopeReport(")
 
 
 def test_conservation_study_observes_fourth_order():

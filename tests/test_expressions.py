@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from rotsurf import (DomainError, ParseError, ProfileFunction, differentiate,
                      evaluate, parse, to_text)
-from rotsurf.expressions import Literal, _Lowering
+from rotsurf.expressions import ExprError, Literal, _Lowering, _measure, lower
 
 
 def central_difference(expr, t, h):
@@ -45,6 +45,55 @@ def test_parse_wrong_arity():
     with pytest.raises(ParseError) as info:
         parse("sin(t, t)")
     assert info.value.kind == "arity"
+
+
+def sine_sum(n):
+    """sin(1*t) + ... + sin(n*t), summed as a balanced tree: its second
+    derivative has 10 n - 5 nodes, and its depth stays small."""
+    terms = [f"sin({k + 1}*t)" for k in range(n)]
+    while len(terms) > 1:
+        pairs = [f"({a} + {b})" for a, b in zip(terms[::2], terms[1::2])]
+        terms = pairs + terms[len(pairs) * 2:]
+    return terms[0]
+
+
+@pytest.mark.parametrize("text,accepted", [
+    # 64 levels, and one more: a chain, nested unary minus, parentheses
+    # and a right-associative power
+    ("+".join(["t"] * 64), True),
+    ("+".join(["t"] * 65), False),
+    ("-" * 63 + "t", True),
+    ("-" * 64 + "t", False),
+    ("(" * 63 + "t" + ")" * 63, True),
+    ("(" * 64 + "t" + ")" * 64, False),
+    ("^".join(["2"] * 64), True),
+    ("^".join(["2"] * 65), False),
+    # far past it: these once overflowed the stack of repr or differentiate
+    ("+".join(["t"] * 1000), False),
+    ("-" * 5000 + "t", False),
+])
+def test_parse_bounds_the_depth(text, accepted):
+    if accepted:
+        differentiate(differentiate(parse(text)))
+        return
+    with pytest.raises(ExprError, match="nested deeper than 64 levels"):
+        parse(text)
+
+
+@pytest.mark.parametrize("text,nodes", [
+    (sine_sum(500) + " + exp(t) + t*t", None),
+    (sine_sum(500) + " + t^3", 5001),
+    # 45 factors: a second derivative of 60631 nodes, 5 s to lower
+    ("0.5 + " + "*".join(["t"] * 45), 60631),
+])
+def test_differentiate_bounds_the_node_count(text, nodes):
+    d1 = differentiate(parse(text))
+    if nodes is None:
+        assert _measure(differentiate(d1))[1] == 5000
+        return
+    with pytest.raises(ExprError,
+                       match=f"derivative has {nodes} nodes, more than 5000"):
+        differentiate(d1)
 
 
 def test_parse_empty():
@@ -237,11 +286,12 @@ def _outcome(fn, t):
 @given(_tree(4, _lowering_leaf, _lowering_func, ("+", "-", "*", "/", "^")),
        st.one_of(st.floats(-3, 3), st.sampled_from([0.0, -0.0, 1.0, -1.0])))
 def test_lowered_profile_matches_tree_walker(text, t):
+    # ``ProfileFunction.evaluate`` runs the lowered value tree, and the
+    # generated bundle and RK4 run lower all three
     profile = ProfileFunction.from_text(text, -5.0, 5.0)
-    for tree, method in ((profile.value, profile.evaluate),
-                         (profile.d1, profile.derivative),
-                         (profile.d2, profile.second_derivative)):
-        assert _outcome(method, t) == _outcome(lambda x: evaluate(tree, x), t)
+    for tree in (profile.value, profile.d1, profile.d2):
+        assert _outcome(lower(tree), t) == _outcome(
+            lambda x: evaluate(tree, x), t)
 
 
 def test_lowering_keeps_equality_and_repr():

@@ -587,15 +587,24 @@ def test_integrate_builds_no_state_per_step(monkeypatch):
     assert len(built) == len(trajectory.rows)
 
 
-def test_integrate_calls_metric_bundle_once_per_run(monkeypatch):
+def test_integrate_never_calls_metric_bundle(monkeypatch):
     calls = _count_bundles(monkeypatch)
     state0 = GeodesicState(0.0, 0.0, 0.0, 0.5, 0.5, 1.5)
     assert len(integrate(H23, state0, 1.0, 1e-2).rows) == 101
-    # a run that ends in a stage's DomainError calls it once as well
+    # nor does a run that ends in a stage's DomainError
     fam = make_family(*STAGE_FAULTS[0][0])
     run = integrate(fam, GeodesicState(*STAGE_START), 2.0, 0.25)
     assert run.termination == "domain_exit"
-    assert calls == [0.0, 1.0]
+    assert calls == []
+    # a start outside the domain raises metric_bundle's own DomainError
+    outside = GeodesicState(0.0, 0.0, 12.0, 0.5, 0.5, 1.5)
+    with pytest.raises(DomainError) as direct:
+        fam.metric_bundle(outside.t)
+    with pytest.raises(DomainError) as integrated:
+        integrate(fam, outside, 1.0, 0.25)
+    assert type(integrated.value) is type(direct.value)
+    assert str(integrated.value) == str(direct.value)
+    assert calls == [12.0]
 
 
 _PAIRS = [(kind, variant) for kind in ("hyperbolic14", "hyperbolic23",

@@ -42,6 +42,7 @@ byte.  The digests depend on the platform's libm; they were recorded on
 x86-64 Linux with CPython 3.11.
 """
 
+import builtins
 import hashlib
 import json
 import os
@@ -277,6 +278,32 @@ def artifact_hashes(directory, name):
                 key = f"{name}/{out_dir.name}/{path.name}"
                 hashes[key] = hashlib.sha256(path.read_bytes()).hexdigest()
     return hashes
+
+
+@pytest.mark.parametrize("name", ["h14", "h23", "e56"])
+def test_commands_compile_only_per_step_and_per_row_code(tmp_path, name,
+                                                         capsys, monkeypatch):
+    """Generated code is compiled only where it runs per step or per row:
+    ``invariants`` compiles the RK4 run and fa's and fb's lowered values,
+    which ``invariant_rows`` calls on every row; ``info`` the two values,
+    which every metric row calls; ``curvature`` nothing."""
+    compiled, real_compile = [], builtins.compile
+
+    def counting(source, filename, *args, **kwargs):
+        if filename in ("<lowered expression>", "<generated RK4 run>"):
+            compiled.append(filename)
+        return real_compile(source, filename, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "compile", counting)
+    output = {"path": str(tmp_path / "out.csv"), "format": "csv"}
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(dict(CONFIGS[name], output=output)),
+                      encoding="utf-8")
+    for command, count in (("curvature", 0), ("invariants", 3), ("info", 2)):
+        compiled.clear()
+        assert main([command, "--config", str(config)]) == 0
+        assert len(compiled) == count, (command, compiled)
+    capsys.readouterr()
 
 
 # SHA-256 of the all-zero residual report (every field here is Killing)
