@@ -68,7 +68,8 @@ def sine_sum(n):
     ("(" * 64 + "t" + ")" * 64, False),
     ("^".join(["2"] * 64), True),
     ("^".join(["2"] * 65), False),
-    # far past it: these once overflowed the stack of repr or differentiate
+    # far past it: these once overflowed the stack of the parser, of repr
+    # or of differentiate
     ("+".join(["t"] * 1000), False),
     ("-" * 5000 + "t", False),
 ])
@@ -83,7 +84,8 @@ def test_parse_bounds_the_depth(text, accepted):
 @pytest.mark.parametrize("text,nodes", [
     (sine_sum(500) + " + exp(t) + t*t", None),
     (sine_sum(500) + " + t^3", 5001),
-    # 45 factors: a second derivative of 60631 nodes, 5 s to lower
+    # 45 factors: a second derivative of 60631 nodes, which took seconds
+    # to lower into the RK4 run
     ("0.5 + " + "*".join(["t"] * 45), 60631),
 ])
 def test_differentiate_bounds_the_node_count(text, nodes):
