@@ -12,18 +12,21 @@ subtrees folded, so first and second derivatives of a profile are
 noise-free wherever curvature formulas consume them.
 
 ``evaluate`` walks a tree; ``lower`` compiles one into a straight-line
-function with the same float operations, order and domain checks, t-free
-subtrees evaluated once.  That costs 25-46 walks, so only code run per step,
-row or sample is lowered: ``ProfileFunction.evaluate``, the metric bundle
-and the RK4 run.  ``parse`` and ``differentiate`` bound depth and size.
+function with the same float operations, order and errors, t-free subtrees
+evaluated once, shared nodes once, and no check that bounds on the domain
+rule out.  That costs 25-46 walks, so only code run per step, row or sample
+is lowered: ``ProfileFunction.evaluate``, the metric bundle and the RK4 run.
+``parse`` and ``differentiate`` bound depth and size.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, fields
+from contextlib import suppress
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
+from itertools import count, product
 from typing import Callable
 
 __all__ = [
@@ -345,111 +348,138 @@ def evaluate(expr: Expr, t: float) -> float:
 
 _CONTEXTS = {"+": "addition", "-": "subtraction", "*": "multiplication",
              "/": "division"}
+_GUARDS = {"log": ("<=", "log of a non-positive number"),
+           "sqrt": ("<", "sqrt of a negative number")}
+
+# a value bounded within +-_BOUND is finite; the margin absorbs rounding
+_BOUND = 1e300
+
+
+def _over(expr: Expr, values) -> Expr:
+    """``expr`` as one node over literals of its operands' ``values``."""
+    slots = ("left", "right") if isinstance(expr, Binary) else ("arg",)
+    return replace(expr, **dict(zip(slots, map(Literal, values))))
+
+
+def _span(expr: Expr, args: list) -> tuple[float, float] | None:
+    """Bounds of ``expr``'s value for operands within ``args``: ``evaluate``
+    at their ends, sound as rounding is monotone; None if an operand is, if
+    ``expr`` has no rule (+ - * /, unary minus, sin, cos) or if an end raises."""
+    if None in args or isinstance(expr, Binary) and (
+            expr.op == "^" or expr.op == "/" and args[1][0] <= 0.0 <= args[1][1]):
+        return None
+    if isinstance(expr, Call):
+        return (-1.0, 1.0) if expr.name in ("sin", "cos") else None
+    with suppress(DomainError):
+        ends = [evaluate(_over(expr, end), 0.0) for end in product(*args)]
+        return min(ends), max(ends)
+    return None
 
 
 class _Lowering:
-    """Emits one statement group per node in ``evaluate``'s order; a
-    subtree free of ``t`` becomes the constant ``evaluate`` gives it,
-    unless that raises, and a runtime check that a folded right operand
-    cannot trip (division by a nonzero constant, a constant exponent that
-    is >= 0 or an integer) is left out.  Several trees may be emitted into
-    one body.
+    """Emits one statement group per node in ``evaluate``'s order, a node
+    shared by several trees once per body (its first statements run, and
+    raise, before any later use of its name).  ``scan`` decides once per
+    node, bottom up, whether it is free of ``t``, folds such a node into
+    the constant ``evaluate`` gives it unless that raises, and bounds its
+    value over the ``domain`` the caller has checked ``t`` to lie in (only
+    folded nodes without one).  A check that bounds rule out is left out:
+    division by a value bounded away from 0, a non-finite value within
+    +-``_BOUND``, a negative or non-integer power of a folded exponent.
 
     The source holds only generated names (``t``, ``c<k>`` for literals,
     ``v<k>`` for node results), the names of ``_FUNCTIONS`` and fixed
     message strings; literal values and functions live in the namespace.
+    Tables are keyed by node identity: the trees must outlive the lowering.
     """
 
-    def __init__(self):
+    def __init__(self, domain: tuple[float, float] | None = None):
         self.lines: list[str] = []
         self.namespace: dict = {"isfinite": math.isfinite,
                                 "floor": math.floor, "log": math.log,
                                 "sqrt": math.sqrt, "DomainError": DomainError}
-        self.count = 0
-        self.folded: dict[str, float] = {}  # constant name -> value
+        self.count = count(1)  # of generated names
+        self.domain = domain
+        self.scanned: dict[int, tuple] = {}  # id -> (folded value, bounds)
+        self.names: dict[int, str] = {}      # id -> name of its value
 
-    def fresh(self, prefix: str) -> str:
-        self.count += 1
-        return f"{prefix}{self.count}"
+    def scan(self, expr: Expr) -> tuple:
+        """(folded value or None, interval holding the value or None)."""
+        key = id(expr)
+        if key not in self.scanned:
+            kids = [self.scan(kid) for kid in _children(expr)]
+            values = [kid[0] for kid in kids]
+            value, bounds = None, self.domain
+            if not isinstance(expr, Variable):
+                if None not in values:
+                    with suppress(DomainError):
+                        value = evaluate(_over(expr, values), 0.0)
+                bounds = ((value, value) if value is not None
+                          else _span(expr, [kid[1] for kid in kids]))
+            self.scanned[key] = value, bounds
+        return self.scanned[key]
 
-    def checked(self, name: str, context: str):
-        self.lines.append(f"if not isfinite({name}): raise DomainError("
-                          f"'{context} produced a non-finite value')")
-
-    def constant(self, value: float) -> str:
-        name = self.fresh("c")
-        self.namespace[name] = self.folded[name] = value
-        return name
+    def nonzero(self, expr: Expr, margin: float = 0.0) -> bool:
+        """Whether the bounds of ``expr`` exclude [-margin, margin]."""
+        bounds = self.scan(expr)[1]
+        return bounds is not None and (bounds[0] > margin or bounds[1] < -margin)
 
     def emit(self, expr: Expr) -> str:
-        """Emit the statements for ``expr``; return the name of its value."""
-        if isinstance(expr, Literal):
-            return self.constant(expr.value)
+        """The name of ``expr``'s value, its statements emitted once."""
+        key = id(expr)
+        if key not in self.names:
+            self.names[key] = self._emit(expr)
+        return self.names[key]
+
+    def _emit(self, expr: Expr) -> str:
+        value, bounds = self.scan(expr)
+        if value is not None:
+            name = f"c{next(self.count)}"
+            self.namespace[name] = value
+            return name
         if isinstance(expr, Variable):
             return "t"
-        if _free_of_t(expr):
-            # folded once here; a subtree that raises is emitted as it
-            # stands, so it raises with the same message when called
-            try:
-                return self.constant(evaluate(expr, 0.0))
-            except DomainError:
-                pass
+        args = [self.emit(kid) for kid in _children(expr)]
+        out, lines = f"v{next(self.count)}", self.lines
         if isinstance(expr, Negate):
-            arg = self.emit(expr.arg)
-            out = self.fresh("v")
-            self.lines.append(f"{out} = -{arg}")
+            lines.append(f"{out} = -{args[0]}")
             return out
-        if isinstance(expr, Binary):
-            left = self.emit(expr.left)
-            right = self.emit(expr.right)
-            out = self.fresh("v")
-            lines = self.lines
-            # a folded right operand drops the checks it cannot trip
-            known = self.folded.get(right)
-            if expr.op in _CONTEXTS:
-                symbol = expr.op
-                if symbol == "/" and (known is None or known == 0.0):
-                    lines.append(f"if {right} == 0.0: "
-                                 f"raise DomainError('division by zero')")
-                lines.append(f"{out} = {left} {symbol} {right}")
-                self.checked(out, _CONTEXTS[symbol])
-                return out
-            if known is None or known < 0.0:
-                lines.append(f"if {left} == 0.0 and {right} < 0.0: raise "
-                             f"DomainError('zero raised to a negative power')")
-            if known is None or not float(known).is_integer():
-                lines.append(f"if {left} < 0.0 and {right} != floor({right}): "
-                             f"raise DomainError('negative base with "
-                             f"non-integer exponent')")
-            lines.append("try:")
-            lines.append(f"    {out} = {left} ** {right}")
-            lines.append("except OverflowError as exc:")
-            lines.append("    raise DomainError('power overflow') from exc")
-            self.checked(out, "power")
+        if isinstance(expr, Call) and expr.name in _GUARDS:
+            test, message = _GUARDS[expr.name]
+            lines.append(f"if {args[0]} {test} 0.0: "
+                         f"raise DomainError('{message}')")
+            lines.append(f"{out} = {expr.name}({args[0]})")
             return out
-        if isinstance(expr, Call):
-            arg = self.emit(expr.arg)
-            out = self.fresh("v")
-            name = expr.name
-            lines = self.lines
-            if name == "log":
-                lines.append(f"if {arg} <= 0.0: "
-                             f"raise DomainError('log of a non-positive number')")
-                lines.append(f"{out} = log({arg})")
-                return out
-            if name == "sqrt":
-                lines.append(f"if {arg} < 0.0: "
-                             f"raise DomainError('sqrt of a negative number')")
-                lines.append(f"{out} = sqrt({arg})")
-                return out
-            self.namespace[name] = _FUNCTIONS[name]
-            lines.append("try:")
-            lines.append(f"    {out} = {name}({arg})")
-            lines.append("except OverflowError as exc:")
-            lines.append(f"    raise DomainError('{name} overflow') from exc")
-            self.checked(out, name)
-            return out
-        raise TypeError(f"not an expression node: {expr!r}")
+        if isinstance(expr, Binary) and expr.op in _CONTEXTS:
+            left, right = args
+            if expr.op == "/" and not self.nonzero(expr.right):
+                lines.append(f"if {right} == 0.0: "
+                             f"raise DomainError('division by zero')")
+            lines.append(f"{out} = {left} {expr.op} {right}")
+            context = _CONTEXTS[expr.op]
+        else:
+            if isinstance(expr, Binary):
+                left, right = args
+                # a folded exponent drops the checks it cannot trip
+                known = self.scan(expr.right)[0]
+                if known is None or known < 0.0:
+                    lines.append(f"if {left} == 0.0 and {right} < 0.0: raise "
+                                 f"DomainError('zero raised to a negative power')")
+                if known is None or not float(known).is_integer():
+                    lines.append(f"if {left} < 0.0 and {right} != floor({right}): "
+                                 f"raise DomainError('negative base with "
+                                 f"non-integer exponent')")
+                call, context = f"{left} ** {right}", "power"
+            else:
+                self.namespace[expr.name] = _FUNCTIONS[expr.name]
+                call, context = f"{expr.name}({args[0]})", expr.name
+            lines += ["try:", f"    {out} = {call}",
+                      "except OverflowError as exc:",
+                      f"    raise DomainError('{context} overflow') from exc"]
+        if bounds is None or max(-bounds[0], bounds[1]) >= _BOUND:
+            lines.append(f"if not isfinite({out}): raise DomainError("
+                         f"'{context} produced a non-finite value')")
+        return out
 
     def function(self, result: str) -> Callable:
         """The emitted statements as the body of a function of ``t`` that
@@ -460,14 +490,11 @@ class _Lowering:
         return self.namespace["lowered"]
 
 
-def _free_of_t(expr: Expr) -> bool:
-    return not isinstance(expr, Variable) and all(map(_free_of_t, _children(expr)))
-
-
-def lower(expr: Expr) -> Callable[[float], float]:
+def lower(expr: Expr, domain: tuple | None = None) -> Callable:
     """Compile ``expr`` into a function of ``t`` that returns exactly what
-    ``evaluate(expr, t)`` returns and raises the same ``DomainError``."""
-    lowering = _Lowering()
+    ``evaluate(expr, t)`` returns and raises the same ``DomainError``, for
+    ``t`` in ``domain`` when one is given (the caller checks it)."""
+    lowering = _Lowering(domain)
     return lowering.function(lowering.emit(expr))
 
 
@@ -703,7 +730,7 @@ class ProfileFunction:
 
     @cached_property
     def _value_fn(self) -> Callable[[float], float]:
-        return lower(self.value)
+        return lower(self.value, (self.t_min, self.t_max))
 
     def evaluate(self, t: float) -> float:
         if not self.t_min <= t <= self.t_max:

@@ -147,11 +147,12 @@ def momenta(fam: SurfaceFamily, state: GeodesicState) -> tuple[float, float]:
 
 # The fixed-step loop of ``integrate``, generated once per family.
 # ``{bundle}`` stands for the metric bundle's statements, which compute e,
-# g, n, de, dg and dn at ``t``; they are inlined at each accepted state,
-# the first one included, and at RK4 stages 2-4; stage 1 reuses the
-# accepted state's.  Local names avoid the lowering's ``c<k>`` and ``v<k>``.
+# g, n, de, dg and dn at ``t`` unless they are constants; they are inlined
+# at each accepted state, the first one included, and at RK4 stages 2-4;
+# stage 1 reuses the accepted state's.  ``{names}`` makes the namespace
+# locals.  Local names avoid the lowering's ``c<k>`` and ``v<k>``.
 _RUN = """\
-def run(rows, y, length, step, n_steps):
+def run(rows, y, length, step, n_steps, *, {names}):
     u, v, t_acc, du1, dv1, dt1 = y
     s = 0.0
     for i in range(1, n_steps + 2):  # row i - 1, then the step to row i
@@ -183,28 +184,30 @@ def run(rows, y, length, step, n_steps):
 """
 # Stage k > 1: its t and velocities, at ``f`` times stage k - 1's
 # derivative, and its bundle (a stage's u and v are never read); then, for
-# every stage, its derivative by ``geodesic_rhs``'s arithmetic.
+# every stage, ``{test}`` and its derivative by ``geodesic_rhs``'s arithmetic.
 _STAGE = """\
         t = t_acc + {f} * dt{j}
         du{k}, dv{k}, dt{k} = du1 + {f} * ddu{j}, dv1 + {f} * ddv{j}, dt1 + {f} * ddt{j}
 {bundle}
 """
 _RHS = """\
-        if e == 0.0 or g == 0.0 or n == 0.0: return "degenerate_metric"
-        ddu{k} = -(de / e) * du{k} * dt{k}
+{test}        ddu{k} = -(de / e) * du{k} * dt{k}
         ddv{k} = -(dg / g) * dv{k} * dt{k}
         ddt{k} = (de * du{k} * du{k} + dg * dv{k} * dv{k} - dn * dt{k} * dt{k}) / (2.0 * n)"""
 
 
-def _lower_run(lowering):
-    """``_RUN`` with the bundle statements of ``lowering`` (see
+def _lower_run(lowering, degenerate):
+    """``_RUN`` with ``lowering``'s bundle and ``degenerate`` test (see
     ``surfaces._bundle_lowering``), compiled in its namespace."""
     bundle = "".join(f"        {line}\n" for line in lowering.lines)[:-1]
+    test = degenerate and f'        if {degenerate}: return "degenerate_metric"\n'
     stages = "\n".join(_STAGE.format(k=k, j=k - 1, f=f, bundle=bundle)
-                       + _RHS.format(k=k)
+                       + _RHS.format(k=k, test=test)
                        for k, f in ((2, "half"), (3, "half"), (4, "h")))
-    source = _RUN.format(rhs1=_RHS.format(k=1), stages=stages, bundle=bundle)
     lowering.namespace.update(fsum=math.fsum, nan=math.nan)
+    names = ", ".join(f"{name}={name}" for name in lowering.namespace)
+    source = _RUN.format(names=names, rhs1=_RHS.format(k=1, test=test),
+                         stages=stages, bundle=bundle)
     exec(compile(source, "<generated RK4 run>", "exec"), lowering.namespace)
     return lowering.namespace["run"]
 

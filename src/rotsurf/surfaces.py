@@ -307,29 +307,39 @@ class GeodesicState:
         return (self.u, self.v, self.t, self.du, self.dv, self.dt)
 
 
-def _bundle_lowering(fam: SurfaceFamily) -> _Lowering:
+def _bundle_lowering(fam: SurfaceFamily) -> tuple[_Lowering, str]:
     """The statements of ``fam.metric_bundle`` at ``t``: one domain check,
-    then fa, fb, fa', fb', fa'', fb'' lowered in that order into one body,
-    with the checks and messages of the six ``ProfileFunction`` calls they
-    replace, then the bundle's arithmetic into e, g, n, de, dg and dn."""
+    then fa, fb, fa', fb', fa'', fb'' lowered over that domain in that order
+    into one body, with the messages of the six ``ProfileFunction`` calls
+    they replace, then e, g, n, de, dg and dn, each a namespace constant if
+    free of ``t``.  Also the test for 0 of e, g, n not proven nonzero."""
     spec = fam.spec
-    lowering = _Lowering()
-    lowering.namespace.update(
+    lowering = _Lowering(fam.domain)
+    namespace = lowering.namespace
+    namespace.update(
         t_min=fam.fa.t_min, t_max=fam.fa.t_max, outside=fam.fa._outside,
         e_sign=spec.e_sign, g_sign=spec.g_sign, na_sign=spec.na_sign,
-        nb_sign=spec.nb_sign)
+        nb_sign=spec.nb_sign, de_sign=2.0 * spec.e_sign,
+        dg_sign=2.0 * spec.g_sign)
     lowering.lines.append("if not (t_min <= t <= t_max): raise outside(t)")
     fa, fb, dfa, dfb, d2fa, d2fb = map(lowering.emit, (
         fam.fa.value, fam.fb.value, fam.fa.d1, fam.fb.d1, fam.fa.d2, fam.fb.d2))
-    lowering.lines += [
-        f"e = e_sign * {fa} * {fa}",
-        f"g = g_sign * {fb} * {fb}",
-        f"n = na_sign * {dfa} * {dfa} + nb_sign * {dfb} * {dfb}",
-        f"de = 2.0 * e_sign * {fa} * {dfa}",
-        f"dg = 2.0 * g_sign * {fb} * {dfb}",
-        f"dn = 2.0 * (na_sign * {dfa} * {d2fa} + nb_sign * {dfb} * {d2fb})",
-    ]
-    return lowering
+    for name, formula in (
+            ("e", f"e_sign * {fa} * {fa}"),
+            ("g", f"g_sign * {fb} * {fb}"),
+            ("n", f"na_sign * {dfa} * {dfa} + nb_sign * {dfb} * {dfb}"),
+            ("de", f"de_sign * {fa} * {dfa}"),
+            ("dg", f"dg_sign * {fb} * {dfb}"),
+            ("dn", f"2.0 * (na_sign * {dfa} * {d2fa} + nb_sign * {dfb} * {d2fb})")):
+        try:  # free of t: its own text evaluated once, the same operations
+            namespace[name] = eval(formula, dict(namespace))
+        except NameError:  # reads t or a node's value
+            lowering.lines.append(f"{name} = {formula}")
+    # +-x * x is nonzero where |x| > 1e-150: the square cannot underflow
+    proven = {"e": lowering.nonzero(fam.fa.value, 1e-150),
+              "g": lowering.nonzero(fam.fb.value, 1e-150), "n": False}
+    return lowering, " or ".join(f"{name} == 0.0" for name in proven if not (
+        proven[name] or namespace.get(name, 0.0) != 0.0))
 
 
 @dataclass(frozen=True)
@@ -410,12 +420,12 @@ class SurfaceFamily:
 
     @cached_property
     def _bundle_fn(self) -> Callable[[float], tuple]:
-        return _bundle_lowering(self).function("(e, g, n, de, dg, dn)")
+        return _bundle_lowering(self)[0].function("(e, g, n, de, dg, dn)")
 
     @cached_property
     def _run_fn(self) -> Callable[..., str]:
         from .geodesics import _lower_run  # geodesics imports this module
-        return _lower_run(_bundle_lowering(self))
+        return _lower_run(*_bundle_lowering(self))
 
     def metric_bundle(self, t: float):
         """(E, G, N, dE/dt, dG/dt, dN/dt) in one pass over the profiles."""
