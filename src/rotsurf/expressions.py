@@ -22,6 +22,7 @@ is lowered: ``ProfileFunction.evaluate``, the metric bundle and the RK4 run.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from contextlib import suppress
 from dataclasses import dataclass, fields, replace
@@ -350,30 +351,27 @@ _CONTEXTS = {"+": "addition", "-": "subtraction", "*": "multiplication",
              "/": "division"}
 _GUARDS = {"log": ("<=", "log of a non-positive number"),
            "sqrt": ("<", "sqrt of a negative number")}
+_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+               "/": operator.truediv}
 
 # a value bounded within +-_BOUND is finite; the margin absorbs rounding
 _BOUND = 1e300
 
 
-def _over(expr: Expr, values) -> Expr:
-    """``expr`` as one node over literals of its operands' ``values``."""
-    slots = ("left", "right") if isinstance(expr, Binary) else ("arg",)
-    return replace(expr, **dict(zip(slots, map(Literal, values))))
-
-
 def _span(expr: Expr, args: list) -> tuple[float, float] | None:
-    """Bounds of ``expr``'s value for operands within ``args``: ``evaluate``
-    at their ends, sound as rounding is monotone; None if an operand is, if
-    ``expr`` has no rule (+ - * /, unary minus, sin, cos) or if an end raises."""
+    """Bounds of ``expr``'s value for operands within ``args``, from its
+    float operation at their ends (sound: rounding is monotone); None if an
+    operand is, if ``expr`` has no rule (+ - * /, unary minus, sin, cos) or
+    if an end is not finite."""
     if None in args or isinstance(expr, Binary) and (
             expr.op == "^" or expr.op == "/" and args[1][0] <= 0.0 <= args[1][1]):
         return None
     if isinstance(expr, Call):
         return (-1.0, 1.0) if expr.name in ("sin", "cos") else None
-    with suppress(DomainError):
-        ends = [evaluate(_over(expr, end), 0.0) for end in product(*args)]
-        return min(ends), max(ends)
-    return None
+    ends = ([-end for end in args[0]] if isinstance(expr, Negate) else
+            [_ARITHMETIC[expr.op](x, y) for x, y in product(*args)])
+    lo, hi = min(ends), max(ends)
+    return (lo, hi) if math.isfinite(lo) and math.isfinite(hi) else None
 
 
 class _Lowering:
@@ -405,19 +403,20 @@ class _Lowering:
 
     def scan(self, expr: Expr) -> tuple:
         """(folded value or None, interval holding the value or None)."""
-        key = id(expr)
-        if key not in self.scanned:
+        if id(expr) not in self.scanned:
             kids = [self.scan(kid) for kid in _children(expr)]
             values = [kid[0] for kid in kids]
             value, bounds = None, self.domain
             if not isinstance(expr, Variable):
-                if None not in values:
+                if None not in values:  # the node over its operands' values
+                    slots = ("arg",) if len(values) == 1 else ("left", "right")
+                    literals = dict(zip(slots, map(Literal, values)))
                     with suppress(DomainError):
-                        value = evaluate(_over(expr, values), 0.0)
+                        value = evaluate(replace(expr, **literals), 0.0)
                 bounds = ((value, value) if value is not None
                           else _span(expr, [kid[1] for kid in kids]))
-            self.scanned[key] = value, bounds
-        return self.scanned[key]
+            self.scanned[id(expr)] = value, bounds
+        return self.scanned[id(expr)]
 
     def nonzero(self, expr: Expr, margin: float = 0.0) -> bool:
         """Whether the bounds of ``expr`` exclude [-margin, margin]."""
@@ -426,10 +425,9 @@ class _Lowering:
 
     def emit(self, expr: Expr) -> str:
         """The name of ``expr``'s value, its statements emitted once."""
-        key = id(expr)
-        if key not in self.names:
-            self.names[key] = self._emit(expr)
-        return self.names[key]
+        if id(expr) not in self.names:
+            self.names[id(expr)] = self._emit(expr)
+        return self.names[id(expr)]
 
     def _emit(self, expr: Expr) -> str:
         value, bounds = self.scan(expr)
@@ -491,9 +489,8 @@ class _Lowering:
 
 
 def lower(expr: Expr, domain: tuple | None = None) -> Callable:
-    """Compile ``expr`` into a function of ``t`` that returns exactly what
-    ``evaluate(expr, t)`` returns and raises the same ``DomainError``, for
-    ``t`` in ``domain`` when one is given (the caller checks it)."""
+    """Compile ``expr`` into a function of ``t`` (in ``domain`` if given) that
+    returns exactly what ``evaluate(expr, t)`` returns and raises its errors."""
     lowering = _Lowering(domain)
     return lowering.function(lowering.emit(expr))
 
