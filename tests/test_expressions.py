@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from rotsurf import (DomainError, ParseError, ProfileFunction, differentiate,
                      evaluate, parse, to_text)
+from rotsurf import expressions
 from rotsurf.expressions import ExprError, Literal, _Lowering, _measure, lower
 
 
@@ -327,6 +328,97 @@ def test_lowering_emits_only_checks_a_folded_constant_can_trip(text, kept):
                                       "non-integer exponent")
               if any(message in line for line in lowering.lines)]
     assert checks == kept
+
+
+_UNBOUNDED_LINES = [
+    "v3 = t / c2",
+    "if not isfinite(v3): raise DomainError('division produced a non-finite value')",
+    "v4 = c1 + v3",
+    "if not isfinite(v4): raise DomainError('addition produced a non-finite value')",
+    "try:",
+    "    v5 = sin(t)",
+    "except OverflowError as exc:",
+    "    raise DomainError('sin overflow') from exc",
+    "if not isfinite(v5): raise DomainError('sin produced a non-finite value')",
+    "v6 = v4 + v5",
+    "if not isfinite(v6): raise DomainError('addition produced a non-finite value')",
+]
+
+
+def test_bounds_drop_only_the_checks_they_rule_out():
+    # without a domain of t every check stays; on [0.1, 3] each of
+    # t/sqrt(2), sin(t) and their sums is bounded well within 1e300
+    unbounded, bounded = _Lowering(), _Lowering((0.1, 3.0))
+    for lowering in (unbounded, bounded):
+        assert lowering.emit(parse("2 + t/sqrt(2) + sin(t)")) == "v6"
+    assert unbounded.lines == _UNBOUNDED_LINES
+    assert bounded.lines == [line for line in _UNBOUNDED_LINES
+                             if "isfinite" not in line]
+    # a divisor bounded away from 0 drops the zero check; one whose bounds
+    # contain 0, or a product bounded beyond 1e300, keeps its checks
+    for text, domain, kept in [
+            ("1/(t + 2)", (0.0, 1.0), []),
+            ("1/(t - 1)", (0.0, 2.0), ["division by zero", "isfinite"]),
+            ("sin(t)*1e300", (0.0, 1.0), ["isfinite"]),
+            ("t*t*1e154", (0.0, 1e78), ["isfinite"])]:
+        lowering = _Lowering(domain)
+        lowering.emit(parse(text))
+        assert [word for word in ("division by zero", "isfinite")
+                if any(word in line for line in lowering.lines)] == kept
+
+
+def test_lowering_visits_each_node_a_bounded_number_of_times(monkeypatch):
+    """One bottom-up scan per node and one emit: a 64-deep chain is not
+    walked again from each of its nodes."""
+    visits = {}
+    children = expressions._children
+
+    def counted(expr):
+        visits[id(expr)] = visits.get(id(expr), 0) + 1
+        return children(expr)
+
+    monkeypatch.setattr(expressions, "_children", counted)
+    for text in ("t" + " + 1" * 63, "1" + " + 1" * 62 + " + t"):
+        tree = parse(text)
+        for domain in (None, (0.0, 1.0)):
+            visits.clear()
+            assert lower(tree, domain)(0.5) == evaluate(tree, 0.5)
+            assert len(visits) == 127  # every node, each at most twice
+            assert max(visits.values()) <= 2
+
+
+def test_shared_nodes_are_emitted_once_per_body():
+    # d/dt sin(t*t) = cos(t*t) * (t + t) reuses the value's t*t node
+    profile = ProfileFunction.from_text("sin(t*t)", 0.0, 1.0)
+    lowering = _Lowering()
+    lowering.emit(profile.value)
+    lowering.emit(profile.d1)
+    assert sum(line.endswith("= t * t") for line in lowering.lines) == 1
+
+
+_DOMAIN = st.tuples(st.floats(-3, 3), st.floats(1e-3, 4), st.floats(0, 1))
+
+
+@settings(max_examples=300, deadline=None)
+@example("exp(t*800)", (0.0, 1.0, 1.0))
+@example("1e154*t*t", (0.0, 1e78, 1.0))
+@example("1e154*t*t", (0.0, 1e78, 0.1))
+@example("1/(t-1)", (0.0, 2.0, 0.5))
+@example("1/(t-1)", (0.0, 2.0, 0.25))
+@example("sin(t)*1e300", (0.0, 1.0, 1.0))
+@example("-(t) + 0", (-1.0, 1.0, 0.5))
+@given(_tree(4, _lowering_leaf, _lowering_func, ("+", "-", "*", "/", "^")),
+       _DOMAIN)
+def test_bounded_lowering_matches_tree_walker(text, domain):
+    """``ProfileFunction.evaluate`` and the generated bundle lower over the
+    profile domain, dropping the checks their bounds rule out."""
+    lo, width, at = domain
+    hi = lo + width
+    t = min(hi, lo + at * width)
+    profile = ProfileFunction.from_text(text, lo, hi)
+    for tree in (profile.value, profile.d1, profile.d2):
+        assert _outcome(lower(tree, (lo, hi)), t) == _outcome(
+            lambda x: evaluate(tree, x), t)
 
 
 PROFILE_CASES = [

@@ -1,5 +1,6 @@
 """Geodesic integration, conserved momenta, angle decompositions, slopes."""
 
+import builtins
 import math
 from dataclasses import replace
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_expressions import _lowering_func, _lowering_leaf, _tree
+from test_golden import CONFIGS
 
 from rotsurf import (DegenerateMetricError, DomainError, GeodesicState,
                      MeridianUndefinedError, ProfileFunction, Sample,
@@ -585,6 +587,76 @@ def test_integrate_builds_no_state_per_step(monkeypatch):
     built.clear()
     assert flow_residual(H23, trajectory.samples) <= 1e-3
     assert len(built) == len(trajectory.rows)
+
+
+def _run_source(fam, monkeypatch):
+    """The source of ``fam``'s generated RK4 run, as it is compiled."""
+    sources, real_compile = [], builtins.compile
+
+    def recording(source, filename, *args, **kwargs):
+        if filename == "<generated RK4 run>":
+            sources.append(source)
+        return real_compile(source, filename, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(builtins, "compile", recording)
+        fam._run_fn
+    return sources[0]
+
+
+def _golden_family(name):
+    config = CONFIGS[name]
+    return (config["family"], config["variant"], config["profiles"]["fa"],
+            config["profiles"]["fb"], *config["domain"])
+
+
+# linear profiles: (family, the metric coefficients the run still tests
+# for 0); fa and fb are bounded away from 0 on the domain and N is a
+# nonzero constant, unless noted
+LINEAR_RUNS = [(REFERENCE_RUNS[k][0], []) for k in (0, 2, 3, 6, 10)] + [
+    # E = (1e-154)^2 is folded to a nonzero (subnormal) constant
+    (REFERENCE_RUNS[8][0], []),
+    # fa = t - 0.5 and fb = 2*t + 3 cross 0 on [-2, 2]
+    (REFERENCE_RUNS[9][0], ["e", "g"]),
+    (_golden_family("e56-unit"), []),
+    (_golden_family("h23-B"), []),
+    # fa in [1e-170, 2e-170] is nonzero, but fa * fa underflows to 0
+    (("hyperbolic14", "A", "1e-170*t", "1 + t", 1.0, 2.0), ["e"]),
+]
+
+
+@pytest.mark.parametrize("family,tested", LINEAR_RUNS)
+def test_run_on_linear_profiles_drops_what_the_domain_rules_out(
+        family, tested, monkeypatch):
+    source = _run_source(make_family(*family), monkeypatch)
+    lines = source.splitlines()
+    # isfinite only on the row and on the new state: none in the bundle
+    assert source.count("isfinite(") == 2
+    assert [line for line in lines
+            if line.lstrip().startswith(("n = ", "dn = "))] == []
+    tests = {line.strip() for line in lines if "degenerate_metric" in line}
+    if tested:
+        operands = " or ".join(f"{name} == 0.0" for name in tested)
+        assert tests == {f'if {operands}: return "degenerate_metric"'}
+    else:
+        assert tests == set()
+
+
+def test_underflowing_square_is_still_degenerate():
+    fam = make_family(*LINEAR_RUNS[-1][0])
+    state0 = GeodesicState(0.0, 0.0, 1.5, 0.1, 0.1, 1.0)
+    samples, termination = _reference_integrate(fam, state0, 0.1, 0.01)
+    trajectory = integrate(fam, state0, 0.1, 0.01)
+    assert termination == trajectory.termination == "degenerate_metric"
+    assert _bits(trajectory.samples) == _bits(samples)
+
+
+def test_run_keeps_the_guards_the_domain_cannot_rule_out(monkeypatch):
+    # 1.30032 - t crosses 0 on [0.1, 10]: the log guard and the checks
+    # after the unbounded log stay
+    source = _run_source(make_family(*STAGE_FAULTS[0][0]), monkeypatch)
+    assert "log of a non-positive number" in source
+    assert "multiplication produced a non-finite value" in source
 
 
 def test_integrate_never_calls_metric_bundle(monkeypatch):
