@@ -11,11 +11,12 @@ returns NaN or infinity (domain faults raise ``DomainError`` instead).
 subtrees folded, so first and second derivatives of a profile are
 noise-free wherever curvature formulas consume them.
 
-``evaluate`` walks a tree; ``lower`` compiles one into a straight-line
-function with the same float operations, order and errors, t-free subtrees
-evaluated once, shared nodes once, and no check that bounds on the domain
-rule out.  That costs 25-46 walks, so only code run per step, row or sample
-is lowered: ``ProfileFunction.evaluate``, the metric bundle and the RK4 run.
+``evaluate`` walks a tree.  ``_Lowering`` turns trees into straight-line
+statements with the same float operations, order and errors, t-free
+subtrees evaluated once, a value computed twice emitted once, and no check
+that bounds on the domain rule out.  That costs 25-46 walks, so a family
+lowers its six profile trees once, into one body that its RK4 run, metric
+bundle and per-row (fa, fb) pair share; ``ProfileFunction`` walks.
 ``parse`` and ``differentiate`` bound depth and size.
 """
 
@@ -25,8 +26,7 @@ import math
 import operator
 import re
 from contextlib import suppress
-from dataclasses import dataclass, fields, replace
-from functools import cached_property
+from dataclasses import dataclass, replace
 from itertools import count, product
 from typing import Callable
 
@@ -376,8 +376,9 @@ def _span(expr: Expr, args: list) -> tuple[float, float] | None:
 
 class _Lowering:
     """Emits one statement group per node in ``evaluate``'s order, a node
-    shared by several trees once per body (its first statements run, and
-    raise, before any later use of its name).  ``scan`` decides once per
+    shared by several trees, or one of the same type and operation over the
+    same operand names, once per body (its first statements run, and raise,
+    before any later use of its name).  ``scan`` decides once per
     node, bottom up, whether it is free of ``t``, folds such a node into
     the constant ``evaluate`` gives it unless that raises, and bounds its
     value over the ``domain`` the caller has checked ``t`` to lie in (only
@@ -388,7 +389,8 @@ class _Lowering:
     The source holds only generated names (``t``, ``c<k>`` for literals,
     ``v<k>`` for node results), the names of ``_FUNCTIONS`` and fixed
     message strings; literal values and functions live in the namespace.
-    Tables are keyed by node identity: the trees must outlive the lowering.
+    ``scanned`` and ``names`` are keyed by node identity: the trees must
+    outlive the lowering.
     """
 
     def __init__(self, domain: tuple[float, float] | None = None):
@@ -400,6 +402,7 @@ class _Lowering:
         self.domain = domain
         self.scanned: dict[int, tuple] = {}  # id -> (folded value, bounds)
         self.names: dict[int, str] = {}      # id -> name of its value
+        self.values: dict[tuple, str] = {}   # (type, op, *operands) -> name
 
     def scan(self, expr: Expr) -> tuple:
         """(folded value or None, interval holding the value or None)."""
@@ -438,7 +441,11 @@ class _Lowering:
         if isinstance(expr, Variable):
             return "t"
         args = [self.emit(kid) for kid in _children(expr)]
-        out, lines = f"v{next(self.count)}", self.lines
+        key = (type(expr), getattr(expr, "op", getattr(expr, "name", "")), *args)
+        if key in self.values:  # the same operation on the same values
+            return self.values[key]
+        out = self.values[key] = f"v{next(self.count)}"
+        lines = self.lines
         if isinstance(expr, Negate):
             lines.append(f"{out} = -{args[0]}")
             return out
@@ -479,20 +486,14 @@ class _Lowering:
                          f"'{context} produced a non-finite value')")
         return out
 
-    def function(self, result: str) -> Callable:
-        """The emitted statements as the body of a function of ``t`` that
-        returns ``result``."""
-        body = "".join(f"    {line}\n" for line in self.lines)
+    def function(self, result: str, count: int | None = None) -> Callable:
+        """The first ``count`` statements (all by default) as the body of a
+        function of ``t`` that returns ``result``, in a namespace copy."""
+        body = "".join(f"    {line}\n" for line in self.lines[:count])
         source = f"def lowered(t):\n{body}    return {result}\n"
-        exec(compile(source, "<lowered expression>", "exec"), self.namespace)
-        return self.namespace["lowered"]
-
-
-def lower(expr: Expr, domain: tuple | None = None) -> Callable:
-    """Compile ``expr`` into a function of ``t`` (in ``domain`` if given) that
-    returns exactly what ``evaluate(expr, t)`` returns and raises its errors."""
-    lowering = _Lowering(domain)
-    return lowering.function(lowering.emit(expr))
+        namespace = dict(self.namespace)
+        exec(compile(source, "<lowered expression>", "exec"), namespace)
+        return namespace["lowered"]
 
 
 # ---------------------------------------------------------------------------
@@ -692,10 +693,8 @@ def to_text(expr: Expr) -> str:
 class ProfileFunction:
     """A scalar profile with exact first and second derivatives on a
     closed interval.  Evaluation outside [t_min, t_max] is a hard fault.
-
-    ``evaluate`` runs the value tree lowered on its first call and kept
-    outside the dataclass fields, which alone equality and repr see; the
-    derivatives walk ``d1`` and ``d2``."""
+    Plain data: each call walks its tree (``SurfaceFamily`` lowers the
+    trees where they run per step or per row)."""
 
     value: Expr
     d1: Expr
@@ -717,22 +716,14 @@ class ProfileFunction:
         d2 = differentiate(d1)
         return cls(value, d1, d2, float(t_min), float(t_max), text)
 
-    def __getstate__(self):
-        # the lowered function is rebuilt on demand and cannot be pickled
-        return {field.name: getattr(self, field.name) for field in fields(self)}
-
     def _outside(self, t: float) -> DomainError:
         return DomainError(
             f"t={t!r} outside profile domain [{self.t_min}, {self.t_max}]")
 
-    @cached_property
-    def _value_fn(self) -> Callable[[float], float]:
-        return lower(self.value, (self.t_min, self.t_max))
-
     def evaluate(self, t: float) -> float:
         if not self.t_min <= t <= self.t_max:
             raise self._outside(t)
-        return self._value_fn(t)
+        return evaluate(self.value, t)
 
     def derivative(self, t: float) -> float:
         if not self.t_min <= t <= self.t_max:

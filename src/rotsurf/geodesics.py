@@ -147,10 +147,10 @@ def momenta(fam: SurfaceFamily, state: GeodesicState) -> tuple[float, float]:
 
 # The fixed-step loop of ``integrate``, generated once per family.
 # ``{bundle}`` stands for the metric bundle's statements, which compute e,
-# g, n, de, dg and dn at ``t`` unless they are constants; they are inlined
-# at each accepted state, the first one included, and at RK4 stages 2-4;
-# stage 1 reuses the accepted state's.  ``{names}`` makes the namespace
-# locals.  Local names avoid the lowering's ``c<k>`` and ``v<k>``.
+# g, n, de, dg, dn and n2 = 2 n at ``t`` unless they are constants; they
+# are inlined at each accepted state, the first one included, and at RK4
+# stages 2-4; stage 1 reuses the accepted state's.  ``{names}`` makes the
+# namespace locals.  Local names avoid the lowering's ``c<k>`` and ``v<k>``.
 _RUN = """\
 def run(rows, y, length, step, n_steps, *, {names}):
     u, v, t_acc, du1, dv1, dt1 = y
@@ -193,23 +193,23 @@ _STAGE = """\
 _RHS = """\
 {test}        ddu{k} = -(de / e) * du{k} * dt{k}
         ddv{k} = -(dg / g) * dv{k} * dt{k}
-        ddt{k} = (de * du{k} * du{k} + dg * dv{k} * dv{k} - dn * dt{k} * dt{k}) / (2.0 * n)"""
+        ddt{k} = (de * du{k} * du{k} + dg * dv{k} * dv{k} - dn * dt{k} * dt{k}) / n2"""
 
 
 def _lower_run(lowering, degenerate):
     """``_RUN`` with ``lowering``'s bundle and ``degenerate`` test (see
-    ``surfaces._bundle_lowering``), compiled in its namespace."""
+    ``SurfaceFamily._lowering``), compiled in a copy of its namespace."""
     bundle = "".join(f"        {line}\n" for line in lowering.lines)[:-1]
     test = degenerate and f'        if {degenerate}: return "degenerate_metric"\n'
     stages = "\n".join(_STAGE.format(k=k, j=k - 1, f=f, bundle=bundle)
                        + _RHS.format(k=k, test=test)
                        for k, f in ((2, "half"), (3, "half"), (4, "h")))
-    lowering.namespace.update(fsum=math.fsum, nan=math.nan)
-    names = ", ".join(f"{name}={name}" for name in lowering.namespace)
+    namespace = dict(lowering.namespace, fsum=math.fsum, nan=math.nan)
+    names = ", ".join(f"{name}={name}" for name in namespace)
     source = _RUN.format(names=names, rhs1=_RHS.format(k=1, test=test),
                          stages=stages, bundle=bundle)
-    exec(compile(source, "<generated RK4 run>", "exec"), lowering.namespace)
-    return lowering.namespace["run"]
+    exec(compile(source, "<generated RK4 run>", "exec"), namespace)
+    return namespace["run"]
 
 
 def integrate(fam: SurfaceFamily, state0: GeodesicState, length: float,
@@ -319,11 +319,10 @@ def clairaut_report(fam: SurfaceFamily, state: GeodesicState) -> ClairautReport:
 
 def invariant_rows(fam: SurfaceFamily, rows) -> list:
     """Each ``Trajectory.rows`` row + (inv1, inv2) as ``clairaut_report``
-    gives them, from the row's p_u, p_v and one call each of fa, fb."""
-    fa, fb = fam.fa.evaluate, fam.fb.evaluate
-    at = fam.spec.clairaut
-    return [row + at(fa(row[3]), fb(row[3]), *row[4:7], *row[8:])[:2]
-            for row in rows]
+    gives them, from the row's p_u, p_v and one call of the family's
+    lowered (fa, fb) pair."""
+    pair, at = fam._pair_fn, fam.spec.clairaut
+    return [row + at(*pair(row[3]), *row[4:7], *row[8:])[:2] for row in rows]
 
 
 @dataclass(frozen=True)

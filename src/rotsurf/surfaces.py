@@ -307,48 +307,14 @@ class GeodesicState:
         return (self.u, self.v, self.t, self.du, self.dv, self.dt)
 
 
-def _bundle_lowering(fam: SurfaceFamily) -> tuple[_Lowering, str]:
-    """The statements of ``fam.metric_bundle`` at ``t``: one domain check,
-    then fa, fb, fa', fb', fa'', fb'' lowered over that domain in that order
-    into one body, with the messages of the six ``ProfileFunction`` calls
-    they replace, then e, g, n, de, dg and dn, each a namespace constant if
-    free of ``t``.  Also the test for 0 of e, g, n not proven nonzero."""
-    spec = fam.spec
-    lowering = _Lowering(fam.domain)
-    namespace = lowering.namespace
-    namespace.update(
-        t_min=fam.fa.t_min, t_max=fam.fa.t_max, outside=fam.fa._outside,
-        e_sign=spec.e_sign, g_sign=spec.g_sign, na_sign=spec.na_sign,
-        nb_sign=spec.nb_sign, de_sign=2.0 * spec.e_sign,
-        dg_sign=2.0 * spec.g_sign)
-    lowering.lines.append("if not (t_min <= t <= t_max): raise outside(t)")
-    fa, fb, dfa, dfb, d2fa, d2fb = map(lowering.emit, (
-        fam.fa.value, fam.fb.value, fam.fa.d1, fam.fb.d1, fam.fa.d2, fam.fb.d2))
-    for name, formula in (
-            ("e", f"e_sign * {fa} * {fa}"),
-            ("g", f"g_sign * {fb} * {fb}"),
-            ("n", f"na_sign * {dfa} * {dfa} + nb_sign * {dfb} * {dfb}"),
-            ("de", f"de_sign * {fa} * {dfa}"),
-            ("dg", f"dg_sign * {fb} * {dfb}"),
-            ("dn", f"2.0 * (na_sign * {dfa} * {d2fa} + nb_sign * {dfb} * {d2fb})")):
-        try:  # free of t: its own text evaluated once, the same operations
-            namespace[name] = eval(formula, dict(namespace))
-        except NameError:  # reads t or a node's value
-            lowering.lines.append(f"{name} = {formula}")
-    # +-x * x is nonzero where |x| > 1e-150: the square cannot underflow
-    proven = {"e": lowering.nonzero(fam.fa.value, 1e-150),
-              "g": lowering.nonzero(fam.fb.value, 1e-150), "n": False}
-    return lowering, " or ".join(f"{name} == 0.0" for name in proven if not (
-        proven[name] or namespace.get(name, 0.0) != 0.0))
-
-
 @dataclass(frozen=True)
 class SurfaceFamily:
     """A rotational family with its two profile functions.
 
-    The generated metric bundle and RK4 run are built on first use and
-    kept on the instance, outside the dataclass fields, which alone
-    equality, repr and pickling see."""
+    Its six profile trees are lowered once, on first use (``_lowering``);
+    the RK4 run, the metric bundle and the (fa, fb) pair are compiled from
+    that body on their first use.  All are kept on the instance, outside
+    the dataclass fields, which alone equality, repr and pickling see."""
 
     kind: FamilyKind
     variant: Variant
@@ -419,13 +385,55 @@ class SurfaceFamily:
         return MetricCoefficients(E=e, G=g, N=n)
 
     @cached_property
+    def _lowering(self) -> tuple[_Lowering, str, tuple[str, int]]:
+        """The statements of ``metric_bundle`` at ``t``: the domain check,
+        then fa, fb, fa', fb', fa'', fb'' in that order over that domain (the
+        six ``ProfileFunction`` calls' messages), then e, g, n, de, dg, dn and
+        n2 = 2 n, constants if free of ``t``.  Also the test for 0 of e, g, n
+        not proven nonzero, and (result, line count) of the (fa, fb) prefix."""
+        spec, fa_tree, fb_tree = self.spec, self.fa.value, self.fb.value
+        lowering = _Lowering(self.domain)
+        namespace = lowering.namespace
+        namespace.update(
+            t_min=self.fa.t_min, t_max=self.fa.t_max, outside=self.fa._outside,
+            e_sign=spec.e_sign, g_sign=spec.g_sign, na_sign=spec.na_sign,
+            nb_sign=spec.nb_sign, de_sign=2.0 * spec.e_sign,
+            dg_sign=2.0 * spec.g_sign)
+        lowering.lines.append("if not (t_min <= t <= t_max): raise outside(t)")
+        fa, fb = lowering.emit(fa_tree), lowering.emit(fb_tree)
+        pair = f"({fa}, {fb})", len(lowering.lines)
+        dfa, dfb, d2fa, d2fb = map(lowering.emit, (
+            self.fa.d1, self.fb.d1, self.fa.d2, self.fb.d2))
+        for name, formula in (
+                ("e", f"e_sign * {fa} * {fa}"),
+                ("g", f"g_sign * {fb} * {fb}"),
+                ("n", f"na_sign * {dfa} * {dfa} + nb_sign * {dfb} * {dfb}"),
+                ("de", f"de_sign * {fa} * {dfa}"),
+                ("dg", f"dg_sign * {fb} * {dfb}"),
+                ("dn", f"2.0 * (na_sign * {dfa} * {d2fa}"
+                       f" + nb_sign * {dfb} * {d2fb})"), ("n2", "2.0 * n")):
+            try:  # free of t: its own text evaluated once, the same operations
+                namespace[name] = eval(formula, dict(namespace))
+            except NameError:  # reads t or a node's value
+                lowering.lines.append(f"{name} = {formula}")
+        # +-x * x is nonzero where |x| > 1e-150: the square cannot underflow
+        proven = {"e": lowering.nonzero(fa_tree, 1e-150),
+                  "g": lowering.nonzero(fb_tree, 1e-150), "n": False}
+        return lowering, " or ".join(f"{name} == 0.0" for name in proven if not (
+            proven[name] or namespace.get(name, 0.0) != 0.0)), pair
+
+    @cached_property
     def _bundle_fn(self) -> Callable[[float], tuple]:
-        return _bundle_lowering(self)[0].function("(e, g, n, de, dg, dn)")
+        return self._lowering[0].function("(e, g, n, de, dg, dn)")
+
+    @cached_property
+    def _pair_fn(self) -> Callable[[float], tuple]:
+        return self._lowering[0].function(*self._lowering[2])
 
     @cached_property
     def _run_fn(self) -> Callable[..., str]:
         from .geodesics import _lower_run  # geodesics imports this module
-        return _lower_run(*_bundle_lowering(self))
+        return _lower_run(*self._lowering[:2])
 
     def metric_bundle(self, t: float):
         """(E, G, N, dE/dt, dG/dt, dN/dt) in one pass over the profiles."""

@@ -8,9 +8,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rotsurf import (DomainError, ParseError, ProfileFunction, differentiate,
-                     evaluate, parse, to_text)
+                     evaluate, make_family, parse, to_text)
 from rotsurf import expressions
-from rotsurf.expressions import ExprError, Literal, _Lowering, _measure, lower
+from rotsurf.expressions import ExprError, Literal, _Lowering, _measure
+
+
+def _lower(expr, domain=None):
+    """``expr`` lowered alone, over ``domain`` if given, as a function of t."""
+    lowering = _Lowering(domain)
+    return lowering.function(lowering.emit(expr))
 
 
 def central_difference(expr, t, h):
@@ -289,24 +295,26 @@ def _outcome(fn, t):
 @given(_tree(4, _lowering_leaf, _lowering_func, ("+", "-", "*", "/", "^")),
        st.one_of(st.floats(-3, 3), st.sampled_from([0.0, -0.0, 1.0, -1.0])))
 def test_lowered_profile_matches_tree_walker(text, t):
-    # ``ProfileFunction.evaluate`` runs the lowered value tree, and the
-    # generated bundle and RK4 run lower all three
+    # the generated bundle, RK4 run and (fa, fb) pair lower all three
     profile = ProfileFunction.from_text(text, -5.0, 5.0)
     for tree in (profile.value, profile.d1, profile.d2):
-        assert _outcome(lower(tree), t) == _outcome(
+        assert _outcome(_lower(tree), t) == _outcome(
             lambda x: evaluate(tree, x), t)
 
 
 def test_lowering_keeps_equality_and_repr():
-    lowered = ProfileFunction.from_text("2 + t/sqrt(2)", 0.0, 1.0)
+    # a profile is plain data: evaluating it caches nothing on the instance
+    used = ProfileFunction.from_text("2 + t/sqrt(2)", 0.0, 1.0)
     fresh = ProfileFunction.from_text("2 + t/sqrt(2)", 0.0, 1.0)
-    lowered.evaluate(0.5)
-    lowered.second_derivative(0.5)
-    assert lowered == fresh
-    assert repr(lowered) == repr(fresh)
-    restored = pickle.loads(pickle.dumps(lowered))
+    used.evaluate(0.5)
+    used.second_derivative(0.5)
+    assert vars(used) == vars(fresh)
+    assert "__getstate__" not in vars(ProfileFunction)
+    assert used == fresh
+    assert repr(used) == repr(fresh)
+    restored = pickle.loads(pickle.dumps(used))
     assert restored == fresh
-    assert restored.evaluate(0.5) == lowered.evaluate(0.5)
+    assert restored.evaluate(0.5) == used.evaluate(0.5)
 
 
 @pytest.mark.parametrize("text,kept", [
@@ -382,7 +390,7 @@ def test_lowering_visits_each_node_a_bounded_number_of_times(monkeypatch):
         tree = parse(text)
         for domain in (None, (0.0, 1.0)):
             visits.clear()
-            assert lower(tree, domain)(0.5) == evaluate(tree, 0.5)
+            assert _lower(tree, domain)(0.5) == evaluate(tree, 0.5)
             assert len(visits) == 127  # every node, each at most twice
             assert max(visits.values()) <= 2
 
@@ -394,6 +402,14 @@ def test_shared_nodes_are_emitted_once_per_body():
     lowering.emit(profile.value)
     lowering.emit(profile.d1)
     assert sum(line.endswith("= t * t") for line in lowering.lines) == 1
+    # ``differentiate`` builds new sin(t) and cos(t) nodes for d1 and d2 of
+    # sin(t): the same function of the same operand is emitted once too, so
+    # the bundle of the trajectory workload's nested profile calls each once
+    fam = make_family("hyperbolic23", "A", "2.1 + t/sqrt(2) + sin(t)/3.7",
+                      "1.1 + 0.2*t", -1.0, 3.0)
+    lines = fam._lowering[0].lines
+    assert sum("sin(" in line for line in lines) == 1
+    assert sum("cos(" in line for line in lines) == 1
 
 
 _DOMAIN = st.tuples(st.floats(-3, 3), st.floats(1e-3, 4), st.floats(0, 1))
@@ -410,14 +426,14 @@ _DOMAIN = st.tuples(st.floats(-3, 3), st.floats(1e-3, 4), st.floats(0, 1))
 @given(_tree(4, _lowering_leaf, _lowering_func, ("+", "-", "*", "/", "^")),
        _DOMAIN)
 def test_bounded_lowering_matches_tree_walker(text, domain):
-    """``ProfileFunction.evaluate`` and the generated bundle lower over the
+    """The generated bundle, RK4 run and (fa, fb) pair lower over the
     profile domain, dropping the checks their bounds rule out."""
     lo, width, at = domain
     hi = lo + width
     t = min(hi, lo + at * width)
     profile = ProfileFunction.from_text(text, lo, hi)
     for tree in (profile.value, profile.d1, profile.d2):
-        assert _outcome(lower(tree, (lo, hi)), t) == _outcome(
+        assert _outcome(_lower(tree, (lo, hi)), t) == _outcome(
             lambda x: evaluate(tree, x), t)
 
 

@@ -633,7 +633,9 @@ def test_run_on_linear_profiles_drops_what_the_domain_rules_out(
     # isfinite only on the row and on the new state: none in the bundle
     assert source.count("isfinite(") == 2
     assert [line for line in lines
-            if line.lstrip().startswith(("n = ", "dn = "))] == []
+            if line.lstrip().startswith(("n = ", "dn = ", "n2 = "))] == []
+    # the RHS divides by the folded constant n2, not by 2.0 * n per stage
+    assert "2.0 * n" not in source and source.count("/ n2") == 4
     tests = {line.strip() for line in lines if "degenerate_metric" in line}
     if tested:
         operands = " or ".join(f"{name} == 0.0" for name in tested)
@@ -732,8 +734,8 @@ def test_invariant_rows_match_clairaut_report(name, fam, state0, defined,
                                               monkeypatch):
     trajectory = integrate(fam, state0, 0.5, 1e-2)
     assert trajectory.termination == "completed"
-    calls = {"evaluate": 0, "derivative": 0}
-    for method in calls:
+    calls = {"evaluate": 0, "derivative": 0, "pair": 0}
+    for method in ("evaluate", "derivative"):
         original = getattr(ProfileFunction, method)
 
         def counted(self, *args, _method=method, _original=original):
@@ -741,9 +743,16 @@ def test_invariant_rows_match_clairaut_report(name, fam, state0, defined,
             return _original(self, *args)
 
         monkeypatch.setattr(ProfileFunction, method, counted)
+    pair = fam._pair_fn
+
+    def counted_pair(t):
+        calls["pair"] += 1
+        return pair(t)
+
+    monkeypatch.setitem(vars(fam), "_pair_fn", counted_pair)
     rows = invariant_rows(fam, trajectory.rows)
-    # fa and fb once per row, and no derivative
-    assert calls == {"evaluate": 2 * len(rows), "derivative": 0}
+    # one lowered (fa, fb) call per row; no profile is walked
+    assert calls == {"evaluate": 0, "derivative": 0, "pair": len(rows)}
     for row, flat, sample in zip(rows, trajectory.rows, trajectory.samples,
                                  strict=True):
         report = clairaut_report(fam, sample.state)

@@ -54,6 +54,8 @@ import pytest
 
 import rotsurf
 from rotsurf.cli import main
+from rotsurf.config import parse_config
+from rotsurf.expressions import _Lowering
 
 CONFIGS = {
     "h14": {
@@ -283,26 +285,39 @@ def artifact_hashes(directory, name):
 @pytest.mark.parametrize("name", ["h14", "h23", "e56"])
 def test_commands_compile_only_per_step_and_per_row_code(tmp_path, name,
                                                          capsys, monkeypatch):
-    """Generated code is compiled only where it runs per step or per row:
-    ``invariants`` compiles the RK4 run and fa's and fb's lowered values,
-    which ``invariant_rows`` calls on every row; ``info`` the two values,
-    which every metric row calls; ``curvature`` nothing."""
+    """Generated code is compiled only where it runs per step or per row,
+    from at most one lowering of the family's trees: ``geodesic`` and
+    ``invariants`` compile the RK4 run and the (fa, fb) pair, which
+    ``invariant_rows`` calls on every row; ``isometry`` the run and the
+    metric bundle, which ``flow_residual`` calls on every sample; ``info``
+    and ``curvature`` walk the trees and lower nothing."""
     compiled, real_compile = [], builtins.compile
+    lowerings, init = [], _Lowering.__init__
 
     def counting(source, filename, *args, **kwargs):
         if filename in ("<lowered expression>", "<generated RK4 run>"):
             compiled.append(filename)
         return real_compile(source, filename, *args, **kwargs)
 
+    def constructing(self, *args):
+        lowerings.append(self)
+        init(self, *args)
+
     monkeypatch.setattr(builtins, "compile", counting)
+    monkeypatch.setattr(_Lowering, "__init__", constructing)
     output = {"path": str(tmp_path / "out.csv"), "format": "csv"}
     config = tmp_path / "config.json"
     config.write_text(json.dumps(dict(CONFIGS[name], output=output)),
                       encoding="utf-8")
-    for command, count in (("curvature", 0), ("invariants", 3), ("info", 2)):
+    generator = parse_config(CONFIGS[name]).build_family().spec.rot_u.label
+    for command, count, lowered in (
+            (["curvature"], 0, 0), (["invariants"], 2, 1), (["info"], 0, 0),
+            (["geodesic"], 2, 1), (["isometry", "--generator", generator], 2, 1)):
         compiled.clear()
-        assert main([command, "--config", str(config)]) == 0
+        lowerings.clear()
+        assert main([*command, "--config", str(config)]) == 0
         assert len(compiled) == count, (command, compiled)
+        assert len(lowerings) == lowered, command
     capsys.readouterr()
 
 

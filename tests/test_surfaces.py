@@ -1,5 +1,6 @@
 """Immersions, diagonal metrics, tangent frames, Lagrangian machinery."""
 
+import itertools
 import math
 import pickle
 
@@ -9,8 +10,9 @@ from hypothesis import strategies as st
 from test_expressions import _lowering_func, _lowering_leaf, _outcome, _tree
 
 from rotsurf import (DomainError, GeodesicState, NotTimelikeError,
-                     apply_matrix, inner, integrate, make_family,
+                     apply_matrix, expressions, inner, integrate, make_family,
                      rotation_matrix)
+from rotsurf.geodesics import invariant_rows
 
 H14A = make_family("hyperbolic14", "A", "t", "1", 0.05, 10.0)
 H14B = make_family("hyperbolic14", "B", "t", "2", 0.1, 5.0)
@@ -278,8 +280,12 @@ def test_faulting_constant_subtree_raises_only_when_evaluated():
         fam.metric_bundle(0.5)
     with pytest.raises(DomainError, match="log of a non-positive number"):
         fam.fa.evaluate(0.5)
-    # the folded constant sqrt(2) is computed once, when the tree is lowered
-    assert "sqrt" not in fam.fb._value_fn.__code__.co_names
+    with pytest.raises(DomainError, match="log of a non-positive number"):
+        fam._pair_fn(0.5)
+    # the folded constant sqrt(2) is computed once, when the trees are
+    # lowered, while log(0) is left to raise where it is evaluated
+    names = fam._pair_fn.__code__.co_names
+    assert "sqrt" not in names and "log" in names
     assert fam.fb.evaluate(0.5) == 1.0 + 0.5 / math.sqrt(2.0)
 
 
@@ -288,9 +294,10 @@ def test_family_pickles_after_metric_bundle():
         fam = make_family(*pair, "2 + t/sqrt(2)", "1 + t/sqrt(2)", -1.0, 6.0)
         fresh = make_family(*pair, "2 + t/sqrt(2)", "1 + t/sqrt(2)", -1.0, 6.0)
         bundle = fam.metric_bundle(0.5)
-        # the generated RK4 run is kept on the instance too
+        # the generated RK4 run and (fa, fb) pair are kept on the instance too
         start = GeodesicState(0.0, 0.0, 0.5, 0.3, 0.2, 1.2)
         rows = integrate(fam, start, 0.1, 0.01).rows
+        invariants = invariant_rows(fam, rows)
         assert fam == fresh
         assert repr(fam) == repr(fresh)
         assert hash(fam) == hash(fresh)
@@ -298,3 +305,30 @@ def test_family_pickles_after_metric_bundle():
         assert restored == fresh
         assert restored.metric_bundle(0.5) == bundle
         assert integrate(restored, start, 0.1, 0.01).rows == rows
+        assert invariant_rows(restored, rows) == invariants
+
+
+@pytest.mark.parametrize("order", list(itertools.permutations(range(3))))
+def test_one_lowering_per_family(order, monkeypatch):
+    """The RK4 run, ``metric_bundle`` and ``invariant_rows``' (fa, fb) pair
+    are all built from one lowering of the family's six trees, whichever
+    runs first."""
+    family = ("hyperbolic23", "A", "2 + t/sqrt(2) + sin(t)/3", "1 + t/2",
+              -1.0, 3.0)
+    start = GeodesicState(0.0, 0.0, 0.5, 0.3, 0.2, 1.2)
+    rows = integrate(make_family(*family), start, 0.1, 0.01).rows
+    built = []
+    init = expressions._Lowering.__init__
+
+    def counted(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(expressions._Lowering, "__init__", counted)
+    fam = make_family(*family)
+    uses = [lambda: fam.metric_bundle(0.5),
+            lambda: integrate(fam, start, 0.1, 0.01),
+            lambda: invariant_rows(fam, rows)]
+    for index in order:
+        uses[index]()
+    assert built == [fam._lowering[0]]
