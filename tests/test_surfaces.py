@@ -332,3 +332,7 @@ def test_one_lowering_per_family(order, monkeypatch):
     for index in order:
         uses[index]()
     assert built == [fam._lowering[0]]
+    # each function is compiled in its own copy of the namespace, so the
+    # run binds the same names whichever was compiled first
+    names = make_family(*family)._run_fn.__kwdefaults__.keys()
+    assert fam._run_fn.__kwdefaults__.keys() == names
