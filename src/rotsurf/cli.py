@@ -109,8 +109,7 @@ _CURVATURE_COLUMNS = ("t", "s", "K_formula", "K_oracle", "K_gap",
 def _run_geodesic(config: RunConfig, fam: SurfaceFamily):
     state0, residual = initial_state(config, fam)
     section = config.geodesic
-    trajectory = integrate(fam, state0, section.length, section.step)
-    return trajectory, residual
+    return integrate(fam, state0, section.length, section.step), residual
 
 
 def _numerical_exit(trajectory: Trajectory) -> int | None:

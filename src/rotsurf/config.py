@@ -226,20 +226,13 @@ def parse_config(document: dict) -> RunConfig:
     if not math.isfinite(t_max - t_min):
         raise ConfigError("domain", "t_max - t_min must be finite")
 
-    geodesic = None
-    if "geodesic" in document:
-        geodesic = _parse_geodesic(_require_mapping(document["geodesic"],
-                                                    "geodesic"))
-    curvature = None
-    if "curvature" in document:
-        curvature = _parse_curvature(_require_mapping(document["curvature"],
-                                                      "curvature"))
-    output = None
-    if "output" in document:
-        output = _parse_output(_require_mapping(document["output"], "output"))
-
+    sections = {key: parse(_require_mapping(document[key], key))
+                for key, parse in (("geodesic", _parse_geodesic),
+                                   ("curvature", _parse_curvature),
+                                   ("output", _parse_output))
+                if key in document}
     return RunConfig(FamilyKind(family_name), Variant(variant_name),
-                     fa_text, fb_text, t_min, t_max, geodesic, curvature, output)
+                     fa_text, fb_text, t_min, t_max, **sections)
 
 
 def load_config(path: str) -> RunConfig:

@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 import operator
 import re
+from collections import namedtuple
 from contextlib import suppress
 from dataclasses import dataclass, replace
 from itertools import count, product
@@ -128,16 +129,12 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # number | name | op | end
-    text: str
-    pos: int   # 0-based offset into the source
+# kind: number | name | op | end; pos: 0-based offset into the source
+_Token = namedtuple("_Token", "kind text pos")
 
 
 def _tokenize(text: str) -> list[_Token]:
-    tokens = []
-    index = 0
+    tokens, index = [], 0
     while index < len(text):
         match = _TOKEN_RE.match(text, index)
         if match is None:
@@ -146,11 +143,8 @@ def _tokenize(text: str) -> list[_Token]:
                 break
             bad_at = len(text) - len(stripped)
             raise ParseError(f"unexpected character {text[bad_at]!r}", bad_at + 1)
-        for kind in ("number", "name", "op"):
-            value = match.group(kind)
-            if value is not None:
-                tokens.append(_Token(kind, value, match.start(kind)))
-                break
+        kind = match.lastgroup
+        tokens.append(_Token(kind, match.group(kind), match.start(kind)))
         index = match.end()
     tokens.append(_Token("end", "", len(text)))
     return tokens
@@ -297,15 +291,22 @@ def _checked(value: float, context: str) -> float:
 
 def evaluate(expr: Expr, t: float) -> float:
     """Evaluate at ``t``; domain faults raise ``DomainError``, never NaN."""
+    if not math.isfinite(t):
+        raise DomainError(f"t={t!r} is not finite")
+    return _evaluate(expr, t)
+
+
+def _evaluate(expr: Expr, t: float) -> float:
+    """``evaluate`` at a finite ``t``."""
     if isinstance(expr, Literal):
         return expr.value
     if isinstance(expr, Variable):
         return t
     if isinstance(expr, Negate):
-        return -evaluate(expr.arg, t)
+        return -_evaluate(expr.arg, t)
     if isinstance(expr, Binary):
-        left = evaluate(expr.left, t)
-        right = evaluate(expr.right, t)
+        left = _evaluate(expr.left, t)
+        right = _evaluate(expr.right, t)
         op = expr.op
         if op == "+":
             return _checked(left + right, "addition")
@@ -327,7 +328,7 @@ def evaluate(expr: Expr, t: float) -> float:
         except OverflowError as exc:
             raise DomainError("power overflow") from exc
     if isinstance(expr, Call):
-        arg = evaluate(expr.arg, t)
+        arg = _evaluate(expr.arg, t)
         name = expr.name
         if name == "log":
             if arg <= 0.0:
@@ -415,7 +416,7 @@ class _Lowering:
                     slots = ("arg",) if len(values) == 1 else ("left", "right")
                     literals = dict(zip(slots, map(Literal, values)))
                     with suppress(DomainError):
-                        value = evaluate(replace(expr, **literals), 0.0)
+                        value = _evaluate(replace(expr, **literals), 0.0)
                 bounds = ((value, value) if value is not None
                           else _span(expr, [kid[1] for kid in kids]))
             self.scanned[id(expr)] = value, bounds
@@ -512,10 +513,8 @@ def _fold(op: str, a: Literal, b: Literal, value: float) -> Expr:
     return _lit(value) if math.isfinite(value) else Binary(op, a, b)
 
 
-def _is_const(expr: Expr, value: float | None = None) -> bool:
-    if not isinstance(expr, Literal):
-        return False
-    return value is None or expr.value == value
+def _is_const(expr: Expr, value: float) -> bool:
+    return isinstance(expr, Literal) and expr.value == value
 
 
 def _add(a: Expr, b: Expr) -> Expr:
@@ -559,12 +558,10 @@ def _mul(a: Expr, b: Expr) -> Expr:
 
 
 def _div(a: Expr, b: Expr) -> Expr:
+    # ``_derivative`` divides by x^2, 2*sqrt(u), a log's argument or a
+    # power's base: the last two are literals only over a zero derivative
     if _is_const(a, 0.0):
         return _ZERO
-    if _is_const(b, 1.0):
-        return a
-    if isinstance(a, Literal) and isinstance(b, Literal) and b.value != 0.0:
-        return _fold("/", a, b, a.value / b.value)
     return Binary("/", a, b)
 
 
@@ -723,14 +720,14 @@ class ProfileFunction:
     def evaluate(self, t: float) -> float:
         if not self.t_min <= t <= self.t_max:
             raise self._outside(t)
-        return evaluate(self.value, t)
+        return _evaluate(self.value, t)
 
     def derivative(self, t: float) -> float:
         if not self.t_min <= t <= self.t_max:
             raise self._outside(t)
-        return evaluate(self.d1, t)
+        return _evaluate(self.d1, t)
 
     def second_derivative(self, t: float) -> float:
         if not self.t_min <= t <= self.t_max:
             raise self._outside(t)
-        return evaluate(self.d2, t)
+        return _evaluate(self.d2, t)

@@ -147,10 +147,11 @@ def momenta(fam: SurfaceFamily, state: GeodesicState) -> tuple[float, float]:
 
 # The fixed-step loop of ``integrate``, generated once per family.
 # ``{bundle}`` stands for the metric bundle's statements, which compute e,
-# g, n, de, dg, dn and n2 = 2 n at ``t`` unless they are constants; they
-# are inlined at each accepted state, the first one included, and at RK4
-# stages 2-4; stage 1 reuses the accepted state's.  ``{names}`` makes the
-# namespace locals.  Local names avoid the lowering's ``c<k>`` and ``v<k>``.
+# g, n, de, dg, dn at ``t`` unless they are constants, then the run's own
+# n2 = 2 n unless n is constant; they are inlined at each accepted state,
+# the first one included, and at RK4 stages 2-4; stage 1 reuses the
+# accepted state's.  ``{names}`` makes the namespace locals.  Local names
+# avoid the lowering's ``c<k>`` and ``v<k>``.
 _RUN = """\
 def run(rows, y, length, step, n_steps, *, {names}):
     u, v, t_acc, du1, dv1, dt1 = y
@@ -196,15 +197,27 @@ _RHS = """\
         ddt{k} = (de * du{k} * du{k} + dg * dv{k} * dv{k} - dn * dt{k} * dt{k}) / n2"""
 
 
-def _lower_run(lowering, degenerate):
-    """``_RUN`` with ``lowering``'s bundle and ``degenerate`` test (see
-    ``SurfaceFamily._lowering``), compiled in a copy of its namespace."""
-    bundle = "".join(f"        {line}\n" for line in lowering.lines)[:-1]
+def _lower_run(fam: SurfaceFamily):
+    """``_RUN`` over copies of ``fam``'s metric bundle and its namespace
+    (``SurfaceFamily._lowering``) plus what only the run reads: n2 = 2 n,
+    a constant if n is, and the test for 0 of e, g, n not known nonzero."""
+    lowering = fam._lowering[0]
+    lines, namespace = list(lowering.lines), dict(lowering.namespace)
+    if "n" in namespace:
+        namespace["n2"] = 2.0 * namespace["n"]
+    else:
+        lines.append("n2 = 2.0 * n")
+    namespace.update(fsum=math.fsum, nan=math.nan)
+    # +-x * x is nonzero where |x| > 1e-150: the square cannot underflow
+    proven = {"e": lowering.nonzero(fam.fa.value, 1e-150),
+              "g": lowering.nonzero(fam.fb.value, 1e-150), "n": False}
+    degenerate = " or ".join(f"{name} == 0.0" for name in proven if not (
+        proven[name] or namespace.get(name, 0.0) != 0.0))
+    bundle = "".join(f"        {line}\n" for line in lines)[:-1]
     test = degenerate and f'        if {degenerate}: return "degenerate_metric"\n'
     stages = "\n".join(_STAGE.format(k=k, j=k - 1, f=f, bundle=bundle)
                        + _RHS.format(k=k, test=test)
                        for k, f in ((2, "half"), (3, "half"), (4, "h")))
-    namespace = dict(lowering.namespace, fsum=math.fsum, nan=math.nan)
     names = ", ".join(f"{name}={name}" for name in namespace)
     source = _RUN.format(names=names, rhs1=_RHS.format(k=1, test=test),
                          stages=stages, bundle=bundle)

@@ -385,13 +385,13 @@ class SurfaceFamily:
         return MetricCoefficients(E=e, G=g, N=n)
 
     @cached_property
-    def _lowering(self) -> tuple[_Lowering, str, tuple[str, int]]:
+    def _lowering(self) -> tuple[_Lowering, tuple[str, int]]:
         """The statements of ``metric_bundle`` at ``t``: the domain check,
         then fa, fb, fa', fb', fa'', fb'' in that order over that domain (the
-        six ``ProfileFunction`` calls' messages), then e, g, n, de, dg, dn and
-        n2 = 2 n, constants if free of ``t``.  Also the test for 0 of e, g, n
-        not proven nonzero, and (result, line count) of the (fa, fb) prefix."""
-        spec, fa_tree, fb_tree = self.spec, self.fa.value, self.fb.value
+        six ``ProfileFunction`` calls' messages), then e, g, n, de, dg, dn,
+        constants if free of ``t``; and (result, line count) of the (fa, fb)
+        prefix.  ``geodesics._lower_run`` adds what only the run reads."""
+        spec = self.spec
         lowering = _Lowering(self.domain)
         namespace = lowering.namespace
         namespace.update(
@@ -400,7 +400,7 @@ class SurfaceFamily:
             nb_sign=spec.nb_sign, de_sign=2.0 * spec.e_sign,
             dg_sign=2.0 * spec.g_sign)
         lowering.lines.append("if not (t_min <= t <= t_max): raise outside(t)")
-        fa, fb = lowering.emit(fa_tree), lowering.emit(fb_tree)
+        fa, fb = lowering.emit(self.fa.value), lowering.emit(self.fb.value)
         pair = f"({fa}, {fb})", len(lowering.lines)
         dfa, dfb, d2fa, d2fb = map(lowering.emit, (
             self.fa.d1, self.fb.d1, self.fa.d2, self.fb.d2))
@@ -411,16 +411,12 @@ class SurfaceFamily:
                 ("de", f"de_sign * {fa} * {dfa}"),
                 ("dg", f"dg_sign * {fb} * {dfb}"),
                 ("dn", f"2.0 * (na_sign * {dfa} * {d2fa}"
-                       f" + nb_sign * {dfb} * {d2fb})"), ("n2", "2.0 * n")):
+                       f" + nb_sign * {dfb} * {d2fb})")):
             try:  # free of t: its own text evaluated once, the same operations
                 namespace[name] = eval(formula, dict(namespace))
             except NameError:  # reads t or a node's value
                 lowering.lines.append(f"{name} = {formula}")
-        # +-x * x is nonzero where |x| > 1e-150: the square cannot underflow
-        proven = {"e": lowering.nonzero(fa_tree, 1e-150),
-                  "g": lowering.nonzero(fb_tree, 1e-150), "n": False}
-        return lowering, " or ".join(f"{name} == 0.0" for name in proven if not (
-            proven[name] or namespace.get(name, 0.0) != 0.0)), pair
+        return lowering, pair
 
     @cached_property
     def _bundle_fn(self) -> Callable[[float], tuple]:
@@ -428,12 +424,12 @@ class SurfaceFamily:
 
     @cached_property
     def _pair_fn(self) -> Callable[[float], tuple]:
-        return self._lowering[0].function(*self._lowering[2])
+        return self._lowering[0].function(*self._lowering[1])
 
     @cached_property
     def _run_fn(self) -> Callable[..., str]:
         from .geodesics import _lower_run  # geodesics imports this module
-        return _lower_run(*self._lowering[:2])
+        return _lower_run(self)
 
     def metric_bundle(self, t: float):
         """(E, G, N, dE/dt, dG/dt, dN/dt) in one pass over the profiles."""
