@@ -13,7 +13,9 @@ pairs run the base first, odd pairs the head.  ``BENCH_<label>.json`` at the roo
 after every pair, holds each run with its result line and the Python
 version, and for each workload and end-to-end metric each side's median
 and quartiles and the number of pairs in which the head reads better, in
-the direction ``BENCHMARK.json`` names (ties count for neither side).
+the direction ``BENCHMARK.json`` names (ties count for neither side),
+how much worse the head's median reads and whether that is within the
+metric's ``bound``.
 """
 
 from __future__ import annotations
@@ -72,8 +74,10 @@ def _spread(values: list[float]) -> dict:
 def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
     """Per workload: pair count, correctness, operations attempted and
     failed on each side, and per end-to-end metric each side's median and
-    quartiles, the ratio of the medians (head over base) and the pairs in
-    which the head reads better."""
+    quartiles, the ratio of the medians (head over base), the pairs in
+    which the head reads better, ``worse_by`` (the head median's relative
+    change in the metric's worse direction, 0 if it reads better) and
+    ``within_bound`` (``worse_by`` at most the metric's ``bound``)."""
     summary = {}
     for workload in dict.fromkeys(run["workload"] for run in runs):
         pairs: dict[int, dict[str, dict]] = {}
@@ -100,14 +104,19 @@ def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
                                                  values["head"])
                          if sign * (head - base) > 0)
             base_median = statistics.median(values["base"])
+            head_median = statistics.median(values["head"])
+            worse_by = (max(0.0, sign * (base_median - head_median)
+                            / abs(base_median)) if base_median else None)
             entry["metrics"][name] = {
                 "unit": metric["unit"],
                 "better": metric["better"],
                 "base": _spread(values["base"]),
                 "head": _spread(values["head"]),
-                "ratio": (statistics.median(values["head"]) / base_median
-                          if base_median else None),
+                "ratio": head_median / base_median if base_median else None,
                 "better_pairs": f"{better}/{len(complete)}",
+                "worse_by": worse_by,
+                "within_bound": (worse_by <= metric["bound"]
+                                 if worse_by is not None else None),
             }
         summary[workload] = entry
     return summary

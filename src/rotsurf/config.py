@@ -226,10 +226,10 @@ def parse_config(document: dict) -> RunConfig:
     if not math.isfinite(t_max - t_min):
         raise ConfigError("domain", "t_max - t_min must be finite")
 
-    sections = {key: parse(_require_mapping(document[key], key))
-                for key, parse in (("geodesic", _parse_geodesic),
-                                   ("curvature", _parse_curvature),
-                                   ("output", _parse_output))
+    sections = {key: parser(_require_mapping(document[key], key))
+                for key, parser in (("geodesic", _parse_geodesic),
+                                    ("curvature", _parse_curvature),
+                                    ("output", _parse_output))
                 if key in document}
     return RunConfig(FamilyKind(family_name), Variant(variant_name),
                      fa_text, fb_text, t_min, t_max, **sections)

@@ -134,7 +134,8 @@ _Token = namedtuple("_Token", "kind text pos")
 
 
 def _tokenize(text: str) -> list[_Token]:
-    tokens, index = [], 0
+    tokens = []
+    index = 0
     while index < len(text):
         match = _TOKEN_RE.match(text, index)
         if match is None:

@@ -15,15 +15,19 @@ _SPEC.loader.exec_module(bench_pairs)
 END_TO_END = [
     {"name": "work_per_s", "unit": "1/s", "better": "higher", "bound": 0.25},
     {"name": "setup_s", "unit": "s", "better": "lower", "bound": 0.25},
+    {"name": "peak_rss_mib", "unit": "MiB", "better": "lower", "bound": 0.1},
 ]
 
 
-def _run(workload, seed, side, work, setup, failed=0, correct=True):
+def _run(workload, seed, side, work, setup, failed=0, correct=True,
+         rss=20.0):
     return {"workload": workload, "seed": seed, "side": side,
             "result": {"correct": correct, "attempted": 10, "failed": failed,
                        "metrics": {"work_per_s": {"value": work,
                                                   "unit": "1/s"},
-                                   "setup_s": {"value": setup, "unit": "s"}}}}
+                                   "setup_s": {"value": setup, "unit": "s"},
+                                   "peak_rss_mib": {"value": rss,
+                                                    "unit": "MiB"}}}}
 
 
 def test_summary_of_canned_pairs():
@@ -31,9 +35,11 @@ def test_summary_of_canned_pairs():
     # setup: the head is lower (better) in pair 2 only
     base = [(100.0, 0.20), (110.0, 0.20), (120.0, 0.20), (130.0, 0.20)]
     head = [(200.0, 0.21), (220.0, 0.19), (120.0, 0.20), (260.0, 0.22)]
+    # rss: the head reads 25 % higher (worse) in every pair
     runs = []
     for seed, (b, h) in enumerate(zip(base, head), start=1):
-        runs += [_run("grid", seed, "base", *b), _run("grid", seed, "head", *h)]
+        runs += [_run("grid", seed, "base", *b),
+                 _run("grid", seed, "head", *h, rss=25.0)]
     runs.append(_run("other", 1, "base", 50.0, 0.3, failed=2))
     runs.append(_run("other", 1, "head", 40.0, 0.3, correct=False))
     runs.append(_run("other", 2, "head", 45.0, 0.3))   # pair not complete
@@ -49,9 +55,19 @@ def test_summary_of_canned_pairs():
     assert work["ratio"] == pytest.approx(210.0 / 115.0)
     assert work["better_pairs"] == "3/4"
     assert (work["unit"], work["better"]) == ("1/s", "higher")
+    # better reads 0 worse, whatever its bound
+    assert (work["worse_by"], work["within_bound"]) == (0.0, True)
     setup = grid["metrics"]["setup_s"]
     assert setup["better_pairs"] == "1/4"
     assert setup["head"]["median"] == pytest.approx(0.205)
+    # 2.5 % higher: worse, inside its 0.25 bound
+    assert setup["worse_by"] == pytest.approx(0.025)
+    assert setup["within_bound"] is True
+    # 25 % higher: outside its 0.1 bound
+    rss = grid["metrics"]["peak_rss_mib"]
+    assert (rss["better_pairs"], rss["ratio"]) == ("0/4", 1.25)
+    assert rss["worse_by"] == pytest.approx(0.25)
+    assert rss["within_bound"] is False
 
     other = summary["other"]
     assert (other["pairs"], other["correct"]) == (1, False)
@@ -59,6 +75,9 @@ def test_summary_of_canned_pairs():
     assert other["metrics"]["work_per_s"]["base"] == {
         "median": 50.0, "q1": 50.0, "q3": 50.0}
     assert other["metrics"]["work_per_s"]["better_pairs"] == "0/1"
+    # the head's 40 against the base's 50 of a higher-is-better metric
+    assert other["metrics"]["work_per_s"]["worse_by"] == pytest.approx(0.2)
+    assert other["metrics"]["work_per_s"]["within_bound"] is True
 
 
 def test_workload_argument():

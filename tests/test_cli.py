@@ -13,7 +13,7 @@ import rotsurf
 from rotsurf import (DoubleRotationSurface, ProfileFunction, inner,
                      make_family, normal_frame)
 from rotsurf.cli import (_CURVATURE_COLUMNS, _TRAJECTORY_COLUMNS, _build_parser,
-                         _write_table, main)
+                         _write_atomic, _write_table, main)
 from rotsurf.config import ConfigError, parse_config
 from test_expressions import sine_sum
 
@@ -710,6 +710,67 @@ def test_isometry_rejects_foreign_generator(tmp_path, capsys):
 
 def test_missing_config_file(tmp_path, capsys):
     assert main(["info", "--config", str(tmp_path / "absent.json")]) == 1
+
+
+_GRID = {"xAngle": "t", "vAngle": "1", "grid": {"nt": 0, "ns": 2}}
+
+
+@pytest.mark.parametrize("argv,changes,line", [
+    ("geodesic", {"geodesic.length": None}, "geodesic.length: missing"),
+    ("geodesic", {"geodesic.length": "1"},
+     "geodesic.length: must be a number"),
+    ("geodesic", {"geodesic.length": 0}, "geodesic.length: must be > 0"),
+    ("geodesic", {"geodesic.length": -1.5}, "geodesic.length: must be > 0"),
+    ("geodesic", {"geodesic.step": 1.5},
+     "geodesic.step: must be <= geodesic.length"),
+    ("geodesic", {"geodesic.normalize": 1},
+     "geodesic.normalize: must be a boolean"),
+    ("info", {"profiles.fb": None}, "profiles.fb: missing"),
+    ("info", {"profiles.fa": "  "}, "profiles.fa: must be a non-empty string"),
+    ("info", {"profiles": ["t", "1"]}, "profiles: must be an object"),
+    ("info", {"geodesic": [1.0]}, "geodesic: must be an object"),
+    ("info", {"output": "out.csv"}, "output: must be an object"),
+    ("info", {"curvature": _GRID}, "curvature.grid: nt and ns must be >= 1"),
+    ("info", {"output.format": "xml"},
+     "output.format: must be 'csv' or 'json'"),
+    ("info", {"domain": [0.05]}, "domain: must be [t_min, t_max]"),
+    ("info", {"domain": "0.05, 10"}, "domain: must be [t_min, t_max]"),
+    ("info", {"domain": [0.05, "10"]}, "domain: must be a number"),
+    ("info", "{", "config: invalid JSON: Expecting property name enclosed "
+                  "in double quotes: line 1 column 2 (char 1)"),
+    ("geodesic", {"output": None}, "output: missing"),
+    ("invariants", {"output": None}, "output: missing"),
+    ("curvature", {"output": None}, "output: missing"),
+    ("geodesic", {"geodesic": None}, "geodesic: missing"),
+    ("isometry --generator boost13", {"geodesic": None}, "geodesic: missing"),
+    ("curvature", {}, "curvature: missing"),
+])
+def test_validation_error_names_its_field(tmp_path, capsys, argv, changes,
+                                          line):
+    """Exit 1 with one ``config error: <field>: <message>`` line, before
+    any artifact is written."""
+    path = tmp_path / "config.json"
+    if isinstance(changes, str):
+        path.write_text(changes)
+    else:
+        document = patched(MERIDIAN_CONFIG, **changes)
+        if isinstance(document.get("output"), dict):
+            document["output"]["path"] = str(tmp_path / "out.csv")
+        path.write_text(json.dumps(document))
+    command, *flags = argv.split()
+    assert main([command, "--config", str(path), *flags]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"config error: {line}"]
+    assert os.listdir(tmp_path) == ["config.json"]
+
+
+def test_write_atomic_leaves_no_temporary_file(tmp_path, monkeypatch):
+    def failing(source, target):
+        raise OSError("replace failed")
+
+    monkeypatch.setattr(os, "replace", failing)
+    with pytest.raises(OSError, match="replace failed"):
+        _write_atomic(str(tmp_path / "out.csv"), "s,u\n")
+    assert os.listdir(tmp_path) == []
 
 
 # every value in every column: signed zeros, the smallest subnormal, large

@@ -171,6 +171,19 @@ def test_evaluate_simple_values():
     assert evaluate(parse("0^0"), 0.0) == 1.0
 
 
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("text", ["t", "log(t)", "sin(t)", "2"])
+def test_evaluate_rejects_a_non_finite_t(text, t):
+    # walked, t would return nan, log(inf) inf and sin(inf) a bare ValueError
+    with pytest.raises(DomainError, match=f"^t={t!r} is not finite$"):
+        evaluate(parse(text), t)
+
+
+def test_parse_ignores_trailing_whitespace():
+    assert parse("t  ") == parse("t")
+    assert parse("sin(t)\n") == parse("sin(t)")
+
+
 def test_derivative_sinh():
     d = differentiate(parse("sinh(t)"))
     assert evaluate(d, 0.0) == 1.0

@@ -1,5 +1,7 @@
 """Immersions, diagonal metrics, tangent frames, Lagrangian machinery."""
 
+import ast
+import builtins
 import itertools
 import math
 import pickle
@@ -336,3 +338,44 @@ def test_one_lowering_per_family(order, monkeypatch):
     # run binds the same names whichever was compiled first
     names = make_family(*family)._run_fn.__kwdefaults__.keys()
     assert fam._run_fn.__kwdefaults__.keys() == names
+
+
+def _unread(source: str) -> set:
+    """The names a function of ``source`` stores and never loads."""
+    unread = set()
+    for function in ast.walk(ast.parse(source)):
+        if isinstance(function, ast.FunctionDef):
+            names = [node for node in ast.walk(function)
+                     if isinstance(node, ast.Name)]
+            unread |= ({name.id for name in names
+                        if isinstance(name.ctx, ast.Store)}
+                       - {name.id for name in names
+                          if isinstance(name.ctx, ast.Load)})
+    return unread
+
+
+@pytest.mark.parametrize("pair", PAIRS)
+@pytest.mark.parametrize("fa_text,fb_text", [
+    ("2.1 + 0.8*t", "1.1 + 0.2*t"),                   # N folded
+    ("2.1 + t/sqrt(2) + sin(t)/3.7", "1.1 + 0.2*t"),  # N depends on t
+    ("exp(t/3)*cos(t)", "2 + t"),
+])
+def test_generated_functions_read_every_name_they_assign(
+        pair, fa_text, fb_text, monkeypatch):
+    """``metric_bundle``, the (fa, fb) pair and the RK4 run each load every
+    name they store: the run's own n2 is not computed by the bundle."""
+    sources, real_compile = [], builtins.compile
+
+    def recording(source, filename, *args, **kwargs):
+        if filename in ("<lowered expression>", "<generated RK4 run>"):
+            sources.append(source)
+        return real_compile(source, filename, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "compile", recording)
+    fam = make_family(*pair, fa_text, fb_text, -1.0, 3.0)
+    fam.metric_bundle(0.5)
+    fam._pair_fn
+    fam._run_fn
+    assert len(sources) == 3
+    for source in sources:
+        assert _unread(source) == set(), source
