@@ -9,10 +9,9 @@ from .curvature import (DoubleRotationSurface, FrameDegenerateError,
 from .expressions import (DomainError, ParseError, ProfileFunction,
                           differentiate, evaluate, parse, to_text)
 from .geodesics import (MeridianUndefinedError, Sample, clairaut_report,
-                        extract_angles, flow_residual, geodesic_rhs,
-                        integrate, momenta, slope, state_from_angles)
-from .isometries import (KillingParams, Rotation, apply_matrix,
-                         generator_matrix, killing_matrix, lie_residual,
+                        extract_angles, integrate, momenta, slope,
+                        state_from_angles)
+from .isometries import (Rotation, apply_matrix, generator_matrix,
                          rotation_matrix)
 from .surfaces import (DegenerateMetricError, FamilyKind, GeodesicState,
                        NotTimelikeError, SurfaceFamily, Variant, make_family)
@@ -24,7 +23,6 @@ __all__ = [
     "FamilyKind",
     "FrameDegenerateError",
     "GeodesicState",
-    "KillingParams",
     "MeridianUndefinedError",
     "NotTimelikeError",
     "ParseError",
@@ -42,14 +40,10 @@ __all__ = [
     "differentiate",
     "evaluate",
     "extract_angles",
-    "flow_residual",
     "gaussian_curvature_fd",
     "generator_matrix",
-    "geodesic_rhs",
     "inner",
     "integrate",
-    "killing_matrix",
-    "lie_residual",
     "make_family",
     "mean_curvature_fd",
     "momenta",

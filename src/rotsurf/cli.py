@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Commands: info, geodesic, invariants, curvature, isometry (config-driven),
-plus killing and parse-check (self-contained).  Artifacts are written
-atomically with 17-significant-digit numbers, so identical runs produce
-byte-identical files.
+plus parse-check (self-contained).  Artifacts are written atomically with
+17-significant-digit numbers, so identical runs produce byte-identical
+files.
 
 Exit codes: 0 success, 1 validation error, 2 numerical failure (metric
 degeneracy, domain exit before 10% of the requested length, non-finite
@@ -20,12 +20,13 @@ import os
 import re
 import sys
 
+from .ambient import Vector4, inner
 from .config import ConfigError, RunConfig, initial_state, load_config
 from .curvature import DoubleRotationSurface, GridPointError, curvature_grid
 from .expressions import DomainError, ExprError, differentiate, parse, to_text
-from .geodesics import (Trajectory, _drift, flow_residual, integrate,
-                        invariant_rows)
-from .isometries import KillingParams, Rotation, killing_matrix, lie_residual
+from .geodesics import Trajectory, _drift, integrate, invariant_rows
+from .isometries import (Rotation, apply_matrix, generator_matrix,
+                         rotation_matrix)
 from .surfaces import (DegenerateMetricError, MetricOverflowError,
                        NotTimelikeError, SurfaceFamily)
 
@@ -202,10 +203,28 @@ def _cmd_curvature(config: RunConfig) -> int:
     return EXIT_OK
 
 
+def _charge(fam: SurfaceFamily, generator, row) -> tuple[float, Vector4]:
+    """<gamma', J f> of the Killing field x -> J x, J = ``generator``, at
+    the point f of trajectory ``row``; and f."""
+    _, u, v, t, du, dv, dt, *_ = row
+    fa, fb = fam.fa.evaluate(t), fam.fb.evaluate(t)
+    point = fam.immerse_values(fa, fb, u, v)
+    f_u, f_v, f_t = fam.frame_values(fa, fb, fam.fa.derivative(t),
+                                     fam.fb.derivative(t), u, v)
+    field = apply_matrix(generator, point)
+    return (du * inner(f_u, field) + dv * inner(f_v, field)
+            + dt * inner(f_t, field)), point
+
+
 def _cmd_isometry(config: RunConfig, generator: str, angle: float) -> int:
+    """The charge of the family's u-rotation is <gamma', f_u> = E u' =
+    p_u / 2, as f_u = J f (p_v / 2 for v), conserved on a geodesic: print
+    it at s = 0, its drift, max |q - p/2| / max(1, |p|), and the largest
+    |R(angle) f - f(angle added to u or v)| over the run."""
     fam = config.build_family()
+    rotation = Rotation.from_label(generator)
     rot_u, rot_v = fam.spec.rot_u, fam.spec.rot_v
-    if Rotation.from_label(generator) not in (rot_u, rot_v):
+    if rotation not in (rot_u, rot_v):
         raise ConfigError("generator",
                           f"{generator} does not act on family "
                           f"{config.family.value} (expects "
@@ -214,31 +233,29 @@ def _cmd_isometry(config: RunConfig, generator: str, angle: float) -> int:
     failure = _numerical_exit(trajectory)
     if failure is not None:
         return failure
-    # the rotation adds ``angle`` to u or v and keeps s, t and the
-    # velocities; the geodesic equations read neither u nor v, so the image
-    # of the path has the path's own residual, whatever the generator and
-    # the angle
-    residual = flow_residual(fam, trajectory.samples)
+    shift_u, shift_v, column = ((angle, 0.0, 8) if rotation is rot_u
+                                else (0.0, angle, 9))
+    charges, defect, image = [], 0.0, 0.0
+    try:
+        matrix, moved = generator_matrix(rotation), rotation_matrix(rotation,
+                                                                    angle)
+        for row in trajectory.rows:
+            q, point = _charge(fam, matrix, row)
+            charges.append(q)
+            p = row[column]
+            defect = max(defect, abs(q - 0.5 * p) / max(1.0, abs(p)))
+            gap = apply_matrix(moved, point) - fam.immerse(
+                row[1] + shift_u, row[2] + shift_v, row[3])
+            image = max(image, *map(abs, gap.components()))
+    except (OverflowError, ValueError):  # a point or vector beyond floats
+        print(f"numerical failure: {generator} at angle {_fmt(angle)} "
+              f"overflows", file=sys.stderr)
+        return EXIT_NUMERICAL
     print(f"generator {generator} angle {_fmt(angle)}: "
-          f"max geodesic-equation residual {_fmt(residual)}")
+          f"charge {_fmt(charges[0])}, drift {_fmt(_drift(charges))}, "
+          f"max |q - p/2|/max(1,|p|) {_fmt(defect)}, "
+          f"max image defect {_fmt(image)}")
     return EXIT_OK
-
-
-def _cmd_killing(params: list[float]) -> int:
-    matrix = killing_matrix(KillingParams(*params))
-    residual = lie_residual(matrix)
-    print("lie residual matrix:")
-    for row in residual:
-        print(" ".join(_fmt(value) for value in row))
-    print(f"max-abs entry: {_fmt(max(abs(v) for row in residual for v in row))}")
-    return EXIT_OK
-
-
-def _require_finite(flag: str, values: list[float]):
-    """Reject a non-finite float flag before any work is done."""
-    if not all(map(math.isfinite, values)):
-        raise ConfigError(flag, "must be finite, got "
-                                + " ".join(_fmt(v) for v in values))
 
 
 def _cmd_parse_check(text: str) -> int:
@@ -272,20 +289,13 @@ def _build_parser() -> argparse.ArgumentParser:
                              help="path to the JSON run configuration")
 
     isometry = sub.add_parser(
-        "isometry", help="map a geodesic by a one-parameter isometry and "
-                         "report the geodesic-equation residual")
+        "isometry", help="check a rotation's Noether charge along a "
+                         "geodesic and the rotated immersion")
     isometry.add_argument("--config", required=True)
     isometry.add_argument("--generator", required=True,
                           choices=[r.label for r in Rotation])
     isometry.add_argument("--angle", type=float, default=0.5)
-
-    killing = sub.add_parser(
-        "killing", help="residual of the metric Lie derivative for a "
-                        "six-parameter field")
-    killing.add_argument("--params", type=float, nargs=6,
-                         default=[1.0] * 6, metavar=("A", "B", "C", "D", "E", "F"))
     isometry._negative_number_matcher = _NEGATIVE_NUMBER
-    killing._negative_number_matcher = _NEGATIVE_NUMBER
 
     parse_check = sub.add_parser(
         "parse-check", help="print the tree and derivatives of an expression")
@@ -296,13 +306,12 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "killing":
-            _require_finite("--params", args.params)
-            return _cmd_killing(args.params)
         if args.command == "parse-check":
             return _cmd_parse_check(args.expression)
-        if args.command == "isometry":
-            _require_finite("--angle", [args.angle])
+        if args.command == "isometry" and not math.isfinite(args.angle):
+            # before any work is done
+            raise ConfigError("--angle", f"must be finite, got "
+                                         f"{_fmt(args.angle)}")
         config = load_config(args.config)
         if args.command == "info":
             return _cmd_info(config)

@@ -31,9 +31,9 @@ tangential part projected away) are the independent cross-check of the
 exact oracles; they are not on the report path.
 
 Profile and angle trees are walked by ``expressions.evaluate`` (a grid
-reads each once per t or s, too few times for lowering to pay off) without
-the domain-interval guard, because central differences must straddle the
-evaluation point; grid drivers keep the sample points inside the domain.
+reads each once per t or s, too few times for lowering to pay off).  The
+report, the frame and the grid reject an s or t outside its profiles'
+domain; the finite-difference oracles' central differences straddle it.
 """
 
 from __future__ import annotations
@@ -114,11 +114,22 @@ class DoubleRotationSurface:
         return _gram(*self.tangents(t, s))
 
 
+def _profile_col(surface: DoubleRotationSurface, s: float) -> tuple:
+    """The profile values at s, which must lie in the family's domain."""
+    fa = surface.family.fa
+    if not fa.t_min <= s <= fa.t_max:
+        raise fa._outside(s)
+    return surface._profile_values(s)
+
+
 def _angle_row(surface: DoubleRotationSurface, t: float) -> tuple:
-    """(x', w', x'', w'', cols) at t: ``cols`` is ``FamilySpec.columns``
-    at (x, w), which S_t and S_s are built from, or the ``DomainError`` of
-    their overflow, which a point raises only after ``_frame``'s
-    degeneracy check."""
+    """(x', w', x'', w'', cols) at t, which must lie in both angle
+    profiles' domains: ``cols`` is ``FamilySpec.columns`` at (x, w), which
+    S_t and S_s are built from, or the ``DomainError`` of their overflow,
+    which a point raises only after ``_frame``'s degeneracy check."""
+    for angle in (surface.angle_u, surface.angle_v):
+        if not angle.t_min <= t <= angle.t_max:
+            raise angle._outside(t)
     x, w, dx, dw, d2x, d2w = surface._angle_values(t)
     try:
         cols = surface.family.spec.columns(x, w)
@@ -179,7 +190,7 @@ def normal_frame(surface: DoubleRotationSurface, t: float,
     normal raises ``FrameDegenerateError``.
     """
     spec = surface.family.spec
-    *_, e3, e4 = _frame(spec.signs, t, s, surface._profile_values(s),
+    *_, e3, e4 = _frame(spec.signs, t, s, _profile_col(surface, s),
                         _angle_row(surface, t))
     return spec.vector(e3), spec.vector(e4)
 
@@ -403,7 +414,7 @@ def curvature_grid(surface: DoubleRotationSurface, ts, ss) -> list[tuple]:
     per s; an error of either is raised at the first point that needs it.
     The first point that fails raises ``GridPointError``."""
     signs = surface.family.spec.signs
-    cols = [_attempt(surface._profile_values, s) for s in ss]
+    cols = [_attempt(_profile_col, surface, s) for s in ss]
     rows = []
     for t in ts:
         row = _attempt(_angle_row, surface, t)
@@ -446,7 +457,7 @@ def curvature_report(surface: DoubleRotationSurface, t: float,
     """Evaluate closed forms and exact oracles at (t, s) and report the gaps."""
     spec = surface.family.spec
     k_formula, k_oracle, k_gap, h3, h4, *vectors, h_gap = _point(
-        spec.signs, t, s, surface._profile_values(s), _angle_row(surface, t))
+        spec.signs, t, s, _profile_col(surface, s), _angle_row(surface, t))
     # e3, e4, H_formula and H_oracle, in the fields' order
     return CurvatureReport(k_formula, k_oracle, h3, h4,
                            *map(spec.vector, vectors), k_gap, h_gap)

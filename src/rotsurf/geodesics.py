@@ -33,14 +33,12 @@ __all__ = [
     "ClairautReport",
     "SlopeReport",
     "MeridianUndefinedError",
-    "geodesic_rhs",
     "integrate",
     "momenta",
     "extract_angles",
     "state_from_angles",
     "clairaut_report",
     "slope",
-    "flow_residual",
     "invariant_rows",
 ]
 
@@ -128,18 +126,6 @@ def _drift(column) -> float:
     return max(max(column) - x0, x0 - min(column))
 
 
-def geodesic_rhs(fam: SurfaceFamily, state: GeodesicState):
-    """State derivative (du, dv, dt, u'', v'', t'') of the geodesic system."""
-    t, du, dv, dt = state.t, state.du, state.dv, state.dt
-    e, g, n, de, dg, dn = fam.metric_bundle(t)
-    if e == 0.0 or g == 0.0 or n == 0.0:
-        raise DegenerateMetricError(t)
-    ddu = -(de / e) * du * dt
-    ddv = -(dg / g) * dv * dt
-    ddt = (de * du * du + dg * dv * dv - dn * dt * dt) / (2.0 * n)
-    return (du, dv, dt, ddu, ddv, ddt)
-
-
 def momenta(fam: SurfaceFamily, state: GeodesicState) -> tuple[float, float]:
     """Conjugate momenta (2 E du, 2 G dv) of the cyclic angles."""
     return fam.metric_coefficients(state.t).momenta(state)
@@ -185,7 +171,8 @@ def run(rows, y, length, step, n_steps, *, {names}):
 """
 # Stage k > 1: its t and velocities, at ``f`` times stage k - 1's
 # derivative, and its bundle (a stage's u and v are never read); then, for
-# every stage, ``{test}`` and its derivative by ``geodesic_rhs``'s arithmetic.
+# every stage, ``{test}`` and its derivative, the geodesic equations of the
+# module docstring with 2 n folded into n2.
 _STAGE = """\
         t = t_acc + {f} * dt{j}
         du{k}, dv{k}, dt{k} = du1 + {f} * ddu{j}, dv1 + {f} * ddv{j}, dt1 + {f} * ddt{j}
@@ -366,31 +353,3 @@ def slope(fam: SurfaceFamily, state: GeodesicState) -> SlopeReport:
     angle_slope, radicand = fam.spec.slope(fa, angles.phi, angles.theta, lagr)
     match = abs(state_slope) - abs(angle_slope)
     return SlopeReport(state_slope, angle_slope, match, radicand < 0.0)
-
-
-# ---------------------------------------------------------------------------
-# residual of a sampled path against the geodesic equations
-
-def flow_residual(fam: SurfaceFamily, samples) -> float:
-    """Max deviation of a sampled path from the geodesic equations.
-
-    Accelerations are estimated by central differences of the sampled
-    velocities (interior points with symmetric spacing only) and compared
-    with the right-hand side, so a geodesic sampled with step h scores
-    O(h^2) while a forced non-geodesic path scores its actual defect.
-    """
-    samples = tuple(samples)    # ``Trajectory.samples`` builds per access
-    worst = 0.0
-    for i in range(1, len(samples) - 1):
-        before, here, after = samples[i - 1], samples[i], samples[i + 1]
-        left = here.s - before.s
-        right = after.s - here.s
-        if abs(left - right) > 1e-9 * max(left, right):
-            continue
-        span = after.s - before.s
-        numeric = ((after.state.du - before.state.du) / span,
-                   (after.state.dv - before.state.dv) / span,
-                   (after.state.dt - before.state.dt) / span)
-        analytic = geodesic_rhs(fam, here.state)[3:]
-        worst = max(worst, max(abs(x - y) for x, y in zip(numeric, analytic)))
-    return worst

@@ -1,8 +1,10 @@
 """Config validation, artifact writing, exit codes, determinism."""
 
+import argparse
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,10 +14,14 @@ import pytest
 import rotsurf
 from rotsurf import (DoubleRotationSurface, ProfileFunction, inner,
                      make_family, normal_frame)
+from rotsurf import Rotation, generator_matrix
 from rotsurf.cli import (_CURVATURE_COLUMNS, _TRAJECTORY_COLUMNS, _build_parser,
-                         _write_atomic, _write_table, main)
+                         _charge, _fmt, _run_geodesic, _write_atomic,
+                         _write_table, main)
 from rotsurf.config import ConfigError, parse_config
+from rotsurf.geodesics import _drift
 from test_expressions import sine_sum
+from test_golden import CONFIGS
 
 MERIDIAN_CONFIG = {
     "family": "hyperbolic14",
@@ -517,31 +523,11 @@ def test_curvature_grid_size_limit(tmp_path, capsys, grid):
            "points\n")
 
 
-def test_killing_command(capsys):
-    assert main(["killing", "--params", "1", "1", "1", "1", "1", "1"]) == 0
-    out = capsys.readouterr().out
-    assert "max-abs entry: 0" in out
-
-
-def test_killing_takes_negative_params_with_exponent(capsys):
-    # argparse on its own reads "-1e-3" as an option
-    assert main(["killing", "--params", "1", "-1e-3", "1", "1", "1", "1"]) == 0
-    assert "max-abs entry: 0" in capsys.readouterr().out
-
-
 def test_isometry_takes_negative_angle_with_exponent(tmp_path, capsys):
     config = meridian_config(tmp_path)
     assert main(["isometry", "--config", config, "--generator", "boost13",
                  "--angle", "-1e-3"]) == 0
     assert "angle -0.001:" in capsys.readouterr().out
-
-
-@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-NaN", "-Infinity"])
-def test_killing_rejects_non_finite_params(capsys, value):
-    assert main(["killing", "--params", "1", value, "0", "0", "0", "0"]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "--params: must be finite" in captured.err
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-NaN", "-Infinity"])
@@ -571,7 +557,6 @@ def test_runtime_imports_no_numpy():
         "import sys",
         "import rotsurf",
         "from rotsurf.cli import main",
-        "assert main(['killing']) == 0",
         "assert main(['parse-check', 't']) == 0",
         "print('numpy' in sys.modules)",
     ])
@@ -598,14 +583,14 @@ def test_parser_is_built_once_on_the_first_call():
         "counts = [len(built)]",
         "assert main(['parse-check', 't']) == 0",
         "counts.append(len(built))",
-        "assert main(['killing']) == 0",
+        "assert main(['parse-check', 'cos(t)']) == 0",
         "assert main(['parse-check', '2*t']) == 0",
         "counts.append(len(built))",
         "print(counts)",
     ])
     result = subprocess.run([sys.executable, "-c", script], env=env,
                             capture_output=True, text=True, check=True)
-    assert result.stdout.splitlines()[-1] == "[0, 8, 8]"
+    assert result.stdout.splitlines()[-1] == "[0, 7, 7]"
 
 
 def _outcome(argv, capsys):
@@ -625,19 +610,14 @@ def _fresh_outcome(argv, capsys):
     return _outcome(argv, capsys)
 
 
-def test_parser_keeps_no_state_between_calls(tmp_path, capsys, monkeypatch):
+def test_parser_keeps_no_state_between_calls(tmp_path, capsys):
     config = meridian_config(tmp_path, **{"geodesic.length": 0.01})
     isometry = ["isometry", "--config", config, "--generator", "boost13"]
-    params = []
-    monkeypatch.setattr("rotsurf.cli._cmd_killing",
-                        lambda values: params.append(list(values)) or 0)
     sequences = [
-        # the mutable --params default
-        (["killing", "--params", "1", "2", "3", "4", "5", "6"], ["killing"]),
         (isometry + ["--angle", "-1e-3"], isometry),
         # a usage error (SystemExit(2)) before a valid command
-        (["killing", "--params", "1"], ["parse-check", "sin(t)"]),
-        (["killing", "--params", "1"], isometry),
+        (["isometry", "--config"], ["parse-check", "sin(t)"]),
+        (["isometry", "--config", config], isometry),
         (["info", "--config", config], ["parse-check", "t^2"],
          ["info", "--config", config]),
     ]
@@ -645,19 +625,37 @@ def test_parser_keeps_no_state_between_calls(tmp_path, capsys, monkeypatch):
         expected = [_fresh_outcome(argv, capsys) for argv in sequence]
         _fresh_outcome(["parse-check", "t"], capsys)
         assert [_outcome(argv, capsys) for argv in sequence] == expected
-    assert params[-2:] == [[1.0, 2.0, 3.0, 4.0, 5.0, 6.0], [1.0] * 6]
 
 
-def test_usage_error_reaches_captured_stderr(capsys):
+@pytest.mark.parametrize("argv,usage,message", [
+    (["isometry", "--config", "run.json"], "usage: rotsurf isometry",
+     "the following arguments are required: --generator"),
+    (["killing"], "usage: rotsurf [-h]", "invalid choice: 'killing'"),
+])
+def test_usage_error_reaches_captured_stderr(capsys, argv, usage, message):
     main(["parse-check", "t"])
     capsys.readouterr()
     with pytest.raises(SystemExit) as excinfo:
-        main(["killing", "--params", "1"])
+        main(argv)
     assert excinfo.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("usage: rotsurf killing")
-    assert "expected 6 arguments" in captured.err
+    assert captured.err.startswith(usage)
+    assert message in captured.err
+
+
+def test_readme_commands_block_names_every_subcommand():
+    # a retired command cannot linger in the docs, nor a new one go
+    # undocumented
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    block = re.search(r"^Commands:\n\n```sh\n(.*?)^```", readme,
+                      re.S | re.M).group(1)
+    subparsers = next(action for action in _build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    assert re.findall(r"^rotsurf (\S+)", block, re.M) == list(
+        subparsers.choices) == ["info", "geodesic", "invariants",
+                                "curvature", "isometry", "parse-check"]
 
 
 def test_parse_check(capsys):
@@ -678,27 +676,49 @@ def test_parse_check_syntax_error(capsys):
         assert captured.out == "" and message in captured.err
 
 
-def test_isometry_command(tmp_path, capsys):
-    document = patched(MERIDIAN_CONFIG,
-                       **{"geodesic.initial.du": 0.3,
-                          "geodesic.initial.dv": 0.1,
-                          "geodesic.initial.dt": math.sqrt(1.08),
-                          "geodesic.length": 2.0,
-                          "geodesic.step": 0.0005})
-    document["output"]["path"] = str(tmp_path / "out.csv")
+def isometry_values(out: str) -> list[float]:
+    """Charge, drift, max |q - p/2|/max(1, |p|) and image defect of one
+    ``rotsurf isometry`` line."""
+    return [float(part.rsplit(" ", 1)[1])
+            for part in out.split(": ", 1)[1].split(", ")]
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_isometry_command(tmp_path, capsys, name):
+    document = dict(CONFIGS[name], output={"path": str(tmp_path / "out.csv")})
     config = write_config(tmp_path, document)
-    # the geodesic equations read neither u nor v: one residual for either
-    # generator of the family and every angle
-    residuals = set()
-    for generator in ("boost13", "boost24"):
-        for angle in ("0.5", "-3", "40"):
+    fam = parse_config(document).build_family()
+    trajectory, _ = _run_geodesic(parse_config(document), fam)
+    largest = max(max(map(abs, fam.immerse(u, v, t).components()))
+                  for _, u, v, t, *_ in trajectory.rows)
+    lines = {}
+    for generator in (fam.spec.rot_u.label, fam.spec.rot_v.label):
+        for angle in ("0.7", "-3"):
             assert main(["isometry", "--config", config, "--generator",
                          generator, "--angle", angle]) == 0
             out = capsys.readouterr().out
-            assert out.startswith(f"generator {generator} angle {angle}:")
-            residuals.add(out.rsplit(" ", 1)[-1])
-    assert len(residuals) == 1
-    assert float(residuals.pop()) <= 1e-6
+            assert out.startswith(f"generator {generator} angle {_fmt(float(angle))}:")
+            lines[generator, angle] = out
+        # the charge of the family's own rotation is half its momentum, and
+        # conserved; the rotation maps the immersion onto itself
+        _, drift, defect, image = isometry_values(lines[generator, "0.7"])
+        assert drift <= 1e-8
+        assert defect <= 1e-12
+        assert image <= 1e-12 * max(1.0, largest)
+    # the line depends on both flags, its values on the generator
+    assert len(set(lines.values())) == 4
+    assert len({out.split(": ", 1)[1] for out in lines.values()}) >= 2
+
+
+def test_isometry_charge_of_a_foreign_generator_drifts():
+    # the check can fail: no other rotation's field is tangent to h14
+    config = parse_config(CONFIGS["h14"])
+    fam = config.build_family()
+    trajectory, _ = _run_geodesic(config, fam)
+    for rotation in set(Rotation) - {fam.spec.rot_u, fam.spec.rot_v}:
+        charges = [_charge(fam, generator_matrix(rotation), row)[0]
+                   for row in trajectory.rows]
+        assert _drift(charges) > 1e-4, rotation
 
 
 def test_isometry_rejects_foreign_generator(tmp_path, capsys):

@@ -483,6 +483,33 @@ def test_profile_error_comes_before_angle_error():
         curvature_grid(srf, (0.3,), (0.3,))
 
 
+def test_points_outside_the_domains_are_rejected():
+    # s must lie in the family profiles' domain and t in both angles'; at
+    # (50, -40) the report once read K_formula 9.04e-09
+    fam = make_family("hyperbolic14", "A", "2 + t^2/8", "3 + t", 0.1, 2.0)
+    srf = DoubleRotationSurface(fam, profile("t/2", 0.1, 2.0),
+                                profile("t", 0.1, 1.5))
+    outside = "t={} outside profile domain \\[0.1, {}\\]"
+    for (t, s), message in (((50.0, -40.0), outside.format(-40.0, 2.0)),
+                            ((50.0, 1.0), outside.format(50.0, 2.0)),
+                            ((1.8, 1.0), outside.format(1.8, 1.5)),
+                            ((1.0, math.nan), outside.format("nan", 2.0))):
+        for call in (curvature_report, normal_frame):
+            with pytest.raises(DomainError, match=message):
+                call(srf, t, s)
+        with pytest.raises(GridPointError, match=message) as excinfo:
+            curvature_grid(srf, (1.0, t), (1.0, s))
+        assert isinstance(excinfo.value.error, DomainError)
+        # the first point in row-major order that needs the value
+        assert (excinfo.value.t, excinfo.value.s) == (
+            (1.0, s) if s != 1.0 else (t, 1.0))
+    # the ends are inside; the finite-difference oracles' tangents are
+    # not guarded, since central differences straddle the point
+    curvature_report(srf, 1.5, 0.1)
+    normal_frame(srf, 0.1, 2.0)
+    srf.induced_metric(50.0, -40.0)
+
+
 def test_overflow_is_a_domain_error():
     # cosh(1000 t) overflows in the rotation block of the v-angle
     srf = surface("hyperbolic14", "A", "2 + t^2/8", "3 + t", 0.1, 2.0,

@@ -1,4 +1,4 @@
-"""Rotation groups, Killing fields, Lie-derivative residuals."""
+"""Rotation groups, their generators and Killing fields."""
 
 import math
 
@@ -7,80 +7,37 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rotsurf import (KillingParams, Rotation, Vector4, apply_matrix,
-                     generator_matrix, inner, killing_matrix, lie_residual,
+from rotsurf import (Rotation, Vector4, apply_matrix, generator_matrix, inner,
                      rotation_matrix)
+from rotsurf.ambient import METRIC_DIAGONAL
 
-coefficient = st.floats(-5, 5, allow_nan=False)
 component = st.floats(-10, 10, allow_nan=False)
 vec = st.builds(Vector4, component, component, component, component)
-params_strategy = st.builds(KillingParams, coefficient, coefficient,
-                            coefficient, coefficient, coefficient, coefficient)
 
 
-def killing_field(params, p):
-    """The six-parameter Killing field at ``p``."""
-    return apply_matrix(killing_matrix(params), p)
+def lie_derivative(matrix):
+    """G A + (G A)^T, G = diag(-1, -1, 1, 1): the Lie derivative of the
+    metric along the linear field x -> A x, zero exactly on Killing
+    fields."""
+    ga = np.diag(METRIC_DIAGONAL) @ np.array(matrix)
+    return ga + ga.T
 
 
-def test_killing_field_first_generator_term():
-    # the a-term swaps slots 1 and 4
-    result = killing_field(KillingParams(a=1), Vector4(1, 2, 3, 4))
-    assert result.components() == (4.0, 0.0, 0.0, 1.0)
-
-
-def test_killing_field_zero_params():
-    result = killing_field(KillingParams(), Vector4(3, -1, 2, 5))
-    assert result.components() == (0.0, 0.0, 0.0, 0.0)
-
-
-def test_killing_field_spin_term():
-    # the f-term rotates slots 1 and 2
-    result = killing_field(KillingParams(f=1), Vector4(1, 2, 3, 4))
-    assert result.components() == (-2.0, 1.0, 0.0, 0.0)
-
-
-@given(params_strategy, vec)
-def test_killing_matrix_matches_field(params, p):
-    # killing_matrix applied to p against the component formula written out
-    x1, x2, x3, x4 = p.components()
-    a, b, c, d, e, f = (params.a, params.b, params.c, params.d, params.e,
-                        params.f)
-    expected = (a * x4 + c * x3 - f * x2, b * x3 + d * x4 + f * x1,
-                b * x2 + c * x1 - e * x4, a * x1 + d * x2 + e * x3)
-    value = killing_field(params, p)
-    assert value.components() == pytest.approx(expected, abs=1e-12)
-
-
-@given(params_strategy)
-def test_killing_fields_have_zero_lie_residual(params):
-    residual = lie_residual(killing_matrix(params))
-    assert np.max(np.abs(residual)) <= 1e-14
-
-
-def test_lie_residual_identity_is_twice_metric():
-    residual = lie_residual(np.eye(4))
-    assert np.array_equal(residual, np.diag([-2.0, -2.0, 2.0, 2.0]))
-
-
-def test_lie_residual_zero_field():
-    assert np.array_equal(lie_residual(np.zeros((4, 4))), np.zeros((4, 4)))
-
-
-def test_lie_residual_rejects_bad_input():
+def test_apply_matrix_rejects_bad_input():
+    v = Vector4(1.0, 2.0, 3.0, 4.0)
     with pytest.raises(ValueError):
-        lie_residual(np.zeros((3, 3)))
+        apply_matrix(np.zeros((3, 3)), v)
     with pytest.raises(ValueError):
-        lie_residual(np.full((4, 4), np.nan))
+        apply_matrix(np.full((4, 4), np.nan), v)
     with pytest.raises(ValueError):
-        lie_residual([[0.0] * 4, [0.0] * 4, [0.0] * 3, [0.0] * 4])
+        apply_matrix([[0.0] * 4, [0.0] * 4, [0.0] * 3, [0.0] * 4], v)
     with pytest.raises(ValueError, match="4x4"):
-        lie_residual([[0.0] * 5 for _ in range(4)])
+        apply_matrix([[0.0] * 5 for _ in range(4)], v)
     with pytest.raises(ValueError, match="4x4"):
-        lie_residual(np.zeros(16))
+        apply_matrix(np.zeros(16), v)
     with pytest.raises(ValueError, match="finite"):
-        lie_residual([[0.0] * 4, [0.0, math.inf, 0.0, 0.0],
-                      [0.0] * 4, [0.0] * 4])
+        apply_matrix([[0.0] * 4, [0.0, math.inf, 0.0, 0.0],
+                      [0.0] * 4, [0.0] * 4], v)
 
 
 def test_rotation_at_zero_is_identity():
@@ -125,9 +82,15 @@ def test_rotations_preserve_inner_product(rotation, s, v, w):
 
 
 def test_generator_matrices_are_killing():
-    for rotation in Rotation:
-        residual = lie_residual(generator_matrix(rotation))
-        assert np.max(np.abs(residual)) == 0.0
+    # each generator, and a combination of all six, exactly
+    combination = sum(k * np.array(generator_matrix(rotation))
+                      for k, rotation in zip((1.5, -2.0, 3.0, 0.25, -7.0, 1e-3),
+                                             Rotation))
+    for matrix in [*map(generator_matrix, Rotation), combination]:
+        assert np.array_equal(lie_derivative(matrix), np.zeros((4, 4)))
+    # adding the identity is detected: its derivative is 2 G
+    perturbed = lie_derivative(combination + np.eye(4))
+    assert np.array_equal(perturbed, np.diag([-2.0, -2.0, 2.0, 2.0]))
 
 
 def test_generator_matrix_is_derivative_at_zero():
@@ -152,7 +115,7 @@ def test_rotation_blocks():
     for rotation in Rotation:
         assert rotation.block(0.0) == (1.0, 0.0, 0.0, 1.0)
         for angle in (-1.3, 0.0, -0.0, 0.4, 2.1):
-            exact = rotation.block_deriv(angle)
+            exact = rotation.derivative(rotation.block(angle))
             # R' = J R gives the closed form bit for bit, signed zeros too
             assert list(map(float.hex, exact)) == list(
                 map(float.hex, _closed_form_deriv(rotation, angle)))

@@ -82,11 +82,12 @@ def test_columns_are_block_slices(fam):
     # the block's and its derivative's columns at the profile slots, bit
     # for bit, signed zeros included
     spec = fam.spec
+    rot_u, rot_v = spec.rot_u, spec.rot_v
     for u, v in ((0.0, -0.0), (-0.0, 0.0), (0.4, -1.3), (2.1, 40.0)):
-        expected = (spec.rot_u.block(u)[spec.fa_pos::2],
-                    spec.rot_u.block_deriv(u)[spec.fa_pos::2],
-                    spec.rot_v.block(v)[spec.fb_pos::2],
-                    spec.rot_v.block_deriv(v)[spec.fb_pos::2])
+        expected = (rot_u.block(u)[spec.fa_pos::2],
+                    rot_u.derivative(rot_u.block(u))[spec.fa_pos::2],
+                    rot_v.block(v)[spec.fb_pos::2],
+                    rot_v.derivative(rot_v.block(v))[spec.fb_pos::2])
         assert [list(map(float.hex, c)) for c in spec.columns(u, v)] == [
             list(map(float.hex, c)) for c in expected]
 
