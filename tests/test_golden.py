@@ -27,6 +27,10 @@ h23-B, ``h3`` moved to agree with the oracles to rounding (the largest
 K_gap is 2.6e-16 x max(1, |K|), the largest H_gap 1.1e-14).
 ``AUDIT_GOLDEN`` is the standard output of ``scripts/curvature_audit.py
 --verbose``, which sweeps all six (family, variant) pairs.
+``ISOMETRY_GOLDEN`` is the standard output of ``rotsurf isometry --angle
+0.7`` for both of each config's own rotations, recorded when the command
+began to print the rotation's Noether charge, its drift, its gap to half
+the momentum and the rotated immersion's defect.
 Any change to the arithmetic or to its order shows up here as a changed
 byte.  The digests depend on the platform's libm; they were recorded on
 x86-64 Linux with CPython 3.11.
@@ -309,6 +313,55 @@ def test_commands_compile_only_per_step_and_per_row_code(tmp_path, name,
         assert len(compiled) == count, (command, compiled)
         assert len(lowerings) == lowered, command
     capsys.readouterr()
+
+
+# "<config>/<generator>" -> SHA-256 of ``rotsurf isometry --generator
+# <generator> --angle 0.7``'s standard output on the config
+ISOMETRY_GOLDEN = {
+    "e56/spin12":
+        "a95fadd36c007af53345cd1e11ef900d6777ef65fdba09b57d92491c77eb6ec8",
+    "e56/spin34":
+        "6214d084929792e98d785df395fc104e176388a02d7eb9c32760906235d5a6b2",
+    "e56-A/spin12":
+        "43df58f70d89ff8104f0b9027c695d6a06fb8c3109c59328be87c8f84006ba0a",
+    "e56-A/spin34":
+        "bda85e91b732596cdf3ecb15a95c267d46da11a782ac4ef531cdf2c70a5191fe",
+    "e56-unit/spin12":
+        "a088c603bf41081671d3ebc97c79b3323c61b7d03c3d7b8e1b6d95744b738196",
+    "e56-unit/spin34":
+        "4e30a6fe72fe381f877a1f2598d4db7bab9d968d14042a26fea3e631a5b00e78",
+    "h14/boost13":
+        "cef39a5c282cd89ddea9162923e2ba4bfddfc4bbc51e7a3c96522f50994e4dea",
+    "h14/boost24":
+        "fb075d40ff5b346fb34086b4223a5572aab8c840eea6200cd2bc8ba29258b42d",
+    "h14-B/boost13":
+        "087963ef9a77ac50ce272a31514b67c74b523deaa16a5f733424bb9bd874cf04",
+    "h14-B/boost24":
+        "f9084494b9f033fcffa1fab5b068d6e162c05865fced496a1094d75b8de2cef9",
+    "h23/boost14":
+        "06cce32647cdfe49881f9adc98d142063d873bde7acd9b9ee8cf35ee1b8ea9f6",
+    "h23/boost23":
+        "00b252d615efd1e7786da7876869c460b9378a820c893dcf70a0e03de27630cc",
+    "h23-B/boost14":
+        "eb3ed68d6d5a5bf7ef7fd302220a27b246bb9ac41d55f26b8dd46aba86ca4550",
+    "h23-B/boost23":
+        "fa85c1559035abc9a938fb11efce39a01c2973b253784922ab05aaf5f9d064b4",
+}
+
+
+@pytest.mark.parametrize("key", sorted(ISOMETRY_GOLDEN))
+def test_isometry_stdout_matches_golden_hash(tmp_path, capsys, key):
+    name, generator = key.split("/")
+    output = {"path": str(tmp_path / "out.csv")}
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(dict(CONFIGS[name], output=output)),
+                      encoding="utf-8")
+    assert main(["isometry", "--config", str(config), "--generator",
+                 generator, "--angle", "0.7"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == \
+        ISOMETRY_GOLDEN[key]
+    assert os.listdir(tmp_path) == ["config.json"]
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
