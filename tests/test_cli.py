@@ -687,8 +687,9 @@ def isometry_values(out: str) -> list[float]:
 def test_isometry_command(tmp_path, capsys, name):
     document = dict(CONFIGS[name], output={"path": str(tmp_path / "out.csv")})
     config = write_config(tmp_path, document)
-    fam = parse_config(document).build_family()
-    trajectory, _ = _run_geodesic(parse_config(document), fam)
+    parsed = parse_config(document)
+    fam = parsed.build_family()
+    trajectory, _ = _run_geodesic(parsed, fam)
     largest = max(max(map(abs, fam.immerse(u, v, t).components()))
                   for _, u, v, t, *_ in trajectory.rows)
     lines = {}
@@ -719,6 +720,17 @@ def test_isometry_charge_of_a_foreign_generator_drifts():
         charges = [_charge(fam, generator_matrix(rotation), row)[0]
                    for row in trajectory.rows]
         assert _drift(charges) > 1e-4, rotation
+
+
+def test_isometry_overflow_is_numerical_failure(tmp_path, capsys):
+    # cosh(800) is beyond the float range
+    config = meridian_config(tmp_path)
+    assert main(["isometry", "--config", config, "--generator", "boost13",
+                 "--angle", "800"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("numerical failure: boost13 at angle 800 "
+                            "overflows\n")
 
 
 def test_isometry_rejects_foreign_generator(tmp_path, capsys):
