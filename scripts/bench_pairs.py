@@ -15,7 +15,9 @@ version, and for each workload and end-to-end metric each side's median
 and quartiles and the number of pairs in which the head reads better, in
 the direction ``BENCHMARK.json`` names (ties count for neither side),
 how much worse the head's median reads and whether that is within the
-metric's ``bound``.
+metric's ``bound``, and whether a gain is resolved: the head reads
+better in at least 9 of 10 pairs and its median is better by more than
+the base's quartile spread, the rule a claimed gain is held to.
 """
 
 from __future__ import annotations
@@ -77,7 +79,9 @@ def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
     quartiles, the ratio of the medians (head over base), the pairs in
     which the head reads better, ``worse_by`` (the head median's relative
     change in the metric's worse direction, 0 if it reads better) and
-    ``within_bound`` (``worse_by`` at most the metric's ``bound``)."""
+    ``within_bound`` (``worse_by`` at most the metric's ``bound``) and
+    ``gain_resolved`` (the head better in at least 9/10 of the pairs, and
+    its median better than the base's by more than the base's q3 - q1)."""
     summary = {}
     for workload in dict.fromkeys(run["workload"] for run in runs):
         pairs: dict[int, dict[str, dict]] = {}
@@ -107,16 +111,21 @@ def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
             head_median = statistics.median(values["head"])
             worse_by = (max(0.0, sign * (base_median - head_median)
                             / abs(base_median)) if base_median else None)
+            base_spread = _spread(values["base"])
             entry["metrics"][name] = {
                 "unit": metric["unit"],
                 "better": metric["better"],
-                "base": _spread(values["base"]),
+                "base": base_spread,
                 "head": _spread(values["head"]),
                 "ratio": head_median / base_median if base_median else None,
                 "better_pairs": f"{better}/{len(complete)}",
                 "worse_by": worse_by,
                 "within_bound": (worse_by <= metric["bound"]
                                  if worse_by is not None else None),
+                "gain_resolved": (
+                    10 * better >= 9 * len(complete)
+                    and sign * (head_median - base_median)
+                    > base_spread["q3"] - base_spread["q1"]),
             }
         summary[workload] = entry
     return summary

@@ -25,7 +25,7 @@ from .config import ConfigError, RunConfig, initial_state, load_config
 from .curvature import DoubleRotationSurface, GridPointError, curvature_grid
 from .expressions import DomainError, ExprError, differentiate, parse, to_text
 from .geodesics import Trajectory, _drift, integrate, invariant_rows
-from .isometries import (Rotation, apply_matrix, generator_matrix,
+from .isometries import (Rotation, _apply, _checked_matrix, generator_matrix,
                          rotation_matrix)
 from .surfaces import (DegenerateMetricError, MetricOverflowError,
                        NotTimelikeError, SurfaceFamily)
@@ -204,14 +204,14 @@ def _cmd_curvature(config: RunConfig) -> int:
 
 
 def _charge(fam: SurfaceFamily, generator, row) -> tuple[float, Vector4]:
-    """<gamma', J f> of the Killing field x -> J x, J = ``generator``, at
-    the point f of trajectory ``row``; and f."""
+    """<gamma', J f> of the Killing field x -> J x, J = ``generator`` (a
+    checked matrix), at the point f of trajectory ``row``; and f."""
     _, u, v, t, du, dv, dt, *_ = row
     fa, fb = fam.fa.evaluate(t), fam.fb.evaluate(t)
     point = fam.immerse_values(fa, fb, u, v)
     f_u, f_v, f_t = fam.frame_values(fa, fb, fam.fa.derivative(t),
                                      fam.fb.derivative(t), u, v)
-    field = apply_matrix(generator, point)
+    field = _apply(generator, point)
     return (du * inner(f_u, field) + dv * inner(f_v, field)
             + dt * inner(f_t, field)), point
 
@@ -237,14 +237,14 @@ def _cmd_isometry(config: RunConfig, generator: str, angle: float) -> int:
                                 else (0.0, angle, 9))
     charges, defect, image = [], 0.0, 0.0
     try:
-        matrix, moved = generator_matrix(rotation), rotation_matrix(rotation,
-                                                                    angle)
+        matrix = _checked_matrix(generator_matrix(rotation))
+        moved = _checked_matrix(rotation_matrix(rotation, angle))
         for row in trajectory.rows:
             q, point = _charge(fam, matrix, row)
             charges.append(q)
             p = row[column]
             defect = max(defect, abs(q - 0.5 * p) / max(1.0, abs(p)))
-            gap = apply_matrix(moved, point) - fam.immerse(
+            gap = _apply(moved, point) - fam.immerse(
                 row[1] + shift_u, row[2] + shift_v, row[3])
             image = max(image, *map(abs, gap.components()))
     except (OverflowError, ValueError):  # a point or vector beyond floats

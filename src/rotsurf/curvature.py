@@ -11,18 +11,24 @@ computations side by side:
   and ``FamilySpec.columns`` (``_frame``), and K, h3 and h4 from the Gauss
   equation and the normal parts of the second partials (``_point``),
   which hold in any signature;
-* exact oracles: the family metric is diagonal, so the induced 2-metric
-  is diag(E x'^2 + G w'^2, N), and ``K_oracle`` (Brioschi's formula) and
-  ``H_oracle`` (the Gauss formula) are closed expressions in the profile
-  and angle values and their first two derivatives at the point.
+* exact oracles (``_point`` too): the family metric is diagonal, so the
+  induced 2-metric is diag(E x'^2 + G w'^2, N), and ``K_oracle``
+  (Brioschi's formula) and ``H_oracle`` (the Gauss formula) are closed
+  expressions in the profile and angle values and their first two
+  derivatives at the point.
 
 The two agree to rounding; the tests hold the gaps to 1e-9.
 ``curvature_grid`` computes both on a grid of (t, s) points as plain
-floats: the angle values and the profile columns of the rotation blocks
-once per t, the profile values once per s.  The kernel works in plane
+floats.  ``_profile_col`` evaluates the profiles once per s and forms
+every term of s alone (e fa^2, g fb^2, Q, sqrt|Q|, the frame's quotients
+by it, B4, B4 / Q, Q_s and the angle-free factors of A3, A4, C3, P_s and
+P_ss); ``_angle_row`` evaluates the angles and block columns once per t,
+with x'^2, w'^2, x'' w' - x' w'' and e x' w'.  A point does only the
+arithmetic that mixes them, in the operations and order of the formulas
+as written, so its floats are theirs.  The kernel works in plane
 coordinates, the u-plane's two slots then the v-plane's;
-``curvature_report`` and ``normal_frame`` run the same per-point code and
-place its 4-tuples in ``Vector4`` by ``FamilySpec.vector`` on return.
+``curvature_report`` and ``normal_frame`` run the same code and place
+its 4-tuples in ``Vector4`` by ``FamilySpec.vector`` on return.
 
 The finite-difference oracles ``gaussian_curvature_fd`` (Christoffel
 symbols and the single independent curvature component of any 2-metric)
@@ -80,8 +86,9 @@ def _pair_values(first: ProfileFunction, second: ProfileFunction,
                  t: float) -> tuple:
     """(p, q, p', q', p'', q'') of two profiles at t, their trees walked in
     that order, with no domain check."""
-    return tuple(evaluate(tree, t) for tree in (
-        first.value, second.value, first.d1, second.d1, first.d2, second.d2))
+    return (evaluate(first.value, t), evaluate(second.value, t),
+            evaluate(first.d1, t), evaluate(second.d1, t),
+            evaluate(first.d2, t), evaluate(second.d2, t))
 
 
 @dataclass(frozen=True)
@@ -115,34 +122,53 @@ class DoubleRotationSurface:
 
 
 def _profile_col(surface: DoubleRotationSurface, s: float) -> tuple:
-    """The profile values at s, which must lie in the family's domain."""
+    """The s-only terms of ``_frame`` and of ``_point`` at s, one tuple
+    each, which must lie in the family's domain: the signs, the profile
+    values and their products, each formed in the operations and order of
+    the formula it enters.  A quotient by Q is left 0 where Q = 0: every
+    point of such a column raises before it would use it."""
     fa = surface.family.fa
     if not fa.t_min <= s <= fa.t_max:
         raise fa._outside(s)
-    return surface._profile_values(s)
+    e, g, na, nb, sigma, rho = surface.family.spec.signs
+    fa, fb, dfa, dfb, d2fa, d2fb = values = surface._profile_values(s)
+    efa2, gfb2 = e * fa * fa, g * fb * fb
+    q = na * dfa * dfa + nb * dfb * dfb
+    q4 = math.sqrt(abs(q))
+    b4 = na * (d2fa * dfb - dfa * d2fb)
+    a4_frame, b4_frame, b4_q = ((dfb / q4, rho * dfa / q4, b4 / q) if q
+                                else (0.0, 0.0, 0.0))
+    return ((fb, efa2, gfb2, q, q4, rho * fa, e * g, a4_frame, b4_frame),
+            (q, na * nb * q, e * fa * fb, na * sigma, fa * dfb, fb * dfa,
+             dfa * fb - fa * dfb, b4, b4_q, 2.0 * q4, sigma, *values, efa2,
+             gfb2, e * fa * dfa, g * fb * dfb, e * (dfa * dfa + fa * d2fa),
+             g * (dfb * dfb + fb * d2fb),
+             2.0 * (na * dfa * d2fa + nb * dfb * d2fb)))
 
 
 def _angle_row(surface: DoubleRotationSurface, t: float) -> tuple:
-    """(x', w', x'', w'', cols) at t, which must lie in both angle
-    profiles' domains: ``cols`` is ``FamilySpec.columns`` at (x, w), which
-    S_t and S_s are built from, or the ``DomainError`` of their overflow,
-    which a point raises only after ``_frame``'s degeneracy check."""
+    """(x', w', x'', w'', x'^2, w'^2, x'' w' - x' w'', e x' w', cols) at t,
+    which must lie in both angle profiles' domains: ``cols`` is
+    ``FamilySpec.columns`` at (x, w), which S_t and S_s are built from, or
+    the ``DomainError`` of their overflow, which a point raises only after
+    ``_frame``'s degeneracy check."""
     for angle in (surface.angle_u, surface.angle_v):
         if not angle.t_min <= t <= angle.t_max:
             raise angle._outside(t)
     x, w, dx, dw, d2x, d2w = surface._angle_values(t)
+    spec = surface.family.spec
     try:
-        cols = surface.family.spec.columns(x, w)
+        cols = spec.columns(x, w)
     except OverflowError:
         cols = DomainError("cosh overflow")
-    return dx, dw, d2x, d2w, cols
+    return (dx, dw, d2x, d2w, dx * dx, dw * dw, d2x * dw - dx * d2w,
+            spec.signs[0] * dx * dw, cols)
 
 
-def _frame(signs, t: float, s: float, col, row) -> tuple:
-    """(P, Q, n3, n4, sqrt|P|, sqrt|Q|, e3, e4) at (t, s), from the
-    profile values ``col`` at s and the ``_angle_row`` at t, either of
-    which may be the ``DomainError`` its evaluation raised; ``col``'s is
-    raised first.
+def _frame(t: float, s: float, col, row) -> tuple:
+    """(P, n3, sqrt|P|, e3, e4) at (t, s), from the ``_profile_col`` at s
+    and the ``_angle_row`` at t, either of which may be the
+    ``DomainError`` its evaluation raised; ``col``'s is raised first.
 
     The induced metric is diag(P, Q), P = e fa^2 x'^2 + g fb^2 w'^2 and
     Q = na fa'^2 + nb fb'^2.  In plane coordinates (the u-plane's two
@@ -160,11 +186,9 @@ def _frame(signs, t: float, s: float, col, row) -> tuple:
         raise col
     if isinstance(row, DomainError):
         raise row
-    e, g, na, nb, _, rho = signs
-    fa, fb, dfa, dfb, _, _ = col
-    dx, dw, _, _, cols = row
-    p = e * fa * fa * (dx * dx) + g * fb * fb * (dw * dw)
-    q = na * dfa * dfa + nb * dfb * dfb
+    fb, efa2, gfb2, q, q4, rho_fa, eg, a4, b4 = col[0]
+    dx, dw, _, _, dx2, dw2, _, _, cols = row
+    p = efa2 * dx2 + gfb2 * dw2
     if p == 0.0 or q == 0.0:
         raise FrameDegenerateError(
             f"normal frame degenerate at t={t!r}, s={s!r} (P={p!r}, Q={q!r})")
@@ -173,11 +197,9 @@ def _frame(signs, t: float, s: float, col, row) -> tuple:
     if isinstance(cols, DomainError):
         raise cols
     (cu0, cu1), (du0, du1), (cv0, cv1), (dv0, dv1) = cols
-    q3, q4 = math.sqrt(abs(p)), math.sqrt(abs(q))
-    a3, b3 = fb * dw / q3, rho * fa * dx / q3
-    a4, b4 = dfb / q4, rho * dfa / q4
-    return (p, q, e * g * p, na * nb * q, q3, q4,
-            (du0 * a3, du1 * a3, dv0 * b3, dv1 * b3),
+    q3 = math.sqrt(abs(p))
+    a3, b3 = fb * dw / q3, rho_fa * dx / q3
+    return (p, eg * p, q3, (du0 * a3, du1 * a3, dv0 * b3, dv1 * b3),
             (cu0 * a4, cu1 * a4, cv0 * b4, cv1 * b4))
 
 
@@ -190,7 +212,7 @@ def normal_frame(surface: DoubleRotationSurface, t: float,
     normal raises ``FrameDegenerateError``.
     """
     spec = surface.family.spec
-    *_, e3, e4 = _frame(spec.signs, t, s, _profile_col(surface, s),
+    *_, e3, e4 = _frame(t, s, _profile_col(surface, s),
                         _angle_row(surface, t))
     return spec.vector(e3), spec.vector(e4)
 
@@ -296,59 +318,13 @@ def mean_curvature_fd(point_fn, tangents_fn, t: float, s: float,
 
 
 # ---------------------------------------------------------------------------
-# exact oracles
+# closed forms and exact oracles
 
-def _exact_oracles(signs, p: float, q: float, col, row) -> tuple:
-    """Exact (K, H) of the surface at one point, H in plane coordinates,
-    from ``_frame``'s P and Q, the profile values at s and the angle
-    derivatives and ``_angle_row`` columns at t.
-
-    The family metric is diag(E, G, N)(s) in (u, v, s), so the induced
-    2-metric is diag(P, Q) with P = E x'^2 + G w'^2 and Q = N.  With no
-    off-diagonal term and Q free of t, Brioschi's formula reduces to
-
-        K = (-P_ss P Q / 2 + P P_s Q_s / 4 + P_s^2 Q / 4) / (P Q)^2.
-
-    H is half the trace of the second fundamental form (Gauss formula),
-    H = g^tt (S_tt - Gamma^a_tt S_a) / 2 + g^ss (S_ss - Gamma^a_ss S_a) / 2,
-    with Gamma^t_tt = P_t / 2P, Gamma^s_tt = -P_s / 2Q, Gamma^t_ss = 0 and
-    Gamma^s_ss = Q_s / 2Q.  In each rotation plane, S_t, S_tt, S_s and
-    S_ss are combinations of the profile column of the rotation block R
-    and of R' (R'' = sigma R; the two planes do not mix, so S_tt has no
-    u-v cross term), so H is assembled plane by plane.
-    """
-    e_sign, g_sign, na_sign, nb_sign, sigma, _ = signs
-    fa, fb, dfa, dfb, d2fa, d2fb = col
-    dx, dw, d2x, d2w, ((cu0, cu1), (du0, du1), (cv0, cv1), (dv0, dv1)) = row
-    e, g = e_sign * fa * fa, g_sign * fb * fb
-    dx2, dw2 = dx * dx, dw * dw
-    p_t = 2.0 * (e * dx * d2x + g * dw * d2w)
-    p_s = 2.0 * (e_sign * fa * dfa * dx2 + g_sign * fb * dfb * dw2)
-    p_ss = 2.0 * (e_sign * (dfa * dfa + fa * d2fa) * dx2
-                  + g_sign * (dfb * dfb + fb * d2fb) * dw2)
-    q_s = 2.0 * (na_sign * dfa * d2fa + nb_sign * dfb * d2fb)
-    det = p * q
-    k = (-0.5 * p_ss * p * q + 0.25 * p * p_s * q_s
-         + 0.25 * p_s * p_s * q) / (det * det)
-
-    # H = a S_tt + b S_ss + c_t S_t + c_s S_s
-    g_tt, g_ss = q / det, p / det
-    a, b = 0.5 * g_tt, 0.5 * g_ss
-    c_t = -0.25 * g_tt * g_tt * p_t
-    c_s = 0.25 * g_ss * (g_tt * p_s - g_ss * q_s)
-    # along the column of R and of R' in each plane
-    ru = a * sigma * dx2 * fa + b * d2fa + c_s * dfa
-    dru = (a * d2x + c_t * dx) * fa
-    rv = a * sigma * dw2 * fb + b * d2fb + c_s * dfb
-    drv = (a * d2w + c_t * dw) * fb
-    return k, (cu0 * ru + du0 * dru, cu1 * ru + du1 * dru,
-               cv0 * rv + dv0 * drv, cv1 * rv + dv1 * drv)
-
-
-def _point(signs, t: float, s: float, col, row) -> tuple:
-    """(K_formula, K_oracle, K_gap, h3, h4, e3, e4, H_formula, H_oracle,
-    H_gap) at (t, s), the vectors in plane coordinates, from ``_frame``'s
-    inputs.
+def _point(t: float, s: float, col, row) -> tuple:
+    """(K_formula, K_oracle, K_gap, h3, h4, H_gap, e3, e4, H_formula,
+    H_oracle) at (t, s), the vectors in plane coordinates, from ``_frame``'s
+    inputs: the factors that hold no angle come with ``col``, those that
+    hold no profile value with ``row``.
 
     The Gauss equation and the normal parts of the second partials give
     the closed forms in any signature.  The nonzero products of S_tt, S_ss
@@ -363,38 +339,71 @@ def _point(signs, t: float, s: float, col, row) -> tuple:
     h3 = sgn(n3) A3 / (2 P sqrt|P|) and
     h4 = sgn(n4) (A4 / P + B4 / Q) / (2 sqrt|Q|).
 
+    The exact oracles: the family metric is diag(E, G, N)(s) in (u, v, s),
+    so the induced 2-metric is diag(P, Q) with P = E x'^2 + G w'^2 and
+    Q = N.  With no off-diagonal term and Q free of t, Brioschi's formula
+    reduces to
+
+        K = (-P_ss P Q / 2 + P P_s Q_s / 4 + P_s^2 Q / 4) / (P Q)^2.
+
+    H is half the trace of the second fundamental form (Gauss formula),
+    H = g^tt (S_tt - Gamma^a_tt S_a) / 2 + g^ss (S_ss - Gamma^a_ss S_a) / 2,
+    with Gamma^t_tt = P_t / 2P, Gamma^s_tt = -P_s / 2Q, Gamma^t_ss = 0 and
+    Gamma^s_ss = Q_s / 2Q.  In each rotation plane, S_t, S_tt, S_s and
+    S_ss are combinations of the profile column of the rotation block R
+    and of R' (R'' = sigma R; the two planes do not mix, so S_tt has no
+    u-v cross term), so H is assembled plane by plane.
+
     H_formula = e3 h3 + e4 h4 is summed in that order.  A zero divisor is
     a ``DomainError``, and so is a K_gap or H_formula - H_oracle that is
     not finite, which a non-finite K_formula, h3, h4 or oracle makes it.
     """
-    p, q, n3, n4, q3, q4, e3, e4 = _frame(signs, t, s, col, row)
-    e, _, na, _, sigma, _ = signs
-    fa, fb, dfa, dfb, d2fa, d2fb = col
-    dx, dw, d2x, d2w, _ = row
-    a3 = e * fa * fb * (d2x * dw - dx * d2w)
-    a4 = na * sigma * (fa * dfb * dx * dx - fb * dfa * dw * dw)
-    b4 = na * (d2fa * dfb - dfa * d2fb)
-    c3 = e * dx * dw * (dfa * fb - fa * dfb)
+    p, n3, q3, e3, e4 = _frame(t, s, col, row)
+    (q, n4, efafb, na_sigma, fa_dfb, fb_dfa, c3_s, b4, b4_q, q4_2, sigma, fa,
+     fb, dfa, dfb, d2fa, d2fb, e, g, ps_a, ps_b, pss_a, pss_b, q_s) = col[1]
+    dx, dw, d2x, d2w, dx2, dw2, cross, exw, cols = row
+    a3 = efafb * cross
+    a4 = na_sigma * (fa_dfb * dx * dx - fb_dfa * dw * dw)
+    c3 = exw * c3_s
+    p_t = 2.0 * (e * dx * d2x + g * dw * d2w)
+    p_s = 2.0 * (ps_a * dx2 + ps_b * dw2)
+    p_ss = 2.0 * (pss_a * dx2 + pss_b * dw2)
     try:
         k_formula = (a4 * b4 / n4 - c3 * c3 / n3) / (p * q)
         h3 = a3 / (2.0 * p * q3)
-        h4 = (a4 / p + b4 / q) / (2.0 * q4)
-        k_oracle, h_oracle = _exact_oracles(signs, p, q, col, row)
+        h4 = (a4 / p + b4_q) / q4_2
+        det = p * q
+        k_oracle = (-0.5 * p_ss * p * q + 0.25 * p * p_s * q_s
+                    + 0.25 * p_s * p_s * q) / (det * det)
+        # H = a S_tt + b S_ss + c_t S_t + c_s S_s
+        g_tt, g_ss = q / det, p / det
     except ZeroDivisionError as exc:  # a product underflows to 0
         raise DomainError("division by zero") from exc
+    a, b = 0.5 * g_tt, 0.5 * g_ss
+    c_t = -0.25 * g_tt * g_tt * p_t
+    c_s = 0.25 * g_ss * (g_tt * p_s - g_ss * q_s)
+    # along the column of R and of R' in each plane
+    ru = a * sigma * dx2 * fa + b * d2fa + c_s * dfa
+    dru = (a * d2x + c_t * dx) * fa
+    rv = a * sigma * dw2 * fb + b * d2fb + c_s * dfb
+    drv = (a * d2w + c_t * dw) * fb
+    (cu0, cu1), (du0, du1), (cv0, cv1), (dv0, dv1) = cols
+    o0, o1 = cu0 * ru + du0 * dru, cu1 * ru + du1 * dru
+    o2, o3 = cv0 * rv + dv0 * drv, cv1 * rv + dv1 * drv
     if n3 < 0.0:
         h3 = -h3
     if n4 < 0.0:
         h4 = -h4
-    h_formula = (e3[0] * h3 + e4[0] * h4, e3[1] * h3 + e4[1] * h4,
-                 e3[2] * h3 + e4[2] * h4, e3[3] * h3 + e4[3] * h4)
-    d0, d1, d2, d3 = (h_formula[0] - h_oracle[0], h_formula[1] - h_oracle[1],
-                      h_formula[2] - h_oracle[2], h_formula[3] - h_oracle[3])
+    (e30, e31, e32, e33), (e40, e41, e42, e43) = e3, e4
+    f0, f1 = e30 * h3 + e40 * h4, e31 * h3 + e41 * h4
+    f2, f3 = e32 * h3 + e42 * h4, e33 * h3 + e43 * h4
+    d0, d1, d2, d3 = f0 - o0, f1 - o1, f2 - o2, f3 - o3
     k_gap = abs(k_formula - k_oracle)
     if not math.isfinite(k_gap + d0 + d1 + d2 + d3):
         raise DomainError("curvature overflow")
-    return (k_formula, k_oracle, k_gap, h3, h4, e3, e4, h_formula, h_oracle,
-            max(abs(d0), abs(d1), abs(d2), abs(d3)))
+    return (k_formula, k_oracle, k_gap, h3, h4,
+            max(abs(d0), abs(d1), abs(d2), abs(d3)), e3, e4,
+            (f0, f1, f2, f3), (o0, o1, o2, o3))
 
 
 def _attempt(fn, *args):
@@ -410,21 +419,19 @@ def curvature_grid(surface: DoubleRotationSurface, ts, ss) -> list[tuple]:
     (t, s) of ``ts`` x ``ss`` in row-major order, the values of
     ``curvature_report`` at each point.
 
-    The angle values are evaluated once per t and the profile values once
-    per s; an error of either is raised at the first point that needs it.
+    The terms of t alone are formed once per t (``_angle_row``) and those
+    of s alone once per s (``_profile_col``); an error of either is raised
+    at the first point that needs it.
     The first point that fails raises ``GridPointError``."""
-    signs = surface.family.spec.signs
     cols = [_attempt(_profile_col, surface, s) for s in ss]
     rows = []
     for t in ts:
         row = _attempt(_angle_row, surface, t)
         for s, col in zip(ss, cols):
             try:
-                k_formula, k_oracle, k_gap, h3, h4, *_, h_gap = _point(
-                    signs, t, s, col, row)
+                rows.append((t, s) + _point(t, s, col, row)[:6])
             except (FrameDegenerateError, DomainError) as exc:
                 raise GridPointError(t, s, exc) from exc
-            rows.append((t, s, k_formula, k_oracle, k_gap, h3, h4, h_gap))
     return rows
 
 
@@ -456,8 +463,8 @@ def curvature_report(surface: DoubleRotationSurface, t: float,
                      s: float) -> CurvatureReport:
     """Evaluate closed forms and exact oracles at (t, s) and report the gaps."""
     spec = surface.family.spec
-    k_formula, k_oracle, k_gap, h3, h4, *vectors, h_gap = _point(
-        spec.signs, t, s, _profile_col(surface, s), _angle_row(surface, t))
+    k_formula, k_oracle, k_gap, h3, h4, h_gap, *vectors = _point(
+        t, s, _profile_col(surface, s), _angle_row(surface, t))
     # e3, e4, H_formula and H_oracle, in the fields' order
     return CurvatureReport(k_formula, k_oracle, h3, h4,
                            *map(spec.vector, vectors), k_gap, h_gap)

@@ -17,7 +17,11 @@ subtrees evaluated once, a value computed twice emitted once, and no check
 that bounds on the domain rule out.  That costs 25-46 walks, so a family
 lowers its six profile trees once, into one body that its RK4 run, metric
 bundle and per-row (fa, fb) pair share; ``ProfileFunction`` walks.
-``parse`` and ``differentiate`` bound depth and size.
+Trees are bounded as they are built, never walked again for it: the
+parser carries each node's depth up from its children and rejects a
+tree deeper than 64 levels, and ``differentiate`` counts its result's
+nodes in one pass (a shared subtree counted once per use, found once)
+and rejects more than 5,000.
 """
 
 from __future__ import annotations
@@ -174,56 +178,64 @@ class _Parser:
         return self.advance()
 
     def parse(self) -> Expr:
-        expr = self.sum()
+        expr, depth = self.sum()
         trailing = self.peek()
         if trailing.kind != "end":
             raise ParseError(f"unexpected {trailing.text!r}", trailing.pos + 1)
+        if depth > _MAX_DEPTH:  # chains of + - * / nest, unseen
+            raise ExprError(_TOO_DEEP)  # by ``self.depth``
         return expr
 
-    def sum(self) -> Expr:
-        expr = self.product()
+    # each method below returns (node, depth of the node as a tree)
+
+    def sum(self) -> tuple[Expr, int]:
+        expr, depth = self.product()
         while self.peek().kind == "op" and self.peek().text in "+-":
             op = self.advance().text
-            expr = Binary(op, expr, self.product())
-        return expr
+            right, right_depth = self.product()
+            expr, depth = Binary(op, expr, right), 1 + max(depth, right_depth)
+        return expr, depth
 
-    def product(self) -> Expr:
-        expr = self.unary()
+    def product(self) -> tuple[Expr, int]:
+        expr, depth = self.unary()
         while self.peek().kind == "op" and self.peek().text in "*/":
             op = self.advance().text
-            expr = Binary(op, expr, self.unary())
-        return expr
+            right, right_depth = self.unary()
+            expr, depth = Binary(op, expr, right), 1 + max(depth, right_depth)
+        return expr, depth
 
-    def unary(self) -> Expr:
+    def unary(self) -> tuple[Expr, int]:
         self.depth += 1  # every nesting, by (, - or ^, recurses through here
         if self.depth > _MAX_DEPTH:
             raise ExprError(_TOO_DEEP)
         token = self.peek()
         if token.kind == "op" and token.text == "-":
             self.advance()
-            expr = Negate(self.unary())
+            arg, depth = self.unary()
+            expr, depth = Negate(arg), depth + 1
         else:
-            expr = self.power()
+            expr, depth = self.power()
         self.depth -= 1
-        return expr
+        return expr, depth
 
-    def power(self) -> Expr:
-        base = self.atom()
+    def power(self) -> tuple[Expr, int]:
+        base, depth = self.atom()
         token = self.peek()
         if token.kind == "op" and token.text == "^":
             self.advance()
             # right-associative, and the exponent may be unary-negated
-            return Binary("^", base, self.unary())
-        return base
+            exponent, exponent_depth = self.unary()
+            return Binary("^", base, exponent), 1 + max(depth, exponent_depth)
+        return base, depth
 
-    def atom(self) -> Expr:
+    def atom(self) -> tuple[Expr, int]:
         token = self.advance()
         if token.kind == "number":
             value = float(token.text)
             if not math.isfinite(value):
                 raise ParseError(f"number {token.text!r} out of range",
                                  token.pos + 1)
-            return Literal(value)
+            return Literal(value), 1
         if token.kind == "op" and token.text == "(":
             expr = self.sum()
             self.expect_op(")")
@@ -235,17 +247,17 @@ class _Parser:
                     raise ParseError(f"unknown function {token.text!r}",
                                      token.pos + 1, kind="unknown_identifier")
                 self.advance()
-                arg = self.sum()
+                arg, depth = self.sum()
                 comma = self.peek()
                 if comma.kind == "op" and comma.text == ",":
                     raise ParseError(f"{token.text} takes exactly one argument",
                                      comma.pos + 1, kind="arity")
                 self.expect_op(")")
-                return Call(token.text, arg)
+                return Call(token.text, arg), depth + 1
             if token.text == _VARIABLE_NAME:
-                return Variable()
+                return Variable(), 1
             if token.text in _CONSTANTS:
-                return Literal(_CONSTANTS[token.text])
+                return Literal(_CONSTANTS[token.text]), 1
             raise ParseError(f"unknown identifier {token.text!r}",
                              token.pos + 1, kind="unknown_identifier")
         raise ParseError("expected a value", token.pos + 1)
@@ -259,29 +271,23 @@ def _children(expr: Expr) -> tuple:
     return ()
 
 
-def _measure(expr: Expr) -> tuple[int, int]:
-    """(depth, node count) of ``expr`` as a tree, a shared subtree counted
-    once per use, found without recursion and each shared node once."""
-    sizes: dict[int, tuple[int, int]] = {}
-    stack = [expr]
-    while stack:
-        kids = _children(stack[-1])
-        todo = [kid for kid in kids if id(kid) not in sizes]
-        stack += todo
-        if not todo:  # (0, depths...), (0, node counts...)
-            depths, counts = zip((0, 0), *(sizes[id(kid)] for kid in kids))
-            sizes[id(stack.pop())] = (1 + max(depths), 1 + sum(counts))
-    return sizes[id(expr)]
+def _node_count(expr: Expr, counts: dict[int, int]) -> int:
+    """Nodes of ``expr`` as a tree, a shared subtree counted once per use;
+    ``counts`` holds each node's count by identity, so it is found once."""
+    total = counts.get(id(expr))
+    if total is None:
+        total = 1
+        for kid in _children(expr):
+            total += _node_count(kid, counts)
+        counts[id(expr)] = total
+    return total
 
 
 def parse(text: str) -> Expr:
     """Parse ``text`` into an expression tree over the variable ``t``."""
     if not text or not text.strip():
         raise ParseError("empty expression", 1)
-    expr = _Parser(_tokenize(text)).parse()
-    if _measure(expr)[0] > _MAX_DEPTH:  # chains of + - * / nest, unseen
-        raise ExprError(_TOO_DEEP)      # by ``_Parser.depth``
-    return expr
+    return _Parser(_tokenize(text)).parse()
 
 
 def _checked(value: float, context: str) -> float:
@@ -299,36 +305,40 @@ def evaluate(expr: Expr, t: float) -> float:
 
 def _evaluate(expr: Expr, t: float) -> float:
     """``evaluate`` at a finite ``t``."""
-    if isinstance(expr, Literal):
-        return expr.value
-    if isinstance(expr, Variable):
-        return t
-    if isinstance(expr, Negate):
-        return -_evaluate(expr.arg, t)
-    if isinstance(expr, Binary):
+    kind = type(expr)  # the node classes are final; the commonest first
+    if kind is Binary:
         left = _evaluate(expr.left, t)
         right = _evaluate(expr.right, t)
         op = expr.op
         if op == "+":
-            return _checked(left + right, "addition")
-        if op == "-":
-            return _checked(left - right, "subtraction")
-        if op == "*":
-            return _checked(left * right, "multiplication")
-        if op == "/":
+            value, context = left + right, "addition"
+        elif op == "-":
+            value, context = left - right, "subtraction"
+        elif op == "*":
+            value, context = left * right, "multiplication"
+        elif op == "/":
             if right == 0.0:
                 raise DomainError("division by zero")
-            return _checked(left / right, "division")
-        # power
-        if left == 0.0 and right < 0.0:
-            raise DomainError("zero raised to a negative power")
-        if left < 0.0 and right != math.floor(right):
-            raise DomainError("negative base with non-integer exponent")
-        try:
-            return _checked(left ** right, "power")
-        except OverflowError as exc:
-            raise DomainError("power overflow") from exc
-    if isinstance(expr, Call):
+            value, context = left / right, "division"
+        else:
+            if left == 0.0 and right < 0.0:
+                raise DomainError("zero raised to a negative power")
+            if left < 0.0 and right != math.floor(right):
+                raise DomainError("negative base with non-integer exponent")
+            try:
+                value, context = left ** right, "power"
+            except OverflowError as exc:
+                raise DomainError("power overflow") from exc
+        if not math.isfinite(value):
+            raise DomainError(f"{context} produced a non-finite value")
+        return value
+    if kind is Literal:
+        return expr.value
+    if kind is Variable:
+        return t
+    if kind is Negate:
+        return -_evaluate(expr.arg, t)
+    if kind is Call:
         arg = _evaluate(expr.arg, t)
         name = expr.name
         if name == "log":
@@ -578,7 +588,7 @@ def differentiate(expr: Expr) -> Expr:
     """Exact derivative with respect to ``t``, constants folded;
     ``ExprError`` if it has more than ``_MAX_NODES`` nodes."""
     derivative = _derivative(expr)
-    nodes = _measure(derivative)[1]
+    nodes = _node_count(derivative, {})
     if nodes > _MAX_NODES:
         raise ExprError(f"derivative has {nodes} nodes, more than {_MAX_NODES}")
     return derivative

@@ -83,7 +83,8 @@ def generator_matrix(rotation: Rotation) -> Matrix:
     return _embed(rotation, rotation.derivative(rotation.block(0.0)), 0.0)
 
 
-def apply_matrix(matrix: Sequence[Sequence[float]], v: Vector4) -> Vector4:
+def _checked_matrix(matrix: Sequence[Sequence[float]]) -> Matrix:
+    """``matrix`` as float rows; ValueError unless it is a finite 4x4."""
     try:
         rows = tuple(tuple(map(float, row)) for row in matrix)
     except TypeError:  # a row or an entry that is not a sequence
@@ -92,5 +93,14 @@ def apply_matrix(matrix: Sequence[Sequence[float]], v: Vector4) -> Vector4:
         raise ValueError("matrix must be 4x4")
     if not all(math.isfinite(x) for row in rows for x in row):
         raise ValueError("matrix must be finite")
+    return rows
+
+
+def _apply(rows: Matrix, v: Vector4) -> Vector4:
+    """The checked matrix ``rows`` times ``v``, summed from the left."""
     return Vector4(*(sum(m * x for m, x in zip(row, v.components()))
                      for row in rows))
+
+
+def apply_matrix(matrix: Sequence[Sequence[float]], v: Vector4) -> Vector4:
+    return _apply(_checked_matrix(matrix), v)

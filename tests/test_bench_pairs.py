@@ -80,6 +80,38 @@ def test_summary_of_canned_pairs():
     assert other["metrics"]["work_per_s"]["within_bound"] is True
 
 
+def _pairs(base, head):
+    runs = []
+    for seed, (b, h) in enumerate(zip(base, head), start=1):
+        runs += [_run("grid", seed, "base", b, 0.2),
+                 _run("grid", seed, "head", h, 0.2)]
+    return bench_pairs.summarize(runs, END_TO_END)["grid"]["metrics"]
+
+
+def test_gain_resolved_needs_the_pairs_and_the_spread():
+    # base work per s around 58,218 with a quartile spread of 7.4 %
+    base = [52000.0, 53500.0, 55000.0, 55000.0, 58000.0, 58436.0, 59300.0,
+            59300.0, 61000.0, 63000.0]
+    work = _pairs(base, [b * 1.058 for b in base])["work_per_s"]
+    spread = work["base"]["q3"] - work["base"]["q1"]
+    assert work["base"]["median"] == 58218.0
+    assert spread / work["base"]["median"] == pytest.approx(0.074, abs=1e-3)
+    # 1.058x in every pair: 10/10, but 3,377 / s is inside the 4,300 / s
+    # spread, so not resolved
+    assert work["better_pairs"] == "10/10"
+    assert work["ratio"] == pytest.approx(1.058)
+    assert work["gain_resolved"] is False
+    # 1.2x in every pair resolves
+    work = _pairs(base, [b * 1.2 for b in base])["work_per_s"]
+    assert (work["better_pairs"], work["gain_resolved"]) == ("10/10", True)
+    # 1.2x in 8 pairs and a loss in 2: 8/10 does not
+    head = [b * (1.2 if i < 8 else 0.99) for i, b in enumerate(base)]
+    work = _pairs(base, head)["work_per_s"]
+    assert (work["better_pairs"], work["gain_resolved"]) == ("8/10", False)
+    # setup_s reads the same in every pair: no gain to resolve
+    assert _pairs(base, base)["setup_s"]["gain_resolved"] is False
+
+
 def test_workload_argument():
     assert bench_pairs._workload("curvature-grid:10") == ("curvature-grid",
                                                           10)

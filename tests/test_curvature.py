@@ -471,6 +471,81 @@ def test_grid_locates_the_first_failing_point():
     assert isinstance(excinfo.value.error, FrameDegenerateError)
 
 
+def _reports_or_first_failure(srf, ts, ss):
+    """The grid's rows from ``curvature_report`` in row-major order, or
+    (t, s, error) of the first point it fails at."""
+    rows = []
+    for t in ts:
+        for s in ss:
+            try:
+                r = curvature_report(srf, t, s)
+            except (FrameDegenerateError, DomainError) as exc:
+                return t, s, exc
+            rows.append((t, s, r.K_formula, r.K_oracle, r.K_gap, r.h3, r.h4,
+                         r.H_gap))
+    return rows
+
+
+def _random_grid_case(rng, kind, variant):
+    """A random surface on [0.1, 2] and a grid of up to 4 x 4 points that
+    may cross P = 0 or Q = 0, the domain edges, and overflows of a profile
+    (exp(400 t) past t = 1.77) or of a rotation block (cosh(1000 t))."""
+    def poly():
+        return (f"{rng.uniform(0.5, 3.0)!r} + {rng.uniform(-1.0, 1.0)!r}*t"
+                f" + {rng.uniform(-0.5, 0.5)!r}*t^2")
+
+    texts = [poly(), poly(), poly(), poly()]  # fa, fb, angle_u, angle_v
+    special = rng.randrange(12)
+    if special == 0:    # P = 16 (e + g) at s = 2: 0 where e g < 0
+        texts = ["2+t", "2*t", "t", "t"]
+    elif special == 1:  # Q = na + nb: 0 where na nb < 0
+        texts[:2] = ["2+t", "3+t"]
+    elif special == 2:  # fixed angles: P = 0
+        texts[2:] = ["0.5", "1"]
+    elif special == 3:  # fixed profiles: Q = 0
+        texts[:2] = ["2", "3"]
+    elif special == 4:
+        texts[rng.randrange(4)] = "exp(400*t)"
+    elif special == 5:
+        texts[rng.randrange(2, 4)] = "1000*t"
+    fam = make_family(kind, variant, texts[0], texts[1], 0.1, 2.0)
+    angles = [profile(text, 0.1, 2.0) if rng.random() < 0.5
+              else profile(text) for text in texts[2:]]
+    pool = [0.05, 0.1, 0.7, 1.3, 1.75, 1.8, 2.0, 2.05]
+    grid = [[rng.choice(pool) if rng.random() < 0.1 else rng.uniform(0.1, 2.0)
+             for _ in range(rng.randint(1, 4))] for _ in range(2)]
+    return DoubleRotationSurface(fam, *angles), *grid
+
+
+@pytest.mark.parametrize("kind,variant", [
+    (kind, variant) for kind in ("hyperbolic14", "hyperbolic23", "elliptic56")
+    for variant in "AB"])
+def test_grid_errors_are_the_first_failing_reports(kind, variant):
+    # 200 seeded (surface, grid) cases per pair, 1,200 in all: the grid
+    # fails where the first report does, with its message, or its rows are
+    # the reports' bit for bit
+    rng = random.Random(f"grid-{kind}-{variant}")
+    seen = set()
+    for _ in range(200):
+        srf, ts, ss = _random_grid_case(rng, kind, variant)
+        expected = _reports_or_first_failure(srf, ts, ss)
+        if isinstance(expected, list):
+            rows = curvature_grid(srf, ts, ss)
+            assert [[float.hex(v) for v in row] for row in rows] == \
+                [[float.hex(v) for v in row] for row in expected]
+            seen.add("passed")
+            continue
+        t, s, error = expected
+        with pytest.raises(GridPointError) as excinfo:
+            curvature_grid(srf, ts, ss)
+        got = excinfo.value
+        assert (got.t, got.s, type(got.error), str(got.error)) == \
+            (t, s, type(error), str(error))
+        seen.add("degenerate" if isinstance(error, FrameDegenerateError)
+                 else "outside" if "outside" in str(error) else "overflow")
+    assert seen == {"passed", "degenerate", "outside", "overflow"}
+
+
 def test_profile_error_comes_before_angle_error():
     # both the profile at s and the angle at t fail: the profile's error
     # is raised, by the report, the frame and the grid alike

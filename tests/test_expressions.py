@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from rotsurf import (DomainError, ParseError, ProfileFunction, differentiate,
                      evaluate, make_family, parse, to_text)
 from rotsurf import expressions
-from rotsurf.expressions import ExprError, Literal, _Lowering, _measure
+from rotsurf.expressions import ExprError, Literal, _Lowering, _node_count
 
 
 def _lower(expr, domain=None):
@@ -75,6 +75,17 @@ def sine_sum(n):
     ("(" * 64 + "t" + ")" * 64, False),
     ("^".join(["2"] * 64), True),
     ("^".join(["2"] * 65), False),
+    # mixes: no one mechanism passes 64 levels, the tree does (40 + 40,
+    # 30 + 40, 30 + 40), or it has exactly 64 and one more
+    ("-" * 40 + "(" + "+".join(["t"] * 40) + ")", False),
+    ("sin(" * 30 + "+".join(["t"] * 40) + ")" * 30, False),
+    ("2^" * 30 + "(" + "*".join(["t"] * 40) + ")", False),
+    ("-" * 24 + "(" + "+".join(["t"] * 40) + ")", True),
+    ("-" * 25 + "(" + "+".join(["t"] * 40) + ")", False),
+    ("sin(" * 4 + "+".join(["1"] * 59 + ["t"]) + ")" * 4, True),
+    ("sin(" * 5 + "+".join(["1"] * 59 + ["t"]) + ")" * 5, False),
+    ("2^" * 4 + "(" + "*".join(["1"] * 59 + ["t"]) + ")", True),
+    ("2^" * 5 + "(" + "*".join(["1"] * 59 + ["t"]) + ")", False),
     # far past it: these once overflowed the stack of the parser, of repr
     # or of differentiate
     ("+".join(["t"] * 1000), False),
@@ -98,7 +109,7 @@ def test_parse_bounds_the_depth(text, accepted):
 def test_differentiate_bounds_the_node_count(text, nodes):
     d1 = differentiate(parse(text))
     if nodes is None:
-        assert _measure(differentiate(d1))[1] == 5000
+        assert _node_count(differentiate(d1), {}) == 5000
         return
     with pytest.raises(ExprError,
                        match=f"derivative has {nodes} nodes, more than 5000"):
