@@ -1,7 +1,7 @@
 """Geodesics, conserved momenta, and curvature on rotational surfaces in
 flat 4-space with metric signature (-, -, +, +)."""
 
-from .ambient import Vector4, cross, inner
+from .ambient import Vector4, inner
 from .curvature import (DoubleRotationSurface, FrameDegenerateError,
                         curvature_grid, curvature_report,
                         gaussian_curvature_fd, mean_curvature_fd,
@@ -34,7 +34,6 @@ __all__ = [
     "Vector4",
     "apply_matrix",
     "clairaut_report",
-    "cross",
     "curvature_grid",
     "curvature_report",
     "differentiate",

@@ -20,7 +20,7 @@ import os
 import re
 import sys
 
-from .ambient import Vector4, inner
+from .ambient import _inner
 from .config import ConfigError, RunConfig, initial_state, load_config
 from .curvature import DoubleRotationSurface, GridPointError, curvature_grid
 from .expressions import DomainError, ExprError, differentiate, parse, to_text
@@ -203,17 +203,18 @@ def _cmd_curvature(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _charge(fam: SurfaceFamily, generator, row) -> tuple[float, Vector4]:
+def _charge(fam: SurfaceFamily, generator, row) -> tuple:
     """<gamma', J f> of the Killing field x -> J x, J = ``generator`` (a
-    checked matrix), at the point f of trajectory ``row``; and f."""
+    checked matrix), at the point f of trajectory ``row``; then f's
+    standard coordinates and the profile values fa, fb they are from."""
     _, u, v, t, du, dv, dt, *_ = row
     fa, fb = fam.fa.evaluate(t), fam.fb.evaluate(t)
     point = fam.immerse_values(fa, fb, u, v)
     f_u, f_v, f_t = fam.frame_values(fa, fb, fam.fa.derivative(t),
                                      fam.fb.derivative(t), u, v)
     field = _apply(generator, point)
-    return (du * inner(f_u, field) + dv * inner(f_v, field)
-            + dt * inner(f_t, field)), point
+    return (du * _inner(f_u, field) + dv * _inner(f_v, field)
+            + dt * _inner(f_t, field)), point, fa, fb
 
 
 def _cmd_isometry(config: RunConfig, generator: str, angle: float) -> int:
@@ -240,14 +241,20 @@ def _cmd_isometry(config: RunConfig, generator: str, angle: float) -> int:
         matrix = _checked_matrix(generator_matrix(rotation))
         moved = _checked_matrix(rotation_matrix(rotation, angle))
         for row in trajectory.rows:
-            q, point = _charge(fam, matrix, row)
+            q, point, fa, fb = _charge(fam, matrix, row)
+            target = fam.immerse_values(fa, fb, row[1] + shift_u,
+                                        row[2] + shift_v)
+            g0, g1, g2, g3 = (x - y for x, y in zip(_apply(moved, point),
+                                                    target))
+            # before any max, which drops a nan that is not its first
+            # argument: 0 * x is nan exactly when x is inf or nan
+            if not math.isfinite(0.0 * q * g0 * g1 * g2 * g3):
+                raise OverflowError("a point or vector beyond floats")
             charges.append(q)
             p = row[column]
             defect = max(defect, abs(q - 0.5 * p) / max(1.0, abs(p)))
-            gap = _apply(moved, point) - fam.immerse(
-                row[1] + shift_u, row[2] + shift_v, row[3])
-            image = max(image, *map(abs, gap.components()))
-    except (OverflowError, ValueError):  # a point or vector beyond floats
+            image = max(image, abs(g0), abs(g1), abs(g2), abs(g3))
+    except (OverflowError, ValueError):  # also cosh's and fsum's
         print(f"numerical failure: {generator} at angle {_fmt(angle)} "
               f"overflows", file=sys.stderr)
         return EXIT_NUMERICAL

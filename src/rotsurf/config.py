@@ -231,6 +231,10 @@ def parse_config(document: dict) -> RunConfig:
                                     ("curvature", _parse_curvature),
                                     ("output", _parse_output))
                 if key in document}
+    geodesic = sections.get("geodesic")
+    if geodesic is not None and not t_min <= geodesic.initial["t"] <= t_max:
+        raise ConfigError("geodesic.initial.t",
+                          f"must lie in domain [{t_min!r}, {t_max!r}]")
     return RunConfig(FamilyKind(family_name), Variant(variant_name),
                      fa_text, fb_text, t_min, t_max, **sections)
 

@@ -27,8 +27,9 @@ with x'^2, w'^2, x'' w' - x' w'' and e x' w'.  A point does only the
 arithmetic that mixes them, in the operations and order of the formulas
 as written, so its floats are theirs.  The kernel works in plane
 coordinates, the u-plane's two slots then the v-plane's;
-``curvature_report`` and ``normal_frame`` run the same code and place
-its 4-tuples in ``Vector4`` by ``FamilySpec.vector`` on return.
+``curvature_report`` and ``normal_frame`` run the same code and return
+its 4-tuples as ``Vector4`` of the standard coordinates that
+``FamilySpec.vector`` places them in.
 
 The finite-difference oracles ``gaussian_curvature_fd`` (Christoffel
 symbols and the single independent curvature component of any 2-metric)
@@ -108,14 +109,15 @@ class DoubleRotationSurface:
     def point(self, t: float, s: float) -> Vector4:
         fa, fb, *_ = self._profile_values(s)
         u, v, *_ = self._angle_values(t)
-        return self.family.immerse_values(fa, fb, u, v)
+        return Vector4(*self.family.immerse_values(fa, fb, u, v))
 
     def tangents(self, t: float, s: float) -> tuple[Vector4, Vector4]:
         """Exact tangent vectors (d/dt, d/ds) by the chain rule."""
         fa, fb, dfa, dfb, _, _ = self._profile_values(s)
         u, v, du, dv, _, _ = self._angle_values(t)
-        frame = self.family.frame_values(fa, fb, dfa, dfb, u, v)
-        return frame[0] * du + frame[1] * dv, frame[2]
+        f_u, f_v, f_t = self.family.frame_values(fa, fb, dfa, dfb, u, v)
+        return (Vector4(*(a * du + b * dv for a, b in zip(f_u, f_v))),
+                Vector4(*f_t))
 
     def induced_metric(self, t: float, s: float) -> tuple:
         return _gram(*self.tangents(t, s))
@@ -211,10 +213,10 @@ def normal_frame(surface: DoubleRotationSurface, t: float,
     spacelike or timelike as the signs of e g P and na nb Q say; a null
     normal raises ``FrameDegenerateError``.
     """
-    spec = surface.family.spec
+    place = surface.family.spec.vector
     *_, e3, e4 = _frame(t, s, _profile_col(surface, s),
                         _angle_row(surface, t))
-    return spec.vector(e3), spec.vector(e4)
+    return Vector4(*place(e3)), Vector4(*place(e4))
 
 
 # ---------------------------------------------------------------------------
@@ -462,9 +464,10 @@ class CurvatureReport:
 def curvature_report(surface: DoubleRotationSurface, t: float,
                      s: float) -> CurvatureReport:
     """Evaluate closed forms and exact oracles at (t, s) and report the gaps."""
-    spec = surface.family.spec
+    place = surface.family.spec.vector
     k_formula, k_oracle, k_gap, h3, h4, h_gap, *vectors = _point(
         t, s, _profile_col(surface, s), _angle_row(surface, t))
     # e3, e4, H_formula and H_oracle, in the fields' order
     return CurvatureReport(k_formula, k_oracle, h3, h4,
-                           *map(spec.vector, vectors), k_gap, h_gap)
+                           *(Vector4(*place(x)) for x in vectors),
+                           k_gap, h_gap)

@@ -96,11 +96,10 @@ def _checked_matrix(matrix: Sequence[Sequence[float]]) -> Matrix:
     return rows
 
 
-def _apply(rows: Matrix, v: Vector4) -> Vector4:
-    """The checked matrix ``rows`` times ``v``, summed from the left."""
-    return Vector4(*(sum(m * x for m, x in zip(row, v.components()))
-                     for row in rows))
+def _apply(rows: Matrix, x: Sequence[float]) -> list[float]:
+    """``rows``, a checked matrix, times coordinates ``x``, from the left."""
+    return [sum(m * c for m, c in zip(row, x)) for row in rows]
 
 
 def apply_matrix(matrix: Sequence[Sequence[float]], v: Vector4) -> Vector4:
-    return _apply(_checked_matrix(matrix), v)
+    return Vector4(*_apply(_checked_matrix(matrix), v.components()))

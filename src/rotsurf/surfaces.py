@@ -67,8 +67,8 @@ class NotTimelikeError(ValueError):
 
 
 class MetricOverflowError(DomainError):
-    """A metric coefficient that is not finite: a numerical failure, not a
-    domain error of the profiles."""
+    """A metric coefficient or Lagrangian that is not finite: a numerical
+    failure, not a domain error of the profiles."""
 
     def __init__(self):
         super().__init__("metric overflow")
@@ -110,6 +110,7 @@ class FamilySpec:
     def __init__(self, variant: Variant):
         self.fa_pos, self.fb_pos = fa_pos, fb_pos = self.slots[variant]
         self.plane_u, self.plane_v = pu, pv = self.rot_u.plane, self.rot_v.plane
+        self._order = tuple(map((pu + pv).index, range(4)))
         self.e_sign = e = METRIC_DIAGONAL[pu[1 - fa_pos]]
         self.g_sign = g = METRIC_DIAGONAL[pv[1 - fb_pos]]
         self.na_sign = na = METRIC_DIAGONAL[pu[fa_pos]]
@@ -146,12 +147,9 @@ class FamilySpec:
             return (*self.invariants(fa, fb, phi, theta), angles)
         return self.mom_sign_u * p_u, self.mom_sign_v * p_v, angles
 
-    def vector(self, comps) -> Vector4:
-        """The vector of plane coordinates: u-plane slots, then v-plane's."""
-        x = [0.0, 0.0, 0.0, 0.0]
-        (x[self.plane_u[0]], x[self.plane_u[1]],
-         x[self.plane_v[0]], x[self.plane_v[1]]) = comps
-        return Vector4(*x)
+    def vector(self, comps) -> list[float]:
+        """Standard coordinates of plane ones: u-plane slots, v-plane's."""
+        return [comps[k] for k in self._order]
 
 
 class _Hyperbolic14(FamilySpec):
@@ -277,10 +275,17 @@ class MetricCoefficients:
         return self.E == 0.0 or self.G == 0.0 or self.N == 0.0
 
     def lagrangian(self, state: GeodesicState) -> float:
-        """E du^2 + G dv^2 + N dt^2 at ``state``'s velocity."""
-        return math.fsum((self.E * state.du * state.du,
-                          self.G * state.dv * state.dv,
-                          self.N * state.dt * state.dt))
+        """E du^2 + G dv^2 + N dt^2 at ``state``'s velocity;
+        ``MetricOverflowError`` when it is not finite."""
+        try:
+            lagr = math.fsum((self.E * state.du * state.du,
+                              self.G * state.dv * state.dv,
+                              self.N * state.dt * state.dt))
+        except (ValueError, OverflowError) as exc:  # inf - inf, or overflow
+            raise MetricOverflowError() from exc
+        if not math.isfinite(lagr):
+            raise MetricOverflowError()
+        return lagr
 
     def momenta(self, state: GeodesicState) -> tuple[float, float]:
         """Conjugate momenta (2 E du, 2 G dv) at ``state``'s velocity."""
@@ -341,20 +346,21 @@ class SurfaceFamily:
     # -- geometry -----------------------------------------------------------
 
     def immerse_values(self, fa_value: float, fb_value: float,
-                       u: float, v: float) -> Vector4:
-        """Immersed point from raw profile values (no domain logic)."""
+                       u: float, v: float) -> list[float]:
+        """Immersed point's coordinates from raw values (no domain logic)."""
         spec = self.spec
         (cu0, cu1), _, (cv0, cv1), _ = spec.columns(u, v)
         return spec.vector((cu0 * fa_value, cu1 * fa_value,
                             cv0 * fb_value, cv1 * fb_value))
 
     def immerse(self, u: float, v: float, t: float) -> Vector4:
-        return self.immerse_values(self.fa.evaluate(t), self.fb.evaluate(t), u, v)
+        return Vector4(*self.immerse_values(self.fa.evaluate(t),
+                                            self.fb.evaluate(t), u, v))
 
     def frame_values(self, fa_value: float, fb_value: float,
                      dfa_value: float, dfb_value: float,
-                     u: float, v: float) -> tuple[Vector4, Vector4, Vector4]:
-        """Coordinate tangent vectors (d/du, d/dv, d/dt) from raw values."""
+                     u: float, v: float) -> tuple[list[float], ...]:
+        """Coordinates of the tangents d/du, d/dv, d/dt from raw values."""
         spec = self.spec
         (cu0, cu1), (du0, du1), (cv0, cv1), (dv0, dv1) = spec.columns(u, v)
         return (spec.vector((du0 * fa_value, du1 * fa_value, 0.0, 0.0)),
@@ -363,8 +369,9 @@ class SurfaceFamily:
                              cv0 * dfb_value, cv1 * dfb_value)))
 
     def tangent_frame(self, u: float, v: float, t: float):
-        return self.frame_values(self.fa.evaluate(t), self.fb.evaluate(t),
-                                 self.fa.derivative(t), self.fb.derivative(t), u, v)
+        return tuple(Vector4(*x) for x in self.frame_values(
+            self.fa.evaluate(t), self.fb.evaluate(t),
+            self.fa.derivative(t), self.fb.derivative(t), u, v))
 
     # -- metric -------------------------------------------------------------
 

@@ -1,6 +1,7 @@
 """Config validation, artifact writing, exit codes, determinism."""
 
 import argparse
+import ast
 import json
 import math
 import os
@@ -352,9 +353,25 @@ def test_output_dir_override(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "out.csv").exists()
 
 
+@pytest.mark.parametrize("changes", [
+    {},
+    # N dt^2 = -(1e200)^2 = -inf: L = -inf, not a zero velocity
+    {"geodesic.initial.du": 0.0, "geodesic.initial.dt": 1e200},
+    # E du^2 = +inf and N dt^2 = -inf: fsum raises on inf - inf
+    {"geodesic.initial.du": 1e200, "geodesic.initial.dt": 1e200},
+    # finite terms whose sum overflows: fsum raises OverflowError
+    {"family": "hyperbolic23", "profiles.fa": "1+t", "profiles.fb": "2+t",
+     "geodesic.initial.du": 5e153, "geodesic.initial.dv": 3.33e153,
+     "geodesic.initial.dt": 0.0},
+], ids=["G", "L-inf", "L-inf-minus-inf", "L-fsum-overflow"])
 def test_metric_overflow_while_normalising_is_numerical_failure(tmp_path,
-                                                                capsys):
-    config = overflow_config(tmp_path, **{"geodesic.normalize": True})
+                                                                capsys,
+                                                                changes):
+    if changes:
+        config = meridian_config(tmp_path, **{"geodesic.normalize": True,
+                                              **changes})
+    else:
+        config = overflow_config(tmp_path, **{"geodesic.normalize": True})
     assert main(["geodesic", "--config", config]) == 2
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == (
@@ -565,6 +582,24 @@ def test_runtime_imports_no_numpy():
     assert result.stdout.splitlines()[-1] == "False"
 
 
+def test_package_imports_itself_only_relatively():
+    # rotsurf's modules reach each other by relative imports alone, so a
+    # copy of the package loaded under another name uses its own modules
+    paths = sorted(Path(rotsurf.__file__).parent.glob("*.py"))
+    assert len(paths) >= 9
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            assert not [name for name in names if name == "rotsurf"
+                        or name.startswith("rotsurf.")], \
+                f"{path.name}:{node.lineno} imports rotsurf absolutely"
+
+
 def test_parser_is_built_once_on_the_first_call():
     # a fresh interpreter, so that the count starts before rotsurf.cli is
     # imported; each parser and subparser is one ArgumentParser
@@ -733,6 +768,18 @@ def test_isometry_overflow_is_numerical_failure(tmp_path, capsys):
                             "overflows\n")
 
 
+def test_isometry_image_overflow_is_numerical_failure(tmp_path, capsys):
+    # cosh(709) = 4.1e307 keeps the rotation matrix finite; only the
+    # rotated image of the points, near x1 = 5, is beyond the float range
+    config = meridian_config(tmp_path, **{"geodesic.initial.t": 5.0})
+    assert main(["isometry", "--config", config, "--generator", "boost13",
+                 "--angle", "709"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("numerical failure: boost13 at angle 709 "
+                            "overflows\n")
+
+
 def test_isometry_rejects_foreign_generator(tmp_path, capsys):
     config = meridian_config(tmp_path)
     assert main(["isometry", "--config", config, "--generator", "spin12",
@@ -776,6 +823,11 @@ _GRID = {"xAngle": "t", "vAngle": "1", "grid": {"nt": 0, "ns": 2}}
     ("geodesic", {"geodesic": None}, "geodesic: missing"),
     ("isometry --generator boost13", {"geodesic": None}, "geodesic: missing"),
     ("curvature", {}, "curvature: missing"),
+    ("geodesic", {"geodesic.initial.t": 50},
+     "geodesic.initial.t: must lie in domain [0.05, 10.0]"),
+    ("geodesic", {"geodesic.initial": {"u": 0, "v": 0, "t": 0.01,
+                                       "phi": 0.5, "theta": 0.1}},
+     "geodesic.initial.t: must lie in domain [0.05, 10.0]"),
 ])
 def test_validation_error_names_its_field(tmp_path, capsys, argv, changes,
                                           line):

@@ -13,7 +13,7 @@ import sympy as sp
 
 from rotsurf import (DegenerateMetricError, DomainError,
                      DoubleRotationSurface, FrameDegenerateError,
-                     ProfileFunction, Vector4, cross, curvature_grid,
+                     ProfileFunction, Vector4, curvature_grid,
                      curvature_report, gaussian_curvature_fd, inner,
                      make_family, mean_curvature_fd, normal_frame)
 from rotsurf.curvature import GridPointError
@@ -230,12 +230,6 @@ def test_frame_orthonormality_at_random_points(srf, signature):
         for normal in (e3, e4):
             assert abs(inner(normal, st)) <= 1e-10
             assert abs(inner(normal, ss)) <= 1e-10
-        # e4 spans the normal line of (S_t, S_s, e3): the ternary cross
-        # product less its part along e4 vanishes
-        c = cross(st, ss, e3)
-        rest = c - e4 * (inner(c, e4) * expected[1])
-        assert max(map(abs, rest.components())) \
-            <= 1e-10 * max(map(abs, c.components()))
 
 
 def test_frame_degenerate_raises():

@@ -16,6 +16,7 @@ from rotsurf import (DegenerateMetricError, DomainError, GeodesicState,
                      integrate, make_family, momenta, slope,
                      state_from_angles)
 from rotsurf.geodesics import Trajectory, invariant_rows
+from rotsurf.surfaces import MetricOverflowError
 
 H14 = make_family("hyperbolic14", "A", "t", "1", 0.02, 40.0)
 H23 = make_family("hyperbolic23", "A", "2 + t/sqrt(2)", "1 + t/sqrt(2)", -1.4, 60.0)
@@ -203,6 +204,21 @@ def test_clairaut_report_evaluates_each_profile_value_once(monkeypatch):
         assert sorted(calls) == ["derivative", "derivative",
                                  "evaluate", "evaluate"]
     assert defined == [True, False]
+
+
+@pytest.mark.parametrize("fam,start", [
+    (H14, (0, 0, 1.0, 0.0, 0.0, 1e200)),    # N dt^2 = -inf
+    (H14, (0, 0, 1.0, 1e200, 0.0, 1e200)),  # fsum raises on inf - inf
+    # finite terms whose sum overflows: fsum raises OverflowError
+    (make_family("hyperbolic23", "A", "1+t", "2+t", 0.05, 10.0),
+     (0, 0, 1.0, 5e153, 3.33e153, 0.0)),
+], ids=["inf", "inf-minus-inf", "sum-overflow"])
+def test_overflowing_lagrangian_is_metric_overflow(fam, start):
+    state = GeodesicState(*start)
+    for call in (fam.lagrangian, fam.normalize_timelike,
+                 lambda state: clairaut_report(fam, state)):
+        with pytest.raises(MetricOverflowError):
+            call(state)
 
 
 def test_slope_boost_example():
