@@ -15,9 +15,12 @@ version, and for each workload and end-to-end metric each side's median
 and quartiles and the number of pairs in which the head reads better, in
 the direction ``BENCHMARK.json`` names (ties count for neither side),
 how much worse the head's median reads and whether that is within the
-metric's ``bound``, and whether a gain is resolved: the head reads
-better in at least 9 of 10 pairs and its median is better by more than
-the base's quartile spread, the rule a claimed gain is held to.
+metric's ``bound``, whether the comparison is unresolved: the base's
+quartile spread is wider than the bound allows, so a head within the
+bound is not shown unchanged, unless every head run reads better than
+every base run; and whether a gain is resolved: the head reads better
+in at least 9 of 10 pairs and its median is better by more than the
+base's quartile spread, the rule a claimed gain is held to.
 """
 
 from __future__ import annotations
@@ -79,7 +82,9 @@ def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
     quartiles, the ratio of the medians (head over base), the pairs in
     which the head reads better, ``worse_by`` (the head median's relative
     change in the metric's worse direction, 0 if it reads better) and
-    ``within_bound`` (``worse_by`` at most the metric's ``bound``) and
+    ``within_bound`` (``worse_by`` at most the metric's ``bound``),
+    ``unresolved`` (the base's q3 - q1 over its median wider than the
+    ``bound``, and not every head run better than every base run) and
     ``gain_resolved`` (the head better in at least 9/10 of the pairs, and
     its median better than the base's by more than the base's q3 - q1)."""
     summary = {}
@@ -112,6 +117,7 @@ def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
             worse_by = (max(0.0, sign * (base_median - head_median)
                             / abs(base_median)) if base_median else None)
             base_spread = _spread(values["base"])
+            spread = base_spread["q3"] - base_spread["q1"]
             entry["metrics"][name] = {
                 "unit": metric["unit"],
                 "better": metric["better"],
@@ -122,10 +128,13 @@ def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
                 "worse_by": worse_by,
                 "within_bound": (worse_by <= metric["bound"]
                                  if worse_by is not None else None),
+                "unresolved": (
+                    spread > metric["bound"] * abs(base_median)
+                    and not min(sign * head for head in values["head"])
+                    > max(sign * base for base in values["base"])),
                 "gain_resolved": (
                     10 * better >= 9 * len(complete)
-                    and sign * (head_median - base_median)
-                    > base_spread["q3"] - base_spread["q1"]),
+                    and sign * (head_median - base_median) > spread),
             }
         summary[workload] = entry
     return summary

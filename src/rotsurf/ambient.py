@@ -1,7 +1,8 @@
 """Vector algebra of flat 4-space with metric signature (-, -, +, +).
 
-The public API returns points and tangent vectors as ``Vector4``; inside,
-they are 4-sequences of standard coordinates, checked only on return.
+The public API returns points and tangent vectors as ``Vector4``, a
+checked record with no arithmetic.  Inside, the finite-difference
+oracles included, they are 4-sequences of standard coordinates.
 ``inner`` is the index-2 bilinear form, ``_inner`` the same on coordinates.
 
 Everything here is a pure function of immutable values.
@@ -40,23 +41,6 @@ class Vector4:
 
     def components(self) -> tuple[float, float, float, float]:
         return (self.x1, self.x2, self.x3, self.x4)
-
-    def __add__(self, other: "Vector4") -> "Vector4":
-        return Vector4(self.x1 + other.x1, self.x2 + other.x2,
-                       self.x3 + other.x3, self.x4 + other.x4)
-
-    def __sub__(self, other: "Vector4") -> "Vector4":
-        return Vector4(self.x1 - other.x1, self.x2 - other.x2,
-                       self.x3 - other.x3, self.x4 - other.x4)
-
-    def __mul__(self, scalar: float) -> "Vector4":
-        return Vector4(self.x1 * scalar, self.x2 * scalar,
-                       self.x3 * scalar, self.x4 * scalar)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, scalar: float) -> "Vector4":
-        return self * (1.0 / scalar)
 
 
 def _inner(v, w) -> float:

@@ -48,29 +48,41 @@ def _fmt(value: float) -> str:
     return f"{value:.17g}"
 
 
-def _resolve_output(path: str) -> str:
+class _NumericalFailure(Exception):
+    """A numerical failure; ``main`` prints its line and exits 2."""
+
+
+def _resolve_output(config: RunConfig) -> str:
+    if config.output is None:
+        raise ConfigError("output", "missing")
     override = os.environ.get(_OUTPUT_DIR_VAR)
     if override:
-        return os.path.join(override, os.path.basename(path))
-    return path
+        return os.path.join(override, os.path.basename(config.output.path))
+    return config.output.path
 
 
 def _write_atomic(path: str, text: str):
+    """Write ``text`` to ``path`` through a temporary file beside it; an
+    ``OSError`` becomes a ``ConfigError`` of output.path."""
     directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
     # os.replace keeps the temporary file's mode, so it is created as
     # open(path, "w") would create ``path``: 0o666 under the umask (a
     # mkstemp file would be 0o600); O_EXCL never reuses an existing name
     temp_path = os.path.join(directory, f".rotsurf-{os.urandom(8).hex()}")
-    fd = os.open(temp_path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
-        os.replace(temp_path, path)
-    except BaseException:
-        if os.path.exists(temp_path):
-            os.unlink(temp_path)
-        raise
+        os.makedirs(directory, exist_ok=True)
+        fd = os.open(temp_path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
+                handle.write(text)
+            os.replace(temp_path, path)
+        except BaseException:
+            if os.path.exists(temp_path):
+                os.unlink(temp_path)
+            raise
+    except OSError as exc:
+        raise ConfigError("output.path", f"cannot write {path!r}: "
+                                         f"{exc.strerror}") from exc
 
 
 def _json(payload: dict) -> str:
@@ -113,21 +125,19 @@ def _run_geodesic(config: RunConfig, fam: SurfaceFamily):
     return integrate(fam, state0, section.length, section.step), residual
 
 
-def _numerical_exit(trajectory: Trajectory) -> int | None:
+def _check_termination(trajectory: Trajectory):
+    """Raise ``_NumericalFailure`` for a failed run; warn of an early end."""
     if trajectory.termination in ("degenerate_metric", "nonfinite_state"):
-        print(f"numerical failure: {trajectory.termination} after "
-              f"s={_fmt(trajectory.reached_length)}", file=sys.stderr)
-        return EXIT_NUMERICAL
+        raise _NumericalFailure(f"numerical failure: {trajectory.termination}"
+                                f" after s={_fmt(trajectory.reached_length)}")
     if (trajectory.termination == "domain_exit"
             and trajectory.reached_length < 0.1 * trajectory.requested_length):
-        print(f"numerical failure: domain exit at "
-              f"s={_fmt(trajectory.reached_length)} "
-              f"(before 10% of requested length)", file=sys.stderr)
-        return EXIT_NUMERICAL
+        raise _NumericalFailure(f"numerical failure: domain exit at "
+                                f"s={_fmt(trajectory.reached_length)} "
+                                f"(before 10% of requested length)")
     if trajectory.termination != "completed":
         print(f"warning: {trajectory.termination} at "
               f"s={_fmt(trajectory.reached_length)}", file=sys.stderr)
-    return None
 
 
 def _cmd_info(config: RunConfig) -> int:
@@ -151,14 +161,10 @@ def _cmd_info(config: RunConfig) -> int:
 def _cmd_geodesic(config: RunConfig, summarize: bool = False) -> int:
     """Write the trajectory artifact; with ``summarize`` (the ``invariants``
     command) also its drift summary."""
-    if config.output is None:
-        raise ConfigError("output", "missing")
+    path = _resolve_output(config)
     fam = config.build_family()
     trajectory, residual = _run_geodesic(config, fam)
-    failure = _numerical_exit(trajectory)
-    if failure is not None:
-        return failure
-    path = _resolve_output(config.output.path)
+    _check_termination(trajectory)
     rows = invariant_rows(fam, trajectory.rows)
     _write_table(path, config.output.format, _TRAJECTORY_COLUMNS, rows,
                  "samples", columns=list(_TRAJECTORY_COLUMNS),
@@ -167,10 +173,9 @@ def _cmd_geodesic(config: RunConfig, summarize: bool = False) -> int:
         print(f"wrote {path} ({len(trajectory.rows)} samples, "
               f"{trajectory.termination})")
         return EXIT_OK
-    # Trajectory.drifts' three and the invariants', from one transpose
-    columns = dict(zip(_TRAJECTORY_COLUMNS, zip(*rows)))
-    summary = {f"{name}_drift": _drift(columns[name])
-               for name in ("p_u", "p_v", "L", "inv1", "inv2")}
+    summary = trajectory.drifts()
+    summary["inv1_drift"] = _drift([row[10] for row in rows])
+    summary["inv2_drift"] = _drift([row[11] for row in rows])
     if residual is not None:
         summary["initial_angle_residual"] = residual
     summary_path = os.path.splitext(path)[0] + ".summary.json"
@@ -180,8 +185,7 @@ def _cmd_geodesic(config: RunConfig, summarize: bool = False) -> int:
 
 
 def _cmd_curvature(config: RunConfig) -> int:
-    if config.output is None:
-        raise ConfigError("output", "missing")
+    path = _resolve_output(config)
     fam = config.build_family()
     surface = DoubleRotationSurface(fam, config.angle_profile("u"),
                                     config.angle_profile("v"))
@@ -194,10 +198,8 @@ def _cmd_curvature(config: RunConfig) -> int:
     try:
         rows = curvature_grid(surface, ts, ss)
     except GridPointError as exc:
-        print(f"numerical failure at t={_fmt(exc.t)}, s={_fmt(exc.s)}: "
-              f"{exc.error}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    path = _resolve_output(config.output.path)
+        raise _NumericalFailure(f"numerical failure at t={_fmt(exc.t)}, "
+                                f"s={_fmt(exc.s)}: {exc.error}") from exc
     _write_table(path, config.output.format, _CURVATURE_COLUMNS, rows, "grid")
     print(f"wrote {path} ({section.nt * section.ns} grid points)")
     return EXIT_OK
@@ -231,9 +233,7 @@ def _cmd_isometry(config: RunConfig, generator: str, angle: float) -> int:
                           f"{config.family.value} (expects "
                           f"{rot_u.label} or {rot_v.label})")
     trajectory, _ = _run_geodesic(config, fam)
-    failure = _numerical_exit(trajectory)
-    if failure is not None:
-        return failure
+    _check_termination(trajectory)
     shift_u, shift_v, column = ((angle, 0.0, 8) if rotation is rot_u
                                 else (0.0, angle, 9))
     charges, defect, image = [], 0.0, 0.0
@@ -254,10 +254,9 @@ def _cmd_isometry(config: RunConfig, generator: str, angle: float) -> int:
             p = row[column]
             defect = max(defect, abs(q - 0.5 * p) / max(1.0, abs(p)))
             image = max(image, abs(g0), abs(g1), abs(g2), abs(g3))
-    except (OverflowError, ValueError):  # also cosh's and fsum's
-        print(f"numerical failure: {generator} at angle {_fmt(angle)} "
-              f"overflows", file=sys.stderr)
-        return EXIT_NUMERICAL
+    except (OverflowError, ValueError) as exc:  # also cosh's and fsum's
+        raise _NumericalFailure(f"numerical failure: {generator} at angle "
+                                f"{_fmt(angle)} overflows") from exc
     print(f"generator {generator} angle {_fmt(angle)}: "
           f"charge {_fmt(charges[0])}, drift {_fmt(_drift(charges))}, "
           f"max |q - p/2|/max(1,|p|) {_fmt(defect)}, "
@@ -329,13 +328,16 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "isometry":
             return _cmd_isometry(config, args.generator, args.angle)
         raise AssertionError(f"unhandled command {args.command}")
+    except (DegenerateMetricError, MetricOverflowError,
+            NotTimelikeError) as exc:
+        failure = f"numerical failure: {exc}"
     except (ConfigError, ExprError, ValueError) as exc:
-        if isinstance(exc, (DegenerateMetricError, MetricOverflowError,
-                            NotTimelikeError)):
-            print(f"numerical failure: {exc}", file=sys.stderr)
-            return EXIT_NUMERICAL
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    except _NumericalFailure as exc:
+        failure = exc
+    print(failure, file=sys.stderr)
+    return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

@@ -35,7 +35,8 @@ The finite-difference oracles ``gaussian_curvature_fd`` (Christoffel
 symbols and the single independent curvature component of any 2-metric)
 and ``mean_curvature_fd`` (second partials of the immersion with the
 tangential part projected away) are the independent cross-check of the
-exact oracles; they are not on the report path.
+exact oracles, on the coordinates of the ``Vector4``s their callbacks
+return; they are not on the report path.
 
 Profile and angle trees are walked by ``expressions.evaluate`` (a grid
 reads each once per t or s, too few times for lowering to pay off).  The
@@ -48,7 +49,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .ambient import Vector4, inner
+from .ambient import Vector4, _inner
 from .expressions import DomainError, ProfileFunction, evaluate
 from .surfaces import DegenerateMetricError, SurfaceFamily
 
@@ -78,9 +79,10 @@ class GridPointError(ValueError):
         self.t, self.s, self.error = t, s, error
 
 
-def _gram(st: Vector4, ss: Vector4) -> tuple:
-    """The 2-metric ((g00, g01), (g10, g11)) of the tangents (S_t, S_s)."""
-    return ((inner(st, st), inner(st, ss)), (inner(ss, st), inner(ss, ss)))
+def _gram(st, ss) -> tuple:
+    """The 2-metric ((g00, g01), (g10, g11)) of the coordinates S_t, S_s."""
+    return ((_inner(st, st), _inner(st, ss)),
+            (_inner(ss, st), _inner(ss, ss)))
 
 
 def _pair_values(first: ProfileFunction, second: ProfileFunction,
@@ -120,7 +122,7 @@ class DoubleRotationSurface:
                 Vector4(*f_t))
 
     def induced_metric(self, t: float, s: float) -> tuple:
-        return _gram(*self.tangents(t, s))
+        return _gram(*(x.components() for x in self.tangents(t, s)))
 
 
 def _profile_col(surface: DoubleRotationSurface, s: float) -> tuple:
@@ -129,9 +131,7 @@ def _profile_col(surface: DoubleRotationSurface, s: float) -> tuple:
     values and their products, each formed in the operations and order of
     the formula it enters.  A quotient by Q is left 0 where Q = 0: every
     point of such a column raises before it would use it."""
-    fa = surface.family.fa
-    if not fa.t_min <= s <= fa.t_max:
-        raise fa._outside(s)
+    surface.family.fa.check(s)
     e, g, na, nb, sigma, rho = surface.family.spec.signs
     fa, fb, dfa, dfb, d2fa, d2fb = values = surface._profile_values(s)
     efa2, gfb2 = e * fa * fa, g * fb * fb
@@ -154,9 +154,8 @@ def _angle_row(surface: DoubleRotationSurface, t: float) -> tuple:
     ``FamilySpec.columns`` at (x, w), which S_t and S_s are built from, or
     the ``DomainError`` of their overflow, which a point raises only after
     ``_frame``'s degeneracy check."""
-    for angle in (surface.angle_u, surface.angle_v):
-        if not angle.t_min <= t <= angle.t_max:
-            raise angle._outside(t)
+    surface.angle_u.check(t)
+    surface.angle_v.check(t)
     x, w, dx, dw, d2x, d2w = surface._angle_values(t)
     spec = surface.family.spec
     try:
@@ -301,22 +300,23 @@ def mean_curvature_fd(point_fn, tangents_fn, t: float, s: float,
     the induced metric come from ``tangents_fn`` exactly, so the result is
     independent of any closed-form normal frame.
     """
-    st, ss = tangents_fn(t, s)
-    ginv, _ = _inverse(_gram(st, ss), t)
-
-    center = point_fn(t, s)
-    stt = (point_fn(t + h, s) - 2.0 * center + point_fn(t - h, s)) / (h * h)
-    sss = (point_fn(t, s + h) - 2.0 * center + point_fn(t, s - h)) / (h * h)
-    sts = (point_fn(t + h, s + h) - point_fn(t + h, s - h)
-           - point_fn(t - h, s + h) + point_fn(t - h, s - h)) / (4.0 * h * h)
-
-    trace = (stt * ginv[0][0] + sss * ginv[1][1]
-             + sts * (ginv[0][1] + ginv[1][0])) * 0.5
+    st, ss = (x.components() for x in tangents_fn(t, s))
+    (g00, g01), (g10, g11) = _inverse(_gram(st, ss), t)[0]
+    # the immersion at (t, s), at its four _shifts and at (t +- h, s +- h)
+    points = [point_fn(*p).components() for p in (
+        (t, s), *_shifts(t, s, h), (t + h, s + h), (t + h, s - h),
+        (t - h, s + h), (t - h, s - h))]
+    by_h2, by_4h2, g_ts = 1.0 / (h * h), 1.0 / (4.0 * h * h), g01 + g10
+    trace = [((tp - 2.0 * x + tm) * by_h2 * g00
+              + (sp - 2.0 * x + sm) * by_h2 * g11
+              + (pp - pm - mp + mm) * by_4h2 * g_ts) * 0.5
+             for x, tp, tm, sp, sm, pp, pm, mp, mm in zip(*points)]
     # remove the tangential projection g^{ab} <trace, S_a> S_b
-    trace_st, trace_ss = inner(trace, st), inner(trace, ss)
-    coeff0 = ginv[0][0] * trace_st + ginv[0][1] * trace_ss
-    coeff1 = ginv[1][0] * trace_st + ginv[1][1] * trace_ss
-    return trace - (st * coeff0 + ss * coeff1)
+    trace_st, trace_ss = _inner(trace, st), _inner(trace, ss)
+    coeff0 = g00 * trace_st + g01 * trace_ss
+    coeff1 = g10 * trace_st + g11 * trace_ss
+    return Vector4(*(x - (a * coeff0 + b * coeff1)
+                     for x, a, b in zip(trace, st, ss)))
 
 
 # ---------------------------------------------------------------------------

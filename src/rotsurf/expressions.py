@@ -728,17 +728,19 @@ class ProfileFunction:
         return DomainError(
             f"t={t!r} outside profile domain [{self.t_min}, {self.t_max}]")
 
-    def evaluate(self, t: float) -> float:
+    def check(self, t: float):
+        """Raise ``DomainError`` unless t_min <= t <= t_max."""
         if not self.t_min <= t <= self.t_max:
             raise self._outside(t)
+
+    def evaluate(self, t: float) -> float:
+        self.check(t)
         return _evaluate(self.value, t)
 
     def derivative(self, t: float) -> float:
-        if not self.t_min <= t <= self.t_max:
-            raise self._outside(t)
+        self.check(t)
         return _evaluate(self.d1, t)
 
     def second_derivative(self, t: float) -> float:
-        if not self.t_min <= t <= self.t_max:
-            raise self._outside(t)
+        self.check(t)
         return _evaluate(self.d2, t)

@@ -112,6 +112,30 @@ def test_gain_resolved_needs_the_pairs_and_the_spread():
     assert _pairs(base, base)["setup_s"]["gain_resolved"] is False
 
 
+def test_unresolved_when_the_base_spread_exceeds_the_bound():
+    # the trajectory work_per_s runs of BENCH_pr25.json: a 41.2 % base
+    # spread against the 25 % bound
+    base = [81368.0, 79223.0, 80585.0, 61416.0, 68728.0, 68692.0, 76059.0,
+            46095.0, 41372.0, 46333.0]
+    head = [83285.0, 81714.0, 75498.0, 68683.0, 71947.0, 73230.0, 75687.0,
+            48817.0, 38506.0, 43570.0]
+    work = _pairs(base, head)["work_per_s"]
+    spread = work["base"]["q3"] - work["base"]["q1"]
+    assert spread / work["base"]["median"] == pytest.approx(0.412, abs=1e-3)
+    # within the bound, as that file wrote, but not shown unchanged
+    assert (work["better_pairs"], work["within_bound"]) == ("6/10", True)
+    assert work["unresolved"] is True
+    # better in every pair is not enough: 1.3x the slowest base run is
+    # below the fastest
+    work = _pairs(base, [b * 1.3 for b in base])["work_per_s"]
+    assert (work["better_pairs"], work["unresolved"]) == ("10/10", True)
+    # every head run above every base run resolves it
+    work = _pairs(base, [b + 40000.0 for b in base])["work_per_s"]
+    assert work["unresolved"] is False
+    # setup_s reads 0.2 in every run: no spread, so resolved
+    assert _pairs(base, head)["setup_s"]["unresolved"] is False
+
+
 def test_workload_argument():
     assert bench_pairs._workload("curvature-grid:10") == ("curvature-grid",
                                                           10)

@@ -2,6 +2,7 @@
 
 import argparse
 import ast
+import errno
 import json
 import math
 import os
@@ -849,12 +850,37 @@ def test_validation_error_names_its_field(tmp_path, capsys, argv, changes,
 
 def test_write_atomic_leaves_no_temporary_file(tmp_path, monkeypatch):
     def failing(source, target):
-        raise OSError("replace failed")
+        raise OSError(errno.EIO, "replace failed")
 
     monkeypatch.setattr(os, "replace", failing)
-    with pytest.raises(OSError, match="replace failed"):
+    with pytest.raises(ConfigError, match="cannot write .*: replace failed"):
         _write_atomic(str(tmp_path / "out.csv"), "s,u\n")
     assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("target,override,reason", [
+    ("taken", None, "Is a directory"),
+    ("plain/sub/out.csv", None, "Not a directory"),
+    ("out.csv", "plain", "File exists"),
+], ids=["path-is-a-directory", "path-below-a-file", "output-dir-is-a-file"])
+def test_unwritable_output_is_a_config_error(tmp_path, capsys, monkeypatch,
+                                             target, override, reason):
+    (tmp_path / "taken").mkdir()
+    (tmp_path / "plain").write_text("")
+    document = patched(MERIDIAN_CONFIG)
+    document["output"]["path"] = str(tmp_path / target)
+    config = write_config(tmp_path, document)
+    written = tmp_path / target
+    if override is not None:
+        monkeypatch.setenv("ROTSURF_OUTPUT_DIR", str(tmp_path / override))
+        written = tmp_path / override / "out.csv"
+    assert main(["geodesic", "--config", config]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "", f"config error: output.path: cannot write {str(written)!r}: "
+            f"{reason}\n")
+    assert sorted(os.listdir(tmp_path)) == ["config.json", "plain", "taken"]
+    assert os.listdir(tmp_path / "taken") == []
 
 
 # every value in every column: signed zeros, the smallest subnormal, large

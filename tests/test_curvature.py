@@ -258,8 +258,9 @@ def test_degenerate_induced_metric_raises():
 
 def test_report_decomposes_formula_vector():
     report = curvature_report(CURVED, 0.6, 1.0)
-    rebuilt = report.e3 * report.h3 + report.e4 * report.h4
-    for got, want in zip(report.H_formula.components(), rebuilt.components()):
+    rebuilt = [a * report.h3 + b * report.h4 for a, b in
+               zip(report.e3.components(), report.e4.components())]
+    for got, want in zip(report.H_formula.components(), rebuilt):
         assert got == pytest.approx(want, abs=1e-12)
     assert report.K_gap == abs(report.K_formula - report.K_oracle)
     assert report.H_gap >= 0.0

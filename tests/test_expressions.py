@@ -502,6 +502,19 @@ def test_profile_domain_guard():
         profile.second_derivative(1.0001)
 
 
+def test_profile_check_is_the_evaluation_domain():
+    profile = ProfileFunction.from_text("t^2", 0.1, 1.5)
+    for t in (0.1, 1.5):
+        assert profile.check(t) is None
+    for t in (math.nextafter(0.1, -math.inf), math.nextafter(1.5, math.inf)):
+        with pytest.raises(DomainError) as expected:
+            profile.evaluate(t)
+        with pytest.raises(DomainError) as got:
+            profile.check(t)
+        assert str(got.value) == str(expected.value) == (
+            f"t={t!r} outside profile domain [0.1, 1.5]")
+
+
 def test_profile_requires_ordered_finite_domain():
     with pytest.raises(ValueError):
         ProfileFunction.from_text("t", 2.0, 1.0)

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_expressions import _lowering_func, _lowering_leaf, _outcome, _tree
 
-from rotsurf import (DomainError, GeodesicState, NotTimelikeError,
+from rotsurf import (DomainError, GeodesicState, NotTimelikeError, Vector4,
                      apply_matrix, expressions, inner, integrate, make_family,
                      rotation_matrix)
 from rotsurf.geodesics import invariant_rows
@@ -174,8 +174,9 @@ def test_lagrangian_examples():
 def test_lagrangian_is_pushed_forward_norm(fam, u, v, fraction, du, dv, dt):
     t = domain_point(fam, fraction)
     state = GeodesicState(u, v, t, du, dv, dt)
-    frame = fam.tangent_frame(u, v, t)
-    velocity = frame[0] * du + frame[1] * dv + frame[2] * dt
+    f_u, f_v, f_t = (x.components() for x in fam.tangent_frame(u, v, t))
+    velocity = Vector4(*(a * du + b * dv + c * dt
+                         for a, b, c in zip(f_u, f_v, f_t)))
     assert fam.lagrangian(state) == pytest.approx(
         inner(velocity, velocity), abs=1e-9)
 
