@@ -1,0 +1,163 @@
+#!/usr/bin/env python3
+"""In-process paired timing of two revisions' CLI commands.
+
+    python3 scripts/paired_probe.py --base HEAD~1 --head HEAD --seed 2801 \\
+        --pairs 100
+
+Each revision is exported with ``bench_pairs.export``, and its
+``src/rotsurf`` is copied to a private package, ``rotsurf_base`` or
+``rotsurf_head``; both are imported into this one process, which works
+because ``src/`` imports itself only relatively.  ``bench/reference.py``
+(of the head) runs as a child process and writes one seed's
+``inputs.json`` for the ``trajectory`` and ``curvature-grid`` workloads;
+their configs are written from it.
+
+A pair runs every config of a workload once through each side's
+``cli.main`` (``invariants`` or ``curvature``) and keeps each side's summed
+time: the base first in even pairs, the head first in odd ones, so the
+order runs A B B A A B ...  Both sides run in seconds of each other, so
+the host's drift in speed cancels in the ratio.  Printed per workload,
+one JSON line: the median per-pair ratio head/base, a distribution-free
+95 % interval for it from order statistics (the sign-test interval, as in
+Conover, *Practical Nonparametric Statistics*) with its exact coverage,
+whether the interval excludes 1, and whether both sides wrote the same
+artifact bytes.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import importlib
+import io
+import json
+import math
+import os
+import shutil
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+
+sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+import bench_pairs  # noqa: E402
+
+SIDES = bench_pairs.SIDES
+COMMANDS = {"trajectory": "invariants", "curvature-grid": "curvature"}
+
+
+def sign_interval(values, level: float = 0.95) -> tuple:
+    """(low, high, coverage): the order statistics x_(k) and x_(n+1-k) of
+    the sorted ``values`` for the largest k whose interval holds the median
+    with probability ``coverage`` >= ``level`` under the sign test, whose
+    count below the median is Binomial(n, 1/2); k = 1, the range, when n is
+    too small for ``level``."""
+    xs = sorted(values)
+    n = len(xs)
+    if n == 0:
+        raise ValueError("no values")
+
+    def coverage(k: int) -> float:  # 1 - 2 P(B <= k - 1)
+        return 1.0 - 2.0 * sum(math.comb(n, i) for i in range(k)) / 2 ** n
+
+    k = 1
+    while k + 1 <= n - k and coverage(k + 1) >= level:
+        k += 1
+    return xs[k - 1], xs[n - k], coverage(k)
+
+
+def summarize(times: dict[str, list[float]]) -> dict:
+    """The per-pair ratios head/base of ``times``' two lists, their median
+    and ``sign_interval``."""
+    ratios = [h / b for b, h in zip(times["base"], times["head"], strict=True)]
+    low, high, coverage = sign_interval(ratios)
+    return {"pairs": len(ratios), "median_ratio": statistics.median(ratios),
+            "interval": [low, high], "coverage": coverage,
+            "excludes_1": not low <= 1.0 <= high}
+
+
+def _configs(workload: str, seed: int, reference: str, directory: str):
+    """Config paths of one seed's ``workload`` inputs."""
+    subprocess.run([sys.executable, reference, "--workload", workload,
+                    "--seed", str(seed), "--out", directory], check=True,
+                   stdout=subprocess.DEVNULL)
+    with open(os.path.join(directory, "inputs.json"), encoding="utf-8") as fh:
+        items = json.load(fh)["items"]
+    paths = []
+    for item in items:
+        path = os.path.join(directory, f"{item['name']}.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(item["doc"], fh, indent=1)
+        paths.append(path)
+    return paths
+
+
+def _round(main, command: str, configs: list[str], out_dir: str) -> float:
+    """Seconds ``main`` took for ``command`` on every config, writing its
+    artifacts under ``out_dir``."""
+    os.environ["ROTSURF_OUTPUT_DIR"] = out_dir
+    total = 0.0
+    with contextlib.redirect_stdout(io.StringIO()):
+        for config in configs:
+            start = time.perf_counter()
+            code = main([command, "--config", config])
+            total += time.perf_counter() - start
+            if code != 0:
+                raise SystemExit(f"{command} --config {config} exited {code}")
+    return total
+
+
+def _same_bytes(left: str, right: str) -> bool:
+    names = sorted(os.listdir(left))
+    if names != sorted(os.listdir(right)):
+        return False
+    for name in names:
+        with open(os.path.join(left, name), "rb") as a, \
+                open(os.path.join(right, name), "rb") as b:
+            if a.read() != b.read():
+                return False
+    return True
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--base", required=True, help="parent revision")
+    parser.add_argument("--head", required=True, help="revision measured")
+    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--pairs", type=int, default=100)
+    parser.add_argument("--workload", action="append", choices=COMMANDS,
+                        help="default: both")
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
+    with tempfile.TemporaryDirectory(prefix="paired-probe-") as scratch:
+        packages = os.path.join(scratch, "packages")
+        for side in SIDES:
+            checkout = os.path.join(scratch, side)
+            bench_pairs.export(getattr(args, side), checkout)
+            shutil.copytree(os.path.join(checkout, "src", "rotsurf"),
+                            os.path.join(packages, f"rotsurf_{side}"))
+        sys.path.insert(0, packages)
+        mains = {side: importlib.import_module(f"rotsurf_{side}.cli").main
+                 for side in SIDES}
+        reference = os.path.join(scratch, "head", "bench", "reference.py")
+        for workload in args.workload or list(COMMANDS):
+            directory = os.path.join(scratch, workload)
+            os.makedirs(directory)
+            configs = _configs(workload, args.seed, reference, directory)
+            outs = {side: os.path.join(directory, f"out-{side}")
+                    for side in SIDES}
+            times = {side: [] for side in SIDES}
+            for i in range(args.pairs):
+                for side in SIDES if i % 2 == 0 else SIDES[::-1]:
+                    times[side].append(_round(mains[side], COMMANDS[workload],
+                                              configs, outs[side]))
+            print(json.dumps({"workload": workload, "seed": args.seed,
+                              **summarize(times),
+                              "same_bytes": _same_bytes(*outs.values())}))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

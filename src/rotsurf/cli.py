@@ -14,11 +14,13 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import os
 import re
 import sys
+from operator import itemgetter
 
 from .ambient import _inner
 from .config import ConfigError, RunConfig, initial_state, load_config
@@ -61,28 +63,37 @@ def _resolve_output(config: RunConfig) -> str:
     return config.output.path
 
 
-def _write_atomic(path: str, text: str):
-    """Write ``text`` to ``path`` through a temporary file beside it; an
-    ``OSError`` becomes a ``ConfigError`` of output.path."""
-    directory = os.path.dirname(os.path.abspath(path))
-    # os.replace keeps the temporary file's mode, so it is created as
-    # open(path, "w") would create ``path``: 0o666 under the umask (a
-    # mkstemp file would be 0o600); O_EXCL never reuses an existing name
-    temp_path = os.path.join(directory, f".rotsurf-{os.urandom(8).hex()}")
+def _write_atomic(path: str, text, *more):
+    """Write ``text`` (a string or strings) to ``path``, then each (path,
+    text) of ``more``, to temporary files that then replace the paths, the
+    last first, so a failure replaces none and removes them.  An ``OSError``
+    names what placed them: ``ROTSURF_OUTPUT_DIR``, else output.path."""
+    files, temps = [(path, text), *more], []
     try:
-        os.makedirs(directory, exist_ok=True)
-        fd = os.open(temp_path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
-            with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
-                handle.write(text)
-            os.replace(temp_path, path)
+            for path, text in files:
+                directory = os.path.dirname(os.path.abspath(path))
+                os.makedirs(directory, exist_ok=True)
+                # os.replace keeps the temporary file's mode: 0o666 under
+                # the umask, as open(path, "w") would create ``path`` (a
+                # mkstemp file is 0o600); O_EXCL never reuses a name
+                temp = os.path.join(directory,
+                                    f".rotsurf-{os.urandom(8).hex()}")
+                fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+                temps.append(temp)
+                with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as out:
+                    out.writelines([text] if isinstance(text, str) else text)
+            for temp, (path, _) in reversed(list(zip(temps, files))):
+                os.replace(temp, path)
         except BaseException:
-            if os.path.exists(temp_path):
-                os.unlink(temp_path)
+            for temp in temps:
+                if os.path.exists(temp):
+                    os.unlink(temp)
             raise
     except OSError as exc:
-        raise ConfigError("output.path", f"cannot write {path!r}: "
-                                         f"{exc.strerror}") from exc
+        raise ConfigError(_OUTPUT_DIR_VAR if os.environ.get(_OUTPUT_DIR_VAR)
+                          else "output.path",
+                          f"cannot write {path!r}: {exc.strerror}") from exc
 
 
 def _json(payload: dict) -> str:
@@ -95,26 +106,47 @@ _encode_row = json.JSONEncoder(sort_keys=True,
                                separators=(",\n      ", ": ")).encode
 
 
-def _write_table(path: str, fmt: str, names: tuple[str, ...], rows,
-                 key: str, **extra):
-    """Write the tuples ``rows`` with column ``names`` as CSV, or as JSON with
-    one object per row under ``key`` beside ``extra``: the bytes of
-    ``f"{value:.17g}"`` and of ``json.dumps(indent=2, sort_keys=True)``."""
+def _table(fmt: str, names: tuple[str, ...], chunks, key: str, extra: dict):
+    """A piece per list of ``chunks`` of tuples with column ``names``: CSV
+    of ``f"{value:.17g}"``, or ``json.dumps(indent=2, sort_keys=True)`` of
+    ``extra`` and a row object per tuple under ``key``, by a ``%r`` template
+    for a chunk of finite floats only."""
     if fmt == "csv":
         line = ",".join(["%.17g"] * len(names)) + "\n"
-        text = ",".join(names) + "\n" + "".join([line % row for row in rows])
-    else:
-        text = _json({**extra, key: []})
-        if rows:
-            listed = "\n    },\n    {\n      ".join(
-                [_encode_row(dict(zip(names, row)))[1:-1] for row in rows])
-            text = text.replace(f'\n  "{key}": []', f'\n  "{key}": [\n    {{'
-                                f'\n      {listed}\n    }}\n  ]', 1)
-    _write_atomic(path, text)
+        yield ",".join(names) + "\n"
+        for chunk in chunks:
+            yield "".join([line % row for row in chunk])
+        return
+    head, empty, tail = _json({**extra, key: []}).partition(f'\n  "{key}": []')
+    order = sorted(range(len(names)), key=names.__getitem__)
+    template = ",\n      ".join([f'"{names[k]}": %r' for k in order])
+    pick, between = itemgetter(*order), "\n    },\n    {\n      "
+    opening = f'{head}{empty[:-1]}\n    {{\n      '
+    for chunk in filter(None, chunks):
+        values = list(itertools.chain.from_iterable(chunk))
+        # a sum is finite only if every term is
+        if {*map(type, values)} == {float} and math.isfinite(sum(values)):
+            members = [template % pick(row) for row in chunk]
+        else:
+            members = [_encode_row(dict(zip(names, row)))[1:-1]
+                       for row in chunk]
+        yield opening + between.join(members)
+        opening = between
+    # an opening still unused: no row was written
+    yield (head + empty if opening != between else "\n    }\n  ]") + tail
+
+
+def _write_table(path: str, fmt: str, names: tuple[str, ...], rows,
+                 key: str, **extra):
+    """Write the tuples ``rows`` with column ``names`` as ``_table`` does."""
+    _write_atomic(path, _table(fmt, names, [rows], key, extra))
 
 
 _TRAJECTORY_COLUMNS = ("s", "u", "v", "t", "du", "dv", "dt",
                        "L", "p_u", "p_v", "inv1", "inv2")
+_SUMMARY_COLUMNS = {"p_u_drift": 8, "p_v_drift": 9, "L_drift": 7,
+                    "inv1_drift": 10, "inv2_drift": 11}
+_CHUNK_ROWS = 4096
 _CURVATURE_COLUMNS = ("t", "s", "K_formula", "K_oracle", "K_gap",
                       "h3", "h4", "H_gap")
 
@@ -158,29 +190,44 @@ def _cmd_info(config: RunConfig) -> int:
     return EXIT_OK
 
 
+def _invariant_chunks(fam: SurfaceFamily, rows, extremes: dict):
+    """``invariant_rows`` of ``rows`` by ``_CHUNK_ROWS``; ``extremes`` keeps
+    each ``_SUMMARY_COLUMNS`` column's (first value, min, max) so far."""
+    for start in range(0, len(rows), _CHUNK_ROWS):
+        chunk = invariant_rows(fam, rows[start:start + _CHUNK_ROWS])
+        for column in _SUMMARY_COLUMNS.values():
+            values = list(map(itemgetter(column), chunk))
+            x0, low, high = extremes.setdefault(column, (values[0],) * 3)
+            extremes[column] = x0, min(low, *values), max(high, *values)
+        yield chunk
+
+
 def _cmd_geodesic(config: RunConfig, summarize: bool = False) -> int:
-    """Write the trajectory artifact; with ``summarize`` (the ``invariants``
-    command) also its drift summary."""
+    """Write the trajectory artifact in one pass over its rows; with
+    ``summarize`` (the ``invariants`` command) also its drift summary."""
     path = _resolve_output(config)
     fam = config.build_family()
     trajectory, residual = _run_geodesic(config, fam)
     _check_termination(trajectory)
-    rows = invariant_rows(fam, trajectory.rows)
-    _write_table(path, config.output.format, _TRAJECTORY_COLUMNS, rows,
-                 "samples", columns=list(_TRAJECTORY_COLUMNS),
-                 termination=trajectory.termination)
-    if not summarize:
-        print(f"wrote {path} ({len(trajectory.rows)} samples, "
-              f"{trajectory.termination})")
-        return EXIT_OK
-    summary = trajectory.drifts()
-    summary["inv1_drift"] = _drift([row[10] for row in rows])
-    summary["inv2_drift"] = _drift([row[11] for row in rows])
-    if residual is not None:
-        summary["initial_angle_residual"] = residual
+    extremes = {}
+    text = _table(config.output.format, _TRAJECTORY_COLUMNS,
+                  _invariant_chunks(fam, trajectory.rows, extremes), "samples",
+                  {"columns": list(_TRAJECTORY_COLUMNS),
+                   "termination": trajectory.termination})
+
+    def summary():  # iterated once the artifact's rows are written
+        drifts = {name: _drift(extremes[column])
+                  for name, column in _SUMMARY_COLUMNS.items()}
+        if residual is not None:
+            drifts["initial_angle_residual"] = residual
+        yield _json(drifts)
+
     summary_path = os.path.splitext(path)[0] + ".summary.json"
-    _write_atomic(summary_path, _json(summary))
-    print(f"wrote {path} and {summary_path}")
+    more = [(summary_path, summary())] if summarize else []
+    _write_atomic(path, text, *more)
+    print(f"wrote {path} and {summary_path}" if summarize else
+          f"wrote {path} ({len(trajectory.rows)} samples, "
+          f"{trajectory.termination})")
     return EXIT_OK
 
 

@@ -12,7 +12,7 @@ conserved L.  ``integrate`` runs a fixed-step classical 4th-order scheme
 and records a flat row per sample so conservation drift is auditable.
 
 For timelike flows each family admits an angle decomposition of the
-velocity against the meridian direction (``FamilySpec.angles``); the
+velocity against the meridian direction (``FamilySpec.law``); the
 decomposed momenta are the Clairaut invariants (``FamilySpec.clairaut``,
 ``clairaut_report``), and dt/du obeys a closed-form law in them (``slope``).
 """
@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .expressions import DomainError
 from .surfaces import DegenerateMetricError, GeodesicState, SurfaceFamily
@@ -113,15 +114,14 @@ class Trajectory:
 
     def drifts(self) -> dict[str, float]:
         """The largest |x - x_0| of p_u, p_v and L; 0.0 without rows."""
-        columns = tuple(zip(*self.rows)) or ((0.0,),) * 10
-        return {"p_u_drift": _drift(columns[8]),
-                "p_v_drift": _drift(columns[9]),
-                "L_drift": _drift(columns[7])}
+        rows = self.rows or ((0.0,) * 10,)
+        return {name: _drift(list(map(itemgetter(column), rows))) for name,
+                column in (("p_u_drift", 8), ("p_v_drift", 9), ("L_drift", 7))}
 
 
 def _drift(column) -> float:
     """max |x - x_0| over ``column``, bit for bit: fl(x - x_0) is monotone
-    in x and rounding is sign-symmetric, so the extremes attain it."""
+    in x and rounding is sign-symmetric, so (x_0, min, max) has it too."""
     x0 = column[0]
     return max(max(column) - x0, x0 - min(column))
 
@@ -255,9 +255,9 @@ class AngleDecomposition:
     """Velocity split against the meridian direction.
 
     ``phi`` is the mixing angle and ``theta`` distributes the remaining
-    speed, as the family's ``FamilySpec.velocity`` says.  ``residual`` is
+    speed, as the family's ``FamilySpec.law`` says.  ``residual`` is
     the consistency defect of the defining identities; ``defined`` means a
-    decomposition exists within tolerance (``FamilySpec.angles``).
+    decomposition exists within tolerance (``FamilySpec.clairaut``).
     """
 
     phi: float
@@ -267,15 +267,15 @@ class AngleDecomposition:
 
 
 def extract_angles(fam: SurfaceFamily, state: GeodesicState) -> AngleDecomposition:
-    """Invert the family's velocity law (``FamilySpec.velocity``), if the
+    """Invert the family's velocity law (``FamilySpec.law``), if the
     state's velocity has angles.
 
     Undefined decompositions return ``defined=False`` with the residual;
     ties at zero resolve to phi = theta = 0.
     """
     fa, fb = fam.fa.evaluate(state.t), fam.fb.evaluate(state.t)
-    return AngleDecomposition(*fam.spec.angles(fa * state.du, fb * state.dv,
-                                               state.dt))
+    return AngleDecomposition(*fam.spec.clairaut(
+        fa, fb, state.du, state.dv, state.dt, 0.0, 0.0)[2])
 
 
 def state_from_angles(fam: SurfaceFamily, u: float, v: float, t: float,
@@ -284,7 +284,7 @@ def state_from_angles(fam: SurfaceFamily, u: float, v: float, t: float,
     fa, fb = fam.fa.evaluate(t), fam.fb.evaluate(t)
     if fa == 0.0 or fb == 0.0:
         raise DegenerateMetricError(t, which="profile")
-    a, b, dt = fam.spec.velocity(phi, theta)
+    a, b, dt = fam.spec.law(1.0, 1.0, angles=(phi, theta))[4][:3]
     return GeodesicState(u, v, t, a / fa, b / fb, dt)
 
 
@@ -319,10 +319,14 @@ def clairaut_report(fam: SurfaceFamily, state: GeodesicState) -> ClairautReport:
 
 def invariant_rows(fam: SurfaceFamily, rows) -> list:
     """Each ``Trajectory.rows`` row + (inv1, inv2) as ``clairaut_report``
-    gives them, from the row's p_u, p_v and one call of the family's
-    lowered (fa, fb) pair."""
-    pair, at = fam._pair_fn, fam.spec.clairaut
-    return [row + at(*pair(row[3]), *row[4:7], *row[8:])[:2] for row in rows]
+    gives them, from the row's p_u, p_v, the lowered (fa, fb) pair and one
+    ``FamilySpec.clairaut`` call, which calls the family's law once."""
+    pair, at, out = fam._pair_fn, fam.spec.clairaut, []
+    for row in rows:  # named arguments: a call without * is the faster
+        _, _, _, t, du, dv, dt, _, p_u, p_v = row
+        fa, fb = pair(t)
+        out.append(row + at(fa, fb, du, dv, dt, p_u, p_v)[:2])
+    return out
 
 
 @dataclass(frozen=True)

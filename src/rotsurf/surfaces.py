@@ -74,7 +74,7 @@ class MetricOverflowError(DomainError):
         super().__init__("metric overflow")
 
 
-#: Tolerance of the angle decompositions (``FamilySpec.invert``, ``angles``).
+#: Tolerance of the angle decompositions (``FamilySpec.law``, ``clairaut``).
 TOL = 1e-9
 
 
@@ -90,16 +90,17 @@ class FamilySpec:
 
     The laws of its Clairaut statement, with (a, b, dt) = (fa*du, fb*dv, dt):
 
-    * ``velocity(phi, theta)`` -> (a, b, dt), the angle decomposition;
-    * ``invert(a, b, dt)`` -> (phi, theta, ok, residual), phi = theta = 0
-      unless ok, ``residual`` the defect of the identity (a, b, dt) obeys;
-    * ``invariants(fa, fb, phi, theta)``: 2*fa^2*du, inv2_sign*2*fb^2*dv;
+    * ``law(fa, fb, a, b, dt)`` -> (phi, theta, ok, residual, values): the
+      inverted decomposition, phi = theta = 0 unless ok, ``residual`` the
+      defect of the identity (a, b, dt) obeys; if ok, its (a, b, dt) at the
+      angles and invariants 2*fa^2*du, inv2_sign*2*fb^2*dv, from one set of
+      sin/cos/cosh/sinh values; ``angles=(phi, theta)`` skips the inversion;
     * ``slope(fa, phi, theta, lagr)`` -> (dt/du, radicand of its root).
 
-    ``angles`` and ``clairaut`` make the decision built on these laws,
-    once for every caller.  ``curvature`` needs no law of its own: it derives
-    the normal frame and curvature of a double-rotation surface from
-    ``signs`` and ``columns``.
+    ``clairaut`` makes the decision built on these laws, once for every
+    caller.  ``curvature`` needs no law of its own: it derives the normal
+    frame and curvature of a double-rotation surface from ``signs`` and
+    ``columns``.
     """
 
     rot_u: Rotation
@@ -127,25 +128,21 @@ class FamilySpec:
         return (ru[iu::2], self.rot_u.derivative(ru)[iu::2],
                 rv[iv::2], self.rot_v.derivative(rv)[iv::2])
 
-    def angles(self, a: float, b: float, dt: float) -> tuple:
-        """(phi, theta, defined, residual) of (a, b, dt) = (fa*du, fb*dv, dt):
-        ``invert``'s angles if ``velocity`` takes them back to (a, b, dt)
-        within ``TOL``, else phi = theta = 0 and defined = False."""
-        phi, theta, ok, residual = self.invert(a, b, dt)
-        if ok:  # the angles must actually reproduce the velocity triple
-            ra, rb, rdt = self.velocity(phi, theta)
-            recon_err = max(abs(ra - a), abs(rb - b), abs(rdt - dt))
-            if recon_err > 10.0 * TOL * (1.0 + max(abs(a), abs(b), abs(dt))):
-                return 0.0, 0.0, False, residual
-        return phi, theta, ok, residual
-
     def clairaut(self, fa, fb, du, dv, dt, p_u, p_v) -> tuple:
-        """(invariant1, invariant2, ``angles``' tuple) at one state: the
-        angle forms when the velocity has angles, else the signed momenta."""
-        angles = phi, theta, defined, _ = self.angles(fa * du, fb * dv, dt)
-        if defined:
-            return (*self.invariants(fa, fb, phi, theta), angles)
-        return self.mom_sign_u * p_u, self.mom_sign_v * p_v, angles
+        """(invariant1, invariant2, (phi, theta, defined, residual)) at one
+        state: the angle forms if ``law`` inverts (fa*du, fb*dv, dt) and takes
+        the angles back within ``TOL``, else the signed momenta, no angles."""
+        a, b = fa * du, fb * dv
+        phi, theta, ok, residual, values = self.law(fa, fb, a, b, dt)
+        if ok:  # then a, b, dt and the reconstruction are finite
+            ra, rb, rdt, inv1, inv2 = values
+            # the angles must actually reproduce the velocity triple
+            bound = 10.0 * TOL * (1.0 + max(a, -a, b, -b, dt, -dt))
+            if (-bound <= ra - a <= bound and -bound <= rb - b <= bound
+                    and -bound <= rdt - dt <= bound):
+                return inv1, inv2, (phi, theta, True, residual)
+        return (self.mom_sign_u * p_u, self.mom_sign_v * p_v,
+                (0.0, 0.0, False, residual))
 
     def vector(self, comps) -> list[float]:
         """Standard coordinates of plane ones: u-plane slots, v-plane's."""
@@ -161,25 +158,19 @@ class _Hyperbolic14(FamilySpec):
     slots = {Variant.A: (0, 1), Variant.B: (1, 0)}
     inv2_sign = -1.0
 
-    def velocity(self, phi, theta):
-        sin_phi = math.sin(phi)
-        return (math.cos(phi), math.cosh(theta) * sin_phi,
-                math.sinh(theta) * sin_phi)
-
-    def invert(self, a, b, dt):
+    def law(self, fa, fb, a=0.0, b=0.0, dt=0.0, angles=None):
         residual = abs(a * a + b * b - dt * dt - 1.0)
-        ok = abs(a) <= 1.0 + TOL and b >= -TOL and residual <= TOL
-        phi = math.acos(min(1.0, max(-1.0, a))) if ok else 0.0
-        sin_phi = math.sin(phi)
-        if ok and sin_phi > 1e-15:
-            theta = math.asinh(dt / sin_phi)
-        else:
-            theta = 0.0
-        return phi, theta, ok, residual
-
-    def invariants(self, fa, fb, phi, theta):
-        return (2.0 * fa * math.cos(phi),
-                -2.0 * fb * math.cosh(theta) * math.sin(phi))
+        if not (angles or abs(a) <= 1.0 + TOL and b >= -TOL
+                and residual <= TOL):
+            return 0.0, 0.0, False, residual, None
+        phi = angles[0] if angles else math.acos(min(1.0, max(-1.0, a)))
+        sin_phi, cos_phi = math.sin(phi), math.cos(phi)
+        theta = angles[1] if angles else (
+            math.asinh(dt / sin_phi) if sin_phi > 1e-15 else 0.0)
+        cosh_theta = math.cosh(theta)
+        return phi, theta, True, residual, (
+            cos_phi, cosh_theta * sin_phi, math.sinh(theta) * sin_phi,
+            2.0 * fa * cos_phi, -2.0 * fb * cosh_theta * sin_phi)
 
     def slope(self, fa, phi, theta, lagr):
         cos_phi = math.cos(phi)
@@ -197,22 +188,17 @@ class _Hyperbolic23(FamilySpec):
     rot_u, rot_v = Rotation.BOOST_14, Rotation.BOOST_23
     slots = {Variant.A: (0, 0), Variant.B: (1, 1)}
 
-    def velocity(self, phi, theta):
-        sinh_phi = math.sinh(phi)
-        return (sinh_phi * math.cos(theta), sinh_phi * math.sin(theta),
-                math.cosh(phi))
-
-    def invert(self, a, b, dt):
-        sq = (dt - 1.0) * (dt + 1.0)
-        residual = abs(a * a + b * b - sq)
-        ok = dt >= 1.0 - TOL and residual <= TOL
-        phi = math.acosh(max(1.0, dt)) if ok else 0.0
-        theta = math.atan2(b, a) if ok and (a != 0.0 or b != 0.0) else 0.0
-        return phi, theta, ok, residual
-
-    def invariants(self, fa, fb, phi, theta):
-        return (2.0 * fa * math.cos(theta) * math.sinh(phi),
-                2.0 * fb * math.sin(theta) * math.sinh(phi))
+    def law(self, fa, fb, a=0.0, b=0.0, dt=0.0, angles=None):
+        residual = abs(a * a + b * b - (dt - 1.0) * (dt + 1.0))
+        if not (angles or dt >= 1.0 - TOL and residual <= TOL):
+            return 0.0, 0.0, False, residual, None
+        phi, theta = angles or (math.acosh(max(1.0, dt)), math.atan2(b, a)
+                                if a != 0.0 or b != 0.0 else 0.0)
+        sinh_phi, cos_theta = math.sinh(phi), math.cos(theta)
+        sin_theta = math.sin(theta)
+        return phi, theta, True, residual, (
+            sinh_phi * cos_theta, sinh_phi * sin_theta, math.cosh(phi),
+            2.0 * fa * cos_theta * sinh_phi, 2.0 * fb * sin_theta * sinh_phi)
 
     def slope(self, fa, phi, theta, lagr):
         radicand = math.sinh(phi) ** 2 - lagr
@@ -228,26 +214,19 @@ class _Elliptic56(FamilySpec):
     rot_u, rot_v = Rotation.SPIN_12, Rotation.SPIN_34
     slots = {Variant.A: (1, 1), Variant.B: (0, 0)}
 
-    def velocity(self, phi, theta):
+    def law(self, fa, fb, a=0.0, b=0.0, dt=0.0, angles=None):
+        residual = abs(a * a - b * b - (1.0 - dt) * (1.0 + dt))
+        if not (angles or abs(dt) <= 1.0 + TOL and a >= -TOL
+                and residual <= TOL):
+            return 0.0, 0.0, False, residual, None
+        phi = angles[0] if angles else math.acos(min(1.0, max(-1.0, dt)))
         sin_phi = math.sin(phi)
-        return (sin_phi * math.cosh(theta), sin_phi * math.sinh(theta),
-                math.cos(phi))
-
-    def invert(self, a, b, dt):
-        sq = (1.0 - dt) * (1.0 + dt)
-        residual = abs(a * a - b * b - sq)
-        ok = abs(dt) <= 1.0 + TOL and a >= -TOL and residual <= TOL
-        phi = math.acos(min(1.0, max(-1.0, dt))) if ok else 0.0
-        sin_phi = math.sin(phi)
-        if ok and sin_phi > 1e-15:
-            theta = math.asinh(b / sin_phi)
-        else:
-            theta = 0.0
-        return phi, theta, ok, residual
-
-    def invariants(self, fa, fb, phi, theta):
-        return (2.0 * fa * math.sin(phi) * math.cosh(theta),
-                2.0 * fb * math.sinh(theta) * math.sin(phi))
+        theta = angles[1] if angles else (
+            math.asinh(b / sin_phi) if sin_phi > 1e-15 else 0.0)
+        cosh_theta, sinh_theta = math.cosh(theta), math.sinh(theta)
+        return phi, theta, True, residual, (
+            sin_phi * cosh_theta, sin_phi * sinh_theta, math.cos(phi),
+            2.0 * fa * sin_phi * cosh_theta, 2.0 * fb * sinh_theta * sin_phi)
 
     def slope(self, fa, phi, theta, lagr):
         radicand = lagr + math.sin(phi) ** 2

@@ -12,8 +12,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import rotsurf
+import rotsurf.cli as cli
 from rotsurf import (DoubleRotationSurface, ProfileFunction, inner,
                      make_family, normal_frame)
 from rotsurf import Rotation, generator_matrix
@@ -858,13 +861,15 @@ def test_write_atomic_leaves_no_temporary_file(tmp_path, monkeypatch):
     assert os.listdir(tmp_path) == []
 
 
-@pytest.mark.parametrize("target,override,reason", [
-    ("taken", None, "Is a directory"),
-    ("plain/sub/out.csv", None, "Not a directory"),
-    ("out.csv", "plain", "File exists"),
+@pytest.mark.parametrize("target,override,field,reason", [
+    ("taken", None, "output.path", "Is a directory"),
+    ("plain/sub/out.csv", None, "output.path", "Not a directory"),
+    ("out.csv", "plain", "ROTSURF_OUTPUT_DIR", "File exists"),
 ], ids=["path-is-a-directory", "path-below-a-file", "output-dir-is-a-file"])
 def test_unwritable_output_is_a_config_error(tmp_path, capsys, monkeypatch,
-                                             target, override, reason):
+                                             target, override, field, reason):
+    """The message names the setting at fault: output.path, or the
+    environment variable when the directory it names cannot be used."""
     (tmp_path / "taken").mkdir()
     (tmp_path / "plain").write_text("")
     document = patched(MERIDIAN_CONFIG)
@@ -877,10 +882,66 @@ def test_unwritable_output_is_a_config_error(tmp_path, capsys, monkeypatch,
     assert main(["geodesic", "--config", config]) == 1
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == (
-        "", f"config error: output.path: cannot write {str(written)!r}: "
+        "", f"config error: {field}: cannot write {str(written)!r}: "
             f"{reason}\n")
     assert sorted(os.listdir(tmp_path)) == ["config.json", "plain", "taken"]
     assert os.listdir(tmp_path / "taken") == []
+
+
+def test_invariants_replaces_neither_file_unless_both_are_written(
+        tmp_path, capsys):
+    """The summary is written before either file is replaced: when only it
+    cannot be, the old artifact keeps its bytes and no temporary is left."""
+    config = meridian_config(tmp_path)
+    (tmp_path / "out.csv").write_text("old bytes\n")
+    (tmp_path / "out.summary.json").mkdir()
+    assert main(["invariants", "--config", config]) == 1
+    summary = tmp_path / "out.summary.json"
+    assert capsys.readouterr().err == (
+        f"config error: output.path: cannot write {str(summary)!r}: "
+        f"Is a directory\n")
+    assert (tmp_path / "out.csv").read_text() == "old bytes\n"
+    assert sorted(os.listdir(tmp_path)) == ["config.json", "out.csv",
+                                            "out.summary.json"]
+    assert os.listdir(summary) == []
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_trajectory_artifact_is_the_same_in_any_chunking(tmp_path, capsys,
+                                                         monkeypatch, fmt):
+    """Rows are taken through invariants, formatting and the drifts a chunk
+    at a time; chunks of 7 rows and one chunk write the same bytes."""
+    document = patched(MERIDIAN_CONFIG, **{"geodesic.initial.du": 0.3,
+                                           "geodesic.initial.dv": 0.1,
+                                           "geodesic.length": 0.05,
+                                           "output.format": fmt})
+    texts = []
+    for chunk in (7, 4096):
+        monkeypatch.setattr(cli, "_CHUNK_ROWS", chunk)
+        out = tmp_path / str(chunk)
+        out.mkdir()
+        document["output"]["path"] = str(out / f"out.{fmt}")
+        assert main(["invariants", "--config",
+                     write_config(out, document)]) == 0
+        texts.append([(out / name).read_bytes()
+                      for name in (f"out.{fmt}", "out.summary.json")])
+    assert texts[0] == texts[1]
+    capsys.readouterr()
+
+
+@given(st.lists(st.lists(st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                     1e300, -1e300, 1e16, 1e-7]),
+    st.integers(-10**20, 10**20)), min_size=3, max_size=3), max_size=6))
+def test_json_template_gives_the_bytes_of_json_dumps(rows):
+    """The ``%r`` template of a chunk of finite floats and ints writes what
+    ``json.dumps(indent=2, sort_keys=True)`` writes."""
+    names, rows = ("b", "a", "C"), [tuple(row) for row in rows]
+    chunks = [rows[:2], [], rows[2:]]
+    text = "".join(cli._table("json", names, chunks, "rows", {"k": "v"}))
+    payload = {"k": "v", "rows": [dict(zip(names, row)) for row in rows]}
+    assert text == json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 # every value in every column: signed zeros, the smallest subnormal, large

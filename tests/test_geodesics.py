@@ -799,3 +799,153 @@ def test_invariant_rows_match_clairaut_report(name, fam, state0, defined,
         assert [x.hex() for x in row[7:]] == [
             x.hex() for x in (report.L, report.p_u, report.p_v,
                               report.invariant1, report.invariant2)]
+
+
+@given(st.lists(st.tuples(*[_DRIFT_VALUES] * 10), max_size=12))
+def test_drifts_read_three_columns_as_the_transpose_did(rows):
+    """``drifts`` reads columns 7-9 alone, with the floats of the 10-column
+    transpose it replaces; no rows give 0.0."""
+    rows = tuple(rows)
+    columns = tuple(zip(*rows)) or ((0.0,),) * 10
+
+    def drift(column):
+        return max(max(column) - column[0], column[0] - min(column))
+
+    expected = {"p_u_drift": drift(columns[8]),
+                "p_v_drift": drift(columns[9]),
+                "L_drift": drift(columns[7])}
+    drifts = Trajectory(rows, "completed", 1.0).drifts()
+    assert {k: v.hex() for k, v in drifts.items()} == {
+        k: v.hex() for k, v in expected.items()}
+
+
+# The family laws as three methods each, before they were fused into one:
+# (velocity, invert, invariants) by family, and the decision between them.
+def _h14_invert(a, b, dt, tol):
+    residual = abs(a * a + b * b - dt * dt - 1.0)
+    ok = abs(a) <= 1.0 + tol and b >= -tol and residual <= tol
+    phi = math.acos(min(1.0, max(-1.0, a))) if ok else 0.0
+    sin_phi = math.sin(phi)
+    theta = math.asinh(dt / sin_phi) if ok and sin_phi > 1e-15 else 0.0
+    return phi, theta, ok, residual
+
+
+def _h23_invert(a, b, dt, tol):
+    sq = (dt - 1.0) * (dt + 1.0)
+    residual = abs(a * a + b * b - sq)
+    ok = dt >= 1.0 - tol and residual <= tol
+    phi = math.acosh(max(1.0, dt)) if ok else 0.0
+    theta = math.atan2(b, a) if ok and (a != 0.0 or b != 0.0) else 0.0
+    return phi, theta, ok, residual
+
+
+def _e56_invert(a, b, dt, tol):
+    sq = (1.0 - dt) * (1.0 + dt)
+    residual = abs(a * a - b * b - sq)
+    ok = abs(dt) <= 1.0 + tol and a >= -tol and residual <= tol
+    phi = math.acos(min(1.0, max(-1.0, dt))) if ok else 0.0
+    sin_phi = math.sin(phi)
+    theta = math.asinh(b / sin_phi) if ok and sin_phi > 1e-15 else 0.0
+    return phi, theta, ok, residual
+
+
+_SEPARATE_LAWS = {
+    "hyperbolic14": (
+        lambda p, q: (math.cos(p), math.cosh(q) * math.sin(p),
+                      math.sinh(q) * math.sin(p)),
+        _h14_invert,
+        lambda fa, fb, p, q: (2.0 * fa * math.cos(p),
+                              -2.0 * fb * math.cosh(q) * math.sin(p))),
+    "hyperbolic23": (
+        lambda p, q: (math.sinh(p) * math.cos(q), math.sinh(p) * math.sin(q),
+                      math.cosh(p)),
+        _h23_invert,
+        lambda fa, fb, p, q: (2.0 * fa * math.cos(q) * math.sinh(p),
+                              2.0 * fb * math.sin(q) * math.sinh(p))),
+    "elliptic56": (
+        lambda p, q: (math.sin(p) * math.cosh(q), math.sin(p) * math.sinh(q),
+                      math.cos(p)),
+        _e56_invert,
+        lambda fa, fb, p, q: (2.0 * fa * math.sin(p) * math.cosh(q),
+                              2.0 * fb * math.sinh(q) * math.sin(p))),
+}
+
+
+def _separate_clairaut(fam, fa, fb, du, dv, dt, p_u, p_v):
+    velocity, invert, invariants = _SEPARATE_LAWS[fam.kind.value]
+    a, b = fa * du, fb * dv
+    phi, theta, ok, residual = invert(a, b, dt, 1e-9)
+    if ok:
+        ra, rb, rdt = velocity(phi, theta)
+        if max(abs(ra - a), abs(rb - b), abs(rdt - dt)) > (
+                10.0 * 1e-9 * (1.0 + max(abs(a), abs(b), abs(dt)))):
+            phi, theta, ok = 0.0, 0.0, False
+    if ok:
+        return (*invariants(fa, fb, phi, theta), phi, theta, ok, residual)
+    spec = fam.spec
+    return (spec.mom_sign_u * p_u, spec.mom_sign_v * p_v, phi, theta, ok,
+            residual)
+
+
+def _branch_velocities(kind):
+    """(label, (fa*du, fb*dv, dt), defined) reaching each branch of the
+    decision for ``kind``: a velocity from angles, its 1.5x multiple (the
+    momentum fallback), one component moved just inside and just outside
+    10 TOL (1 + max) of its reconstruction, sin(phi) <= 1e-15 and dt = +-1."""
+    spec = make_family(kind, "A", "t", "t*t", 0.5, 2.0).spec
+    unit = spec.law(1.0, 1.0, angles=(0.7, 0.3))[4][:3]
+    near = spec.law(1.0, 1.0, angles=(0.01, 0.0))[4][:3]  # moved below
+    index = 1 if kind == "hyperbolic14" else 0
+    bound = 10.0 * 1e-9 * (1.0 + max(map(abs, near)))
+
+    def moved(factor):
+        return tuple(x + factor * bound if k == index else x
+                     for k, x in enumerate(near))
+
+    cases = [("angles", unit, True), ("fallback", tuple(1.5 * x for x in unit),
+                                      False),
+             ("inside-10tol", moved(0.99), True),
+             ("outside-10tol", moved(1.01), False)]
+    if kind == "hyperbolic14":
+        cases += [("sin-phi-0", (1.0, 0.0, 0.0), True),
+                  ("sin-phi-pi", (-1.0, 0.0, 0.0), True),
+                  ("dt+1", (0.0, math.sqrt(2.0), 1.0), True),
+                  ("dt-1", (0.0, math.sqrt(2.0), -1.0), True)]
+    elif kind == "hyperbolic23":
+        cases += [("dt+1", (0.0, 0.0, 1.0), True),
+                  ("dt-1", (0.0, 0.0, -1.0), False)]
+    else:
+        cases += [("sin-phi-0/dt+1", (0.0, 0.0, 1.0), True),
+                  ("sin-phi-pi/dt-1", (0.0, 0.0, -1.0), True)]
+    return cases
+
+
+_BRANCHES = [(kind, variant, *case) for kind, variant in _PAIRS
+             for case in _branch_velocities(kind)]
+
+
+@pytest.mark.parametrize("kind,variant,label,velocity,defined", _BRANCHES,
+                         ids=[f"{k}-{v}-{label}"
+                              for k, v, label, *_ in _BRANCHES])
+def test_fused_invariants_match_on_every_branch(kind, variant, label,
+                                                velocity, defined):
+    """The fused pass (``invariant_rows``: the lowered pair, then one law
+    call) gives ``clairaut_report``'s invariants bit for bit, and both give
+    the three separate laws' floats, on a hand-built row of each branch;
+    fa = fb = 1 at t = 1, so (du, dv, dt) is the velocity triple."""
+    fam = make_family(kind, variant, "t", "t*t", 0.5, 2.0)
+    state = GeodesicState(0.1, -0.2, 1.0, *velocity)
+    report = clairaut_report(fam, state)
+    assert report.angles.defined is defined
+    if label.endswith("10tol"):  # the inversion holds; only its check moves
+        assert report.angles.residual <= 1e-9
+    row = (0.0, *state.as_tuple()[:3], *velocity, report.L, report.p_u,
+           report.p_v)
+    (fused,) = invariant_rows(fam, [row])
+    assert fused[:10] == row
+    expected = _separate_clairaut(fam, 1.0, 1.0, *velocity, report.p_u,
+                                  report.p_v)
+    got = (report.invariant1, report.invariant2, report.angles.phi,
+           report.angles.theta, report.angles.defined, report.angles.residual)
+    assert [float(x).hex() for x in got] == [float(x).hex() for x in expected]
+    assert [x.hex() for x in fused[10:]] == [x.hex() for x in got[:2]]
