@@ -15,13 +15,14 @@ their configs are written from it.
 A pair runs every config of a workload once through each side's
 ``cli.main`` (``invariants`` or ``curvature``) and keeps each side's summed
 time: the base first in even pairs, the head first in odd ones, so the
-order runs A B B A A B ...  Both sides run in seconds of each other, so
-the host's drift in speed cancels in the ratio.  Printed per workload,
-one JSON line: the median per-pair ratio head/base, a distribution-free
-95 % interval for it from order statistics (the sign-test interval, as in
-Conover, *Practical Nonparametric Statistics*) with its exact coverage,
-whether the interval excludes 1, and whether both sides wrote the same
-artifact bytes.
+order runs A B B A A B ...  One untimed round per side comes before pair
+0, so neither side's timed rounds include its first-call costs.  Both
+sides run in seconds of each other, so the host's drift in speed cancels
+in the ratio.  Printed per workload, one JSON line: the median per-pair
+ratio head/base, a distribution-free 95 % interval for it from order
+statistics (the sign-test interval, as in Conover, *Practical
+Nonparametric Statistics*) with its exact coverage, whether the interval
+excludes 1, and whether both sides wrote the same artifact bytes.
 """
 
 from __future__ import annotations
@@ -149,6 +150,8 @@ def main(argv=None) -> int:
             outs = {side: os.path.join(directory, f"out-{side}")
                     for side in SIDES}
             times = {side: [] for side in SIDES}
+            for side in SIDES:  # the untimed warm-up round
+                _round(mains[side], COMMANDS[workload], configs, outs[side])
             for i in range(args.pairs):
                 for side in SIDES if i % 2 == 0 else SIDES[::-1]:
                     times[side].append(_round(mains[side], COMMANDS[workload],

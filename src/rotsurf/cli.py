@@ -26,7 +26,8 @@ from .ambient import _inner
 from .config import ConfigError, RunConfig, initial_state, load_config
 from .curvature import DoubleRotationSurface, GridPointError, curvature_grid
 from .expressions import DomainError, ExprError, differentiate, parse, to_text
-from .geodesics import Trajectory, _drift, integrate, invariant_rows
+from .geodesics import (_TRAJECTORY_COLUMNS, Trajectory, _drift, integrate,
+                        invariant_rows)
 from .isometries import (Rotation, _apply, _checked_matrix, generator_matrix,
                          rotation_matrix)
 from .surfaces import (DegenerateMetricError, MetricOverflowError,
@@ -142,10 +143,11 @@ def _write_table(path: str, fmt: str, names: tuple[str, ...], rows,
     _write_atomic(path, _table(fmt, names, [rows], key, extra))
 
 
-_TRAJECTORY_COLUMNS = ("s", "u", "v", "t", "du", "dv", "dt",
-                       "L", "p_u", "p_v", "inv1", "inv2")
-_SUMMARY_COLUMNS = {"p_u_drift": 8, "p_v_drift": 9, "L_drift": 7,
-                    "inv1_drift": 10, "inv2_drift": 11}
+_SUMMARY_COLUMNS = {f"{name}_drift": _TRAJECTORY_COLUMNS.index(name)
+                    for name in ("p_u", "p_v", "L", "inv1", "inv2")}
+# a trajectory row's point and velocity
+_STATE = itemgetter(*map(_TRAJECTORY_COLUMNS.index,
+                         ("u", "v", "t", "du", "dv", "dt")))
 _CHUNK_ROWS = 4096
 _CURVATURE_COLUMNS = ("t", "s", "K_formula", "K_oracle", "K_gap",
                       "h3", "h4", "H_gap")
@@ -255,15 +257,15 @@ def _cmd_curvature(config: RunConfig) -> int:
 def _charge(fam: SurfaceFamily, generator, row) -> tuple:
     """<gamma', J f> of the Killing field x -> J x, J = ``generator`` (a
     checked matrix), at the point f of trajectory ``row``; then f's
-    standard coordinates and the profile values fa, fb they are from."""
-    _, u, v, t, du, dv, dt, *_ = row
+    standard coordinates, and the profile values fa, fb and the angles u, v
+    they are from."""
+    u, v, t, du, dv, dt = _STATE(row)
     fa, fb = fam.fa.evaluate(t), fam.fb.evaluate(t)
-    point = fam.immerse_values(fa, fb, u, v)
-    f_u, f_v, f_t = fam.frame_values(fa, fb, fam.fa.derivative(t),
-                                     fam.fb.derivative(t), u, v)
+    point, f_u, f_v, f_t = fam.frame_values(fa, fb, fam.fa.derivative(t),
+                                            fam.fb.derivative(t), u, v)
     field = _apply(generator, point)
     return (du * _inner(f_u, field) + dv * _inner(f_v, field)
-            + dt * _inner(f_t, field)), point, fa, fb
+            + dt * _inner(f_t, field)), point, fa, fb, u, v
 
 
 def _cmd_isometry(config: RunConfig, generator: str, angle: float) -> int:
@@ -281,16 +283,16 @@ def _cmd_isometry(config: RunConfig, generator: str, angle: float) -> int:
                           f"{rot_u.label} or {rot_v.label})")
     trajectory, _ = _run_geodesic(config, fam)
     _check_termination(trajectory)
-    shift_u, shift_v, column = ((angle, 0.0, 8) if rotation is rot_u
-                                else (0.0, angle, 9))
+    shift_u, shift_v, momentum = ((angle, 0.0, "p_u") if rotation is rot_u
+                                  else (0.0, angle, "p_v"))
+    column = _TRAJECTORY_COLUMNS.index(momentum)
     charges, defect, image = [], 0.0, 0.0
     try:
         matrix = _checked_matrix(generator_matrix(rotation))
         moved = _checked_matrix(rotation_matrix(rotation, angle))
         for row in trajectory.rows:
-            q, point, fa, fb = _charge(fam, matrix, row)
-            target = fam.immerse_values(fa, fb, row[1] + shift_u,
-                                        row[2] + shift_v)
+            q, point, fa, fb, u, v = _charge(fam, matrix, row)
+            target = fam.immerse_values(fa, fb, u + shift_u, v + shift_v)
             g0, g1, g2, g3 = (x - y for x, y in zip(_apply(moved, point),
                                                     target))
             # before any max, which drops a nan that is not its first

@@ -117,7 +117,7 @@ class DoubleRotationSurface:
         """Exact tangent vectors (d/dt, d/ds) by the chain rule."""
         fa, fb, dfa, dfb, _, _ = self._profile_values(s)
         u, v, du, dv, _, _ = self._angle_values(t)
-        f_u, f_v, f_t = self.family.frame_values(fa, fb, dfa, dfb, u, v)
+        _, f_u, f_v, f_t = self.family.frame_values(fa, fb, dfa, dfb, u, v)
         return (Vector4(*(a * du + b * dv for a, b in zip(f_u, f_v))),
                 Vector4(*f_t))
 

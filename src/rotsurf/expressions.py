@@ -114,22 +114,44 @@ _FUNCTIONS = {
     "cosh": math.cosh,
     "tanh": math.tanh,
     "exp": math.exp,
-    "log": None,   # domain-checked below
-    "sqrt": None,
+    "log": math.log,   # guarded by ``_GUARDS``
+    "sqrt": math.sqrt,
 }
+
+# log's and sqrt's argument rules: the failing test as source text, as a
+# predicate of (argument, 0.0), and its message; such a value is finite
+_GUARDS = {"log": ("<=", operator.le, "log of a non-positive number"),
+           "sqrt": ("<", operator.lt, "sqrt of a negative number")}
+
+# what each operation is called in its error messages; a function, its name
+_CONTEXTS = {"+": "addition", "-": "subtraction", "*": "multiplication",
+             "/": "division", "^": "power",
+             **{name: name for name in _FUNCTIONS}}
+# + - * / as float operations: constant folding and the lowering's bounds
+_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+               "/": operator.truediv}
 
 _CONSTANTS = {"pi": math.pi, "e": math.e}
 
 _VARIABLE_NAME = "t"
 
+# how tightly each binary operator binds, and unary minus between them; the
+# parser and ``to_text`` read both, and an atom binds tighter than all
+_BINDS = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}
+_UNARY, _ATOM = 3, 5
+# the operators that bind at least as tightly as each level
+_JOINS = {level: "".join(op for op, binds in _BINDS.items() if binds >= level)
+          for level in range(1, _UNARY + 1)}
+
 _MAX_DEPTH, _MAX_NODES = 64, 5_000
 _TOO_DEEP = f"expression nested deeper than {_MAX_DEPTH} levels"
 
+# a "bad" token: a character, not space, that starts no other token
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<number>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?"
     r"|\d+(?:[eE][+-]?\d+)?)"
     r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>[-+*/^(),]))"
+    r"|(?P<op>[-+*/^(),])|(?P<bad>\S))"
 )
 
 
@@ -139,47 +161,42 @@ _Token = namedtuple("_Token", "kind text pos")
 
 def _tokenize(text: str) -> list[_Token]:
     tokens = []
-    index = 0
-    while index < len(text):
-        match = _TOKEN_RE.match(text, index)
-        if match is None:
-            stripped = text[index:].lstrip()
-            if not stripped:
-                break
-            bad_at = len(text) - len(stripped)
-            raise ParseError(f"unexpected character {text[bad_at]!r}", bad_at + 1)
+    for match in _TOKEN_RE.finditer(text):  # trailing space matches nothing
         kind = match.lastgroup
-        tokens.append(_Token(kind, match.group(kind), match.start(kind)))
-        index = match.end()
+        if kind == "bad":
+            raise ParseError(f"unexpected character {match[kind]!r}",
+                             match.start(kind) + 1)
+        tokens.append(_Token(kind, match[kind], match.start(kind)))
     tokens.append(_Token("end", "", len(text)))
     return tokens
 
 
 class _Parser:
-    """Recursive descent with precedence  ^  >  unary -  >  * /  >  + -."""
+    """Precedence climbing over ``_BINDS``: the loop in ``binary`` joins
+    the operators looser than unary minus, left-associative, and ``unary``
+    the tighter ``^``, right-associative with an exponent that may be
+    negated."""
 
     def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
         self.index = 0
         self.depth = 0  # of the ``unary`` calls open
 
-    def peek(self) -> _Token:
-        return self.tokens[self.index]
-
-    def advance(self) -> _Token:
+    def take(self, symbols: str) -> _Token | None:
+        """The next token, consumed, if it is an operator in ``symbols``."""
         token = self.tokens[self.index]
-        self.index += 1
-        return token
+        if token.kind == "op" and token.text in symbols:
+            self.index += 1
+            return token
+        return None
 
-    def expect_op(self, symbol: str):
-        token = self.peek()
-        if token.kind != "op" or token.text != symbol:
-            raise ParseError(f"expected {symbol!r}", token.pos + 1)
-        return self.advance()
+    def close(self):
+        if not self.take(")"):
+            raise ParseError("expected ')'", self.tokens[self.index].pos + 1)
 
     def parse(self) -> Expr:
-        expr, depth = self.sum()
-        trailing = self.peek()
+        expr, depth = self.binary(1)
+        trailing = self.tokens[self.index]
         if trailing.kind != "end":
             raise ParseError(f"unexpected {trailing.text!r}", trailing.pos + 1)
         if depth > _MAX_DEPTH:  # chains of + - * / nest, unseen
@@ -188,48 +205,35 @@ class _Parser:
 
     # each method below returns (node, depth of the node as a tree)
 
-    def sum(self) -> tuple[Expr, int]:
-        expr, depth = self.product()
-        while self.peek().kind == "op" and self.peek().text in "+-":
-            op = self.advance().text
-            right, right_depth = self.product()
-            expr, depth = Binary(op, expr, right), 1 + max(depth, right_depth)
-        return expr, depth
-
-    def product(self) -> tuple[Expr, int]:
+    def binary(self, minimum: int) -> tuple[Expr, int]:
+        """``unary`` operands joined, left-associative, by the operators
+        that bind at least ``minimum``: + - * /, as ``unary`` takes ^."""
         expr, depth = self.unary()
-        while self.peek().kind == "op" and self.peek().text in "*/":
-            op = self.advance().text
-            right, right_depth = self.unary()
-            expr, depth = Binary(op, expr, right), 1 + max(depth, right_depth)
+        while token := self.take(_JOINS[minimum]):
+            right, right_depth = self.binary(_BINDS[token.text] + 1)
+            expr = Binary(token.text, expr, right)
+            depth = 1 + max(depth, right_depth)
         return expr, depth
 
     def unary(self) -> tuple[Expr, int]:
         self.depth += 1  # every nesting, by (, - or ^, recurses through here
         if self.depth > _MAX_DEPTH:
             raise ExprError(_TOO_DEEP)
-        token = self.peek()
-        if token.kind == "op" and token.text == "-":
-            self.advance()
+        if self.take("-"):
             arg, depth = self.unary()
             expr, depth = Negate(arg), depth + 1
         else:
-            expr, depth = self.power()
+            expr, depth = self.atom()
+            if token := self.take(_JOINS[_UNARY]):
+                exponent, exponent_depth = self.unary()
+                expr = Binary(token.text, expr, exponent)
+                depth = 1 + max(depth, exponent_depth)
         self.depth -= 1
         return expr, depth
 
-    def power(self) -> tuple[Expr, int]:
-        base, depth = self.atom()
-        token = self.peek()
-        if token.kind == "op" and token.text == "^":
-            self.advance()
-            # right-associative, and the exponent may be unary-negated
-            exponent, exponent_depth = self.unary()
-            return Binary("^", base, exponent), 1 + max(depth, exponent_depth)
-        return base, depth
-
     def atom(self) -> tuple[Expr, int]:
-        token = self.advance()
+        token = self.tokens[self.index]
+        self.index += 1
         if token.kind == "number":
             value = float(token.text)
             if not math.isfinite(value):
@@ -237,22 +241,19 @@ class _Parser:
                                  token.pos + 1)
             return Literal(value), 1
         if token.kind == "op" and token.text == "(":
-            expr = self.sum()
-            self.expect_op(")")
+            expr = self.binary(1)
+            self.close()
             return expr
         if token.kind == "name":
-            follower = self.peek()
-            if follower.kind == "op" and follower.text == "(":
+            if self.take("("):
                 if token.text not in _FUNCTIONS:
                     raise ParseError(f"unknown function {token.text!r}",
                                      token.pos + 1, kind="unknown_identifier")
-                self.advance()
-                arg, depth = self.sum()
-                comma = self.peek()
-                if comma.kind == "op" and comma.text == ",":
+                arg, depth = self.binary(1)
+                if comma := self.take(","):
                     raise ParseError(f"{token.text} takes exactly one argument",
                                      comma.pos + 1, kind="arity")
-                self.expect_op(")")
+                self.close()
                 return Call(token.text, arg), depth + 1
             if token.text == _VARIABLE_NAME:
                 return Variable(), 1
@@ -290,12 +291,6 @@ def parse(text: str) -> Expr:
     return _Parser(_tokenize(text)).parse()
 
 
-def _checked(value: float, context: str) -> float:
-    if not math.isfinite(value):
-        raise DomainError(f"{context} produced a non-finite value")
-    return value
-
-
 def evaluate(expr: Expr, t: float) -> float:
     """Evaluate at ``t``; domain faults raise ``DomainError``, never NaN."""
     if not math.isfinite(t):
@@ -311,60 +306,51 @@ def _evaluate(expr: Expr, t: float) -> float:
         right = _evaluate(expr.right, t)
         op = expr.op
         if op == "+":
-            value, context = left + right, "addition"
+            value = left + right
         elif op == "-":
-            value, context = left - right, "subtraction"
+            value = left - right
         elif op == "*":
-            value, context = left * right, "multiplication"
+            value = left * right
         elif op == "/":
             if right == 0.0:
                 raise DomainError("division by zero")
-            value, context = left / right, "division"
+            value = left / right
         else:
             if left == 0.0 and right < 0.0:
                 raise DomainError("zero raised to a negative power")
             if left < 0.0 and right != math.floor(right):
                 raise DomainError("negative base with non-integer exponent")
             try:
-                value, context = left ** right, "power"
+                value = left ** right
             except OverflowError as exc:
-                raise DomainError("power overflow") from exc
-        if not math.isfinite(value):
-            raise DomainError(f"{context} produced a non-finite value")
-        return value
-    if kind is Literal:
+                raise DomainError(f"{_CONTEXTS[op]} overflow") from exc
+    elif kind is Literal:
         return expr.value
-    if kind is Variable:
+    elif kind is Variable:
         return t
-    if kind is Negate:
+    elif kind is Negate:
         return -_evaluate(expr.arg, t)
-    if kind is Call:
+    elif kind is Call:
         arg = _evaluate(expr.arg, t)
-        name = expr.name
-        if name == "log":
-            if arg <= 0.0:
-                raise DomainError("log of a non-positive number")
-            return math.log(arg)
-        if name == "sqrt":
-            if arg < 0.0:
-                raise DomainError("sqrt of a negative number")
-            return math.sqrt(arg)
+        op = expr.name
+        if op in _GUARDS:
+            _, fails, message = _GUARDS[op]
+            if fails(arg, 0.0):
+                raise DomainError(message)
+            return _FUNCTIONS[op](arg)
         try:
-            return _checked(_FUNCTIONS[name](arg), name)
+            value = _FUNCTIONS[op](arg)
         except OverflowError as exc:
-            raise DomainError(f"{name} overflow") from exc
-    raise TypeError(f"not an expression node: {expr!r}")
+            raise DomainError(f"{_CONTEXTS[op]} overflow") from exc
+    else:
+        raise TypeError(f"not an expression node: {expr!r}")
+    if not math.isfinite(value):
+        raise DomainError(f"{_CONTEXTS[op]} produced a non-finite value")
+    return value
 
 
 # ---------------------------------------------------------------------------
 # lowering to straight-line Python
-
-_CONTEXTS = {"+": "addition", "-": "subtraction", "*": "multiplication",
-             "/": "division"}
-_GUARDS = {"log": ("<=", "log of a non-positive number"),
-           "sqrt": ("<", "sqrt of a negative number")}
-_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul,
-               "/": operator.truediv}
 
 # a value bounded within +-_BOUND is finite; the margin absorbs rounding
 _BOUND = 1e300
@@ -408,8 +394,9 @@ class _Lowering:
     def __init__(self, domain: tuple[float, float] | None = None):
         self.lines: list[str] = []
         self.namespace: dict = {"isfinite": math.isfinite,
-                                "floor": math.floor, "log": math.log,
-                                "sqrt": math.sqrt, "DomainError": DomainError}
+                                "floor": math.floor,
+                                **{name: _FUNCTIONS[name] for name in _GUARDS},
+                                "DomainError": DomainError}
         self.count = count(1)  # of generated names
         self.domain = domain
         self.scanned: dict[int, tuple] = {}  # id -> (folded value, bounds)
@@ -453,7 +440,8 @@ class _Lowering:
         if isinstance(expr, Variable):
             return "t"
         args = [self.emit(kid) for kid in _children(expr)]
-        key = (type(expr), getattr(expr, "op", getattr(expr, "name", "")), *args)
+        op = getattr(expr, "op", getattr(expr, "name", ""))
+        key = (type(expr), op, *args)
         if key in self.values:  # the same operation on the same values
             return self.values[key]
         out = self.values[key] = f"v{next(self.count)}"
@@ -461,19 +449,18 @@ class _Lowering:
         if isinstance(expr, Negate):
             lines.append(f"{out} = -{args[0]}")
             return out
-        if isinstance(expr, Call) and expr.name in _GUARDS:
-            test, message = _GUARDS[expr.name]
+        if op in _GUARDS:
+            test, _, message = _GUARDS[op]
             lines.append(f"if {args[0]} {test} 0.0: "
                          f"raise DomainError('{message}')")
-            lines.append(f"{out} = {expr.name}({args[0]})")
+            lines.append(f"{out} = {op}({args[0]})")
             return out
-        if isinstance(expr, Binary) and expr.op in _CONTEXTS:
+        if op in _ARITHMETIC:
             left, right = args
-            if expr.op == "/" and not self.nonzero(expr.right):
+            if op == "/" and not self.nonzero(expr.right):
                 lines.append(f"if {right} == 0.0: "
                              f"raise DomainError('division by zero')")
-            lines.append(f"{out} = {left} {expr.op} {right}")
-            context = _CONTEXTS[expr.op]
+            lines.append(f"{out} = {left} {op} {right}")
         else:
             if isinstance(expr, Binary):
                 left, right = args
@@ -486,16 +473,16 @@ class _Lowering:
                     lines.append(f"if {left} < 0.0 and {right} != floor({right}): "
                                  f"raise DomainError('negative base with "
                                  f"non-integer exponent')")
-                call, context = f"{left} ** {right}", "power"
+                call = f"{left} ** {right}"
             else:
-                self.namespace[expr.name] = _FUNCTIONS[expr.name]
-                call, context = f"{expr.name}({args[0]})", expr.name
+                self.namespace[op] = _FUNCTIONS[op]
+                call = f"{op}({args[0]})"
             lines += ["try:", f"    {out} = {call}",
                       "except OverflowError as exc:",
-                      f"    raise DomainError('{context} overflow') from exc"]
+                      f"    raise DomainError('{_CONTEXTS[op]} overflow') from exc"]
         if bounds is None or max(-bounds[0], bounds[1]) >= _BOUND:
             lines.append(f"if not isfinite({out}): raise DomainError("
-                         f"'{context} produced a non-finite value')")
+                         f"'{_CONTEXTS[op]} produced a non-finite value')")
         return out
 
     def function(self, result: str, count: int | None = None) -> Callable:
@@ -519,9 +506,14 @@ _ZERO = _lit(0.0)
 _ONE = _lit(1.0)
 
 
-def _fold(op: str, a: Literal, b: Literal, value: float) -> Expr:
-    # a fold that overflows stays unfolded, so evaluating it raises
-    return _lit(value) if math.isfinite(value) else Binary(op, a, b)
+def _fold(op: str, a: Expr, b: Expr) -> Expr:
+    """``Binary(op, a, b)``, or its value if both are literals; a fold
+    that overflows stays unfolded, so evaluating it raises."""
+    if isinstance(a, Literal) and isinstance(b, Literal):
+        value = _ARITHMETIC[op](a.value, b.value)
+        if math.isfinite(value):
+            return _lit(value)
+    return Binary(op, a, b)
 
 
 def _is_const(expr: Expr, value: float) -> bool:
@@ -533,19 +525,15 @@ def _add(a: Expr, b: Expr) -> Expr:
         return b
     if _is_const(b, 0.0):
         return a
-    if isinstance(a, Literal) and isinstance(b, Literal):
-        return _fold("+", a, b, a.value + b.value)
-    return Binary("+", a, b)
+    return _fold("+", a, b)
 
 
 def _sub(a: Expr, b: Expr) -> Expr:
     if _is_const(b, 0.0):
         return a
-    if isinstance(a, Literal) and isinstance(b, Literal):
-        return _fold("-", a, b, a.value - b.value)
-    if _is_const(a, 0.0):
+    if _is_const(a, 0.0):  # 0 - b folds to -b, for b != 0 as a literal too
         return _neg(b)
-    return Binary("-", a, b)
+    return _fold("-", a, b)
 
 
 def _neg(a: Expr) -> Expr:
@@ -563,9 +551,7 @@ def _mul(a: Expr, b: Expr) -> Expr:
         return b
     if _is_const(b, 1.0):
         return a
-    if isinstance(a, Literal) and isinstance(b, Literal):
-        return _fold("*", a, b, a.value * b.value)
-    return Binary("*", a, b)
+    return _fold("*", a, b)
 
 
 def _div(a: Expr, b: Expr) -> Expr:
@@ -646,30 +632,11 @@ def _derivative(expr: Expr) -> Expr:
 # ---------------------------------------------------------------------------
 # canonical printing
 
-_LEVEL_SUM = 1
-_LEVEL_PRODUCT = 2
-_LEVEL_UNARY = 3
-_LEVEL_POWER = 4
-_LEVEL_ATOM = 5
-
-
-def _level(expr: Expr) -> int:
-    if isinstance(expr, Binary):
-        if expr.op in "+-":
-            return _LEVEL_SUM
-        if expr.op in "*/":
-            return _LEVEL_PRODUCT
-        return _LEVEL_POWER
-    if isinstance(expr, Negate):
-        return _LEVEL_UNARY
-    return _LEVEL_ATOM
-
-
 def _wrap(expr: Expr, minimum: int) -> str:
-    text = to_text(expr)
-    if _level(expr) < minimum:
-        return f"({text})"
-    return text
+    """``expr``'s text, in parentheses unless it binds at least ``minimum``."""
+    binds = (_BINDS[expr.op] if isinstance(expr, Binary) else
+             _UNARY if isinstance(expr, Negate) else _ATOM)
+    return to_text(expr) if binds >= minimum else f"({to_text(expr)})"
 
 
 def to_text(expr: Expr) -> str:
@@ -679,17 +646,15 @@ def to_text(expr: Expr) -> str:
     if isinstance(expr, Variable):
         return _VARIABLE_NAME
     if isinstance(expr, Negate):
-        return "-" + _wrap(expr.arg, _LEVEL_UNARY)
+        return "-" + _wrap(expr.arg, _UNARY)
     if isinstance(expr, Binary):
-        own = _level(expr)
-        if expr.op == "^":
-            # right-associative: parenthesise an exponent-shaped left child
-            left = _wrap(expr.left, _LEVEL_ATOM)
-            right = _wrap(expr.right, _LEVEL_UNARY)
-            return f"{left}^{right}"
-        left = _wrap(expr.left, own)
-        right = _wrap(expr.right, own + 1)
-        return f"{left} {expr.op} {right}"
+        binds = _BINDS[expr.op]
+        if binds < _UNARY:
+            left, right = _wrap(expr.left, binds), _wrap(expr.right, binds + 1)
+            return f"{left} {expr.op} {right}"
+        # ^, right-associative: a power is wrapped as the base, not as the
+        # exponent, nor is a negated exponent
+        return f"{_wrap(expr.left, binds + 1)}^{_wrap(expr.right, _UNARY)}"
     if isinstance(expr, Call):
         return f"{expr.name}({to_text(expr.arg)})"
     raise TypeError(f"not an expression node: {expr!r}")

@@ -47,6 +47,10 @@ __all__ = [
 # every step keeps a row, as does a config's every curvature grid point
 _MAX_ROWS = 1_000_000
 
+# a ``Trajectory.rows`` row's columns, then the two ``invariant_rows`` adds
+_TRAJECTORY_COLUMNS = ("s", "u", "v", "t", "du", "dv", "dt", "L", "p_u", "p_v",
+                       "inv1", "inv2")
+
 
 class MeridianUndefinedError(ValueError):
     """dt/du requested on a state with du = 0."""
@@ -114,9 +118,9 @@ class Trajectory:
 
     def drifts(self) -> dict[str, float]:
         """The largest |x - x_0| of p_u, p_v and L; 0.0 without rows."""
-        rows = self.rows or ((0.0,) * 10,)
-        return {name: _drift(list(map(itemgetter(column), rows))) for name,
-                column in (("p_u_drift", 8), ("p_v_drift", 9), ("L_drift", 7))}
+        rows, at = self.rows or ((0.0,) * 10,), _TRAJECTORY_COLUMNS.index
+        return {f"{name}_drift": _drift(list(map(itemgetter(at(name)), rows)))
+                for name in ("p_u", "p_v", "L")}
 
 
 def _drift(column) -> float:

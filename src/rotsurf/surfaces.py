@@ -339,10 +339,13 @@ class SurfaceFamily:
     def frame_values(self, fa_value: float, fb_value: float,
                      dfa_value: float, dfb_value: float,
                      u: float, v: float) -> tuple[list[float], ...]:
-        """Coordinates of the tangents d/du, d/dv, d/dt from raw values."""
+        """Coordinates of the immersed point and of its tangents d/du, d/dv,
+        d/dt from raw values, from one ``FamilySpec.columns`` call."""
         spec = self.spec
         (cu0, cu1), (du0, du1), (cv0, cv1), (dv0, dv1) = spec.columns(u, v)
-        return (spec.vector((du0 * fa_value, du1 * fa_value, 0.0, 0.0)),
+        return (spec.vector((cu0 * fa_value, cu1 * fa_value,
+                             cv0 * fb_value, cv1 * fb_value)),
+                spec.vector((du0 * fa_value, du1 * fa_value, 0.0, 0.0)),
                 spec.vector((0.0, 0.0, dv0 * fb_value, dv1 * fb_value)),
                 spec.vector((cu0 * dfa_value, cu1 * dfa_value,
                              cv0 * dfb_value, cv1 * dfb_value)))
@@ -350,7 +353,7 @@ class SurfaceFamily:
     def tangent_frame(self, u: float, v: float, t: float):
         return tuple(Vector4(*x) for x in self.frame_values(
             self.fa.evaluate(t), self.fb.evaluate(t),
-            self.fa.derivative(t), self.fb.derivative(t), u, v))
+            self.fa.derivative(t), self.fb.derivative(t), u, v)[1:])
 
     # -- metric -------------------------------------------------------------
 

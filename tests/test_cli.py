@@ -25,6 +25,7 @@ from rotsurf.cli import (_CURVATURE_COLUMNS, _TRAJECTORY_COLUMNS, _build_parser,
                          _write_table, main)
 from rotsurf.config import ConfigError, parse_config
 from rotsurf.geodesics import _drift
+from rotsurf.surfaces import FamilySpec
 from test_expressions import sine_sum
 from test_golden import CONFIGS
 
@@ -759,6 +760,28 @@ def test_isometry_charge_of_a_foreign_generator_drifts():
         charges = [_charge(fam, generator_matrix(rotation), row)[0]
                    for row in trajectory.rows]
         assert _drift(charges) > 1e-4, rotation
+
+
+def test_isometry_takes_block_columns_twice_per_row(tmp_path, capsys,
+                                                   monkeypatch):
+    # the point and its frame share one FamilySpec.columns call at the
+    # row's (u, v); the rotated image's target takes its own, shifted
+    document = dict(CONFIGS["h14"], output={"path": str(tmp_path / "out.csv")})
+    config = write_config(tmp_path, document)
+    parsed = parse_config(document)
+    fam = parsed.build_family()
+    trajectory, _ = _run_geodesic(parsed, fam)
+    calls, columns = [], FamilySpec.columns
+
+    def recording(spec, u, v):
+        calls.append((u, v))
+        return columns(spec, u, v)
+
+    monkeypatch.setattr(FamilySpec, "columns", recording)
+    assert main(["isometry", "--config", config, "--generator",
+                 fam.spec.rot_u.label, "--angle", "0.7"]) == 0
+    assert calls[::2] == [(u, v) for _, u, v, *_ in trajectory.rows]
+    assert calls[1::2] == [(u + 0.7, v) for _, u, v, *_ in trajectory.rows]
 
 
 def test_isometry_overflow_is_numerical_failure(tmp_path, capsys):

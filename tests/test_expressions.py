@@ -32,26 +32,55 @@ def test_parse_hyperbolic_identity():
     assert evaluate(expr, 1.7) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_parse_incomplete_expression_position():
-    with pytest.raises(ParseError) as info:
-        parse("t +")
-    assert info.value.position == 4
+_TOO_DEEP = "expression nested deeper than 64 levels"
+_PARSE_ERRORS = [
+    ("", "empty expression", 1, "syntax"),
+    ("   ", "empty expression", 1, "syntax"),
+    ("t @ 2", "unexpected character '@'", 3, "syntax"),
+    ("  @", "unexpected character '@'", 3, "syntax"),
+    ("1 2", "unexpected '2'", 3, "syntax"),
+    ("t)", "unexpected ')'", 2, "syntax"),
+    ("t,t", "unexpected ','", 2, "syntax"),
+    ("(t", "expected ')'", 3, "syntax"),
+    ("sin(t", "expected ')'", 6, "syntax"),
+    ("t +", "expected a value", 4, "syntax"),
+    ("*t", "expected a value", 1, "syntax"),
+    ("()", "expected a value", 2, "syntax"),
+    ("2^", "expected a value", 3, "syntax"),
+    ("-", "expected a value", 2, "syntax"),
+    ("2*1e400", "number '1e400' out of range", 3, "syntax"),
+    ("foo(t)", "unknown function 'foo'", 1, "unknown_identifier"),
+    ("2*q", "unknown identifier 'q'", 3, "unknown_identifier"),
+    ("sin t", "unknown identifier 'sin'", 1, "unknown_identifier"),
+    ("sin(t, t)", "sin takes exactly one argument", 6, "arity"),
+    ("sin(t,)", "sin takes exactly one argument", 6, "arity"),
+    # the depth bound while parsing, before a later syntax error; the
+    # tree's depth after the whole text parses, so after a trailing token
+    ("(" * 65 + "t" + ")" * 65, _TOO_DEEP, None, None),
+    ("(" * 65 + "t", _TOO_DEEP, None, None),
+    ("-" * 64 + "t", _TOO_DEEP, None, None),
+    ("^".join(["2"] * 65), _TOO_DEEP, None, None),
+    ("(" * 64 + "t @", "unexpected character '@'", 67, "syntax"),
+    ("+".join(["t"] * 65), _TOO_DEEP, None, None),
+    ("+".join(["t"] * 65) + ")", "unexpected ')'", 130, "syntax"),
+]
 
 
-def test_parse_unknown_identifier():
-    with pytest.raises(ParseError) as info:
-        parse("2*q")
-    assert info.value.kind == "unknown_identifier"
-    assert info.value.position == 3
-    with pytest.raises(ParseError) as info:
-        parse("foo(t)")
-    assert info.value.kind == "unknown_identifier"
-
-
-def test_parse_wrong_arity():
-    with pytest.raises(ParseError) as info:
-        parse("sin(t, t)")
-    assert info.value.kind == "arity"
+@pytest.mark.parametrize(
+    "text,message,position,kind", _PARSE_ERRORS,
+    ids=[repr(text) if len(text) < 12 else f"{text[:6]!r}...({len(text)})"
+         for text, *_ in _PARSE_ERRORS])
+def test_parse_errors(text, message, position, kind):
+    # a ParseError carries the 1-based position and kind; the depth
+    # bound's ExprError carries neither
+    with pytest.raises(ExprError) as info:
+        parse(text)
+    error = info.value
+    assert isinstance(error, ParseError) is (position is not None)
+    expected = (message if position is None
+                else f"{message} at position {position}")
+    assert (str(error), getattr(error, "position", None),
+            getattr(error, "kind", None)) == (expected, position, kind)
 
 
 def sine_sum(n):
@@ -114,25 +143,6 @@ def test_differentiate_bounds_the_node_count(text, nodes):
     with pytest.raises(ExprError,
                        match=f"derivative has {nodes} nodes, more than 5000"):
         differentiate(d1)
-
-
-def test_parse_empty():
-    with pytest.raises(ParseError):
-        parse("")
-    with pytest.raises(ParseError):
-        parse("   ")
-
-
-def test_parse_stray_token():
-    with pytest.raises(ParseError):
-        parse("1 2")
-    with pytest.raises(ParseError):
-        parse("(t")
-    with pytest.raises(ParseError):
-        parse("t @ 2")
-    with pytest.raises(ParseError) as info:      # a literal beyond float range
-        parse("2*1e400")
-    assert info.value.position == 3
 
 
 def test_precedence():
