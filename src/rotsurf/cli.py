@@ -257,8 +257,7 @@ def _cmd_curvature(config: RunConfig) -> int:
 def _charge(fam: SurfaceFamily, generator, row) -> tuple:
     """<gamma', J f> of the Killing field x -> J x, J = ``generator`` (a
     checked matrix), at the point f of trajectory ``row``; then f's
-    standard coordinates, and the profile values fa, fb and the angles u, v
-    they are from."""
+    standard coordinates and the fa, fb, u and v they are from."""
     u, v, t, du, dv, dt = _STATE(row)
     fa, fb = fam.fa.evaluate(t), fam.fb.evaluate(t)
     point, f_u, f_v, f_t = fam.frame_values(fa, fb, fam.fa.derivative(t),

@@ -393,6 +393,7 @@ class _Lowering:
 
     def __init__(self, domain: tuple[float, float] | None = None):
         self.lines: list[str] = []
+        # the guarded functions up front, where generated sources list them
         self.namespace: dict = {"isfinite": math.isfinite,
                                 "floor": math.floor,
                                 **{name: _FUNCTIONS[name] for name in _GUARDS},
