@@ -28,8 +28,7 @@ from .curvature import DoubleRotationSurface, GridPointError, curvature_grid
 from .expressions import DomainError, ExprError, differentiate, parse, to_text
 from .geodesics import (_TRAJECTORY_COLUMNS, Trajectory, _drift, integrate,
                         invariant_rows)
-from .isometries import (Rotation, _apply, _checked_matrix, generator_matrix,
-                         rotation_matrix)
+from .isometries import Rotation, _apply, generator_matrix, rotation_matrix
 from .surfaces import (DegenerateMetricError, MetricOverflowError,
                        NotTimelikeError, SurfaceFamily)
 
@@ -135,12 +134,6 @@ def _table(fmt: str, names: tuple[str, ...], chunks, key: str, extra: dict):
         opening = between
     # an opening still unused: no row was written
     yield (head + empty if opening != between else "\n    }\n  ]") + tail
-
-
-def _write_table(path: str, fmt: str, names: tuple[str, ...], rows,
-                 key: str, **extra):
-    """Write the tuples ``rows`` with column ``names`` as ``_table`` does."""
-    _write_atomic(path, _table(fmt, names, [rows], key, extra))
 
 
 _SUMMARY_COLUMNS = {f"{name}_drift": _TRAJECTORY_COLUMNS.index(name)
@@ -249,14 +242,15 @@ def _cmd_curvature(config: RunConfig) -> int:
     except GridPointError as exc:
         raise _NumericalFailure(f"numerical failure at t={_fmt(exc.t)}, "
                                 f"s={_fmt(exc.s)}: {exc.error}") from exc
-    _write_table(path, config.output.format, _CURVATURE_COLUMNS, rows, "grid")
+    _write_atomic(path, _table(config.output.format, _CURVATURE_COLUMNS,
+                               [rows], "grid", {}))
     print(f"wrote {path} ({section.nt * section.ns} grid points)")
     return EXIT_OK
 
 
 def _charge(fam: SurfaceFamily, generator, row) -> tuple:
-    """<gamma', J f> of the Killing field x -> J x, J = ``generator`` (a
-    checked matrix), at the point f of trajectory ``row``; then f's
+    """<gamma', J f> of the Killing field x -> J x, J = ``generator`` (four
+    finite float rows), at the point f of trajectory ``row``; then f's
     standard coordinates and the fa, fb, u and v they are from."""
     u, v, t, du, dv, dt = _STATE(row)
     fa, fb = fam.fa.evaluate(t), fam.fb.evaluate(t)
@@ -287,8 +281,8 @@ def _cmd_isometry(config: RunConfig, generator: str, angle: float) -> int:
     column = _TRAJECTORY_COLUMNS.index(momentum)
     charges, defect, image = [], 0.0, 0.0
     try:
-        matrix = _checked_matrix(generator_matrix(rotation))
-        moved = _checked_matrix(rotation_matrix(rotation, angle))
+        matrix = generator_matrix(rotation)
+        moved = rotation_matrix(rotation, angle)
         for row in trajectory.rows:
             q, point, fa, fb, u, v = _charge(fam, matrix, row)
             target = fam.immerse_values(fa, fb, u + shift_u, v + shift_v)

@@ -1,8 +1,8 @@
 """Run configuration: one JSON document declaring a family and its runs.
 
-Unknown keys are rejected anywhere in the document, and every validation
-error names the offending field, so config typos fail fast instead of
-silently changing a run.
+Unknown and repeated keys are rejected anywhere in the document, and every
+validation error names the offending field, so config typos fail fast
+instead of silently changing a run.
 """
 
 from __future__ import annotations
@@ -30,9 +30,25 @@ class ConfigError(ValueError):
         self.field = field_path
 
 
+class _Repeated(dict):
+    """A JSON object that gives ``key`` twice, which ``json.load`` would
+    read silently as its last value."""
+
+
+def _json_object(pairs: list) -> dict:
+    mapping = dict(pairs)
+    if len(mapping) < len(pairs):
+        mapping = _Repeated(mapping)
+        mapping.key = next(key for i, (key, _) in enumerate(pairs)
+                           if key in dict(pairs[:i]))
+    return mapping
+
 def _require_mapping(value, path: str) -> dict:
     if not isinstance(value, dict):
-        raise ConfigError(path, "must be an object")
+        raise ConfigError(path or "config", "must be an object")
+    if isinstance(value, _Repeated):
+        raise ConfigError(f"{path}.{value.key}" if path else value.key,
+                          "duplicate key")
     return value
 
 def _reject_unknown(mapping: dict, allowed: set[str], path: str):
@@ -201,7 +217,7 @@ def _parse_output(section: dict) -> OutputSection:
 
 def parse_config(document: dict) -> RunConfig:
     """Validate a parsed JSON document into a RunConfig."""
-    _require_mapping(document, "config")
+    _require_mapping(document, "")
     _reject_unknown(document, {"family", "variant", "profiles", "domain",
                                "geodesic", "curvature", "output"}, "")
     family_name = _string(document, "family", "")
@@ -242,7 +258,7 @@ def parse_config(document: dict) -> RunConfig:
 def load_config(path: str) -> RunConfig:
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            document = json.load(handle)
+            document = json.load(handle, object_pairs_hook=_json_object)
     except OSError as exc:
         raise ConfigError("config", f"cannot read {path!r}: {exc}") from exc
     except json.JSONDecodeError as exc:

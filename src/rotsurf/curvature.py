@@ -3,27 +3,15 @@
 A ``DoubleRotationSurface`` immerses (t, s) -> family point at angles
 (x(t), w(t)) and profile parameter s, i.e. both rotation angles follow a
 path while s runs along the profile.  ``curvature_report`` puts two
-computations side by side:
+computations side by side, for all six (family, variant) pairs: closed
+forms ``K_formula`` and ``H_formula = h3 e3 + h4 e4`` in the normal frame
+(e3, e4) (``_frame`` and ``_point``), and the exact oracles ``K_oracle``
+and ``H_oracle`` (``_point`` too).  The two agree to rounding; the tests
+hold the gaps to 1e-9.
 
-* closed forms ``K_formula`` and ``H_formula = h3 e3 + h4 e4`` in the
-  normal frame (e3, e4).  One derivation serves all six (family,
-  variant) pairs: the frame comes from the pair's ``FamilySpec.signs``
-  and ``FamilySpec.columns`` (``_frame``), and K, h3 and h4 from the Gauss
-  equation and the normal parts of the second partials (``_point``),
-  which hold in any signature;
-* exact oracles (``_point`` too): the family metric is diagonal, so the
-  induced 2-metric is diag(E x'^2 + G w'^2, N), and ``K_oracle``
-  (Brioschi's formula) and ``H_oracle`` (the Gauss formula) are closed
-  expressions in the profile and angle values and their first two
-  derivatives at the point.
-
-The two agree to rounding; the tests hold the gaps to 1e-9.
 ``curvature_grid`` computes both on a grid of (t, s) points as plain
-floats.  ``_profile_col`` evaluates the profiles once per s and forms
-every term of s alone (e fa^2, g fb^2, Q, sqrt|Q|, the frame's quotients
-by it, B4, B4 / Q, Q_s and the angle-free factors of A3, A4, C3, P_s and
-P_ss); ``_angle_row`` evaluates the angles and block columns once per t,
-with x'^2, w'^2, x'' w' - x' w'' and e x' w'.  A point does only the
+floats.  ``_profile_col`` forms the terms of s alone once per s and
+``_angle_row`` those of t alone once per t; a point does only the
 arithmetic that mixes them, in the operations and order of the formulas
 as written, so its floats are theirs.  The kernel works in plane
 coordinates, the u-plane's two slots then the v-plane's;
@@ -31,12 +19,10 @@ coordinates, the u-plane's two slots then the v-plane's;
 its 4-tuples as ``Vector4`` of the standard coordinates that
 ``FamilySpec.vector`` places them in.
 
-The finite-difference oracles ``gaussian_curvature_fd`` (Christoffel
-symbols and the single independent curvature component of any 2-metric)
-and ``mean_curvature_fd`` (second partials of the immersion with the
-tangential part projected away) are the independent cross-check of the
-exact oracles, on the coordinates of the ``Vector4``s their callbacks
-return; they are not on the report path.
+The finite-difference oracles ``gaussian_curvature_fd`` and
+``mean_curvature_fd`` are the independent cross-check of the exact
+oracles, on the coordinates of the ``Vector4``s their callbacks return;
+they are not on the report path.
 
 Profile and angle trees are walked by ``expressions.evaluate`` (a grid
 reads each once per t or s, too few times for lowering to pay off).  The
@@ -168,8 +154,7 @@ def _angle_row(surface: DoubleRotationSurface, t: float) -> tuple:
 
 def _frame(t: float, s: float, col, row) -> tuple:
     """(P, n3, sqrt|P|, e3, e4) at (t, s), from the ``_profile_col`` at s
-    and the ``_angle_row`` at t, either of which may be the
-    ``DomainError`` its evaluation raised; ``col``'s is raised first.
+    and the ``_angle_row`` at t.
 
     The induced metric is diag(P, Q), P = e fa^2 x'^2 + g fb^2 w'^2 and
     Q = na fa'^2 + nb fb'^2.  In plane coordinates (the u-plane's two
@@ -183,10 +168,6 @@ def _frame(t: float, s: float, col, row) -> tuple:
     sqrt|Q|, scaled before the columns.  A normal is null where P = 0 or
     Q = 0: ``FrameDegenerateError``.  P Q must be finite, else "curvature
     overflow"; a block overflow is raised after both checks."""
-    if isinstance(col, DomainError):
-        raise col
-    if isinstance(row, DomainError):
-        raise row
     fb, efa2, gfb2, q, q4, rho_fa, eg, a4, b4 = col[0]
     dx, dw, _, _, dx2, dw2, _, _, cols = row
     p = efa2 * dx2 + gfb2 * dw2
@@ -408,30 +389,25 @@ def _point(t: float, s: float, col, row) -> tuple:
             (f0, f1, f2, f3), (o0, o1, o2, o3))
 
 
-def _attempt(fn, *args):
-    """``fn(*args)``, or the ``DomainError`` it raised."""
-    try:
-        return fn(*args)
-    except DomainError as exc:
-        return exc
-
-
 def curvature_grid(surface: DoubleRotationSurface, ts, ss) -> list[tuple]:
     """Rows (t, s, K_formula, K_oracle, K_gap, h3, h4, H_gap) at every
     (t, s) of ``ts`` x ``ss`` in row-major order, the values of
     ``curvature_report`` at each point.
 
-    The terms of t alone are formed once per t (``_angle_row``) and those
-    of s alone once per s (``_profile_col``); an error of either is raised
-    at the first point that needs it.
-    The first point that fails raises ``GridPointError``."""
-    cols = [_attempt(_profile_col, surface, s) for s in ss]
-    rows = []
-    for t in ts:
-        row = _attempt(_angle_row, surface, t)
-        for s, col in zip(ss, cols):
+    The terms of s alone are formed once per s (``_profile_col``), as the
+    first t reaches it, and those of t alone once per t (``_angle_row``),
+    at its first s: in row-major order each is formed at the first point
+    that needs it, so the first point that fails raises, as
+    ``GridPointError``, the error that point's report would."""
+    cols, rows = [], []
+    for i, t in enumerate(ts):
+        for j, s in enumerate(ss):
             try:
-                rows.append((t, s) + _point(t, s, col, row)[:6])
+                if not i:
+                    cols.append(_profile_col(surface, s))
+                if not j:
+                    row = _angle_row(surface, t)
+                rows.append((t, s) + _point(t, s, cols[j], row)[:6])
             except (FrameDegenerateError, DomainError) as exc:
                 raise GridPointError(t, s, exc) from exc
     return rows

@@ -146,13 +146,13 @@ _JOINS = {level: "".join(op for op, binds in _BINDS.items() if binds >= level)
 _MAX_DEPTH, _MAX_NODES = 64, 5_000
 _TOO_DEEP = f"expression nested deeper than {_MAX_DEPTH} levels"
 
-# a "bad" token: a character, not space, that starts no other token
+# a "bad" token: a character, not space, that starts no other token; with
+# re.ASCII, \d and \s match no other script's digits or spaces
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<number>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?"
     r"|\d+(?:[eE][+-]?\d+)?)"
     r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>[-+*/^(),])|(?P<bad>\S))"
-)
+    r"|(?P<op>[-+*/^(),])|(?P<bad>\S))", re.ASCII)
 
 
 # kind: number | name | op | end; pos: 0-based offset into the source
@@ -675,7 +675,6 @@ class ProfileFunction:
     d2: Expr
     t_min: float
     t_max: float
-    text: str
 
     def __post_init__(self):
         if not (math.isfinite(self.t_min) and math.isfinite(self.t_max)):
@@ -688,7 +687,7 @@ class ProfileFunction:
         value = parse(text)
         d1 = differentiate(value)
         d2 = differentiate(d1)
-        return cls(value, d1, d2, float(t_min), float(t_max), text)
+        return cls(value, d1, d2, float(t_min), float(t_max))
 
     def _outside(self, t: float) -> DomainError:
         return DomainError(

@@ -21,8 +21,7 @@ from rotsurf import (DoubleRotationSurface, ProfileFunction, inner,
                      make_family, normal_frame)
 from rotsurf import Rotation, generator_matrix
 from rotsurf.cli import (_CURVATURE_COLUMNS, _TRAJECTORY_COLUMNS, _build_parser,
-                         _charge, _fmt, _run_geodesic, _write_atomic,
-                         _write_table, main)
+                         _charge, _fmt, _run_geodesic, _write_atomic, main)
 from rotsurf.config import ConfigError, parse_config
 from rotsurf.geodesics import _drift
 from rotsurf.surfaces import FamilySpec
@@ -242,6 +241,8 @@ def test_validation_reversed_domain(tmp_path, capsys):
 def test_validation_bad_profile_expression(tmp_path, capsys):
     for field, text, message in (
             ("profiles.fa", "t +", "expected a value at position 4"),
+            ("profiles.fa", "\u0663*t",
+             "unexpected character '\u0663' at position 1"),
             # nested too deep, or a derivative too large, to walk or lower
             ("profiles.fa", "+".join(["t"] * 1000),
              "expression nested deeper than 64 levels"),
@@ -819,6 +820,11 @@ def test_missing_config_file(tmp_path, capsys):
 
 
 _GRID = {"xAngle": "t", "vAngle": "1", "grid": {"nt": 0, "ns": 2}}
+# json.dumps writes no key twice: these texts repeat one of MERIDIAN_CONFIG's
+_MERIDIAN_TEXT = json.dumps(MERIDIAN_CONFIG)
+_REPEATS = {"geodesic.step": ('"step": 0.001', '"step": 0.1, "step": 0.001'),
+            "family": ('"variant"', '"family": "elliptic56", "variant"'),
+            "geodesic.initial.u": ('"v": 0', '"u": 1, "v": 0')}
 
 
 @pytest.mark.parametrize("argv,changes,line", [
@@ -844,6 +850,8 @@ _GRID = {"xAngle": "t", "vAngle": "1", "grid": {"nt": 0, "ns": 2}}
     ("info", {"domain": [0.05, "10"]}, "domain: must be a number"),
     ("info", "{", "config: invalid JSON: Expecting property name enclosed "
                   "in double quotes: line 1 column 2 (char 1)"),
+    *[("geodesic", _MERIDIAN_TEXT.replace(*_REPEATS[field], 1),
+       f"{field}: duplicate key") for field in _REPEATS],
     ("geodesic", {"output": None}, "output: missing"),
     ("invariants", {"output": None}, "output: missing"),
     ("curvature", {"output": None}, "output: missing"),
@@ -992,7 +1000,7 @@ def test_write_table_matches_plain_formatting(tmp_path, names, key, extra,
                                               values, fmt):
     rows = _table(len(names), values) if values else []
     path = tmp_path / f"table.{fmt}"
-    _write_table(str(path), fmt, names, rows, key, **extra)
+    _write_atomic(str(path), cli._table(fmt, names, [rows], key, extra))
     if fmt == "csv":
         lines = [",".join(names)]
         lines += [",".join(f"{value:.17g}" for value in row) for row in rows]

@@ -38,6 +38,10 @@ _PARSE_ERRORS = [
     ("   ", "empty expression", 1, "syntax"),
     ("t @ 2", "unexpected character '@'", 3, "syntax"),
     ("  @", "unexpected character '@'", 3, "syntax"),
+    # digits and spaces of other scripts are no numbers or spaces
+    ("\u0663*t", "unexpected character '\u0663'", 1, "syntax"),
+    ("\uff11+t", "unexpected character '\uff11'", 1, "syntax"),
+    ("t\xa0+ 1", "unexpected character '\\xa0'", 2, "syntax"),
     ("1 2", "unexpected '2'", 3, "syntax"),
     ("t)", "unexpected ')'", 2, "syntax"),
     ("t,t", "unexpected ','", 2, "syntax"),

@@ -63,6 +63,28 @@ def test_integrate_meridian_exactly():
     assert trajectory.final.s == 1.0
 
 
+def test_integrate_converges_to_the_exact_geodesic():
+    # fa = t, fb = 1: the metric t^2 du^2 - dv^2 - dt^2 is flat, so
+    # (t cosh u, t sinh u) runs on a straight line and v = v'(0) s; from
+    # (u, v, t) = (0, 0, 1) with velocity (0.3, 0.1, sqrt(1.08)), unit
+    # timelike, the line is (1 + sqrt(1.08) s, 0.3 s)
+    fam = make_family("hyperbolic14", "A", "t", "1", 0.05, 10.0)
+    state0 = GeodesicState(0.0, 0.0, 1.0, 0.3, 0.1, math.sqrt(1.08))
+    errors = []
+    for step in (4e-3, 2e-3, 1e-3):
+        trajectory = integrate(fam, state0, 2.8, step)
+        assert trajectory.termination == "completed"
+        error = 0.0
+        for s, u, v, t, *_ in trajectory.rows:
+            x, y = 1.0 + math.sqrt(1.08) * s, 0.3 * s
+            error = max(error, abs(t - math.sqrt(x * x - y * y)),
+                        abs(u - math.atanh(y / x)), abs(v - 0.1 * s))
+        errors.append(error)
+    # RK4 is fourth order until rounding: 3.5e-12, 2.2e-13, 1.4e-14
+    assert 3.8 <= math.log2(errors[0] / errors[1]) <= 4.2
+    assert errors[2] <= 1e-13
+
+
 def test_integrate_conserves_cyclic_momentum():
     state0 = GeodesicState(0, 0, 1.0, 0.3, 0.1, math.sqrt(1.08))
     trajectory = integrate(H14, state0, 5.0, 1e-3)
