@@ -9,20 +9,24 @@ Each revision is exported with ``bench_pairs.export``, and its
 ``rotsurf_head``; both are imported into this one process, which works
 because ``src/`` imports itself only relatively.  ``bench/reference.py``
 (of the head) runs as a child process and writes one seed's
-``inputs.json`` for the ``trajectory`` and ``curvature-grid`` workloads;
-their configs are written from it.
+``inputs.json`` for each of the benchmark's three workloads; their
+configs are written from it.
 
-A pair runs every config of a workload once through each side's
-``cli.main`` (``invariants`` or ``curvature``) and keeps each side's summed
-time: the base first in even pairs, the head first in odd ones, so the
-order runs A B B A A B ...  One untimed round per side comes before pair
-0, so neither side's timed rounds include its first-call costs.  Both
-sides run in seconds of each other, so the host's drift in speed cancels
-in the ratio.  Printed per workload, one JSON line: the median per-pair
-ratio head/base, a distribution-free 95 % interval for it from order
-statistics (the sign-test interval, as in Conover, *Practical
-Nonparametric Statistics*) with its exact coverage, whether the interval
-excludes 1, and whether both sides wrote the same artifact bytes.
+A pair runs every config of a workload once through each side and keeps
+each side's summed time: ``trajectory`` and ``curvature-grid`` call the
+side's ``cli.main`` (``invariants`` or ``curvature``), and ``ensemble``
+its library as ``bench/workloads.py`` does (the start, ``integrate``, the
+drifts and the final ``clairaut_report``; each config is loaded and its
+family built once, in the warm-up round).  The base goes first in even
+pairs, the head first in odd ones, so the order runs A B B A A B ...  One
+untimed round per side comes before pair 0, so neither side's timed
+rounds include its first-call costs.  Both sides run in seconds of each
+other, so the host's drift in speed cancels in the ratio.  Printed per
+workload, one JSON line: the median per-pair ratio head/base, a
+distribution-free 95 % interval for it from order statistics (the
+sign-test interval, as in Conover, *Practical Nonparametric Statistics*)
+with its exact coverage, whether the interval excludes 1, and whether both
+sides wrote the same artifact bytes and returned the same values.
 """
 
 from __future__ import annotations
@@ -45,7 +49,9 @@ sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 import bench_pairs  # noqa: E402
 
 SIDES = bench_pairs.SIDES
-COMMANDS = {"trajectory": "invariants", "curvature-grid": "curvature"}
+# the CLI command of each workload; None: through the library
+COMMANDS = {"trajectory": "invariants", "ensemble": None,
+            "curvature-grid": "curvature"}
 
 
 def sign_interval(values, level: float = 0.95) -> tuple:
@@ -94,19 +100,67 @@ def _configs(workload: str, seed: int, reference: str, directory: str):
     return paths
 
 
-def _round(main, command: str, configs: list[str], out_dir: str) -> float:
-    """Seconds ``main`` took for ``command`` on every config, writing its
-    artifacts under ``out_dir``."""
+def cli_op(package: str, command: str):
+    """One config through ``package``'s ``cli.main`` ``command``; exits on
+    a failure."""
+    main = importlib.import_module(f"{package}.cli").main
+
+    def op(config: str):
+        code = main([command, "--config", config])
+        if code != 0:
+            raise SystemExit(f"{command} --config {config} exited {code}")
+    return op
+
+
+def ensemble_op(package: str):
+    """One ensemble member through ``package``'s library, as
+    ``bench/workloads.py``'s ``Ensemble.run_op`` runs it: its start,
+    ``integrate``, the drifts and ``clairaut_report`` of the final state.
+    Returns what it found; the config and family are built on a config's
+    first call."""
+    config_module = importlib.import_module(f"{package}.config")
+    geodesics = importlib.import_module(f"{package}.geodesics")
+    surfaces = importlib.import_module(f"{package}.surfaces")
+    built = {}
+
+    def op(path: str):
+        if path not in built:
+            config = config_module.load_config(path)
+            built[path] = config, config.build_family()
+        config, family = built[path]
+        section = config.geodesic
+        init = section.initial
+        if section.angle_style:
+            state = geodesics.state_from_angles(
+                family, init["u"], init["v"], init["t"], init["phi"],
+                init["theta"])
+        else:
+            state = family.normalize_timelike(surfaces.GeodesicState(
+                init["u"], init["v"], init["t"], init["du"], init["dv"],
+                init["dt"]))
+        trajectory = geodesics.integrate(family, state, section.length,
+                                         section.step)
+        drifts = trajectory.drifts()
+        report = geodesics.clairaut_report(family, trajectory.final.state)
+        return (trajectory.termination, len(trajectory.rows),
+                trajectory.final.state.as_tuple(), drifts,
+                (report.L, report.p_u, report.p_v, report.invariant1,
+                 report.invariant2))
+    return op
+
+
+def _round(op, configs: list[str], out_dir: str) -> tuple[float, list]:
+    """Seconds ``op`` took on every config, writing any artifacts under
+    ``out_dir``, and what it returned for each."""
     os.environ["ROTSURF_OUTPUT_DIR"] = out_dir
-    total = 0.0
+    total, found = 0.0, []
     with contextlib.redirect_stdout(io.StringIO()):
         for config in configs:
             start = time.perf_counter()
-            code = main([command, "--config", config])
+            value = op(config)
             total += time.perf_counter() - start
-            if code != 0:
-                raise SystemExit(f"{command} --config {config} exited {code}")
-    return total
+            found.append(value)
+    return total, found
 
 
 def _same_bytes(left: str, right: str) -> bool:
@@ -128,7 +182,7 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--pairs", type=int, default=100)
     parser.add_argument("--workload", action="append", choices=COMMANDS,
-                        help="default: both")
+                        help="default: all three")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
@@ -140,8 +194,6 @@ def main(argv=None) -> int:
             shutil.copytree(os.path.join(checkout, "src", "rotsurf"),
                             os.path.join(packages, f"rotsurf_{side}"))
         sys.path.insert(0, packages)
-        mains = {side: importlib.import_module(f"rotsurf_{side}.cli").main
-                 for side in SIDES}
         reference = os.path.join(scratch, "head", "bench", "reference.py")
         for workload in args.workload or list(COMMANDS):
             directory = os.path.join(scratch, workload)
@@ -149,16 +201,21 @@ def main(argv=None) -> int:
             configs = _configs(workload, args.seed, reference, directory)
             outs = {side: os.path.join(directory, f"out-{side}")
                     for side in SIDES}
-            times = {side: [] for side in SIDES}
+            command = COMMANDS[workload]
+            ops = {side: ensemble_op(f"rotsurf_{side}") if command is None
+                   else cli_op(f"rotsurf_{side}", command) for side in SIDES}
+            times, found = {side: [] for side in SIDES}, {}
             for side in SIDES:  # the untimed warm-up round
-                _round(mains[side], COMMANDS[workload], configs, outs[side])
+                os.makedirs(outs[side])
+                found[side] = _round(ops[side], configs, outs[side])[1]
             for i in range(args.pairs):
                 for side in SIDES if i % 2 == 0 else SIDES[::-1]:
-                    times[side].append(_round(mains[side], COMMANDS[workload],
-                                              configs, outs[side]))
+                    seconds, _ = _round(ops[side], configs, outs[side])
+                    times[side].append(seconds)
             print(json.dumps({"workload": workload, "seed": args.seed,
                               **summarize(times),
-                              "same_bytes": _same_bytes(*outs.values())}))
+                              "same_bytes": _same_bytes(*outs.values())
+                              and repr(found["base"]) == repr(found["head"])}))
     return 0
 
 

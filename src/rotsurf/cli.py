@@ -24,9 +24,9 @@ from operator import itemgetter
 
 from .ambient import _inner
 from .config import ConfigError, RunConfig, initial_state, load_config
-from .curvature import DoubleRotationSurface, GridPointError, curvature_grid
+from .curvature import DoubleRotationSurface, GridPointError, _grid_rows
 from .expressions import DomainError, ExprError, differentiate, parse, to_text
-from .geodesics import (_TRAJECTORY_COLUMNS, Trajectory, _drift, integrate,
+from .geodesics import (_TRAJECTORY_COLUMNS, _drift, _run_chunks, integrate,
                         invariant_rows)
 from .isometries import Rotation, _apply, generator_matrix, rotation_matrix
 from .surfaces import (DegenerateMetricError, MetricOverflowError,
@@ -109,15 +109,15 @@ _encode_row = json.JSONEncoder(sort_keys=True,
 def _table(fmt: str, names: tuple[str, ...], chunks, key: str, extra: dict):
     """A piece per list of ``chunks`` of tuples with column ``names``: CSV
     of ``f"{value:.17g}"``, or ``json.dumps(indent=2, sort_keys=True)`` of
-    ``extra`` and a row object per tuple under ``key``, by a ``%r`` template
-    for a chunk of finite floats only."""
+    ``extra``, its members after ``key`` read once the chunks are spent, and
+    a row object per tuple, by a ``%r`` template for finite float chunks."""
     if fmt == "csv":
         line = ",".join(["%.17g"] * len(names)) + "\n"
         yield ",".join(names) + "\n"
         for chunk in chunks:
             yield "".join([line % row for row in chunk])
         return
-    head, empty, tail = _json({**extra, key: []}).partition(f'\n  "{key}": []')
+    head, empty, _ = _json({**extra, key: []}).partition(f'\n  "{key}": []')
     order = sorted(range(len(names)), key=names.__getitem__)
     template = ",\n      ".join([f'"{names[k]}": %r' for k in order])
     pick, between = itemgetter(*order), "\n    },\n    {\n      "
@@ -132,6 +132,7 @@ def _table(fmt: str, names: tuple[str, ...], chunks, key: str, extra: dict):
                        for row in chunk]
         yield opening + between.join(members)
         opening = between
+    tail = _json({**extra, key: []}).partition(empty)[2]
     # an opening still unused: no row was written
     yield (head + empty if opening != between else "\n    }\n  ]") + tail
 
@@ -141,7 +142,7 @@ _SUMMARY_COLUMNS = {f"{name}_drift": _TRAJECTORY_COLUMNS.index(name)
 # a trajectory row's point and velocity
 _STATE = itemgetter(*map(_TRAJECTORY_COLUMNS.index,
                          ("u", "v", "t", "du", "dv", "dt")))
-_CHUNK_ROWS = 4096
+_CHUNK_ROWS = 256
 _CURVATURE_COLUMNS = ("t", "s", "K_formula", "K_oracle", "K_gap",
                       "h3", "h4", "H_gap")
 
@@ -152,19 +153,17 @@ def _run_geodesic(config: RunConfig, fam: SurfaceFamily):
     return integrate(fam, state0, section.length, section.step), residual
 
 
-def _check_termination(trajectory: Trajectory):
+def _check_termination(termination: str, reached: float, requested: float):
     """Raise ``_NumericalFailure`` for a failed run; warn of an early end."""
-    if trajectory.termination in ("degenerate_metric", "nonfinite_state"):
-        raise _NumericalFailure(f"numerical failure: {trajectory.termination}"
-                                f" after s={_fmt(trajectory.reached_length)}")
-    if (trajectory.termination == "domain_exit"
-            and trajectory.reached_length < 0.1 * trajectory.requested_length):
+    if termination in ("degenerate_metric", "nonfinite_state"):
+        raise _NumericalFailure(f"numerical failure: {termination}"
+                                f" after s={_fmt(reached)}")
+    if termination == "domain_exit" and reached < 0.1 * requested:
         raise _NumericalFailure(f"numerical failure: domain exit at "
-                                f"s={_fmt(trajectory.reached_length)} "
+                                f"s={_fmt(reached)} "
                                 f"(before 10% of requested length)")
-    if trajectory.termination != "completed":
-        print(f"warning: {trajectory.termination} at "
-              f"s={_fmt(trajectory.reached_length)}", file=sys.stderr)
+    if termination != "completed":
+        print(f"warning: {termination} at s={_fmt(reached)}", file=sys.stderr)
 
 
 def _cmd_info(config: RunConfig) -> int:
@@ -185,33 +184,39 @@ def _cmd_info(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _invariant_chunks(fam: SurfaceFamily, rows, extremes: dict):
-    """``invariant_rows`` of ``rows`` by ``_CHUNK_ROWS``; ``extremes`` keeps
-    each ``_SUMMARY_COLUMNS`` column's (first value, min, max) so far."""
-    for start in range(0, len(rows), _CHUNK_ROWS):
-        chunk = invariant_rows(fam, rows[start:start + _CHUNK_ROWS])
+def _invariant_chunks(fam: SurfaceFamily, run, length: float, seen: dict,
+                      extra: dict):
+    """``invariant_rows`` of ``run``'s lists of rows; ``seen`` keeps the row
+    count, last s and each ``_SUMMARY_COLUMNS`` column's (first, min, max)."""
+    for chunk in run:
+        if isinstance(chunk, str):
+            _check_termination(chunk, seen.get("s", 0.0), length)
+            extra["termination"] = chunk
+            return
+        seen["rows"], seen["s"] = seen["rows"] + len(chunk), chunk[-1][0]
+        chunk = invariant_rows(fam, chunk)
         for column in _SUMMARY_COLUMNS.values():
             values = list(map(itemgetter(column), chunk))
-            x0, low, high = extremes.setdefault(column, (values[0],) * 3)
-            extremes[column] = x0, min(low, *values), max(high, *values)
+            x0, low, high = seen.setdefault(column, (values[0],) * 3)
+            seen[column] = x0, min(low, *values), max(high, *values)
         yield chunk
 
 
 def _cmd_geodesic(config: RunConfig, summarize: bool = False) -> int:
-    """Write the trajectory artifact in one pass over its rows; with
-    ``summarize`` (the ``invariants`` command) also its drift summary."""
+    """Write the trajectory artifact in one pass over the run's chunks;
+    with ``summarize`` (the ``invariants`` command) also its drift summary."""
     path = _resolve_output(config)
     fam = config.build_family()
-    trajectory, residual = _run_geodesic(config, fam)
-    _check_termination(trajectory)
-    extremes = {}
+    state0, residual = initial_state(config, fam)
+    length = config.geodesic.length
+    run = _run_chunks(fam, state0, length, config.geodesic.step, _CHUNK_ROWS)
+    seen, extra = {"rows": 0}, {"columns": list(_TRAJECTORY_COLUMNS)}
     text = _table(config.output.format, _TRAJECTORY_COLUMNS,
-                  _invariant_chunks(fam, trajectory.rows, extremes), "samples",
-                  {"columns": list(_TRAJECTORY_COLUMNS),
-                   "termination": trajectory.termination})
+                  _invariant_chunks(fam, run, length, seen, extra), "samples",
+                  extra)
 
     def summary():  # iterated once the artifact's rows are written
-        drifts = {name: _drift(extremes[column])
+        drifts = {name: _drift(seen[column])
                   for name, column in _SUMMARY_COLUMNS.items()}
         if residual is not None:
             drifts["initial_angle_residual"] = residual
@@ -221,8 +226,7 @@ def _cmd_geodesic(config: RunConfig, summarize: bool = False) -> int:
     more = [(summary_path, summary())] if summarize else []
     _write_atomic(path, text, *more)
     print(f"wrote {path} and {summary_path}" if summarize else
-          f"wrote {path} ({len(trajectory.rows)} samples, "
-          f"{trajectory.termination})")
+          f"wrote {path} ({seen['rows']} samples, {extra['termination']})")
     return EXIT_OK
 
 
@@ -233,17 +237,14 @@ def _cmd_curvature(config: RunConfig) -> int:
                                     config.angle_profile("v"))
     section = config.curvature
     span = config.t_max - config.t_min
-    ts = [config.t_min + span * (i + 0.5) / section.nt
-          for i in range(section.nt)]
-    ss = [config.t_min + span * (j + 0.5) / section.ns
-          for j in range(section.ns)]
-    try:
-        rows = curvature_grid(surface, ts, ss)
+    ts, ss = ([config.t_min + span * (i + 0.5) / n for i in range(n)]
+              for n in (section.nt, section.ns))
+    try:  # a t-row of points at a time
+        _write_atomic(path, _table(config.output.format, _CURVATURE_COLUMNS,
+                                   _grid_rows(surface, ts, ss), "grid", {}))
     except GridPointError as exc:
         raise _NumericalFailure(f"numerical failure at t={_fmt(exc.t)}, "
                                 f"s={_fmt(exc.s)}: {exc.error}") from exc
-    _write_atomic(path, _table(config.output.format, _CURVATURE_COLUMNS,
-                               [rows], "grid", {}))
     print(f"wrote {path} ({section.nt * section.ns} grid points)")
     return EXIT_OK
 
@@ -275,7 +276,8 @@ def _cmd_isometry(config: RunConfig, generator: str, angle: float) -> int:
                           f"{config.family.value} (expects "
                           f"{rot_u.label} or {rot_v.label})")
     trajectory, _ = _run_geodesic(config, fam)
-    _check_termination(trajectory)
+    _check_termination(trajectory.termination, trajectory.reached_length,
+                       trajectory.requested_length)
     shift_u, shift_v, momentum = ((angle, 0.0, "p_u") if rotation is rot_u
                                   else (0.0, angle, "p_v"))
     column = _TRAJECTORY_COLUMNS.index(momentum)

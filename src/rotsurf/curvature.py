@@ -399,18 +399,24 @@ def curvature_grid(surface: DoubleRotationSurface, ts, ss) -> list[tuple]:
     at its first s: in row-major order each is formed at the first point
     that needs it, so the first point that fails raises, as
     ``GridPointError``, the error that point's report would."""
-    cols, rows = [], []
+    return [point for row in _grid_rows(surface, ts, ss) for point in row]
+
+
+def _grid_rows(surface: DoubleRotationSurface, ts, ss):
+    """``curvature_grid``'s rows as a list per t of ``ts``."""
+    cols = []
     for i, t in enumerate(ts):
+        points = []
         for j, s in enumerate(ss):
             try:
                 if not i:
                     cols.append(_profile_col(surface, s))
                 if not j:
                     row = _angle_row(surface, t)
-                rows.append((t, s) + _point(t, s, cols[j], row)[:6])
+                points.append((t, s) + _point(t, s, cols[j], row)[:6])
             except (FrameDegenerateError, DomainError) as exc:
                 raise GridPointError(t, s, exc) from exc
-    return rows
+        yield points
 
 
 # ---------------------------------------------------------------------------

@@ -143,10 +143,9 @@ def momenta(fam: SurfaceFamily, state: GeodesicState) -> tuple[float, float]:
 # accepted state's.  ``{names}`` makes the namespace locals.  Local names
 # avoid the lowering's ``c<k>`` and ``v<k>``.
 _RUN = """\
-def run(rows, y, length, step, n_steps, *, {names}):
+def run(rows, y, s, first, stop, length, step, n_steps, *, {names}):
     u, v, t_acc, du1, dv1, dt1 = y
-    s = 0.0
-    for i in range(1, n_steps + 2):  # row i - 1, then the step to row i
+    for i in range(first, stop):  # row i - 1, then the step to row i
         t = t_acc  # the bundle opens with the domain check
 {bundle}
         p_u, p_v = 2.0 * e * du1, 2.0 * g * dv1
@@ -172,6 +171,7 @@ def run(rows, y, length, step, n_steps, *, {names}):
             dt1 + sixth * (ddt1 + 2.0 * ddt2 + 2.0 * ddt3 + ddt4))
         if not isfinite(0.0 * u * v * t_acc * du1 * dv1 * dt1): return "nonfinite_state"
         s = s_next
+    return (u, v, t_acc, du1, dv1, dt1), s  # row stop - 1's, to run on from
 """
 # Stage k > 1: its t and velocities, at ``f`` times stage k - 1's
 # derivative, and its bundle (a stage's u and v are never read); then, for
@@ -216,6 +216,35 @@ def _lower_run(fam: SurfaceFamily):
     return namespace["run"]
 
 
+def _run_chunks(fam: SurfaceFamily, state0: GeodesicState, length: float,
+                step: float, size):
+    """``integrate``'s run as lists of at most ``size`` rows, then its
+    termination: each list runs on from the state and s the last one left."""
+    if not (length > 0.0 and math.isfinite(length)):
+        raise ValueError("length must be > 0")
+    if not (step > 0.0 and math.isfinite(step)):
+        raise ValueError("step must be > 0")
+    if step > length:
+        raise ValueError("step must be <= length")
+    if length / step > _MAX_ROWS:  # inf too
+        raise ValueError(f"step must be at least length/{_MAX_ROWS}: "
+                         f"every step keeps a row")
+    n_steps = math.ceil(length / step - 1e-9)
+    end, first = (state0.as_tuple(), 0.0), 1  # a state and its s
+    while not isinstance(end, str):
+        rows, stop = [], min(first + size, n_steps + 2)
+        try:
+            end = fam._run_fn(rows, *end, first, stop, length, step, n_steps)
+        except DomainError:
+            if first == 1 and not rows:
+                raise
+            end = "domain_exit"
+        if rows:
+            yield rows
+        first = stop
+    yield end
+
+
 def integrate(fam: SurfaceFamily, state0: GeodesicState, length: float,
               step: float) -> Trajectory:
     """Fixed-step classical RK4 integration of the geodesic system from
@@ -227,28 +256,11 @@ def integrate(fam: SurfaceFamily, state0: GeodesicState, length: float,
     row's L, p_u or p_v stops being finite; no row holds a non-finite
     value, so ``rows`` is empty when the row of ``state0`` is not finite.
 
-    The loop is ``fam``'s generated run (``_RUN``), every bundle inlined;
-    a ``DomainError`` before the first row, of ``state0``'s, is raised.
+    The loop is ``fam``'s generated run (``_RUN``), in one chunk; a
+    ``DomainError`` before the first row, of ``state0``'s, is raised.
     """
-    if not (length > 0.0 and math.isfinite(length)):
-        raise ValueError("length must be > 0")
-    if not (step > 0.0 and math.isfinite(step)):
-        raise ValueError("step must be > 0")
-    if step > length:
-        raise ValueError("step must be <= length")
-    if length / step > _MAX_ROWS:  # inf too
-        raise ValueError(f"step must be at least length/{_MAX_ROWS}: "
-                         f"every step keeps a row")
-
-    rows = []
-    try:
-        termination = fam._run_fn(rows, state0.as_tuple(), length, step,
-                                  math.ceil(length / step - 1e-9))
-    except DomainError:
-        if not rows:
-            raise
-        termination = "domain_exit"
-    return Trajectory(tuple(rows), termination, length)
+    *chunks, termination = _run_chunks(fam, state0, length, step, math.inf)
+    return Trajectory(tuple(chunks[0] if chunks else ()), termination, length)
 
 
 # ---------------------------------------------------------------------------

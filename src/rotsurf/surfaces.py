@@ -416,7 +416,7 @@ class SurfaceFamily:
         return self._lowering[0].function(*self._lowering[1])
 
     @cached_property
-    def _run_fn(self) -> Callable[..., str]:
+    def _run_fn(self) -> Callable[..., str | tuple]:
         from .geodesics import _lower_run  # geodesics imports this module
         return _lower_run(self)
 

@@ -22,8 +22,8 @@ from rotsurf import (DoubleRotationSurface, ProfileFunction, inner,
 from rotsurf import Rotation, generator_matrix
 from rotsurf.cli import (_CURVATURE_COLUMNS, _TRAJECTORY_COLUMNS, _build_parser,
                          _charge, _fmt, _run_geodesic, _write_atomic, main)
-from rotsurf.config import ConfigError, parse_config
-from rotsurf.geodesics import _drift
+from rotsurf.config import ConfigError, initial_state, parse_config
+from rotsurf.geodesics import _drift, _run_chunks, integrate
 from rotsurf.surfaces import FamilySpec
 from test_expressions import sine_sum
 from test_golden import CONFIGS
@@ -958,6 +958,195 @@ def test_trajectory_artifact_is_the_same_in_any_chunking(tmp_path, capsys,
                       for name in (f"out.{fmt}", "out.summary.json")])
     assert texts[0] == texts[1]
     capsys.readouterr()
+
+
+# the State-run member: hyperbolic14 A, fa = t, fb = 1, a unit-timelike
+# start; 14 steps of 0.005, the last one short, to s = 0.0695
+STATE_MEMBER = patched(MERIDIAN_CONFIG, **{
+    "geodesic.initial.du": 0.3, "geodesic.initial.dv": 0.1,
+    "geodesic.initial.dt": math.sqrt(1.08), "geodesic.length": 0.0695,
+    "geodesic.step": 0.005})
+
+
+def _state_member_row(k):
+    """Row ``k`` of the State-run member's trajectory."""
+    config = parse_config(STATE_MEMBER)
+    return _run_geodesic(config, config.build_family())[0].rows[k]
+
+
+def _run_in(directory, capsys, command, document, fmt="csv"):
+    """(exit code, stdout, stderr, {file name: bytes}) of ``command`` on
+    ``document``, run in an empty ``directory``."""
+    directory.mkdir()
+    document = json.loads(json.dumps(document))
+    document["output"] = {"path": str(directory / f"out.{fmt}"),
+                          "format": fmt}
+    code = main([command, "--config", write_config(directory, document)])
+    captured = capsys.readouterr()
+    files = {path.name: path.read_bytes() for path in directory.iterdir()
+             if path.name != "config.json"}
+    return code, captured.out, captured.err, files
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("command", ["geodesic", "invariants"])
+def test_chunk_boundaries_keep_the_artifact_bytes(tmp_path, capsys,
+                                                  monkeypatch, command, fmt):
+    """The State-run member in chunks of 1, 7, 14, 15 and 256 rows: in
+    chunks of 1, 7 and 14 the last row, at s = length, starts a chunk, so
+    its s is the one the run carried, not 14 * step."""
+    outcomes = []
+    for chunk in (256, 1, 7, 14, 15):
+        monkeypatch.setattr(cli, "_CHUNK_ROWS", chunk)
+        outcomes.append(_run_in(tmp_path / str(chunk), capsys, command,
+                                STATE_MEMBER, fmt))
+    code, out, err, files = outcomes[0]
+    assert (code, err) == (0, "")
+    if command == "geodesic":
+        assert out.endswith(" (15 samples, completed)\n")
+    assert sorted(files) == [f"out.{fmt}"] + (
+        ["out.summary.json"] if command == "invariants" else [])
+    text = files[f"out.{fmt}"].decode()
+    assert (float(text.splitlines()[-1].split(",")[0]) if fmt == "csv" else
+            json.loads(text)["samples"][-1]["s"]) == 0.0695
+    # the path in stdout names each run's own directory
+    assert [(c, o.replace(f"/{chunk}/", "/"), e, f) for (c, o, e, f), chunk
+            in zip(outcomes, (256, 1, 7, 14, 15))] == \
+        [(code, out.replace("/256/", "/"), err, files)] * 5
+
+
+@pytest.mark.parametrize("size", [1, 7, 14, 15, 256, math.inf])
+def test_integrate_rows_are_the_chunks_joined(size):
+    config = parse_config(STATE_MEMBER)
+    fam = config.build_family()
+    state0, _ = initial_state(config, fam)
+    *chunks, termination = _run_chunks(fam, state0, 0.0695, 0.005, size)
+    trajectory = integrate(fam, state0, 0.0695, 0.005)
+    assert all(0 < len(chunk) <= size for chunk in chunks)
+    assert repr([row for chunk in chunks for row in chunk]) == \
+        repr(list(trajectory.rows))
+    assert termination == trajectory.termination == "completed"
+    assert trajectory.rows[-1][0] == 0.0695
+
+
+def _guarded_at_row(k, **changes):
+    """The State-run member with ``changes`` whose fb = 1 divides by
+    t - (t of row ``k``): only row ``k``'s own state, at the top of the
+    loop, divides by zero, none of the RK4 stages before it does."""
+    t = _state_member_row(k)[3]
+    return patched(STATE_MEMBER, **{"profiles.fb": f"1 + 0*(1/(t - {t!r}))",
+                                    **changes})
+
+
+# (document, rows written, exit code, stderr); the degenerate run is
+# ``test_geodesics``' sixth-step stage on fa = 0, the nonfinite one
+# ``test_metric_overflow_is_numerical_failure``'s p_v overflow at the top
+# of row 19
+TERMINATIONS = {
+    "domain-exit": (lambda: _guarded_at_row(7), 7, 0,
+                    "warning: domain_exit at s=0.029999999999999999\n"),
+    "early-domain-exit": (
+        lambda: _guarded_at_row(7, **{"geodesic.length": 1.0}), 7, 2,
+        "numerical failure: domain exit at s=0.029999999999999999 (before "
+        "10% of requested length)\n"),
+    "degenerate-metric": (
+        lambda: patched(STATE_MEMBER, **{
+            "profiles.fa": "t - 0.5", "profiles.fb": "2*t + 3",
+            "domain": [-2.0, 2.0], "geodesic.length": 3.0,
+            "geodesic.step": 0.25, "geodesic.initial": {
+                "u": 0.1, "v": 0.2, "t": -1.0, "du": 0.0, "dv": 0.0,
+                "dt": 1.0}}), 6, 2,
+        "numerical failure: degenerate_metric after s=1.25\n"),
+    "nonfinite-state": (
+        lambda: patched(MERIDIAN_CONFIG, **{
+            "profiles.fb": "1e153*(9 + t)", "domain": [0.1, 10.0],
+            "geodesic.initial.t": 0.3, "geodesic.initial.du": 0.5,
+            "geodesic.initial.dv": 0.2, "geodesic.length": 0.5,
+            "geodesic.step": 0.01}), 19, 2,
+        "numerical failure: nonfinite_state after s=0.17999999999999999\n"),
+}
+
+
+@pytest.mark.parametrize("command", ["geodesic", "invariants"])
+@pytest.mark.parametrize("case", sorted(TERMINATIONS))
+def test_terminations_on_a_chunk_boundary(tmp_path, capsys, monkeypatch,
+                                          command, case):
+    """A run that ends at its ``rows``-th row, in chunks that end just
+    before, at and just after that row: the same warning and bytes, or
+    the same failure with no artifact and no temporary file left."""
+    make, rows, code, err = TERMINATIONS[case]
+    document = make()
+    outcomes = []
+    for chunk in (256, 1, rows - 1, rows, rows + 1):
+        monkeypatch.setattr(cli, "_CHUNK_ROWS", chunk)
+        outcomes.append(_run_in(tmp_path / str(chunk), capsys, command,
+                                document))
+    for chunk, outcome in zip((256, 1, rows - 1, rows, rows + 1), outcomes):
+        got_code, out, got_err, files = outcome
+        assert (got_code, got_err) == (code, err), chunk
+        if code:
+            assert (out, files) == ("", {}), chunk
+            assert os.listdir(tmp_path / str(chunk)) == ["config.json"]
+        else:
+            assert files == outcomes[0][3], chunk
+            assert len(files["out.csv"].splitlines()) == rows + 1
+    if code == 0 and command == "geodesic":
+        assert outcomes[0][1].endswith(f" ({rows} samples, domain_exit)\n")
+
+
+def _peaks_mib(tmp_path, runs):
+    """Peak resident memory in MiB of each (command, document) of ``runs``,
+    each in a fresh interpreter of its own, all running side by side.
+
+    The peak is the child's ``VmHWM``, the high-water mark of its own
+    address space.  Its ``ru_maxrss`` would not do: an exec'd child starts
+    from its parent's high-water mark, here this test process's."""
+    if not os.path.exists("/proc/self/status"):
+        pytest.skip("reads Linux's /proc/self/status")
+    src = str(Path(rotsurf.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    script = ("import re, sys\n"
+              "from rotsurf.cli import main\n"
+              "code = main(sys.argv[1:])\n"
+              "with open('/proc/self/status') as status:\n"
+              "    print(code, re.search(r'VmHWM:\\s*(\\d+) kB', "
+              "status.read())[1])\n")
+    children = []
+    for k, (command, document) in enumerate(runs):
+        directory = tmp_path / str(k)
+        directory.mkdir()
+        document = dict(document, output={"path": str(directory / "out.csv")})
+        children.append(subprocess.Popen(
+            [sys.executable, "-c", script, command, "--config",
+             write_config(directory, document)],
+            env=env, stdout=subprocess.PIPE, text=True))
+    peaks = []
+    for child in children:
+        code, kib = child.communicate(timeout=120)[0].split()[-2:]
+        assert (child.returncode, code) == (0, "0")
+        peaks.append(int(kib) / 1024.0)
+    return peaks
+
+
+def test_invariants_memory_does_not_grow_with_the_row_count(tmp_path):
+    """10,001 and 100,001 rows of the State-run member at step 0.001 peak
+    within 10 MiB of each other: no run holds its rows whole."""
+    runs = [("invariants", patched(STATE_MEMBER, **{
+        "domain": [0.05, 1000.0], "geodesic.length": length,
+        "geodesic.step": 0.001})) for length in (10.0, 100.0)]
+    small, large = _peaks_mib(tmp_path, runs)
+    assert large - small <= 10.0, (small, large)
+
+
+def test_curvature_memory_does_not_grow_with_the_grid(tmp_path):
+    """100 x 100 and 300 x 300 points of the h14 golden surface peak
+    within 10 MiB of each other: the grid is written a t-row at a time."""
+    runs = [("curvature", dict(CONFIGS["h14"], curvature=dict(
+        CONFIGS["h14"]["curvature"], grid={"nt": n, "ns": n})))
+        for n in (100, 300)]
+    small, large = _peaks_mib(tmp_path, runs)
+    assert large - small <= 10.0, (small, large)
 
 
 @given(st.lists(st.lists(st.one_of(

@@ -1,11 +1,17 @@
-"""The interval arithmetic of ``scripts/paired_probe.py`` on canned pairs;
-no revision is exported and nothing is timed."""
+"""The interval arithmetic of ``scripts/paired_probe.py`` on canned pairs,
+and its per-workload operations on the installed package; no revision is
+exported."""
 
 import importlib.util
+import json
+import os
 import sys
 from pathlib import Path
 
 import pytest
+
+from rotsurf.config import initial_state, load_config
+from rotsurf.geodesics import clairaut_report, integrate
 
 _PATH = Path(__file__).resolve().parents[1] / "scripts" / "paired_probe.py"
 _SPEC = importlib.util.spec_from_file_location("paired_probe", _PATH)
@@ -58,3 +64,71 @@ def test_summary_of_a_change_that_moves_nothing_holds_1():
     assert summary["excludes_1"] is False
     with pytest.raises(ValueError):  # the pairs must be complete
         paired_probe.summarize({"base": base, "head": head[:-1]})
+
+
+def test_every_benchmark_workload_has_a_paired_op():
+    benchmark = json.loads((_PATH.parents[1] / "BENCHMARK.json").read_text())
+    assert sorted(paired_probe.COMMANDS) == sorted(
+        workload["name"] for workload in benchmark["workloads"])
+
+
+# one member of each start style, as ``bench/inputs.py`` draws them
+MEMBERS = {
+    "velocity": {"family": "hyperbolic14", "variant": "B",
+                 "profiles": {"fa": "1.5 + t/2", "fb": "2 + t/3"},
+                 "domain": [0.5, 60.5],
+                 "geodesic": {"initial": {"u": 0.1, "v": -0.2, "t": 5.0,
+                                          "du": 0.3, "dv": -0.1, "dt": 1.2},
+                              "length": 1.0, "step": 2.5e-3,
+                              "normalize": True}},
+    "angle": {"family": "elliptic56", "variant": "A",
+              "profiles": {"fa": "2 + t/2", "fb": "1 + t/4"},
+              "domain": [0.5, 60.5],
+              "geodesic": {"initial": {"u": 0.0, "v": 0.3, "t": 5.0,
+                                       "phi": 0.6, "theta": 0.2},
+                           "length": 1.0, "step": 2.5e-3,
+                           "normalize": False}},
+}
+
+
+def test_ensemble_op_runs_the_library_as_the_benchmark_does(tmp_path,
+                                                            monkeypatch):
+    paths = []
+    for style, document in MEMBERS.items():
+        paths.append(str(tmp_path / f"{style}.json"))
+        Path(paths[-1]).write_text(json.dumps(document), encoding="utf-8")
+    monkeypatch.setenv("ROTSURF_OUTPUT_DIR", str(tmp_path / "out"))
+    seconds, found = paired_probe._round(paired_probe.ensemble_op("rotsurf"),
+                                         paths, str(tmp_path / "out"))
+    assert seconds > 0.0
+    for path, (termination, rows, final, drifts, report) in zip(paths, found):
+        config = load_config(path)
+        family = config.build_family()
+        state, _ = initial_state(config, family)
+        trajectory = integrate(family, state, 1.0, 2.5e-3)
+        assert (termination, rows) == ("completed", 401)
+        assert final == trajectory.final.state.as_tuple()
+        assert drifts == trajectory.drifts()
+        expected = clairaut_report(family, trajectory.final.state)
+        assert report == (expected.L, expected.p_u, expected.p_v,
+                          expected.invariant1, expected.invariant2)
+    assert not (tmp_path / "out").exists()  # the library writes nothing
+
+
+def test_cli_op_writes_under_the_round_directory(tmp_path, monkeypatch):
+    document = dict(MEMBERS["velocity"],
+                    output={"path": "member.csv", "format": "csv"})
+    path = tmp_path / "member.json"
+    path.write_text(json.dumps(document), encoding="utf-8")
+    monkeypatch.setenv("ROTSURF_OUTPUT_DIR", str(tmp_path / "out"))
+    _, found = paired_probe._round(paired_probe.cli_op("rotsurf",
+                                                       "invariants"),
+                                   [str(path)], str(tmp_path / "out"))
+    assert found == [None]
+    assert sorted(os.listdir(tmp_path / "out")) == ["member.csv",
+                                                    "member.summary.json"]
+    document["geodesic"] = dict(document["geodesic"], step=2.0)
+    path.write_text(json.dumps(document), encoding="utf-8")
+    with pytest.raises(SystemExit, match="invariants --config .* exited 1"):
+        paired_probe._round(paired_probe.cli_op("rotsurf", "invariants"),
+                            [str(path)], str(tmp_path / "out"))
