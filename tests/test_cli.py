@@ -489,12 +489,13 @@ AUDIT_SURFACE = {
 
 def run_curvature(tmp_path, capsys, **changes):
     """Exit code and standard error of ``rotsurf curvature`` on the audit
-    surface with ``changes``; a failing run must write no artifact."""
+    surface with ``changes``; a failing run must leave no artifact and no
+    temporary file, though it fails after earlier t-rows were written."""
     document = patched(AUDIT_SURFACE, **changes)
     document["output"] = {"path": str(tmp_path / "grid.csv")}
     code = main(["curvature", "--config", write_config(tmp_path, document)])
     if code != 0:
-        assert not (tmp_path / "grid.csv").exists()
+        assert os.listdir(tmp_path) == ["config.json"]
     return code, capsys.readouterr().err
 
 
