@@ -17,7 +17,10 @@ each side's summed time: ``trajectory`` and ``curvature-grid`` call the
 side's ``cli.main`` (``invariants`` or ``curvature``), and ``ensemble``
 its library as ``bench/workloads.py`` does (the start, ``integrate``, the
 drifts and the final ``clairaut_report``; each config is loaded and its
-family built once, in the warm-up round).  The base goes first in even
+family built once, in the warm-up round).  ``import``, which runs only
+when named, takes no inputs: a pair times one fresh interpreter per side
+running ``import rotsurf_<side>.cli``, the part of every CLI command
+that the package controls, with the bytecode cache unwritten.  The base goes first in even
 pairs, the head first in odd ones, so the order runs A B B A A B ...  One
 untimed round per side comes before pair 0, so neither side's timed
 rounds include its first-call costs.  Both sides run in seconds of each
@@ -25,8 +28,9 @@ other, so the host's drift in speed cancels in the ratio.  Printed per
 workload, one JSON line: the median per-pair ratio head/base, a
 distribution-free 95 % interval for it from order statistics (the
 sign-test interval, as in Conover, *Practical Nonparametric Statistics*)
-with its exact coverage, whether the interval excludes 1, and whether both
-sides wrote the same artifact bytes and returned the same values.
+with its exact coverage, whether the interval excludes 1, the median
+per-pair difference head - base in seconds, and whether both sides wrote
+the same artifact bytes and returned the same values.
 """
 
 from __future__ import annotations
@@ -81,7 +85,9 @@ def summarize(times: dict[str, list[float]]) -> dict:
     low, high, coverage = sign_interval(ratios)
     return {"pairs": len(ratios), "median_ratio": statistics.median(ratios),
             "interval": [low, high], "coverage": coverage,
-            "excludes_1": not low <= 1.0 <= high}
+            "excludes_1": not low <= 1.0 <= high,
+            "median_difference_s": statistics.median(
+                h - b for b, h in zip(times["base"], times["head"]))}
 
 
 def _configs(workload: str, seed: int, reference: str, directory: str):
@@ -109,6 +115,20 @@ def cli_op(package: str, command: str):
         code = main([command, "--config", config])
         if code != 0:
             raise SystemExit(f"{command} --config {config} exited {code}")
+    return op
+
+
+def import_op(package: str, path: str):
+    """A fresh interpreter importing ``package``'s ``cli`` from the
+    directory ``path``, with no bytecode written; exits on a failure.
+    Takes a config for ``_round``'s sake and reads none."""
+    env = {**os.environ, "PYTHONPATH": path, "PYTHONDONTWRITEBYTECODE": "1"}
+
+    def op(_config):
+        code = subprocess.run([sys.executable, "-c", f"import {package}.cli"],
+                              env=env).returncode
+        if code != 0:
+            raise SystemExit(f"import {package}.cli exited {code}")
     return op
 
 
@@ -181,8 +201,9 @@ def main(argv=None) -> int:
     parser.add_argument("--head", required=True, help="revision measured")
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--pairs", type=int, default=100)
-    parser.add_argument("--workload", action="append", choices=COMMANDS,
-                        help="default: all three")
+    parser.add_argument("--workload", action="append",
+                        choices=[*COMMANDS, "import"],
+                        help="default: the benchmark's three")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
@@ -198,12 +219,18 @@ def main(argv=None) -> int:
         for workload in args.workload or list(COMMANDS):
             directory = os.path.join(scratch, workload)
             os.makedirs(directory)
-            configs = _configs(workload, args.seed, reference, directory)
             outs = {side: os.path.join(directory, f"out-{side}")
                     for side in SIDES}
-            command = COMMANDS[workload]
-            ops = {side: ensemble_op(f"rotsurf_{side}") if command is None
-                   else cli_op(f"rotsurf_{side}", command) for side in SIDES}
+            if workload == "import":  # no inputs: one interpreter a round
+                configs = [None]
+                ops = {side: import_op(f"rotsurf_{side}", packages)
+                       for side in SIDES}
+            else:
+                configs = _configs(workload, args.seed, reference, directory)
+                command = COMMANDS[workload]
+                ops = {side: ensemble_op(f"rotsurf_{side}") if command is None
+                       else cli_op(f"rotsurf_{side}", command)
+                       for side in SIDES}
             times, found = {side: [] for side in SIDES}, {}
             for side in SIDES:  # the untimed warm-up round
                 os.makedirs(outs[side])

@@ -11,7 +11,8 @@ Everything here is a pure function of immutable values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+
+from ._record import Record
 
 __all__ = [
     "METRIC_DIAGONAL",
@@ -22,11 +23,7 @@ __all__ = [
 #: Diagonal of the metric in the standard rectangular coordinates.
 METRIC_DIAGONAL = (-1.0, -1.0, 1.0, 1.0)
 
-_COMPONENT_NAMES = ("x1", "x2", "x3", "x4")
-
-
-@dataclass(frozen=True)
-class Vector4:
+class Vector4(Record):
     """A point or tangent vector, with finite components enforced."""
 
     x1: float
@@ -34,10 +31,11 @@ class Vector4:
     x3: float
     x4: float
 
-    def __post_init__(self):
-        for name, value in zip(_COMPONENT_NAMES, self.components()):
+    def __init__(self, x1: float, x2: float, x3: float, x4: float):
+        for name, value in zip(self._fields, (x1, x2, x3, x4)):
             if not isinstance(value, (int, float)) or not math.isfinite(value):
                 raise ValueError(f"component {name} must be finite, got {value!r}")
+        self.__dict__.update(x1=x1, x2=x2, x3=x3, x4=x4)
 
     def components(self) -> tuple[float, float, float, float]:
         return (self.x1, self.x2, self.x3, self.x4)

@@ -13,6 +13,7 @@ state).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import itertools
 import json
@@ -28,7 +29,7 @@ from .curvature import DoubleRotationSurface, GridPointError, _grid_rows
 from .expressions import DomainError, ExprError, differentiate, parse, to_text
 from .geodesics import (_TRAJECTORY_COLUMNS, _drift, _run_chunks, integrate,
                         invariant_rows)
-from .isometries import Rotation, _apply, generator_matrix, rotation_matrix
+from .isometries import Rotation, _plane_map
 from .surfaces import (DegenerateMetricError, MetricOverflowError,
                        NotTimelikeError, SurfaceFamily)
 
@@ -66,13 +67,16 @@ def _resolve_output(config: RunConfig) -> str:
 def _write_atomic(path: str, text, *more):
     """Write ``text`` (a string or strings) to ``path``, then each (path,
     text) of ``more``, to temporary files that then replace the paths, the
-    last first, so a failure replaces none and removes them.  An ``OSError``
-    names what placed them: ``ROTSURF_OUTPUT_DIR``, else output.path."""
-    files, temps = [(path, text), *more], []
+    last first; a failure replaces none and removes them and the directories
+    made.  An ``OSError`` names ``ROTSURF_OUTPUT_DIR``, else output.path."""
+    files, temps, made = [(path, text), *more], [], []
     try:
         try:
             for path, text in files:
-                directory = os.path.dirname(os.path.abspath(path))
+                directory = missing = os.path.dirname(os.path.abspath(path))
+                while not os.path.exists(missing):  # to be made below
+                    made.append(missing)
+                    missing = os.path.dirname(missing)
                 os.makedirs(directory, exist_ok=True)
                 # os.replace keeps the temporary file's mode: 0o666 under
                 # the umask, as open(path, "w") would create ``path`` (a
@@ -89,6 +93,9 @@ def _write_atomic(path: str, text, *more):
             for temp in temps:
                 if os.path.exists(temp):
                     os.unlink(temp)
+            for directory in sorted(made, reverse=True):  # children first
+                with contextlib.suppress(OSError):  # not empty: kept
+                    os.rmdir(directory)
             raise
     except OSError as exc:
         raise ConfigError(_OUTPUT_DIR_VAR if os.environ.get(_OUTPUT_DIR_VAR)
@@ -250,14 +257,14 @@ def _cmd_curvature(config: RunConfig) -> int:
 
 
 def _charge(fam: SurfaceFamily, generator, row) -> tuple:
-    """<gamma', J f> of the Killing field x -> J x, J = ``generator`` (four
-    finite float rows), at the point f of trajectory ``row``; then f's
+    """<gamma', J f> of the Killing field x -> J x, ``generator`` (J's
+    ``_plane_map``), at the point f of trajectory ``row``; then f's
     standard coordinates and the fa, fb, u and v they are from."""
     u, v, t, du, dv, dt = _STATE(row)
     fa, fb = fam.fa.evaluate(t), fam.fb.evaluate(t)
     point, f_u, f_v, f_t = fam.frame_values(fa, fb, fam.fa.derivative(t),
                                             fam.fb.derivative(t), u, v)
-    field = _apply(generator, point)
+    field = generator(point)
     return (du * _inner(f_u, field) + dv * _inner(f_v, field)
             + dt * _inner(f_t, field)), point, fa, fb, u, v
 
@@ -283,13 +290,13 @@ def _cmd_isometry(config: RunConfig, generator: str, angle: float) -> int:
     column = _TRAJECTORY_COLUMNS.index(momentum)
     charges, defect, image = [], 0.0, 0.0
     try:
-        matrix = generator_matrix(rotation)
-        moved = rotation_matrix(rotation, angle)
+        field = _plane_map(rotation,
+                           rotation.derivative(rotation.block(0.0)), 0.0)
+        move = _plane_map(rotation, rotation.block(angle), 1.0)
         for row in trajectory.rows:
-            q, point, fa, fb, u, v = _charge(fam, matrix, row)
+            q, point, fa, fb, u, v = _charge(fam, field, row)
             target = fam.immerse_values(fa, fb, u + shift_u, v + shift_v)
-            g0, g1, g2, g3 = (x - y for x, y in zip(_apply(moved, point),
-                                                    target))
+            g0, g1, g2, g3 = (x - y for x, y in zip(move(point), target))
             # before any max, which drops a nan that is not its first
             # argument: 0 * x is nan exactly when x is inf or nan
             if not math.isfinite(0.0 * q * g0 * g1 * g2 * g3):

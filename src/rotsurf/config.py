@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 
+from ._record import Record
 from .expressions import ExprError, ProfileFunction
 from .geodesics import _MAX_ROWS, extract_angles, state_from_angles
 from .surfaces import FamilyKind, GeodesicState, SurfaceFamily, Variant
@@ -88,8 +88,7 @@ def _string(mapping: dict, key: str, path: str) -> str:
     return value
 
 
-@dataclass(frozen=True)
-class GeodesicSection:
+class GeodesicSection(Record):
     initial: dict
     length: float
     step: float
@@ -100,22 +99,19 @@ class GeodesicSection:
         return "phi" in self.initial
 
 
-@dataclass(frozen=True)
-class CurvatureSection:
+class CurvatureSection(Record):
     angle_u_text: str
     angle_v_text: str
     nt: int
     ns: int
 
 
-@dataclass(frozen=True)
-class OutputSection:
+class OutputSection(Record):
     path: str
     format: str
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(Record):
     family: FamilyKind
     variant: Variant
     fa_text: str

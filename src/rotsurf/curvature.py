@@ -33,8 +33,8 @@ domain; the finite-difference oracles' central differences straddle it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from ._record import Record
 from .ambient import Vector4, _inner
 from .expressions import DomainError, ProfileFunction, evaluate
 from .surfaces import DegenerateMetricError, SurfaceFamily
@@ -80,8 +80,7 @@ def _pair_values(first: ProfileFunction, second: ProfileFunction,
             evaluate(first.d2, t), evaluate(second.d2, t))
 
 
-@dataclass(frozen=True)
-class DoubleRotationSurface:
+class DoubleRotationSurface(Record):
     """A 2-surface (t, s) -> immersion(x(t), w(t), s) over one family."""
 
     family: SurfaceFamily
@@ -421,8 +420,7 @@ def _grid_rows(surface: DoubleRotationSurface, ts, ss):
 
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CurvatureReport:
+class CurvatureReport(Record):
     """Closed-form versus oracle curvature at one (t, s) point.
 
     ``K_gap`` = |K_formula - K_oracle| and ``H_gap``, the largest

@@ -31,9 +31,10 @@ import operator
 import re
 from collections import namedtuple
 from contextlib import suppress
-from dataclasses import dataclass, replace
 from itertools import count, product
 from typing import Callable
+
+from ._record import Record
 
 __all__ = [
     "Expr",
@@ -72,35 +73,28 @@ class DomainError(ExprError):
     division by zero, zero to a negative power, overflow)."""
 
 
-class Expr:
+class Expr(Record):
     """Marker base class for expression nodes."""
 
-    __slots__ = ()
 
-
-@dataclass(frozen=True)
 class Literal(Expr):
     value: float
 
 
-@dataclass(frozen=True)
 class Variable(Expr):
     pass
 
 
-@dataclass(frozen=True)
 class Negate(Expr):
     arg: Expr
 
 
-@dataclass(frozen=True)
 class Binary(Expr):
     op: str  # one of + - * / ^
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True)
 class Call(Expr):
     name: str
     arg: Expr
@@ -412,10 +406,11 @@ class _Lowering:
             value, bounds = None, self.domain
             if not isinstance(expr, Variable):
                 if None not in values:  # the node over its operands' values
-                    slots = ("arg",) if len(values) == 1 else ("left", "right")
-                    literals = dict(zip(slots, map(Literal, values)))
+                    own = expr._fields[:len(expr._fields) - len(values)]
+                    node = type(expr)(*[getattr(expr, name) for name in own],
+                                      *map(Literal, values))  # operands last
                     with suppress(DomainError):
-                        value = _evaluate(replace(expr, **literals), 0.0)
+                        value = _evaluate(node, 0.0)
                 bounds = ((value, value) if value is not None
                           else _span(expr, [kid[1] for kid in kids]))
             self.scanned[id(expr)] = value, bounds
@@ -663,8 +658,7 @@ def to_text(expr: Expr) -> str:
 
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ProfileFunction:
+class ProfileFunction(Record):
     """A scalar profile with exact first and second derivatives on a
     closed interval.  Evaluation outside [t_min, t_max] is a hard fault.
     Plain data: each call walks its tree (``SurfaceFamily`` lowers the

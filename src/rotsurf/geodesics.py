@@ -21,9 +21,9 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
 from operator import itemgetter
 
+from ._record import Record
 from .expressions import DomainError
 from .surfaces import DegenerateMetricError, GeodesicState, SurfaceFamily
 
@@ -56,8 +56,7 @@ class MeridianUndefinedError(ValueError):
     """dt/du requested on a state with du = 0."""
 
 
-@dataclass(frozen=True)
-class Sample:
+class Sample(Record):
     s: float
     state: GeodesicState
     L: float
@@ -88,8 +87,7 @@ class _Samples(Sequence):
         return map(_sample, self._rows)
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(Record):
     """Sampled geodesic flow: a tuple (s, u, v, t, du, dv, dt, L, p_u, p_v)
     per sample in ``rows``, shown as ``Sample``s by ``samples``; the
     ``termination`` is ``completed``, ``domain_exit``, ``degenerate_metric``
@@ -266,8 +264,7 @@ def integrate(fam: SurfaceFamily, state0: GeodesicState, length: float,
 # ---------------------------------------------------------------------------
 # angle decompositions
 
-@dataclass(frozen=True)
-class AngleDecomposition:
+class AngleDecomposition(Record):
     """Velocity split against the meridian direction.
 
     ``phi`` is the mixing angle and ``theta`` distributes the remaining
@@ -307,8 +304,7 @@ def state_from_angles(fam: SurfaceFamily, u: float, v: float, t: float,
 # ---------------------------------------------------------------------------
 # Clairaut-style invariants and slope laws
 
-@dataclass(frozen=True)
-class ClairautReport:
+class ClairautReport(Record):
     """Conserved data at one state: Lagrangian, momenta, decomposition
     angles, and the two angle-form invariants (2*fa^2*du and 2*fb^2*dv up
     to the family sign), which coincide with the momenta identically."""
@@ -345,8 +341,7 @@ def invariant_rows(fam: SurfaceFamily, rows) -> list:
     return out
 
 
-@dataclass(frozen=True)
-class SlopeReport:
+class SlopeReport(Record):
     """dt/du of a state versus the closed-form slope law in the angles.
 
     ``angle_slope`` is the law evaluated from the extracted angles and L

@@ -96,10 +96,19 @@ def _checked_matrix(matrix: Sequence[Sequence[float]]) -> Matrix:
     return rows
 
 
-def _apply(rows: Matrix, x: Sequence[float]) -> list[float]:
-    """``rows``, a checked matrix, times coordinates ``x``, from the left."""
-    return [sum(m * c for m, c in zip(row, x)) for row in rows]
+def _plane_map(rotation: Rotation, block: Sequence[float], diag: float):
+    """x -> ``apply_matrix(_embed(rotation, block, diag), x)``'s coordinates,
+    bit for bit on finite x, from the plane's products: the rest are +-0.0."""
+    (i, j), (m_ii, m_ij, m_ji, m_jj) = rotation.plane, block
+
+    def act(x) -> list[float]:  # each sum begins at +0.0, as ``sum``'s do
+        y = [0.0 + diag * c for c in x]
+        y[i], y[j] = (0.0 + m_ii * x[i] + m_ij * x[j],
+                      0.0 + m_ji * x[i] + m_jj * x[j])
+        return y
+    return act
 
 
 def apply_matrix(matrix: Sequence[Sequence[float]], v: Vector4) -> Vector4:
-    return Vector4(*_apply(_checked_matrix(matrix), v.components()))
+    return Vector4(*[sum(m * c for m, c in zip(row, v.components()))
+                     for row in _checked_matrix(matrix)])

@@ -20,11 +20,11 @@ Angles u, v are cyclic, which is what makes the conjugate momenta
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
 from enum import Enum
 from functools import cached_property
 from typing import Callable
 
+from ._record import Record
 from .ambient import METRIC_DIAGONAL, Vector4
 from .expressions import DomainError, ProfileFunction, _Lowering
 from .isometries import Rotation
@@ -241,8 +241,7 @@ _SPECS: dict[tuple[FamilyKind, Variant], FamilySpec] = {
                       (FamilyKind.ELLIPTIC56, _Elliptic56))}
 
 
-@dataclass(frozen=True)
-class MetricCoefficients:
+class MetricCoefficients(Record):
     """Diagonal first-fundamental-form entries for du^2, dv^2, dt^2."""
 
     E: float
@@ -271,8 +270,7 @@ class MetricCoefficients:
         return (2.0 * self.E * state.du, 2.0 * self.G * state.dv)
 
 
-@dataclass(frozen=True)
-class GeodesicState:
+class GeodesicState(Record):
     """Coordinates (u, v, t) and velocities with respect to arclength."""
 
     u: float
@@ -291,14 +289,13 @@ class GeodesicState:
         return (self.u, self.v, self.t, self.du, self.dv, self.dt)
 
 
-@dataclass(frozen=True)
-class SurfaceFamily:
+class SurfaceFamily(Record):
     """A rotational family with its two profile functions.
 
     Its six profile trees are lowered once, on first use (``_lowering``);
     the RK4 run, the metric bundle and the (fa, fb) pair are compiled from
     that body on their first use.  All are kept on the instance, outside
-    the dataclass fields, which alone equality, repr and pickling see."""
+    the record's fields, which alone equality, repr and pickling see."""
 
     kind: FamilyKind
     variant: Variant
@@ -308,10 +305,6 @@ class SurfaceFamily:
     def __post_init__(self):
         if (self.fa.t_min, self.fa.t_max) != (self.fb.t_min, self.fb.t_max):
             raise ValueError("fa and fb must share one domain interval")
-
-    def __getstate__(self):
-        # the spec and the generated functions are looked up on demand
-        return {field.name: getattr(self, field.name) for field in fields(self)}
 
     @cached_property
     def spec(self) -> FamilySpec:
@@ -371,7 +364,7 @@ class SurfaceFamily:
         n = spec.na_sign * dfa * dfa + spec.nb_sign * dfb * dfb
         if not (math.isfinite(e) and math.isfinite(g) and math.isfinite(n)):
             raise MetricOverflowError()
-        return MetricCoefficients(E=e, G=g, N=n)
+        return MetricCoefficients(e, g, n)
 
     @cached_property
     def _lowering(self) -> tuple[_Lowering, tuple[str, int]]:
@@ -437,8 +430,8 @@ class SurfaceFamily:
         if lagr >= 0.0:
             raise NotTimelikeError(f"state has L={lagr!r} >= 0")
         scale = 1.0 / math.sqrt(-lagr)
-        return replace(state, du=state.du * scale, dv=state.dv * scale,
-                       dt=state.dt * scale)
+        return GeodesicState(state.u, state.v, state.t, state.du * scale,
+                             state.dv * scale, state.dt * scale)
 
 
 def make_family(kind: FamilyKind | str, variant: Variant | str,

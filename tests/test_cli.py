@@ -20,6 +20,7 @@ import rotsurf.cli as cli
 from rotsurf import (DoubleRotationSurface, ProfileFunction, inner,
                      make_family, normal_frame)
 from rotsurf import Rotation, generator_matrix
+from rotsurf.isometries import _plane_map
 from rotsurf.cli import (_CURVATURE_COLUMNS, _TRAJECTORY_COLUMNS, _build_parser,
                          _charge, _fmt, _run_geodesic, _write_atomic, main)
 from rotsurf.config import ConfigError, initial_state, parse_config
@@ -539,6 +540,39 @@ def test_curvature_reports_first_failing_point(tmp_path, capsys, changes,
         2, f"numerical failure at {line}\n")
 
 
+# the later-row overflow of ``test_metric_overflow_is_numerical_failure``, and a curvature run whose cosh overflows
+# after its first t-rows were written
+FAILING_RUNS = {
+    "invariants": patched(MERIDIAN_CONFIG, **{
+        "domain": [0.1, 10.0], "profiles.fb": "1e153*(9 + t)",
+        "geodesic.initial.t": 0.3, "geodesic.initial.du": 0.5,
+        "geodesic.initial.dv": 0.2, "geodesic.length": 0.5,
+        "geodesic.step": 0.01}),
+    "curvature": patched(AUDIT_SURFACE, **{"curvature.vAngle": "1000*t"}),
+}
+
+
+@pytest.mark.parametrize("command", sorted(FAILING_RUNS))
+@pytest.mark.parametrize("existing", [[], ["new"], ["new", "sub"]],
+                         ids=["none", "parent", "both"])
+def test_failed_run_removes_only_the_directories_it_made(tmp_path, capsys,
+                                                         command, existing):
+    # output.path is new/sub/out.csv; the directories in ``existing`` are
+    # there before the run and must stay, empty, after it fails
+    for depth in range(len(existing)):
+        tmp_path.joinpath(*existing[:depth + 1]).mkdir()
+    document = json.loads(json.dumps(FAILING_RUNS[command]))
+    document["output"] = {"path": str(tmp_path / "new" / "sub" / "out.csv")}
+    config = write_config(tmp_path, document)
+    assert main([command, "--config", config]) == 2
+    assert "numerical failure" in capsys.readouterr().err
+    left = sorted(str(path.relative_to(tmp_path))
+                  for path in tmp_path.rglob("*"))
+    assert left == sorted(["config.json",
+                           *(os.path.join(*existing[:depth + 1])
+                             for depth in range(len(existing)))])
+
+
 @pytest.mark.parametrize("grid", [{"nt": 1001, "ns": 1001},
                                   {"nt": 1e300, "ns": 1}])
 def test_curvature_grid_size_limit(tmp_path, capsys, grid):
@@ -759,8 +793,9 @@ def test_isometry_charge_of_a_foreign_generator_drifts():
     fam = config.build_family()
     trajectory, _ = _run_geodesic(config, fam)
     for rotation in set(Rotation) - {fam.spec.rot_u, fam.spec.rot_v}:
-        charges = [_charge(fam, generator_matrix(rotation), row)[0]
-                   for row in trajectory.rows]
+        field = _plane_map(rotation,
+                           rotation.derivative(rotation.block(0.0)), 0.0)
+        charges = [_charge(fam, field, row)[0] for row in trajectory.rows]
         assert _drift(charges) > 1e-4, rotation
 
 

@@ -2,7 +2,6 @@
 
 import builtins
 import math
-from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings
@@ -10,10 +9,10 @@ from hypothesis import strategies as st
 from test_expressions import _lowering_func, _lowering_leaf, _tree
 from test_golden import CONFIGS
 
-from rotsurf import (DegenerateMetricError, DomainError, GeodesicState,
-                     MeridianUndefinedError, ProfileFunction, Sample,
-                     SurfaceFamily, clairaut_report, extract_angles,
-                     integrate, make_family, momenta, slope,
+from rotsurf import (DegenerateMetricError, DomainError, FamilyKind,
+                     GeodesicState, MeridianUndefinedError, ProfileFunction,
+                     Sample, SurfaceFamily, Variant, clairaut_report,
+                     extract_angles, integrate, make_family, momenta, slope,
                      state_from_angles)
 from rotsurf.geodesics import Trajectory, invariant_rows
 from rotsurf.surfaces import MetricOverflowError
@@ -63,6 +62,55 @@ def test_integrate_meridian_exactly():
     assert trajectory.final.s == 1.0
 
 
+def _exact_geodesic(fam, state0):
+    """s -> the exact ``GeodesicState`` at s of the geodesic from
+    ``state0`` on a flat member of ``fam``: one profile is r = t + c, the
+    other constant.  The metric's (r, angle) block is then polar where
+    the angle's coefficient (E or G) and N share a sign, Milne otherwise,
+    so the geodesic is a straight line in (r cos, r sin) or (r cosh,
+    r sinh), and the other angle is linear in s."""
+    u0, v0, t0, du0, dv0, dt0 = state0.as_tuple()
+    coeffs = fam.metric_coefficients(t0)
+    on_u = fam.fa.derivative(t0) == 1.0  # fa = t + c, else fb is
+    a0, da0, b0, db0, bend = ((u0, du0, v0, dv0, coeffs.E) if on_u
+                              else (v0, dv0, u0, du0, coeffs.G))
+    c = (fam.fa if on_u else fam.fb).evaluate(t0) - t0
+    polar = bend * coeffs.N > 0.0
+    cos, sin, sign = ((math.cos, math.sin, 1.0) if polar
+                      else (math.cosh, math.sinh, -1.0))  # r^2 = x^2 + sign y^2
+    r0 = c + t0
+    x0, y0 = r0 * cos(a0), r0 * sin(a0)
+    dx = dt0 * cos(a0) - sign * r0 * sin(a0) * da0
+    dy = dt0 * sin(a0) + r0 * cos(a0) * da0
+
+    def at(s: float) -> GeodesicState:
+        x, y = x0 + s * dx, y0 + s * dy
+        r = math.sqrt(x * x + sign * y * y)
+        a = (a0 + math.atan2(x0 * y - y0 * x, x0 * x + y0 * y) if polar
+             else math.atanh(y / x))
+        dr, da = (x * dx + sign * y * dy) / r, (x * dy - y * dx) / (r * r)
+        b, t = b0 + db0 * s, r - c
+        return (GeodesicState(a, b, t, da, db0, dr) if on_u
+                else GeodesicState(b, a, t, db0, da, dr))
+    return at
+
+
+def _position_errors(fam, state0, length, steps) -> list:
+    """RK4's largest |u|, |v| or |t| error against ``_exact_geodesic``
+    over the rows of a run at each of ``steps``."""
+    exact, errors = _exact_geodesic(fam, state0), []
+    for step in steps:
+        trajectory = integrate(fam, state0, length, step)
+        assert trajectory.termination == "completed"
+        error = 0.0
+        for s, u, v, t, *_ in trajectory.rows:
+            want = exact(s)
+            error = max(error, abs(t - want.t), abs(u - want.u),
+                        abs(v - want.v))
+        errors.append(error)
+    return errors
+
+
 def test_integrate_converges_to_the_exact_geodesic():
     # fa = t, fb = 1: the metric t^2 du^2 - dv^2 - dt^2 is flat, so
     # (t cosh u, t sinh u) runs on a straight line and v = v'(0) s; from
@@ -70,19 +118,48 @@ def test_integrate_converges_to_the_exact_geodesic():
     # timelike, the line is (1 + sqrt(1.08) s, 0.3 s)
     fam = make_family("hyperbolic14", "A", "t", "1", 0.05, 10.0)
     state0 = GeodesicState(0.0, 0.0, 1.0, 0.3, 0.1, math.sqrt(1.08))
-    errors = []
-    for step in (4e-3, 2e-3, 1e-3):
-        trajectory = integrate(fam, state0, 2.8, step)
-        assert trajectory.termination == "completed"
-        error = 0.0
-        for s, u, v, t, *_ in trajectory.rows:
-            x, y = 1.0 + math.sqrt(1.08) * s, 0.3 * s
-            error = max(error, abs(t - math.sqrt(x * x - y * y)),
-                        abs(u - math.atanh(y / x)), abs(v - 0.1 * s))
-        errors.append(error)
+    errors = _position_errors(fam, state0, 2.8, (4e-3, 2e-3, 1e-3))
     # RK4 is fourth order until rounding: 3.5e-12, 2.2e-13, 1.4e-14
     assert 3.8 <= math.log2(errors[0] / errors[1]) <= 4.2
     assert errors[2] <= 1e-13
+
+
+# the 12 flat members: each (family, variant) pair with fa = 2 + t and
+# fb = 1, or the other way round, over a domain that keeps 2 + t > 0
+FLAT_MEMBERS = [(kind, variant, profiles) for kind in FamilyKind
+                for variant in Variant
+                for profiles in (("2+t", "1"), ("1", "2+t"))]
+FLAT_START = GeodesicState(0.1, -0.2, 1.0, 0.25, 0.15, 0.4)
+
+
+@pytest.mark.parametrize("kind,variant,profiles", FLAT_MEMBERS)
+def test_integrate_converges_to_the_exact_geodesic_on_flat_members(
+        kind, variant, profiles):
+    # stated before the run: order 4 +- 0.2 from step 2e-2 to 1e-2, whose
+    # errors are far above roundoff, and at most 1e-12 at 1e-3, on the
+    # roundoff floor
+    fam = SurfaceFamily(kind, variant, *(ProfileFunction.from_text(
+        text, -1.5, 10.0) for text in profiles))
+    coarse, fine, floor = _position_errors(fam, FLAT_START, 2.0,
+                                           (2e-2, 1e-2, 1e-3))
+    assert 3.8 <= math.log2(coarse / fine) <= 4.2
+    assert floor <= 1e-12
+
+
+@pytest.mark.parametrize("kind,variant,profiles", FLAT_MEMBERS)
+def test_momenta_are_constant_on_the_exact_geodesic(kind, variant,
+                                                    profiles):
+    # the package's p_u, p_v and L on the exact line, with no RK4 step
+    fam = SurfaceFamily(kind, variant, *(ProfileFunction.from_text(
+        text, -1.5, 10.0) for text in profiles))
+    exact, columns = _exact_geodesic(fam, FLAT_START), []
+    for k in range(201):
+        state = exact(k * 0.01)
+        coeffs = fam.metric_coefficients(state.t)
+        columns.append((*coeffs.momenta(state), coeffs.lagrangian(state)))
+    for column in zip(*columns):
+        assert max(abs(x - column[0]) for x in column) <= \
+            1e-13 * max(1.0, abs(column[0]))
 
 
 def test_integrate_conserves_cyclic_momentum():
@@ -345,9 +422,13 @@ def test_geodesics_map_to_geodesics_under_angle_shifts():
     residual = flow_residual(H14, trajectory.samples)
     assert residual <= 1e-6
     for name, shift in (("u", 0.8), ("v", -1.1)):
-        moved = [replace(sample, state=replace(sample.state, **{
-                     name: getattr(sample.state, name) + shift}))
-                 for sample in trajectory.samples]
+        moved = []
+        for sample in trajectory.samples:
+            state = dict(zip(("u", "v", "t", "du", "dv", "dt"),
+                             sample.state.as_tuple()))
+            state[name] += shift
+            moved.append(Sample(sample.s, GeodesicState(**state), sample.L,
+                                sample.p_u, sample.p_v))
         assert flow_residual(H14, moved) == residual
 
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from rotsurf import (Rotation, Vector4, apply_matrix, generator_matrix, inner,
                      rotation_matrix)
 from rotsurf.ambient import METRIC_DIAGONAL
+from rotsurf.isometries import _plane_map
 
 component = st.floats(-10, 10, allow_nan=False)
 vec = st.builds(Vector4, component, component, component, component)
@@ -129,3 +130,21 @@ def test_rotation_labels_round_trip():
         assert Rotation.from_label(rotation.label) is rotation
     with pytest.raises(ValueError):
         Rotation.from_label("boost99")
+
+
+signed = st.one_of(st.floats(-1e6, 1e6, allow_nan=False), st.just(-0.0))
+
+
+@settings(max_examples=300)
+@given(st.sampled_from(list(Rotation)), st.floats(-3, 3, allow_nan=False),
+       st.lists(signed, min_size=4, max_size=4))
+def test_plane_map_is_the_matrix_product_bit_for_bit(rotation, angle, x):
+    # the rotation and its generator, as ``rotsurf isometry`` applies them;
+    # repr tells -0.0 from 0.0
+    for block, diag, matrix in (
+            (rotation.block(angle), 1.0, rotation_matrix(rotation, angle)),
+            (rotation.derivative(rotation.block(0.0)), 0.0,
+             generator_matrix(rotation))):
+        got = _plane_map(rotation, block, diag)(x)
+        assert repr(got) == repr(list(apply_matrix(matrix,
+                                                   Vector4(*x)).components()))

@@ -132,3 +132,14 @@ def test_cli_op_writes_under_the_round_directory(tmp_path, monkeypatch):
     with pytest.raises(SystemExit, match="invariants --config .* exited 1"):
         paired_probe._round(paired_probe.cli_op("rotsurf", "invariants"),
                             [str(path)], str(tmp_path / "out"))
+
+
+def test_import_op_times_a_fresh_interpreter(tmp_path):
+    src = str(_PATH.parents[1] / "src")
+    seconds, found = paired_probe._round(paired_probe.import_op("rotsurf",
+                                                                src),
+                                         [None], str(tmp_path / "out"))
+    assert seconds > 0.0 and found == [None]
+    with pytest.raises(SystemExit, match="import missing.cli exited 1"):
+        paired_probe._round(paired_probe.import_op("missing", src), [None],
+                            str(tmp_path / "out"))
