@@ -1,8 +1,8 @@
 """``Record``, the base of rotsurf's frozen value classes: a subclass's
 annotations name its fields, in order, a field's class value its default.
-Built by position or name, then ``__post_init__``; equal to its own class
-only; hashed, printed as ``Name(field=value!r, ...)`` and pickled by its
-fields.  Unlike ``@dataclass``, it generates no code per class."""
+Built by position or name, then ``__post_init__`` if defined; equal to its
+own class only; hashed, printed as ``Name(field=value!r, ...)`` and
+pickled by its fields.  Unlike ``@dataclass``, it generates no code."""
 
 
 class Record:
@@ -10,6 +10,7 @@ class Record:
 
     def __init_subclass__(cls):
         cls._fields += tuple(cls.__annotations__)
+        cls._checked = hasattr(cls, "__post_init__")
 
     def __init__(self, *args, **kwargs):
         fields = self._fields
@@ -21,14 +22,13 @@ class Record:
                 raise TypeError(f"{type(self).__name__}() takes the fields "
                                 f"{', '.join(fields)}")
             args = [values[name] for name in fields]
-        self.__dict__.update(zip(fields, args))
-        self.__post_init__()
-
-    def __post_init__(self):
-        """A subclass's checks of its fields, once they are set."""
+        for name, value in zip(fields, args):  # no __dict__: reads stay fast
+            object.__setattr__(self, name, value)
+        if self._checked:
+            self.__post_init__()  # a subclass's checks of its fields
 
     def _values(self) -> tuple:
-        return tuple(map(self.__dict__.__getitem__, self._fields))
+        return tuple([getattr(self, name) for name in self._fields])
 
     def __eq__(self, other):
         return (self._values() == other._values()

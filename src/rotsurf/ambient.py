@@ -35,7 +35,7 @@ class Vector4(Record):
         for name, value in zip(self._fields, (x1, x2, x3, x4)):
             if not isinstance(value, (int, float)) or not math.isfinite(value):
                 raise ValueError(f"component {name} must be finite, got {value!r}")
-        self.__dict__.update(x1=x1, x2=x2, x3=x3, x4=x4)
+            object.__setattr__(self, name, value)
 
     def components(self) -> tuple[float, float, float, float]:
         return (self.x1, self.x2, self.x3, self.x4)

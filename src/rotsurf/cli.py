@@ -74,10 +74,11 @@ def _write_atomic(path: str, text, *more):
         try:
             for path, text in files:
                 directory = missing = os.path.dirname(os.path.abspath(path))
-                while not os.path.exists(missing):  # to be made below
+                while not os.path.isdir(missing):  # to be made below
                     made.append(missing)
                     missing = os.path.dirname(missing)
-                os.makedirs(directory, exist_ok=True)
+                if missing != directory:
+                    os.makedirs(directory, exist_ok=True)
                 # os.replace keeps the temporary file's mode: 0o666 under
                 # the umask, as open(path, "w") would create ``path`` (a
                 # mkstemp file is 0o600); O_EXCL never reuses a name

@@ -238,17 +238,17 @@ def parse_config(document: dict) -> RunConfig:
     if not math.isfinite(t_max - t_min):
         raise ConfigError("domain", "t_max - t_min must be finite")
 
-    sections = {key: parser(_require_mapping(document[key], key))
+    sections = [parser(_require_mapping(document[key], key))
+                if key in document else None
                 for key, parser in (("geodesic", _parse_geodesic),
                                     ("curvature", _parse_curvature),
-                                    ("output", _parse_output))
-                if key in document}
-    geodesic = sections.get("geodesic")
+                                    ("output", _parse_output))]
+    geodesic = sections[0]
     if geodesic is not None and not t_min <= geodesic.initial["t"] <= t_max:
         raise ConfigError("geodesic.initial.t",
                           f"must lie in domain [{t_min!r}, {t_max!r}]")
     return RunConfig(FamilyKind(family_name), Variant(variant_name),
-                     fa_text, fb_text, t_min, t_max, **sections)
+                     fa_text, fb_text, t_min, t_max, *sections)
 
 
 def load_config(path: str) -> RunConfig:
