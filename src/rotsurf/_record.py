@@ -1,8 +1,7 @@
-"""``Record``, the base of rotsurf's frozen value classes: a subclass's
-annotations name its fields, in order, a field's class value its default.
-Built by position or name, then ``__post_init__`` if defined; equal to its
-own class only; hashed, printed as ``Name(field=value!r, ...)`` and
-pickled by its fields.  Unlike ``@dataclass``, it generates no code."""
+"""``Record``, the frozen base of rotsurf's records: fields named by a
+subclass's annotations, defaults by class values; built by position or
+name, then ``__post_init__``; equal within its class only; hashed, printed
+and pickled by its fields.  Unlike ``@dataclass``, it generates no code."""
 
 
 class Record:
@@ -19,8 +18,7 @@ class Record:
                       if hasattr(self, name)}  # the defaults
             values.update(dict(**dict(zip(fields, args)), **kwargs))
             if len(args) > len(fields) or values.keys() != set(fields):
-                raise TypeError(f"{type(self).__name__}() takes the fields "
-                                f"{', '.join(fields)}")
+                raise TypeError(f"{type(self).__name__}() takes {fields}")
             args = [values[name] for name in fields]
         for name, value in zip(fields, args):  # no __dict__: reads stay fast
             object.__setattr__(self, name, value)

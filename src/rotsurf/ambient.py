@@ -23,6 +23,7 @@ __all__ = [
 #: Diagonal of the metric in the standard rectangular coordinates.
 METRIC_DIAGONAL = (-1.0, -1.0, 1.0, 1.0)
 
+
 class Vector4(Record):
     """A point or tangent vector, with finite components enforced."""
 
