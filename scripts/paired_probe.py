@@ -19,13 +19,13 @@ its library as ``bench/workloads.py`` does (the start, ``integrate``, the
 drifts and the final ``clairaut_report``; each config is loaded and its
 family built once, in the warm-up round).  ``import``, which runs only
 when named, takes no inputs: a pair times one fresh interpreter per side
-running ``import rotsurf_<side>.cli``, the part of every CLI command
-that the package controls, with the bytecode cache unwritten.  The base goes first in even
-pairs, the head first in odd ones, so the order runs A B B A A B ...  One
-untimed round per side comes before pair 0, so neither side's timed
-rounds include its first-call costs.  Both sides run in seconds of each
-other, so the host's drift in speed cancels in the ratio.  Printed per
-workload, one JSON line: the median per-pair ratio head/base, a
+running ``import rotsurf_<side>.cli``, the part of every CLI command that
+the package controls, with the bytecode cache unwritten.  The base goes
+first in even pairs, the head first in odd ones, so the order runs A B B A
+A B ...  One untimed round per side comes before pair 0, so neither side's
+timed rounds include its first-call costs.  Both sides run in seconds of
+each other, so the host's drift in speed cancels in the ratio.  Printed
+per workload, one JSON line: the median per-pair ratio head/base, a
 distribution-free 95 % interval for it from order statistics (the
 sign-test interval, as in Conover, *Practical Nonparametric Statistics*)
 with its exact coverage, whether the interval excludes 1, the median

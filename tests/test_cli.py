@@ -540,8 +540,8 @@ def test_curvature_reports_first_failing_point(tmp_path, capsys, changes,
         2, f"numerical failure at {line}\n")
 
 
-# the later-row overflow of ``test_metric_overflow_is_numerical_failure``, and a curvature run whose cosh overflows
-# after its first t-rows were written
+# the later-row overflow of ``test_metric_overflow_is_numerical_failure``,
+# and a curvature run whose cosh overflows after its first t-rows are written
 FAILING_RUNS = {
     "invariants": patched(MERIDIAN_CONFIG, **{
         "domain": [0.1, 10.0], "profiles.fb": "1e153*(9 + t)",

@@ -76,8 +76,9 @@ def _exact_geodesic(fam, state0):
                               else (v0, dv0, u0, du0, coeffs.G))
     c = (fam.fa if on_u else fam.fb).evaluate(t0) - t0
     polar = bend * coeffs.N > 0.0
+    # r^2 = x^2 + sign y^2
     cos, sin, sign = ((math.cos, math.sin, 1.0) if polar
-                      else (math.cosh, math.sinh, -1.0))  # r^2 = x^2 + sign y^2
+                      else (math.cosh, math.sinh, -1.0))
     r0 = c + t0
     x0, y0 = r0 * cos(a0), r0 * sin(a0)
     dx = dt0 * cos(a0) - sign * r0 * sin(a0) * da0

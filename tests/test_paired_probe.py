@@ -134,8 +134,10 @@ def test_cli_op_writes_under_the_round_directory(tmp_path, monkeypatch):
                             [str(path)], str(tmp_path / "out"))
 
 
-def test_import_op_times_a_fresh_interpreter(tmp_path):
+def test_import_op_times_a_fresh_interpreter(tmp_path, monkeypatch):
     src = str(_PATH.parents[1] / "src")
+    # ``_round`` sets the variable; monkeypatch restores it afterwards
+    monkeypatch.setenv("ROTSURF_OUTPUT_DIR", str(tmp_path / "out"))
     seconds, found = paired_probe._round(paired_probe.import_op("rotsurf",
                                                                 src),
                                          [None], str(tmp_path / "out"))
