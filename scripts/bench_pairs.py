@@ -18,9 +18,10 @@ how much worse the head's median reads and whether that is within the
 metric's ``bound``, whether the comparison is unresolved: the base's
 quartile spread is wider than the bound allows, so a head within the
 bound is not shown unchanged, unless every head run reads better than
-every base run; and whether a gain is resolved: the head reads better
-in at least 9 of 10 pairs and its median is better by more than the
-base's quartile spread, the rule a claimed gain is held to.
+every base run; and whether a gain is resolved: at least 10 pairs ran,
+the head reads better in at least 9 of 10 of them and its median is
+better by more than the base's quartile spread, the rule a claimed gain
+is held to.
 """
 
 from __future__ import annotations
@@ -85,8 +86,9 @@ def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
     ``within_bound`` (``worse_by`` at most the metric's ``bound``),
     ``unresolved`` (the base's q3 - q1 over its median wider than the
     ``bound``, and not every head run better than every base run) and
-    ``gain_resolved`` (the head better in at least 9/10 of the pairs, and
-    its median better than the base's by more than the base's q3 - q1)."""
+    ``gain_resolved`` (at least 10 pairs, the head better in at least 9/10
+    of them, and its median better than the base's by more than the base's
+    q3 - q1)."""
     summary = {}
     for workload in dict.fromkeys(run["workload"] for run in runs):
         pairs: dict[int, dict[str, dict]] = {}
@@ -133,7 +135,7 @@ def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
                     and not min(sign * head for head in values["head"])
                     > max(sign * base for base in values["base"])),
                 "gain_resolved": (
-                    10 * better >= 9 * len(complete)
+                    len(complete) >= 10 and 10 * better >= 9 * len(complete)
                     and sign * (head_median - base_median) > spread),
             }
         summary[workload] = entry

@@ -171,15 +171,23 @@ def ensemble_op(package: str):
 
 def _round(op, configs: list[str], out_dir: str) -> tuple[float, list]:
     """Seconds ``op`` took on every config, writing any artifacts under
-    ``out_dir``, and what it returned for each."""
+    ``out_dir``, and what it returned for each; ``ROTSURF_OUTPUT_DIR`` is
+    restored afterwards, also when ``op`` raises."""
+    saved = os.environ.get("ROTSURF_OUTPUT_DIR")
     os.environ["ROTSURF_OUTPUT_DIR"] = out_dir
     total, found = 0.0, []
-    with contextlib.redirect_stdout(io.StringIO()):
-        for config in configs:
-            start = time.perf_counter()
-            value = op(config)
-            total += time.perf_counter() - start
-            found.append(value)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            for config in configs:
+                start = time.perf_counter()
+                value = op(config)
+                total += time.perf_counter() - start
+                found.append(value)
+    finally:
+        if saved is None:
+            del os.environ["ROTSURF_OUTPUT_DIR"]
+        else:
+            os.environ["ROTSURF_OUTPUT_DIR"] = saved
     return total, found
 
 

@@ -27,7 +27,7 @@ from .ambient import _inner
 from .config import ConfigError, RunConfig, initial_state, load_config
 from .curvature import DoubleRotationSurface, GridPointError, _grid_rows
 from .expressions import DomainError, ExprError, differentiate, parse, to_text
-from .geodesics import (_TRAJECTORY_COLUMNS, _drift, _run_chunks, integrate,
+from .geodesics import (_TRAJECTORY_COLUMNS, _drift, _run_chunks,
                         invariant_rows)
 from .isometries import Rotation, _plane_map
 from .surfaces import (DegenerateMetricError, MetricOverflowError,
@@ -155,25 +155,6 @@ _CURVATURE_COLUMNS = ("t", "s", "K_formula", "K_oracle", "K_gap",
                       "h3", "h4", "H_gap")
 
 
-def _run_geodesic(config: RunConfig, fam: SurfaceFamily):
-    state0, residual = initial_state(config, fam)
-    section = config.geodesic
-    return integrate(fam, state0, section.length, section.step), residual
-
-
-def _check_termination(termination: str, reached: float, requested: float):
-    """Raise ``_NumericalFailure`` for a failed run; warn of an early end."""
-    if termination in ("degenerate_metric", "nonfinite_state"):
-        raise _NumericalFailure(f"numerical failure: {termination}"
-                                f" after s={_fmt(reached)}")
-    if termination == "domain_exit" and reached < 0.1 * requested:
-        raise _NumericalFailure(f"numerical failure: domain exit at "
-                                f"s={_fmt(reached)} "
-                                f"(before 10% of requested length)")
-    if termination != "completed":
-        print(f"warning: {termination} at s={_fmt(reached)}", file=sys.stderr)
-
-
 def _cmd_info(config: RunConfig) -> int:
     fam = config.build_family()
     print(f"family {config.family.value} variant {config.variant.value}")
@@ -192,22 +173,27 @@ def _cmd_info(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _invariant_chunks(fam: SurfaceFamily, run, length: float, seen: dict,
-                      extra: dict):
-    """``invariant_rows`` of ``run``'s lists of rows; ``seen`` keeps the row
-    count, last s and each ``_SUMMARY_COLUMNS`` column's (first, min, max)."""
-    for chunk in run:
+def _checked(fam: SurfaceFamily, state0, section, seen: dict):
+    """``_run_chunks``' lists of ``_CHUNK_ROWS`` rows of geodesic ``section``
+    from ``state0``, then a failed run's ``_NumericalFailure``, or an early
+    end's warning; ``seen`` keeps the row count, last s and termination."""
+    for chunk in _run_chunks(fam, state0, section.length, section.step,
+                             _CHUNK_ROWS):
         if isinstance(chunk, str):
-            _check_termination(chunk, seen.get("s", 0.0), length)
-            extra["termination"] = chunk
-            return
+            break
         seen["rows"], seen["s"] = seen["rows"] + len(chunk), chunk[-1][0]
-        chunk = invariant_rows(fam, chunk)
-        for column in _SUMMARY_COLUMNS.values():
-            values = list(map(itemgetter(column), chunk))
-            x0, low, high = seen.setdefault(column, (values[0],) * 3)
-            seen[column] = x0, min(low, *values), max(high, *values)
         yield chunk
+    reached = seen.get("s", 0.0)
+    if chunk in ("degenerate_metric", "nonfinite_state"):
+        raise _NumericalFailure(f"numerical failure: {chunk}"
+                                f" after s={_fmt(reached)}")
+    if chunk == "domain_exit" and reached < 0.1 * section.length:
+        raise _NumericalFailure(f"numerical failure: domain exit at "
+                                f"s={_fmt(reached)} "
+                                f"(before 10% of requested length)")
+    if chunk != "completed":
+        print(f"warning: {chunk} at s={_fmt(reached)}", file=sys.stderr)
+    seen["termination"] = chunk
 
 
 def _cmd_geodesic(config: RunConfig, summarize: bool = False) -> int:
@@ -216,12 +202,20 @@ def _cmd_geodesic(config: RunConfig, summarize: bool = False) -> int:
     path = _resolve_output(config)
     fam = config.build_family()
     state0, residual = initial_state(config, fam)
-    length = config.geodesic.length
-    run = _run_chunks(fam, state0, length, config.geodesic.step, _CHUNK_ROWS)
     seen, extra = {"rows": 0}, {"columns": list(_TRAJECTORY_COLUMNS)}
-    text = _table(config.output.format, _TRAJECTORY_COLUMNS,
-                  _invariant_chunks(fam, run, length, seen, extra), "samples",
-                  extra)
+
+    def chunks():  # with invariants; each summary column's (x_0, min, max)
+        for chunk in _checked(fam, state0, config.geodesic, seen):
+            chunk = invariant_rows(fam, chunk)
+            for column in _SUMMARY_COLUMNS.values():
+                values = list(map(itemgetter(column), chunk))
+                x0, low, high = seen.setdefault(column, (values[0],) * 3)
+                seen[column] = x0, min(low, *values), max(high, *values)
+            yield chunk
+        extra["termination"] = seen["termination"]
+
+    text = _table(config.output.format, _TRAJECTORY_COLUMNS, chunks(),
+                  "samples", extra)
 
     def summary():  # iterated once the artifact's rows are written
         drifts = {name: _drift(seen[column])
@@ -283,18 +277,18 @@ def _cmd_isometry(config: RunConfig, generator: str, angle: float) -> int:
                           f"{generator} does not act on family "
                           f"{config.family.value} (expects "
                           f"{rot_u.label} or {rot_v.label})")
-    trajectory, _ = _run_geodesic(config, fam)
-    _check_termination(trajectory.termination, trajectory.reached_length,
-                       trajectory.requested_length)
+    state0, _ = initial_state(config, fam)
+    seen = {"rows": 0}
+    chunks = _checked(fam, state0, config.geodesic, seen)
     shift_u, shift_v, momentum = ((angle, 0.0, "p_u") if rotation is rot_u
                                   else (0.0, angle, "p_v"))
     column = _TRAJECTORY_COLUMNS.index(momentum)
-    charges, defect, image = [], 0.0, 0.0
+    charge, defect, image = (), 0.0, 0.0
     try:
         field = _plane_map(rotation,
                            rotation.derivative(rotation.block(0.0)), 0.0)
         move = _plane_map(rotation, rotation.block(angle), 1.0)
-        for row in trajectory.rows:
+        for row in itertools.chain.from_iterable(chunks):
             q, point, fa, fb, u, v = _charge(fam, field, row)
             target = fam.immerse_values(fa, fb, u + shift_u, v + shift_v)
             g0, g1, g2, g3 = (x - y for x, y in zip(move(point), target))
@@ -302,15 +296,20 @@ def _cmd_isometry(config: RunConfig, generator: str, angle: float) -> int:
             # argument: 0 * x is nan exactly when x is inf or nan
             if not math.isfinite(0.0 * q * g0 * g1 * g2 * g3):
                 raise OverflowError("a point or vector beyond floats")
-            charges.append(q)
+            q0, low, high = charge or (q, q, q)  # for _drift
+            charge = q0, min(low, q), max(high, q)
             p = row[column]
             defect = max(defect, abs(q - 0.5 * p) / max(1.0, abs(p)))
             image = max(image, abs(g0), abs(g1), abs(g2), abs(g3))
     except (OverflowError, ValueError) as exc:  # also cosh's and fsum's
+        for _ in chunks:  # a failed run outranks the overflow: run it out
+            pass
+        if "termination" not in seen:  # the run's own error, at its start
+            raise
         raise _NumericalFailure(f"numerical failure: {generator} at angle "
                                 f"{_fmt(angle)} overflows") from exc
     print(f"generator {generator} angle {_fmt(angle)}: "
-          f"charge {_fmt(charges[0])}, drift {_fmt(_drift(charges))}, "
+          f"charge {_fmt(charge[0])}, drift {_fmt(_drift(charge))}, "
           f"max |q - p/2|/max(1,|p|) {_fmt(defect)}, "
           f"max image defect {_fmt(image)}")
     return EXIT_OK

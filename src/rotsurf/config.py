@@ -37,10 +37,10 @@ class _Repeated(dict):
 
 def _json_object(pairs: list) -> dict:
     mapping = dict(pairs)
-    if len(mapping) < len(pairs):
-        mapping = _Repeated(mapping)
-        mapping.key = next(key for i, (key, _) in enumerate(pairs)
-                           if key in dict(pairs[:i]))
+    if len(mapping) < len(pairs):  # the first key to come a second time
+        mapping, seen = _Repeated(mapping), set()
+        mapping.key = next(key for key, _ in pairs
+                           if key in seen or seen.add(key))
     return mapping
 
 def _require_mapping(value, path: str) -> dict:

@@ -110,6 +110,9 @@ def test_gain_resolved_needs_the_pairs_and_the_spread():
     assert (work["better_pairs"], work["gain_resolved"]) == ("8/10", False)
     # setup_s reads the same in every pair: no gain to resolve
     assert _pairs(base, base)["setup_s"]["gain_resolved"] is False
+    # 1.2x in 3 pairs of 3: too few pairs to resolve
+    work = _pairs(base[:3], [b * 1.2 for b in base[:3]])["work_per_s"]
+    assert (work["better_pairs"], work["gain_resolved"]) == ("3/3", False)
 
 
 def test_unresolved_when_the_base_spread_exceeds_the_bound():

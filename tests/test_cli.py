@@ -9,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -22,7 +23,7 @@ from rotsurf import (DoubleRotationSurface, ProfileFunction, inner,
 from rotsurf import Rotation, generator_matrix
 from rotsurf.isometries import _plane_map
 from rotsurf.cli import (_CURVATURE_COLUMNS, _TRAJECTORY_COLUMNS, _build_parser,
-                         _charge, _fmt, _run_geodesic, _write_atomic, main)
+                         _charge, _fmt, _write_atomic, main)
 from rotsurf.config import ConfigError, initial_state, parse_config
 from rotsurf.geodesics import _drift, _run_chunks, integrate
 from rotsurf.surfaces import FamilySpec
@@ -596,7 +597,7 @@ def test_isometry_rejects_non_finite_angle(tmp_path, capsys, monkeypatch,
         raise AssertionError("work started")
 
     monkeypatch.setattr("rotsurf.cli.load_config", no_work)
-    monkeypatch.setattr("rotsurf.cli._run_geodesic", no_work)
+    monkeypatch.setattr("rotsurf.cli._run_chunks", no_work)
     config = meridian_config(tmp_path)
     assert main(["isometry", "--config", config, "--generator", "boost13",
                  "--angle", value]) == 1
@@ -752,6 +753,13 @@ def test_parse_check_syntax_error(capsys):
         assert captured.out == "" and message in captured.err
 
 
+def integrated(config):
+    """``integrate`` of ``config``'s geodesic from its ``initial_state``."""
+    fam = config.build_family()
+    return integrate(fam, initial_state(config, fam)[0],
+                     config.geodesic.length, config.geodesic.step)
+
+
 def isometry_values(out: str) -> list[float]:
     """Charge, drift, max |q - p/2|/max(1, |p|) and image defect of one
     ``rotsurf isometry`` line."""
@@ -765,9 +773,8 @@ def test_isometry_command(tmp_path, capsys, name):
     config = write_config(tmp_path, document)
     parsed = parse_config(document)
     fam = parsed.build_family()
-    trajectory, _ = _run_geodesic(parsed, fam)
     largest = max(max(map(abs, fam.immerse(u, v, t).components()))
-                  for _, u, v, t, *_ in trajectory.rows)
+                  for _, u, v, t, *_ in integrated(parsed).rows)
     lines = {}
     for generator in (fam.spec.rot_u.label, fam.spec.rot_v.label):
         for angle in ("0.7", "-3"):
@@ -791,11 +798,11 @@ def test_isometry_charge_of_a_foreign_generator_drifts():
     # the check can fail: no other rotation's field is tangent to h14
     config = parse_config(CONFIGS["h14"])
     fam = config.build_family()
-    trajectory, _ = _run_geodesic(config, fam)
+    rows = integrated(config).rows
     for rotation in set(Rotation) - {fam.spec.rot_u, fam.spec.rot_v}:
         field = _plane_map(rotation,
                            rotation.derivative(rotation.block(0.0)), 0.0)
-        charges = [_charge(fam, field, row)[0] for row in trajectory.rows]
+        charges = [_charge(fam, field, row)[0] for row in rows]
         assert _drift(charges) > 1e-4, rotation
 
 
@@ -807,7 +814,7 @@ def test_isometry_takes_block_columns_twice_per_row(tmp_path, capsys,
     config = write_config(tmp_path, document)
     parsed = parse_config(document)
     fam = parsed.build_family()
-    trajectory, _ = _run_geodesic(parsed, fam)
+    rows = integrated(parsed).rows
     calls, columns = [], FamilySpec.columns
 
     def recording(spec, u, v):
@@ -817,8 +824,8 @@ def test_isometry_takes_block_columns_twice_per_row(tmp_path, capsys,
     monkeypatch.setattr(FamilySpec, "columns", recording)
     assert main(["isometry", "--config", config, "--generator",
                  fam.spec.rot_u.label, "--angle", "0.7"]) == 0
-    assert calls[::2] == [(u, v) for _, u, v, *_ in trajectory.rows]
-    assert calls[1::2] == [(u + 0.7, v) for _, u, v, *_ in trajectory.rows]
+    assert calls[::2] == [(u, v) for _, u, v, *_ in rows]
+    assert calls[1::2] == [(u + 0.7, v) for _, u, v, *_ in rows]
 
 
 def test_isometry_overflow_is_numerical_failure(tmp_path, capsys):
@@ -844,6 +851,51 @@ def test_isometry_image_overflow_is_numerical_failure(tmp_path, capsys):
                             "overflows\n")
 
 
+# (changes to the meridian config, --angle, stderr): the first run leaves
+# the domain at its fifth row, before the rotation at 800 is built; the
+# others overflow at their first row's image and leave the domain later
+_EARLY_ENDS = [
+    ({"geodesic.initial": {"u": 0, "v": 0, "t": 0.06, "du": 0.3, "dv": 0.1,
+                           "dt": -2}}, "800",
+     "numerical failure: domain exit at s=0.0040000000000000001 (before "
+     "10% of requested length)\n"),
+    ({"geodesic.initial.t": 5.0, "domain": [0.05, 5.05]}, "709",
+     "numerical failure: domain exit at s=0.049000000000000002 (before "
+     "10% of requested length)\n"),
+    ({"geodesic.initial.t": 5.0, "domain": [0.05, 5.2]}, "709",
+     "warning: domain_exit at s=0.19900000000000001\n"
+     "numerical failure: boost13 at angle 709 overflows\n"),
+]
+
+
+@pytest.mark.parametrize("chunk", [256, 1])
+@pytest.mark.parametrize("changes,angle,err", _EARLY_ENDS,
+                         ids=["matrix", "image", "image-after-10%"])
+def test_isometry_failed_run_outranks_overflow(tmp_path, capsys, monkeypatch,
+                                               chunk, changes, angle, err):
+    """The run's end is checked before an overflow of the rotation or of
+    an image is reported, in any chunks: a failed run's line, or an early
+    end's warning before the overflow's."""
+    monkeypatch.setattr(cli, "_CHUNK_ROWS", chunk)
+    config = meridian_config(tmp_path, **changes)
+    assert main(["isometry", "--config", config, "--generator", "boost13",
+                 "--angle", angle]) == 2
+    assert capsys.readouterr() == ("", err)
+
+
+@pytest.mark.parametrize("angle", ["0.5", "800"])
+def test_isometry_domain_error_at_the_first_row_is_config_error(
+        tmp_path, capsys, angle):
+    # the start's own state is valid; the run's first row is not
+    changes = {"profiles.fa": "sqrt(t - 2)", "geodesic.initial.t": 1.0}
+    parsed = parse_config(patched(MERIDIAN_CONFIG, **changes))
+    initial_state(parsed, parsed.build_family())
+    assert main(["isometry", "--config", meridian_config(tmp_path, **changes),
+                 "--generator", "boost13", "--angle", angle]) == 1
+    assert capsys.readouterr() == ("", "config error: sqrt of a negative "
+                                       "number\n")
+
+
 def test_isometry_rejects_foreign_generator(tmp_path, capsys):
     config = meridian_config(tmp_path)
     assert main(["isometry", "--config", config, "--generator", "spin12",
@@ -861,6 +913,21 @@ _MERIDIAN_TEXT = json.dumps(MERIDIAN_CONFIG)
 _REPEATS = {"geodesic.step": ('"step": 0.001', '"step": 0.1, "step": 0.001'),
             "family": ('"variant"', '"family": "elliptic56", "variant"'),
             "geodesic.initial.u": ('"v": 0', '"u": 1, "v": 0')}
+
+
+def test_duplicate_key_search_is_linear(tmp_path, capsys):
+    # 50,000 keys, the first of them repeated last: a search that rebuilds
+    # the keys before each pair takes minutes
+    keys = [f"k{i}" for i in range(50_000)] + ["k0"]
+    text = _MERIDIAN_TEXT.replace(
+        '"step": 0.001', ", ".join(f'"{key}": 0' for key in keys), 1)
+    path = tmp_path / "config.json"
+    path.write_text(text, encoding="utf-8")
+    start = time.perf_counter()
+    assert main(["geodesic", "--config", str(path)]) == 1
+    assert time.perf_counter() - start < 10.0
+    assert capsys.readouterr() == ("", "config error: geodesic.k0: "
+                                       "duplicate key\n")
 
 
 @pytest.mark.parametrize("argv,changes,line", [
@@ -1006,8 +1073,7 @@ STATE_MEMBER = patched(MERIDIAN_CONFIG, **{
 
 def _state_member_row(k):
     """Row ``k`` of the State-run member's trajectory."""
-    config = parse_config(STATE_MEMBER)
-    return _run_geodesic(config, config.build_family())[0].rows[k]
+    return integrated(parse_config(STATE_MEMBER)).rows[k]
 
 
 def _run_in(directory, capsys, command, document, fmt="csv"):
@@ -1131,8 +1197,9 @@ def test_terminations_on_a_chunk_boundary(tmp_path, capsys, monkeypatch,
 
 
 def _peaks_mib(tmp_path, runs):
-    """Peak resident memory in MiB of each (command, document) of ``runs``,
-    each in a fresh interpreter of its own, all running side by side.
+    """Peak resident memory in MiB of each (argv, document) of ``runs``,
+    ``main`` of argv plus ``--config`` and the document's path, each in a
+    fresh interpreter of its own, all running side by side.
 
     The peak is the child's ``VmHWM``, the high-water mark of its own
     address space.  Its ``ru_maxrss`` would not do: an exec'd child starts
@@ -1149,12 +1216,12 @@ def _peaks_mib(tmp_path, runs):
               "    print(code, re.search(r'VmHWM:\\s*(\\d+) kB', "
               "status.read())[1])\n")
     children = []
-    for k, (command, document) in enumerate(runs):
+    for k, (argv, document) in enumerate(runs):
         directory = tmp_path / str(k)
         directory.mkdir()
         document = dict(document, output={"path": str(directory / "out.csv")})
         children.append(subprocess.Popen(
-            [sys.executable, "-c", script, command, "--config",
+            [sys.executable, "-c", script, *argv, "--config",
              write_config(directory, document)],
             env=env, stdout=subprocess.PIPE, text=True))
     peaks = []
@@ -1165,10 +1232,12 @@ def _peaks_mib(tmp_path, runs):
     return peaks
 
 
-def test_invariants_memory_does_not_grow_with_the_row_count(tmp_path):
+@pytest.mark.parametrize("argv", [
+    ["invariants"], ["isometry", "--generator", "boost13"]])
+def test_invariants_memory_does_not_grow_with_the_row_count(tmp_path, argv):
     """10,001 and 100,001 rows of the State-run member at step 0.001 peak
     within 10 MiB of each other: no run holds its rows whole."""
-    runs = [("invariants", patched(STATE_MEMBER, **{
+    runs = [(argv, patched(STATE_MEMBER, **{
         "domain": [0.05, 1000.0], "geodesic.length": length,
         "geodesic.step": 0.001})) for length in (10.0, 100.0)]
     small, large = _peaks_mib(tmp_path, runs)
@@ -1178,7 +1247,7 @@ def test_invariants_memory_does_not_grow_with_the_row_count(tmp_path):
 def test_curvature_memory_does_not_grow_with_the_grid(tmp_path):
     """100 x 100 and 300 x 300 points of the h14 golden surface peak
     within 10 MiB of each other: the grid is written a t-row at a time."""
-    runs = [("curvature", dict(CONFIGS["h14"], curvature=dict(
+    runs = [(["curvature"], dict(CONFIGS["h14"], curvature=dict(
         CONFIGS["h14"]["curvature"], grid={"nt": n, "ns": n})))
         for n in (100, 300)]
     small, large = _peaks_mib(tmp_path, runs)

@@ -134,9 +134,35 @@ def test_cli_op_writes_under_the_round_directory(tmp_path, monkeypatch):
                             [str(path)], str(tmp_path / "out"))
 
 
+@pytest.mark.parametrize("caller", [None, "caller-out"])
+def test_round_restores_the_output_directory_variable(tmp_path, caller):
+    """Without monkeypatch: ``_round`` itself leaves the environment as it
+    found it, the variable unset or set, also when ``op`` raises."""
+    original = os.environ.pop("ROTSURF_OUTPUT_DIR", None)
+    try:
+        if caller is not None:
+            os.environ["ROTSURF_OUTPUT_DIR"] = caller
+        before, seen = dict(os.environ), []
+
+        def op(config):
+            seen.append(os.environ["ROTSURF_OUTPUT_DIR"])
+            if config == "raise":
+                raise RuntimeError("op failed")
+
+        paired_probe._round(op, ["ok"], str(tmp_path / "out"))
+        assert dict(os.environ) == before
+        with pytest.raises(RuntimeError, match="op failed"):
+            paired_probe._round(op, ["raise"], str(tmp_path / "out"))
+        assert dict(os.environ) == before
+        assert seen == [str(tmp_path / "out")] * 2
+    finally:  # this test's own setting, if the assertions above failed
+        os.environ.pop("ROTSURF_OUTPUT_DIR", None)
+        if original is not None:
+            os.environ["ROTSURF_OUTPUT_DIR"] = original
+
+
 def test_import_op_times_a_fresh_interpreter(tmp_path, monkeypatch):
     src = str(_PATH.parents[1] / "src")
-    # ``_round`` sets the variable; monkeypatch restores it afterwards
     monkeypatch.setenv("ROTSURF_OUTPUT_DIR", str(tmp_path / "out"))
     seconds, found = paired_probe._round(paired_probe.import_op("rotsurf",
                                                                 src),
