@@ -1233,7 +1233,8 @@ def _peaks_mib(tmp_path, runs):
 
 
 @pytest.mark.parametrize("argv", [
-    ["invariants"], ["isometry", "--generator", "boost13"]])
+    ["invariants"], ["isometry", "--generator", "boost13"]],
+    ids=["invariants", "isometry"])
 def test_invariants_memory_does_not_grow_with_the_row_count(tmp_path, argv):
     """10,001 and 100,001 rows of the State-run member at step 0.001 peak
     within 10 MiB of each other: no run holds its rows whole."""
